@@ -18,8 +18,6 @@ class FloatBackend:
     name = "float64"
     #: machine epsilon of the working type
     eps = sys.float_info.epsilon
-    #: kernels may use numpy-vectorized fast paths with this backend
-    vectorized = True
 
     def real(self, v):
         return float(v)
@@ -56,8 +54,6 @@ class MPMathBackend(FloatBackend):
     instance; concurrent use of instances with different ``dps`` is safe as
     long as the global ``mpmath.mp`` context is not mutated elsewhere.
     """
-
-    vectorized = False
 
     def __init__(self, dps: int = 30):
         import mpmath

@@ -254,9 +254,8 @@ _ED_COLUMNS = ("L", "f_finite", "f_exact", "abs_error")
 
 def _run_ed(config: RunConfig):
     pinning = Pinning.NEEL if config.pinning == "neel" else Pinning.NONE
-    rows = convergence_study(config.Ls, config.x, pinning)
-    f_exact = fidelity(ModelPoint.from_x(config.x), config.tolerance).f
-    return [{"L": r.L, "f_finite": r.f_finite, "f_exact": f_exact,
+    rows = convergence_study(config.Ls, config.x, pinning, config.tolerance)
+    return [{"L": r.L, "f_finite": r.f_finite, "f_exact": r.f_exact,
              "abs_error": r.abs_error} for r in rows], _ED_COLUMNS
 
 

@@ -32,11 +32,11 @@ from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .elliptic import ModelPoint
 from .errors import InvalidSpec, NoConvergence, SectorMismatch, SizeLimit
 from .fidelity import fidelity as _exact_fidelity
+from .qseries import DEFAULT_TOL, Tolerance
 
 #: refuse to build sector bases beyond this dimension
 SECTOR_DIM_CAP = 200_000
@@ -173,6 +173,7 @@ def ground_state(H, dim_hint: int | None = None, sector: int = 0,
         vec = v[:, 0]
         gap = float(w[1] - w[0]) if dim > 1 else None
     else:
+        import scipy.sparse.linalg as spla  # loaded only where ARPACK runs
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
             w, v = spla.eigsh(H, k=2, which="SA", v0=v0, tol=tol, maxiter=maxiter)
@@ -269,21 +270,23 @@ def bipartite_fidelity_finite(L: int, x: float, pinning: Pinning = Pinning.NEEL,
 
 @dataclass(frozen=True)
 class ConvergenceRow:
-    """One line of a convergence study: chain length, f_L, |f_L - f_exact|."""
+    """One line of a convergence study: chain length, f_L, f(x), |f_L - f(x)|."""
 
     L: int
     f_finite: float
+    f_exact: float
     abs_error: float
 
 
-def convergence_study(Ls, x: float, pinning: Pinning = Pinning.NEEL) -> list[ConvergenceRow]:
-    """f_L against the exact infinite-chain f(x) for each requested length."""
+def convergence_study(Ls, x: float, pinning: Pinning = Pinning.NEEL,
+                      tol: Tolerance = DEFAULT_TOL) -> list[ConvergenceRow]:
+    """f_L against the exact infinite-chain f(x), computed once at tol."""
     Ls = list(Ls)
     if not Ls:
         return []
-    f_exact = _exact_fidelity(ModelPoint.from_x(x)).f
+    f_exact = _exact_fidelity(ModelPoint.from_x(x), tol).f
     rows = []
     for L in Ls:
         f_L = bipartite_fidelity_finite(L, x, pinning)
-        rows.append(ConvergenceRow(L=L, f_finite=f_L, abs_error=abs(f_L - f_exact)))
+        rows.append(ConvergenceRow(L, f_L, f_exact, abs(f_L - f_exact)))
     return rows

@@ -171,7 +171,8 @@ def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
         tiny dual nome, the only convergent route as x -> 1.  When k'
         drops below sqrt(3*eps_machine), atanh(k') = k' to working
         precision and ln xi = -ln k' is used outright (k' itself may
-        underflow; its log never does).
+        underflow; its log never does).  Where k' rounds to 1 (possible
+        once x < ~1e-30, xi being below resolution) it raises Underflow.
     None picks "direct" for x <= 0.7 and "dual" above.
     """
     if branch is None:
@@ -193,6 +194,8 @@ def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
         if ln_kp_f <= 0.5 * math.log(3.0 * backend.eps):
             return -ln_kp_f
         kp = backend.exp(ln_kp)
+        if not kp < 1.0:
+            raise Underflow(f"1 - k'(x) rounds to zero at x={p.x!r}; use branch='direct'")
         inv_xi = backend.atanh(kp)
         return backend.to_float(-backend.log(inv_xi))
     raise InvalidSpec(f"branch must be 'direct', 'dual' or None, got {branch!r}")

@@ -14,7 +14,8 @@ package's central numerical certificate:
 
       ln g = sum_{N>=1} (-1)^{N+1} / (N (1 + x^{2N})^2),
 
-  which stays convergent as x -> 1 where ln g -> (ln 2)/4.
+  which stays convergent as x -> 1 where ln g -> (ln 2)/4; ln_g_series
+  sums it at a cost independent of eps.
 
 Everything is assembled in log space and exponentiated once at the end:
 x~^{1/16} alone underflows for eps < 0.03, and f itself leaves the double
@@ -27,8 +28,6 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .backends import DEFAULT_BACKEND, FloatBackend
 from .elliptic import ModelPoint
 from .errors import DomainError, NonConvergent
@@ -39,8 +38,18 @@ from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, QProductSpec, Tolerance,
 PATH_SWITCH_X = 0.7
 #: window where fidelity() cross-checks the two applicable routes
 CROSS_CHECK_WINDOW = (0.6, 0.9)
+#: ln g from its expansion up to here (order 30 reaches 0.152 at rel_tol 1e-12)
+LN_G_SWITCH_EPS = 0.15
 
-_LN_G_CHUNK = 1 << 16
+_QUARTER_LN2 = 0.17328679513998632
+# c_2, c_4, ..., c_30 and B_1, ..., B_15 (rounded up) of _ln_g_expansion
+_LN_G_EVEN = (0.0625, 0.020833333333333332, 0.02361111111111111,
+              0.05228174603174603, 0.18889770723104057, 1.0083776922665812,
+              7.453417113456796, 72.84383367413989, 909.3411998263687,
+              14114.944262769695, 266622.9318069865, 6021721.8303798335,
+              160234561.46245712, 4961214936.313177, 176835016896.58295)
+_LN_G_REMAINDER = (0.041, 0.034, 0.060, 0.19, 0.90, 6.1, 55.0, 640.0, 9.4e3,
+                   1.7e5, 3.7e6, 9.4e7, 2.8e9, 9.6e10, 3.8e12)
 
 
 class Path(enum.Enum):
@@ -143,57 +152,45 @@ def fidelity_simplified(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     return _result(ln_f, est, Path.SIMPLIFIED, backend)
 
 
-def _ln_g_vectorized(eps: float, rel_tol: float, max_terms: int) -> float:
-    """Accelerated ln g on doubles: ln g = ln 2 - sum (-1)^{N+1} u_N / N with
+def _ln_g_expansion(eps: float, rel_tol: float, backend: FloatBackend):
+    """ln g = sum_k c_k eps^k to the first order whose error bound is below
+    rel_tol (ln 2)/4 <= rel_tol ln g; None if no order up to 30 is.
+
+    Mellin asymptotics of harmonic sums (Flajolet, Gourdon & Dumas, TCS 144,
+    1995): with t = 2 eps, ln g - ln 2 = sum_N (-1)^{N+1}/N [h(N t) - 1],
+    h = (1 + e^{-t})^{-2}, has Mellin transform M(s) = -Gamma(s) eta(1+s)
+    (eta(s-1) + eta(s)).  Its poles at s = -k give c_k = w_k eta(1-k) 2^k
+    (w_k: Taylor coefficients of h), so c_0 = (ln 2)/4, c_1 = 1/4 and c_k = 0
+    for odd k >= 3.  The expansion diverges (c_k ~ k! (2/pi^2)^k), but M is
+    regular on Re s = -(2j+1), and moving the inversion contour there bounds
+    the error after the eps^{2j} term by B_j eps^{2j+1},
+    B_j = 2^{2j+1}/(2 pi) int |M(-(2j+1) + iy)| dy.  Rounding the literals
+    past the exact c_2 moves ln g by < 2e-21 at eps <= 0.15; all c_{2j} > 0,
+    so Horner's rule cannot cancel.
+    """
+    budget = rel_tol * _QUARTER_LN2
+    for order, bound in enumerate(_LN_G_REMAINDER, start=1):
+        if bound * eps ** (2 * order + 1) <= budget:
+            break
+    else:
+        return None
+    e = backend.real(eps)
+    e2 = e * e
+    acc = backend.real(0.0)
+    for c in reversed(_LN_G_EVEN[:order]):
+        acc = (acc + c) * e2
+    return 0.25 * backend.log(backend.real(2.0)) + 0.25 * e + acc
+
+
+def _ln_g_sum(eps: float, rel_tol: float, max_terms: int, backend: FloatBackend):
+    """Accelerated series ln g = ln 2 - sum (-1)^{N+1} u_N / N with
     u_N = 1 - (1+q^N)^{-2} = q^N (2 + q^N) / (1 + q^N)^2 and q = x^2.
 
     u_N/N decreases strictly, so the alternating tail is bounded by the next
-    term.  Terms decay like e^{-2 N eps}: the subtraction of the x -> 0
-    limit ln 2 is what keeps the term count ~ |ln rel_tol| / (2 eps) instead
-    of the 1/rel_tol of the bare series.
+    term, and subtracting the x -> 0 limit ln 2 keeps the term count at
+    ~|ln rel_tol| / (2 eps).  As a stability guard the sum runs on to twice
+    the stopping index and must agree with itself.
     """
-    ln_q = -2.0 * eps
-    ln2 = math.log(2.0)
-    parts = []
-    stop_n = None
-    start = 1
-    while start <= max_terms:
-        end = min(start + _LN_G_CHUNK - 1, max_terms)
-        n = np.arange(start, end + 1, dtype=np.float64)
-        y = np.exp(n * ln_q)
-        t = y * (2.0 + y) / ((1.0 + y) ** 2) / n
-        signs = np.where(np.arange(start, end + 1) % 2 == 1, 1.0, -1.0)
-        parts.append(float(signs.dot(t)))
-        ln_g = ln2 - math.fsum(parts)
-        if float(t[-1]) <= rel_tol * abs(ln_g):
-            stop_n = end
-            break
-        start = end + 1
-    if stop_n is None:
-        raise NonConvergent(
-            f"ln g series needed more than {max_terms} terms at eps={eps}")
-
-    # stability guard: double the term count and require agreement
-    if 2 * stop_n > max_terms:
-        raise NonConvergent(
-            f"ln g stability guard needs {2 * stop_n} terms, cap is {max_terms}")
-    for start in range(stop_n + 1, 2 * stop_n + 1, _LN_G_CHUNK):
-        end = min(start + _LN_G_CHUNK - 1, 2 * stop_n)
-        n = np.arange(start, end + 1, dtype=np.float64)
-        y = np.exp(n * ln_q)
-        t = y * (2.0 + y) / ((1.0 + y) ** 2) / n
-        signs = np.where(np.arange(start, end + 1) % 2 == 1, 1.0, -1.0)
-        parts.append(float(signs.dot(t)))
-    ln_g_doubled = ln2 - math.fsum(parts)
-    if abs(ln_g_doubled - ln_g) > 8.0 * rel_tol * abs(ln_g_doubled):
-        raise NonConvergent(
-            f"ln g unstable under term doubling at eps={eps}: "
-            f"{ln_g} vs {ln_g_doubled}")
-    return ln_g_doubled
-
-
-def _ln_g_scalar(eps: float, rel_tol: float, max_terms: int, backend: FloatBackend):
-    """Backend-generic scalar loop for the accelerated ln g series."""
     one = backend.real(1.0)
     two = backend.real(2.0)
     ln2 = backend.log(two)
@@ -227,16 +224,17 @@ def ln_g_series(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     """The g factor from its log series, the route that is stable as x -> 1.
 
     ln g runs from ln 2 (x -> 0) down to (ln 2)/4 (x -> 1), the approach to
-    the limit being O(eps).
+    the limit being O(eps).  For eps <= LN_G_SWITCH_EPS it comes from the
+    small-eps expansion, else (or if that cannot meet tol.rel_tol) from the
+    accelerated series, whose term count tol.max_terms caps; neither costs
+    more as eps -> 0.
     """
-    rel_tol = tol.rel_tol
-    max_terms = tol.cap(SERIES_MAX_TERMS)
-    if backend.vectorized:
-        ln_g = _ln_g_vectorized(p.eps, rel_tol, max_terms)
-        return GFactor(g=math.exp(ln_g), ln_g=ln_g)
-    ln_g = _ln_g_scalar(p.eps, rel_tol, max_terms, backend)
-    return GFactor(g=math.exp(backend.to_float(ln_g)),
-                   ln_g=backend.to_float(ln_g))
+    ln_g = (_ln_g_expansion(p.eps, tol.rel_tol, backend)
+            if p.eps <= LN_G_SWITCH_EPS else None)
+    if ln_g is None:
+        ln_g = _ln_g_sum(p.eps, tol.rel_tol, tol.cap(SERIES_MAX_TERMS), backend)
+    ln_g_f = backend.to_float(ln_g)
+    return GFactor(g=math.exp(ln_g_f), ln_g=ln_g_f)
 
 
 def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,

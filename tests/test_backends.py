@@ -29,7 +29,6 @@ class TestFloatBackend:
     def test_metadata(self):
         assert DEFAULT_BACKEND.name == "float64"
         assert DEFAULT_BACKEND.eps == sys.float_info.epsilon
-        assert DEFAULT_BACKEND.vectorized is True
         assert "float64" in repr(DEFAULT_BACKEND)
 
 
@@ -40,7 +39,6 @@ class TestMPMathBackend:
         return MPMathBackend(dps=30)
 
     def test_metadata(self, backend):
-        assert backend.vectorized is False
         assert backend.eps == pytest.approx(1e-29, rel=1e-6)
         assert backend.name == "mpmath-dps30"
 

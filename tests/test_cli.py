@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from xxzfidelity import InvalidSpec, ModelPoint, fidelity, log_correlation_length
+from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, fidelity,
+                         log_correlation_length)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              POINT_COLUMNS, RunConfig, main, run)
 
@@ -41,6 +42,13 @@ class TestEval:
         assert code == EXIT_OK
         row = json.loads(out)
         assert row["x"] == math.exp(-0.5)
+
+    def test_small_eps_succeeds(self, capsys):
+        code, out, err = _invoke(capsys, ["eval", "--eps", "1e-6"])
+        assert code == EXIT_OK and err == ""
+        row = json.loads(out)
+        assert row["ln_f"] == fidelity(ModelPoint.from_eps(1e-6)).ln_f
+        assert row["ratio"] == pytest.approx(0.125, abs=1e-12)
 
     def test_xi_beyond_double_range(self, capsys):
         code, out, _ = _invoke(capsys, ["eval", "--eps", "1e-3"])
@@ -190,6 +198,15 @@ class TestEd:
         for r in rows:
             assert r["abs_error"] == pytest.approx(
                 abs(r["f_finite"] - r["f_exact"]), abs=1e-12)
+
+    def test_one_exact_value_at_the_requested_tolerance(self, capsys):
+        code, out, _ = _invoke(
+            capsys, ["ed", "--x", "0.6", "--Ls", "4,6", "--rel-tol", "1e-6"])
+        assert code == EXIT_OK
+        f_exact = fidelity(ModelPoint.from_x(0.6), Tolerance(1e-6)).f
+        for r in json.loads(out):
+            assert r["f_exact"] == f_exact
+            assert r["abs_error"] == abs(r["f_finite"] - f_exact)
 
     def test_pinning_choice(self, capsys):
         code, out, _ = _invoke(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec, Pinning,
-                         SectorMismatch, SizeLimit, SpinChainSpec,
+                         SectorMismatch, SizeLimit, SpinChainSpec, Tolerance,
                          bipartite_fidelity_finite, build_hamiltonian,
                          convergence_study, fidelity, ground_state,
                          split_product_state)
@@ -227,3 +227,11 @@ class TestConvergenceStudy:
             assert isinstance(row, ConvergenceRow)
             assert row.abs_error == abs(row.f_finite - f_exact)
         assert rows[0].abs_error > rows[1].abs_error
+
+    def test_exact_value_uses_the_given_tolerance(self):
+        tol = Tolerance(1e-6)
+        rows = convergence_study([4, 6], 0.6, tol=tol)
+        f_exact = fidelity(ModelPoint.from_x(0.6), tol).f
+        for row in rows:
+            assert row.f_exact == f_exact
+            assert row.abs_error == abs(row.f_finite - f_exact)

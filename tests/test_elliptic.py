@@ -148,6 +148,12 @@ class TestCorrelationLength:
         # log-space variant stays finite
         assert math.isfinite(log_correlation_length(ModelPoint.from_eps(1e-3)))
 
+    def test_dual_branch_unresolvable_xi(self):
+        p = ModelPoint.from_x(1e-300)
+        with pytest.raises(Underflow):
+            log_correlation_length(p, branch="dual")
+        assert math.isfinite(log_correlation_length(p))
+
     def test_tolerance_is_honored(self):
         p = ModelPoint.from_x(0.5)
         loose = log_correlation_length(p, Tolerance(rel_tol=1e-8))

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (DomainError, FidelityResult, GFactor, ModelPoint,
-                         NonConvergent, Path, Tolerance, fidelity,
+from xxzfidelity import (DEFAULT_BACKEND, DomainError, FidelityResult, GFactor,
+                         ModelPoint, NonConvergent, Path, Tolerance,
+                         XXZFidelityError, conjecture_ratio, fidelity,
                          fidelity_modular, fidelity_raw, fidelity_simplified,
                          g_decomposition_residual, g_product, ln_g_series,
                          short_theta_identity_residual)
-from xxzfidelity.fidelity import CROSS_CHECK_WINDOW, PATH_SWITCH_X
+from xxzfidelity.fidelity import (CROSS_CHECK_WINDOW, LN_G_SWITCH_EPS,
+                                  PATH_SWITCH_X, _LN_G_EVEN, _LN_G_REMAINDER,
+                                  _QUARTER_LN2, _ln_g_expansion, _ln_g_sum)
 
 # 50-digit reference values (independent high-precision evaluation)
 LN_F_02 = -0.1163764256178567616394
@@ -163,7 +167,119 @@ class TestGFactor:
 
     def test_respects_term_cap(self):
         with pytest.raises(NonConvergent):
-            ln_g_series(ModelPoint.from_eps(1e-3), Tolerance(1e-12, max_terms=100))
+            ln_g_series(ModelPoint.from_eps(0.2), Tolerance(1e-12, max_terms=100))
+
+
+def _mp_ln_g(eps):
+    """40-digit ln g from the defining series, summed by mpmath.nsum."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        q = mpmath.exp(-2 * mpmath.mpf(eps))
+        return float(mpmath.nsum(
+            lambda n: (-1) ** (int(n) + 1) / (n * (1 + q ** n) ** 2),
+            [1, mpmath.inf]))
+
+
+# log-uniform eps over the range where x = e^{-eps} is a normal double below 1
+EPS_SWEEP = st.floats(math.log(1.2e-16), math.log(690.0)).map(math.exp)
+
+
+class TestLnGRegimes:
+    def test_coefficients_match_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            w = mpmath.taylor(lambda t: (1 + mpmath.exp(-t)) ** -2, 0, 30)
+            c = [w[k] * mpmath.altzeta(1 - k) * 2 ** k for k in range(31)]
+        assert _QUARTER_LN2 == float(c[0]) == 0.25 * math.log(2.0)
+        assert float(c[1]) == 0.25
+        assert all(c[k] == 0 for k in range(3, 31, 2))
+        assert _LN_G_EVEN == tuple(float(c[k]) for k in range(2, 31, 2))
+
+    @pytest.mark.parametrize("j", [1, 15])
+    def test_remainder_constants_match_mpmath(self, j):
+        mpmath = pytest.importorskip("mpmath")
+        eta = mpmath.altzeta
+
+        def M(s):  # Mellin transform of ln g - ln 2 in t = 2 eps
+            return -mpmath.gamma(s) * eta(1 + s) * (eta(s - 1) + eta(s))
+
+        with mpmath.workdps(15):
+            integral = mpmath.quad(lambda y: abs(M(-(2 * j + 1) + 1j * y)),
+                                   [0, 1, 5, 20, 80])
+            exact = float(2 ** (2 * j + 1) / mpmath.pi * integral)
+        assert exact <= _LN_G_REMAINDER[j - 1] <= 1.1 * exact
+
+    def test_remainder_bounds_hold(self):
+        for eps in (0.15, 0.1, 0.05, 0.01):
+            exact = _mp_ln_g(eps)
+            partial = _QUARTER_LN2 + 0.25 * eps
+            for j, (c, bound) in enumerate(zip(_LN_G_EVEN, _LN_G_REMAINDER), 1):
+                partial += c * eps ** (2 * j)
+                # the float partial sum carries a few ulps of rounding
+                slack = bound * eps ** (2 * j + 1) + 1e-16
+                assert abs(exact - partial) <= slack, (eps, j)
+
+    def test_regimes_agree_across_the_switch(self):
+        for rel_tol in (1e-12, 1e-8):
+            for eps in (0.1, LN_G_SWITCH_EPS, 0.2):
+                short = _ln_g_expansion(eps, rel_tol, DEFAULT_BACKEND)
+                if short is None:
+                    continue
+                summed = _ln_g_sum(eps, rel_tol, 10 ** 6, DEFAULT_BACKEND)
+                assert abs(short - summed) <= rel_tol * summed, (rel_tol, eps)
+        rel_tol = Tolerance().rel_tol
+        below = ln_g_series(ModelPoint.from_eps(LN_G_SWITCH_EPS)).ln_g
+        above = ln_g_series(ModelPoint.from_eps(
+            math.nextafter(LN_G_SWITCH_EPS, 1.0))).ln_g
+        assert abs(below - above) <= rel_tol * below
+
+    def test_tight_tolerance_falls_back_to_the_series(self):
+        eps = LN_G_SWITCH_EPS
+        assert _ln_g_expansion(eps, Tolerance().rel_tol, DEFAULT_BACKEND) is not None
+        assert _ln_g_expansion(eps, 1e-14, DEFAULT_BACKEND) is None
+        got = ln_g_series(ModelPoint.from_eps(eps), Tolerance(1e-14)).ln_g
+        assert got == pytest.approx(_mp_ln_g(eps), rel=1e-14)
+
+    def test_no_term_cap_at_small_eps(self):
+        # the series alone would need ~7e5 terms here
+        tol = Tolerance(1e-12, max_terms=100)
+        got = ln_g_series(ModelPoint.from_eps(2e-5), tol).ln_g
+        assert got == pytest.approx(_mp_ln_g(2e-5), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(eps=EPS_SWEEP)
+    def test_ln_g_matches_mpmath_everywhere(self, eps):
+        tol = Tolerance()
+        got = ln_g_series(ModelPoint.from_eps(eps), tol)
+        assert math.isfinite(got.ln_g) and got.g == math.exp(got.ln_g)
+        assert abs(got.ln_g - _mp_ln_g(eps)) <= tol.rel_tol * abs(got.ln_g)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(eps=st.floats(math.log(1.2e-16), math.log(0.5)).map(math.exp))
+    def test_error_estimate_stays_honest(self, eps):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            e = mpmath.mpf(eps)
+            ln_xt = -mpmath.pi ** 2 / e
+            xt = mpmath.exp(ln_xt)
+            ref = float(-e / 4 + ln_xt / 16 + mpmath.log(mpmath.qp(-xt, xt))
+                        - mpmath.log(mpmath.qp(mpmath.sqrt(xt), xt))
+                        + _mp_ln_g(eps))
+        got = fidelity(ModelPoint.from_eps(eps))
+        assert abs(got.ln_f - ref) <= got.est_rel_error
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(eps=EPS_SWEEP)
+    def test_public_calls_finite_or_documented_error(self, eps):
+        p = ModelPoint.from_eps(eps)
+        result = fidelity(p)
+        assert math.isfinite(result.ln_f) and math.isfinite(result.est_rel_error)
+        assert result.ln_f <= 0.0 and result.f == math.exp(result.ln_f)
+        try:
+            ratio = conjecture_ratio(p)
+        except XXZFidelityError:
+            return
+        assert math.isfinite(ratio)
 
 
 class TestIdentities:
@@ -213,7 +329,7 @@ class TestExtendedPrecisionBackend:
         p = ModelPoint.from_x(0.5)
         assert fidelity_simplified(p, backend=backend).ln_f == pytest.approx(
             LN_F_05, rel=1e-13)
-        # exercises the scalar (non-vectorized) ln g loop
+        # eps = ln 2 > LN_G_SWITCH_EPS: the series regime of ln g
         assert ln_g_series(p, backend=backend).ln_g == pytest.approx(
             LN_G_05, rel=1e-13)
         assert fidelity_modular(p, backend=backend).ln_f == pytest.approx(

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from xxzfidelity import (AsymptoticFit, InvalidSpec, ModelPoint,
-                         SingularSystem, Tolerance, collect_ln_xi,
+                         SingularSystem, Tolerance, Underflow, collect_ln_xi,
                          collect_minus_ln_f, conjecture_ratio, fit_asymptote,
                          fidelity_modular, log_spaced, ln_xi_reference,
                          minus_ln_f_reference)
@@ -165,6 +165,11 @@ class TestConjectureRatio:
         tol = Tolerance(1e-12, max_terms=40_000_000)
         ratio = conjecture_ratio(ModelPoint.from_eps(1e-6), tol)
         assert abs(ratio - TARGET_RATIO) < 1e-12
+
+    def test_unresolvable_xi_raises_documented_error(self):
+        # k'(x) rounds to 1 here, so atanh(k') has no finite double value
+        with pytest.raises(Underflow):
+            conjecture_ratio(ModelPoint.from_x(1e-300))
 
     def test_moderate_x_is_far_from_limit(self):
         # at x = 0.5 the ratio is nowhere near c/8 yet
