@@ -10,9 +10,9 @@ from .ed_oracle import (ConvergenceRow, GroundState, Pinning, SpinChainSpec,
 from .elliptic import (EllipticModuli, ModelPoint, correlation_length,
                        dual_point, log_correlation_length, moduli, modulus_k,
                        modulus_kprime)
-from .errors import (DomainError, InvalidSpec, NoConvergence, NonConvergent,
-                     Overflow, SectorMismatch, SingularSystem, SizeLimit,
-                     Underflow, XXZFidelityError)
+from .errors import (DomainError, InvalidSpec, NonConvergent, Overflow,
+                     SectorMismatch, SingularSystem, SizeLimit, Underflow,
+                     XXZFidelityError)
 from .fidelity import (FidelityResult, GFactor, Path, fidelity,
                        fidelity_modular, fidelity_raw, fidelity_simplified,
                        g_decomposition_residual, g_product, ln_g_series,
@@ -30,7 +30,7 @@ __all__ = [
     "AsymptoticFit", "CENTRAL_CHARGE", "ConvergenceRow", "DEFAULT_BACKEND",
     "DomainError", "EllipticModuli", "FidelityResult", "FloatBackend",
     "GFactor", "GroundState", "InvalidSpec", "MPMathBackend", "ModelPoint",
-    "NoConvergence", "NonConvergent", "Overflow", "Path", "Pinning",
+    "NonConvergent", "Overflow", "Path", "Pinning",
     "QProductSpec", "SectorMismatch", "SingularSystem", "SizeLimit",
     "SpinChainSpec", "Tolerance", "Underflow", "XXZFidelityError",
     "bipartite_fidelity_finite", "build_hamiltonian", "collect_ln_xi",

@@ -13,8 +13,6 @@ x, eps, delta, xi, ln_xi, f, ln_f, ratio, path, est_rel_error
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure.  Errors are
 reported on stderr as one JSON object {"error": <class>, "message": ...}.
-Scans honor a THREADS environment variable (or --threads) for per-point
-parallelism; output order is always input order.
 """
 from __future__ import annotations
 
@@ -23,10 +21,8 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
-from concurrent.futures import ThreadPoolExecutor
 
 from .ed_oracle import Pinning, convergence_study
 from .elliptic import ModelPoint, log_correlation_length, moduli, modulus_k
@@ -67,7 +63,6 @@ class RunConfig:
     output: str | None = None
     Ls: tuple[int, ...] = ()
     pinning: str = "neel"
-    threads: int | None = None
 
     def __post_init__(self):
         if self.command not in ("eval", "scan", "fit", "identities", "ed"):
@@ -76,6 +71,8 @@ class RunConfig:
             raise InvalidSpec(f"format must be json or csv, got {self.fmt!r}")
         if self.spacing not in ("linear", "log"):
             raise InvalidSpec(f"spacing must be linear or log, got {self.spacing!r}")
+        if self.grid_var not in ("x", "eps"):
+            raise InvalidSpec(f"var must be x or eps, got {self.grid_var!r}")
         if self.command == "eval":
             if (self.x is None) == (self.eps is None):
                 raise InvalidSpec("eval needs exactly one of --x / --eps")
@@ -128,16 +125,6 @@ def _grid(config: RunConfig) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _map_ordered(fn, items, threads):
-    if threads is None:
-        env = os.environ.get("THREADS", "")
-        threads = int(env) if env.isdigit() else 0
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _run_eval(config: RunConfig):
     p = (ModelPoint.from_x(config.x) if config.x is not None
          else ModelPoint.from_eps(config.eps))
@@ -146,12 +133,8 @@ def _run_eval(config: RunConfig):
 
 def _run_scan(config: RunConfig):
     tol = config.tolerance
-
-    def row(v: float) -> dict:
-        p = ModelPoint.from_x(v) if config.grid_var == "x" else ModelPoint.from_eps(v)
-        return _point_row(p, tol)
-
-    return _map_ordered(row, _grid(config), config.threads), POINT_COLUMNS
+    point = ModelPoint.from_x if config.grid_var == "x" else ModelPoint.from_eps
+    return [_point_row(point(v), tol) for v in _grid(config)], POINT_COLUMNS
 
 
 _FIT_COLUMNS = ("quantity", "A", "B", "C", "max_residual", "sample_count",
@@ -161,8 +144,7 @@ _FIT_COLUMNS = ("quantity", "A", "B", "C", "max_residual", "sample_count",
 
 def _run_fit(config: RunConfig):
     tol = config.tolerance
-    eps_grid = (_grid(config) if config.spacing == "linear"
-                else log_spaced(config.grid_min, config.grid_max, config.count))
+    eps_grid = _grid(config)
     targets = [
         ("minus_ln_f", collect_minus_ln_f(eps_grid, tol),
          math.pi ** 2 / 16.0, -0.25 * math.log(2.0)),
@@ -253,8 +235,8 @@ _ED_COLUMNS = ("L", "f_finite", "f_exact", "abs_error")
 
 
 def _run_ed(config: RunConfig):
-    pinning = Pinning.NEEL if config.pinning == "neel" else Pinning.NONE
-    rows = convergence_study(config.Ls, config.x, pinning, config.tolerance)
+    rows = convergence_study(config.Ls, config.x, Pinning(config.pinning),
+                             config.tolerance)
     return [{"L": r.L, "f_finite": r.f_finite, "f_exact": r.f_exact,
              "abs_error": r.abs_error} for r in rows], _ED_COLUMNS
 
@@ -326,7 +308,7 @@ def _add_common(sub):
                      help="relative tolerance of every truncated evaluation")
     sub.add_argument("--max-terms", type=int, default=None,
                      help="override the per-strategy term caps")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_argument("--format", dest="fmt", default="json", help="json or csv")
     sub.add_argument("--output", default=None, help="file path (default stdout)")
 
 
@@ -342,20 +324,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_eval)
 
     p_scan = commands.add_parser("scan", help="evaluate a grid of points")
-    p_scan.add_argument("--var", choices=("x", "eps"), default="x")
-    p_scan.add_argument("--min", type=float, required=True)
-    p_scan.add_argument("--max", type=float, required=True)
+    p_scan.add_argument("--var", dest="grid_var", default="x", help="x or eps")
+    p_scan.add_argument("--min", dest="grid_min", type=float, required=True)
+    p_scan.add_argument("--max", dest="grid_max", type=float, required=True)
     p_scan.add_argument("--count", type=int, default=10)
-    p_scan.add_argument("--spacing", choices=("linear", "log"), default="linear")
-    p_scan.add_argument("--threads", type=int, default=None,
-                        help="parallel points (default: THREADS env or serial)")
+    p_scan.add_argument("--spacing", default="linear", help="linear or log")
     _add_common(p_scan)
 
     p_fit = commands.add_parser("fit", help="asymptotic coefficient extraction")
-    p_fit.add_argument("--eps-min", type=float, required=True)
-    p_fit.add_argument("--eps-max", type=float, required=True)
+    p_fit.add_argument("--eps-min", dest="grid_min", type=float, required=True)
+    p_fit.add_argument("--eps-max", dest="grid_max", type=float, required=True)
     p_fit.add_argument("--count", type=int, default=10)
-    p_fit.add_argument("--spacing", choices=("linear", "log"), default="log")
+    p_fit.add_argument("--spacing", default="log", help="linear or log")
+    p_fit.set_defaults(grid_var="eps")
     _add_common(p_fit)
 
     p_id = commands.add_parser("identities", help="run all residual suites")
@@ -365,29 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_ed.add_argument("--x", type=float, required=True)
     p_ed.add_argument("--Ls", type=lambda s: tuple(int(t) for t in s.split(",")),
                       default=(8, 12), help="comma-separated even lengths")
-    p_ed.add_argument("--pinning", choices=("neel", "none"), default="neel")
+    p_ed.add_argument("--pinning", default="neel", help="neel or none")
     _add_common(p_ed)
 
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    common = dict(rel_tol=args.rel_tol, max_terms=args.max_terms,
-                  fmt=args.format, output=args.output)
-    if args.command == "eval":
-        return RunConfig(command="eval", x=args.x, eps=args.eps, **common)
-    if args.command == "scan":
-        return RunConfig(command="scan", grid_var=args.var, grid_min=args.min,
-                         grid_max=args.max, count=args.count,
-                         spacing=args.spacing, threads=args.threads, **common)
-    if args.command == "fit":
-        return RunConfig(command="fit", grid_var="eps", grid_min=args.eps_min,
-                         grid_max=args.eps_max, count=args.count,
-                         spacing=args.spacing, **common)
-    if args.command == "identities":
-        return RunConfig(command="identities", **common)
-    return RunConfig(command="ed", x=args.x, Ls=args.Ls, pinning=args.pinning,
-                     **common)
 
 
 def main(argv=None) -> int:
@@ -396,7 +358,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        config = _config_from_args(args)
+        config = RunConfig(**vars(args))
     except (InvalidSpec, DomainError) as exc:
         _emit_error(exc)
         return EXIT_VALIDATION

@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elliptic import ModelPoint
-from .errors import InvalidSpec, NoConvergence, SectorMismatch, SizeLimit
+from .errors import InvalidSpec, NonConvergent, SectorMismatch, SizeLimit
 from .fidelity import fidelity as _exact_fidelity
 from .qseries import DEFAULT_TOL, Tolerance
 
@@ -150,9 +150,7 @@ def build_hamiltonian(spec: SpinChainSpec, dim_cap: int = SECTOR_DIM_CAP):
     return _sector_matrix(L, n_up, bonds, fields, spec.delta)
 
 
-def ground_state(H, dim_hint: int | None = None, sector: int = 0,
-                 method: str = "auto", tol: float = 0.0,
-                 maxiter: int | None = None) -> GroundState:
+def ground_state(H, sector: int = 0, method: str = "auto") -> GroundState:
     """Lowest eigenpair of a symmetric operator; deterministic.
 
     Dense diagonalization below DENSE_DIM_LIMIT (or method="dense"),
@@ -161,7 +159,7 @@ def ground_state(H, dim_hint: int | None = None, sector: int = 0,
     and a warning is emitted when it falls below GAP_FLAG, signalling a
     near-degenerate finite-volume ground state.
     """
-    dim = dim_hint if dim_hint is not None else H.shape[0]
+    dim = H.shape[0]
     if method not in ("auto", "dense", "iterative"):
         raise InvalidSpec(f"unknown method {method!r}")
     use_dense = method == "dense" or (method == "auto" and dim < DENSE_DIM_LIMIT)
@@ -176,9 +174,9 @@ def ground_state(H, dim_hint: int | None = None, sector: int = 0,
         import scipy.sparse.linalg as spla  # loaded only where ARPACK runs
         v0 = np.full(dim, 1.0 / math.sqrt(dim))
         try:
-            w, v = spla.eigsh(H, k=2, which="SA", v0=v0, tol=tol, maxiter=maxiter)
+            w, v = spla.eigsh(H, k=2, which="SA", v0=v0)
         except spla.ArpackNoConvergence as exc:
-            raise NoConvergence(f"Lanczos failed to converge: {exc}") from exc
+            raise NonConvergent(f"Lanczos failed to converge: {exc}") from exc
         order = np.argsort(w)
         energy = float(w[order[0]])
         vec = v[:, order[0]]
@@ -195,8 +193,8 @@ def ground_state(H, dim_hint: int | None = None, sector: int = 0,
     return GroundState(energy=energy, amplitudes=vec, sector=sector, gap=gap)
 
 
-def _half_ground(n_sites: int, delta: float, pinning: Pinning, side: str,
-                 tol: float = 0.0) -> GroundState:
+def _half_ground(n_sites: int, delta: float, pinning: Pinning,
+                 side: str) -> GroundState:
     """Global ground state of one half-chain, minimized over all sectors.
 
     The left half keeps the virtual-site-0 field on its first site; the
@@ -214,7 +212,7 @@ def _half_ground(n_sites: int, delta: float, pinning: Pinning, side: str,
     best = None
     for n_up in range(n_sites + 1):
         H = _sector_matrix(n_sites, n_up, bonds, fields, delta)
-        gs = ground_state(H, sector=2 * n_up - n_sites, tol=tol)
+        gs = ground_state(H, sector=2 * n_up - n_sites)
         if best is None or gs.energy < best.energy:
             best = gs
     return best
@@ -249,20 +247,19 @@ def split_product_state(L: int, left: GroundState, right: GroundState) -> np.nda
     return product
 
 
-def bipartite_fidelity_finite(L: int, x: float, pinning: Pinning = Pinning.NEEL,
-                              tol: float = 0.0) -> float:
+def bipartite_fidelity_finite(L: int, x: float,
+                              pinning: Pinning = Pinning.NEEL) -> float:
     """f_L = |<gs(full chain)|gs(left half) x gs(right half)>|^2.
 
     The split ground state is assembled from the half-chain ground states,
     which is both cheaper and exact (the removed bond decouples the
-    halves).  tol is handed to the iterative eigensolver (0 = machine
-    precision).
+    halves).
     """
     spec = SpinChainSpec(L, x, split=False, pinning=pinning)
-    full = ground_state(build_hamiltonian(spec), sector=0, tol=tol)
+    full = ground_state(build_hamiltonian(spec), sector=0)
     delta = spec.delta
-    left = _half_ground(L // 2, delta, pinning, "left", tol)
-    right = _half_ground(L // 2, delta, pinning, "right", tol)
+    left = _half_ground(L // 2, delta, pinning, "left")
+    right = _half_ground(L // 2, delta, pinning, "right")
     product = split_product_state(L, left, right)
     overlap = float(np.dot(full.amplitudes, product))
     return overlap * overlap

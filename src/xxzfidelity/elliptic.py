@@ -55,7 +55,10 @@ class ModelPoint:
             raise InvalidSpec(f"x must lie in (0,1), got {self.x!r}")
         if not (self.eps > 0.0):
             raise InvalidSpec(f"eps must be positive, got {self.eps!r}")
-        if abs(self.eps + math.log(self.x)) > 1e-12 * (1.0 + self.eps):
+        # a subnormal x carries an absolute rounding error of one ulp, which
+        # moves -ln x by up to ulp/x; for a normal x that is below 1e-12
+        if abs(self.eps + math.log(self.x)) > max(1e-12 * (1.0 + self.eps),
+                                                   math.ulp(self.x) / self.x):
             raise InvalidSpec(
                 f"inconsistent point: eps={self.eps!r} but -ln x={-math.log(self.x)!r}")
         if abs(self.delta + 0.5 * (self.x + 1.0 / self.x)) > 1e-12 * abs(self.delta):

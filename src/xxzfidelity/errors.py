@@ -14,7 +14,7 @@ class DomainError(XXZFidelityError):
 
 
 class NonConvergent(XXZFidelityError):
-    """A series or product truncation failed to meet tolerance within the term cap."""
+    """A series, product or iterative eigensolver failed to converge."""
 
 
 class Underflow(XXZFidelityError):
@@ -35,7 +35,3 @@ class SizeLimit(XXZFidelityError):
 
 class SectorMismatch(XXZFidelityError):
     """Ground states live in incompatible magnetization sectors."""
-
-
-class NoConvergence(XXZFidelityError):
-    """Iterative eigensolver did not converge."""

@@ -121,23 +121,19 @@ class TestScan:
         _, second, _ = _invoke(capsys, argv)
         assert first == second
 
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        argv = ["scan", "--min", "0.3", "--max", "0.7", "--count", "5"]
-        _, serial, _ = _invoke(capsys, argv)
-        _, pooled, _ = _invoke(capsys, argv + ["--threads", "2"])
-        assert pooled == serial
-        monkeypatch.setenv("THREADS", "3")
-        _, enved, _ = _invoke(capsys, argv)
-        assert enved == serial
-
     def test_grid_validation(self, capsys):
         bad = (["scan", "--min", "0.8", "--max", "0.2"],
                ["scan", "--min", "0.0", "--max", "0.5"],
                ["scan", "--min", "0.2", "--max", "0.5", "--count", "0"],
-               ["scan", "--var", "eps", "--min", "-1.0", "--max", "1.0"])
+               ["scan", "--var", "eps", "--min", "-1.0", "--max", "1.0"],
+               ["scan", "--var", "z", "--min", "0.2", "--max", "0.5"],
+               ["scan", "--min", "0.2", "--max", "0.5", "--format", "xml"],
+               ["scan", "--min", "0.2", "--max", "0.5", "--spacing", "cubic"],
+               ["ed", "--x", "0.2", "--Ls", "4", "--pinning", "weak"])
         for argv in bad:
-            code, _, err = _invoke(capsys, argv)
+            code, out, err = _invoke(capsys, argv)
             assert code == EXIT_VALIDATION, argv
+            assert out == ""
             assert json.loads(err)["error"] == "InvalidSpec"
 
 
@@ -233,8 +229,7 @@ class TestOutputFile:
 
 class TestParser:
     def test_usage_errors_exit_1(self, capsys):
-        for argv in ([], ["eval", "--bogus", "1"], ["frobnicate"],
-                     ["eval", "--x", "0.5", "--format", "xml"]):
+        for argv in ([], ["eval", "--bogus", "1"], ["frobnicate"]):
             assert main(argv) == EXIT_VALIDATION
             capsys.readouterr()
 
@@ -256,6 +251,8 @@ class TestRunConfig:
             RunConfig(command="eval", x=0.5, eps=0.5)
         with pytest.raises(InvalidSpec):
             RunConfig(command="scan", grid_min=0.2)
+        with pytest.raises(InvalidSpec):
+            RunConfig(command="scan", grid_var="z", grid_min=0.2, grid_max=0.5)
         with pytest.raises(InvalidSpec):
             RunConfig(command="ed")
         with pytest.raises(InvalidSpec):

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec, Pinning,
-                         SectorMismatch, SizeLimit, SpinChainSpec, Tolerance,
-                         bipartite_fidelity_finite, build_hamiltonian,
-                         convergence_study, fidelity, ground_state,
-                         split_product_state)
+from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
+                         NonConvergent, Pinning, SectorMismatch, SizeLimit,
+                         SpinChainSpec, Tolerance, bipartite_fidelity_finite,
+                         build_hamiltonian, convergence_study, fidelity,
+                         ground_state, split_product_state)
 from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity.ed_oracle import (_half_ground, _neel_sign, _sector_matrix,
                                    sector_basis)
@@ -152,6 +153,16 @@ class TestGroundState:
         gs = ground_state(H)
         residual = H @ gs.amplitudes - gs.energy * gs.amplitudes
         assert np.linalg.norm(residual) < 1e-10
+
+    def test_lanczos_failure_raises_nonconvergent(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0),
+                                           np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", fail)
+        H = build_hamiltonian(SpinChainSpec(8, 0.2))
+        with pytest.raises(NonConvergent, match="Lanczos"):
+            ground_state(H, method="iterative")
 
     def test_one_dimensional_sector(self):
         H = _sector_matrix(2, 0, [(1, 2)], [], -2.6)

@@ -30,6 +30,16 @@ class TestModelPoint:
         q = ModelPoint.from_x(p.x)
         assert q.eps == pytest.approx(p.eps, rel=1e-14)
 
+    def test_from_eps_up_to_x_underflow(self):
+        # x is subnormal from eps ~708.4 and rounds to 0 beyond eps_max
+        eps_max = 745.1332191019411
+        for eps in [700.0 + i * (eps_max - 700.0) / 3999 for i in range(4000)]:
+            p = ModelPoint.from_eps(eps)
+            assert p.eps == eps and p.x > 0.0
+        assert ModelPoint.from_eps(eps_max).x == 5e-324
+        with pytest.raises(InvalidSpec):
+            ModelPoint.from_eps(math.nextafter(eps_max, math.inf))
+
     def test_delta_below_minus_one(self):
         for x in (1e-6, 0.1, 0.5, 0.9, 0.999999):
             assert ModelPoint.from_x(x).delta < -1.0
@@ -42,6 +52,10 @@ class TestModelPoint:
             ModelPoint(good.x, good.eps + 0.1, good.delta, good.x_dual)
         with pytest.raises(InvalidSpec):
             ModelPoint(good.x, good.eps, good.delta, 0.5)
+        subnormal = ModelPoint.from_eps(740.0)
+        with pytest.raises(InvalidSpec):
+            ModelPoint(subnormal.x, 739.0, subnormal.delta,
+                       math.exp(-math.pi ** 2 / 739.0))
 
     def test_rejects_out_of_range(self):
         for bad in (0.0, 1.0, -0.5, 2.0):

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (DEFAULT_BACKEND, DomainError, FidelityResult, GFactor,
                          ModelPoint, NonConvergent, Path, Tolerance,
-                         XXZFidelityError, conjecture_ratio, fidelity,
-                         fidelity_modular, fidelity_raw, fidelity_simplified,
+                         XXZFidelityError, conjecture_ratio,
+                         correlation_length, fidelity, fidelity_modular,
+                         fidelity_raw, fidelity_simplified,
                          g_decomposition_residual, g_product, ln_g_series,
-                         short_theta_identity_residual)
+                         log_correlation_length, short_theta_identity_residual)
 from xxzfidelity.fidelity import (CROSS_CHECK_WINDOW, LN_G_SWITCH_EPS,
                                   PATH_SWITCH_X, _LN_G_EVEN, _LN_G_REMAINDER,
                                   _QUARTER_LN2, _ln_g_expansion, _ln_g_sum)
@@ -180,8 +181,10 @@ def _mp_ln_g(eps):
             [1, mpmath.inf]))
 
 
-# log-uniform eps over the range where x = e^{-eps} is a normal double below 1
-EPS_SWEEP = st.floats(math.log(1.2e-16), math.log(690.0)).map(math.exp)
+#: the largest eps at which x = e^{-eps} is still a positive (subnormal) double
+EPS_X_UNDERFLOW = 745.1332191019411
+# log-uniform eps over the whole range where x = e^{-eps} is a double in (0,1)
+EPS_SWEEP = st.floats(math.log(1.2e-16), math.log(EPS_X_UNDERFLOW)).map(math.exp)
 
 
 class TestLnGRegimes:
@@ -275,11 +278,12 @@ class TestLnGRegimes:
         result = fidelity(p)
         assert math.isfinite(result.ln_f) and math.isfinite(result.est_rel_error)
         assert result.ln_f <= 0.0 and result.f == math.exp(result.ln_f)
-        try:
-            ratio = conjecture_ratio(p)
-        except XXZFidelityError:
-            return
-        assert math.isfinite(ratio)
+        for call in (log_correlation_length, correlation_length, conjecture_ratio):
+            try:
+                value = call(p)
+            except XXZFidelityError:
+                continue
+            assert math.isfinite(value), call.__name__
 
 
 class TestIdentities:
