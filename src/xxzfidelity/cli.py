@@ -47,12 +47,16 @@ _SELF_DUAL_X = math.exp(-math.pi)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated description of one CLI invocation."""
+    """Validated description of one CLI invocation.
+
+    ``grid_var`` names the grid coordinate: ``scan`` takes x (the default)
+    or eps; ``fit`` samples eps and accepts nothing else.
+    """
 
     command: str
     x: float | None = None
     eps: float | None = None
-    grid_var: str = "x"
+    grid_var: str | None = None
     grid_min: float | None = None
     grid_max: float | None = None
     count: int = 10
@@ -67,12 +71,17 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in ("eval", "scan", "fit", "identities", "ed"):
             raise InvalidSpec(f"unknown command {self.command!r}")
+        if self.grid_var is None:
+            object.__setattr__(self, "grid_var",
+                               "eps" if self.command == "fit" else "x")
         if self.fmt not in ("json", "csv"):
             raise InvalidSpec(f"format must be json or csv, got {self.fmt!r}")
         if self.spacing not in ("linear", "log"):
             raise InvalidSpec(f"spacing must be linear or log, got {self.spacing!r}")
         if self.grid_var not in ("x", "eps"):
             raise InvalidSpec(f"var must be x or eps, got {self.grid_var!r}")
+        if self.command == "fit" and self.grid_var != "eps":
+            raise InvalidSpec(f"fit samples eps, got var {self.grid_var!r}")
         if self.command == "eval":
             if (self.x is None) == (self.eps is None):
                 raise InvalidSpec("eval needs exactly one of --x / --eps")
@@ -336,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--eps-max", dest="grid_max", type=float, required=True)
     p_fit.add_argument("--count", type=int, default=10)
     p_fit.add_argument("--spacing", default="log", help="linear or log")
-    p_fit.set_defaults(grid_var="eps")
     _add_common(p_fit)
 
     p_id = commands.add_parser("identities", help="run all residual suites")

@@ -11,10 +11,13 @@ and L+1 frozen to the alternating pattern couple to the outer spins through
 the same -1/2 Delta sz sz exchange, selecting a unique finite-volume ground
 state in the massive regime.
 
-Everything is built in a fixed-magnetization sector basis (bitmasks of up
-spins); the full and split ground states live in the zero sector for even
-L, and the split ground state is assembled exactly as the tensor product of
-the two half-chain ground states.  The finite-size fidelity
+Everything is built in a fixed-magnetization sector basis: a sorted int64
+array of bitmasks of up spins, in which a state's index is its
+``searchsorted`` rank, so the Hamiltonian and the product state are
+assembled by numpy array operations, one bond or field at a time.  The full
+and split ground states live in the zero sector for even L, and the split
+ground state is assembled exactly as the tensor product of the two
+half-chain ground states.  The finite-size fidelity
 
     f_L = |<gs(H)|gs_left x gs_right>|^2
 
@@ -28,7 +31,6 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
@@ -95,39 +97,52 @@ def _neel_sign(site: int) -> int:
     return 1 if site % 2 == 1 else -1
 
 
-def sector_basis(n_sites: int, n_up: int) -> list[int]:
-    """All n_sites-bit masks with n_up bits set (site j <-> bit j-1), sorted."""
-    masks = [sum(1 << p for p in positions)
-             for positions in combinations(range(n_sites), n_up)]
-    return sorted(masks)
+def sector_basis(n_sites: int, n_up: int) -> np.ndarray:
+    """All n_sites-bit masks with n_up bits set (site j <-> bit j-1).
+
+    A sorted int64 array, so a state's index is its ``searchsorted`` rank.
+    Built site by site from basis(m, k) = basis(m-1, k) followed by
+    basis(m-1, k-1) | 1 << (m-1); both parts are sorted and the second lies
+    above the first, so the concatenation is sorted.  Only the counts k
+    that can still reach n_up are kept, which bounds the memory by a few
+    times the final dimension.
+    """
+    if n_sites > 63:
+        raise InvalidSpec(f"int64 masks hold at most 63 sites, got {n_sites}")
+    empty = np.zeros(0, dtype=np.int64)
+    levels = {0: np.zeros(1, dtype=np.int64)}
+    for m in range(1, n_sites + 1):
+        bit = np.int64(1) << (m - 1)
+        lowest = max(0, n_up - (n_sites - m))
+        levels = {k: np.concatenate([levels.get(k, empty),
+                                     levels.get(k - 1, empty) | bit])
+                  for k in range(lowest, min(m, n_up) + 1)}
+    return levels.get(n_up, empty)
 
 
 def _sector_matrix(n_sites, n_up, bonds, fields, delta):
     """Sparse symmetric H in the (n_sites, n_up) sector.
 
     bonds: (a, b) 1-based site pairs carrying the exchange;
-    fields: (site, h) pairs adding h * sigma^z_site.
+    fields: (site, h) pairs adding h * sigma^z_site.  The diagonal adds the
+    bond terms, then the field terms, in the order given.
     """
     basis = sector_basis(n_sites, n_up)
-    index = {m: i for i, m in enumerate(basis)}
     dim = len(basis)
     diag = np.zeros(dim)
-    rows, cols, vals = [], [], []
-    for i, m in enumerate(basis):
-        d = 0.0
-        for a, b in bonds:
-            sa = 1.0 if (m >> (a - 1)) & 1 else -1.0
-            sb = 1.0 if (m >> (b - 1)) & 1 else -1.0
-            d += -0.5 * delta * sa * sb
-            if sa != sb:
-                m2 = m ^ ((1 << (a - 1)) | (1 << (b - 1)))
-                rows.append(i)
-                cols.append(index[m2])
-                vals.append(-1.0)
-        for site, h in fields:
-            s = 1.0 if (m >> (site - 1)) & 1 else -1.0
-            d += h * s
-        diag[i] = d
+    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for a, b in bonds:
+        sa = (basis >> (a - 1)) & 1
+        sb = (basis >> (b - 1)) & 1
+        diag += np.where(sa == sb, -0.5 * delta, 0.5 * delta)
+        hop = np.flatnonzero(sa != sb)
+        mask = (1 << (a - 1)) | (1 << (b - 1))
+        rows.append(hop)
+        cols.append(np.searchsorted(basis, basis[hop] ^ mask))
+    for site, h in fields:
+        diag += np.where((basis >> (site - 1)) & 1, h, -h)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    vals = np.full(len(rows), -1.0)
     H = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     H = H + sp.diags(diag).tocsr()
     return H
@@ -153,11 +168,12 @@ def build_hamiltonian(spec: SpinChainSpec, dim_cap: int = SECTOR_DIM_CAP):
 def ground_state(H, sector: int = 0, method: str = "auto") -> GroundState:
     """Lowest eigenpair of a symmetric operator; deterministic.
 
-    Dense diagonalization below DENSE_DIM_LIMIT (or method="dense"),
-    otherwise a Lanczos solve seeded with the normalized all-ones vector
-    (method="iterative" forces it).  The gap to the next level is recorded
-    and a warning is emitted when it falls below GAP_FLAG, signalling a
-    near-degenerate finite-volume ground state.
+    Dense diagonalization, for the two lowest levels only, below
+    DENSE_DIM_LIMIT (or method="dense"), otherwise a Lanczos solve seeded
+    with the normalized all-ones vector (method="iterative" forces it).
+    The gap to the next level is recorded and a warning is emitted when it
+    falls below GAP_FLAG, signalling a near-degenerate finite-volume ground
+    state.
     """
     dim = H.shape[0]
     if method not in ("auto", "dense", "iterative"):
@@ -165,8 +181,9 @@ def ground_state(H, sector: int = 0, method: str = "auto") -> GroundState:
     use_dense = method == "dense" or (method == "auto" and dim < DENSE_DIM_LIMIT)
 
     if use_dense or dim <= 2:
+        import scipy.linalg as sla  # loaded only where a dense solve runs
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-        w, v = np.linalg.eigh(dense)
+        w, v = sla.eigh(dense, subset_by_index=[0, min(1, dim - 1)])
         energy = float(w[0])
         vec = v[:, 0]
         gap = float(w[1] - w[0]) if dim > 1 else None
@@ -228,23 +245,21 @@ def split_product_state(L: int, left: GroundState, right: GroundState) -> np.nda
         raise SectorMismatch(
             f"half-chain sectors {left.sector} + {right.sector} != 0")
     half = L // 2
-    n_up_left = (left.sector + half) // 2
-    n_up_right = (right.sector + half) // 2
-    index_left = {m: i for i, m in enumerate(sector_basis(half, n_up_left))}
-    index_right = {m: i for i, m in enumerate(sector_basis(half, n_up_right))}
+    basis_left = sector_basis(half, (left.sector + half) // 2)
+    basis_right = sector_basis(half, (right.sector + half) // 2)
     basis_full = sector_basis(L, L // 2)
-    lo_mask = (1 << half) - 1
+    il, in_left = _rank(basis_left, basis_full & ((1 << half) - 1))
+    ir, in_right = _rank(basis_right, basis_full >> half)
+    keep = np.flatnonzero(in_left & in_right)
     product = np.zeros(len(basis_full))
-    for i, m in enumerate(basis_full):
-        ml = m & lo_mask
-        il = index_left.get(ml)
-        if il is None:
-            continue
-        ir = index_right.get(m >> half)
-        if ir is None:
-            continue
-        product[i] = left.amplitudes[il] * right.amplitudes[ir]
+    product[keep] = left.amplitudes[il[keep]] * right.amplitudes[ir[keep]]
     return product
+
+
+def _rank(basis: np.ndarray, masks: np.ndarray):
+    """Index of each mask in the sorted basis, and whether it is there."""
+    index = np.searchsorted(basis, masks)
+    return index, np.append(basis, -1)[index] == masks
 
 
 def bipartite_fidelity_finite(L: int, x: float,

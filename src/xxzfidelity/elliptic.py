@@ -61,7 +61,10 @@ class ModelPoint:
                                                    math.ulp(self.x) / self.x):
             raise InvalidSpec(
                 f"inconsistent point: eps={self.eps!r} but -ln x={-math.log(self.x)!r}")
-        if abs(self.delta + 0.5 * (self.x + 1.0 / self.x)) > 1e-12 * abs(self.delta):
+        # 1/x overflows for eps above ~709.78; delta is then exactly -inf
+        expected_delta = -0.5 * (self.x + 1.0 / self.x)
+        if not (self.delta == expected_delta if math.isinf(expected_delta)
+                else abs(self.delta - expected_delta) <= 1e-12 * abs(expected_delta)):
             raise InvalidSpec(
                 f"inconsistent point: delta={self.delta!r} for x={self.x!r}")
         expected_dual = math.exp(-math.pi ** 2 / self.eps)

@@ -257,6 +257,13 @@ class TestRunConfig:
             RunConfig(command="ed")
         with pytest.raises(InvalidSpec):
             RunConfig(command="ed", x=0.2, pinning="weak")
+        # fit bounds are eps, whatever their size; an x grid is refused
+        assert RunConfig(command="fit", grid_min=1e-3, grid_max=2.0).grid_var == "eps"
+        with pytest.raises(InvalidSpec):
+            RunConfig(command="fit", grid_var="x", grid_min=0.1, grid_max=0.5)
+        with pytest.raises(InvalidSpec):
+            RunConfig(command="fit", grid_min=0.0, grid_max=2.0)
+        assert RunConfig(command="scan", grid_min=0.2, grid_max=0.5).grid_var == "x"
 
     def test_run_accepts_config_directly(self, capsys, tmp_path):
         target = tmp_path / "point.json"

@@ -1,8 +1,10 @@
 """Finite-chain exact diagonalization: sector algebra, splits, convergence."""
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
@@ -17,6 +19,50 @@ from xxzfidelity.ed_oracle import (_half_ground, _neel_sign, _sector_matrix,
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
 F_12 = 0.8995519516351791
+
+
+def _loop_sector_matrix(n_sites, n_up, bonds, fields, delta):
+    """Reference builder: one Python pass per basis state, dict ranking."""
+    basis = sorted(sum(1 << p for p in positions)
+                   for positions in combinations(range(n_sites), n_up))
+    index = {m: i for i, m in enumerate(basis)}
+    dim = len(basis)
+    diag = np.zeros(dim)
+    rows, cols, vals = [], [], []
+    for i, m in enumerate(basis):
+        d = 0.0
+        for a, b in bonds:
+            sa = 1.0 if (m >> (a - 1)) & 1 else -1.0
+            sb = 1.0 if (m >> (b - 1)) & 1 else -1.0
+            d += -0.5 * delta * sa * sb
+            if sa != sb:
+                m2 = m ^ ((1 << (a - 1)) | (1 << (b - 1)))
+                rows.append(i)
+                cols.append(index[m2])
+                vals.append(-1.0)
+        for site, h in fields:
+            s = 1.0 if (m >> (site - 1)) & 1 else -1.0
+            d += h * s
+        diag[i] = d
+    H = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+    return H + sp.diags(diag).tocsr()
+
+
+def _loop_split_product_state(L, left, right):
+    """Reference product state: one dict lookup per full-chain basis state."""
+    half = L // 2
+    index_left = {m: i for i, m in enumerate(
+        sector_basis(half, (left.sector + half) // 2).tolist())}
+    index_right = {m: i for i, m in enumerate(
+        sector_basis(half, (right.sector + half) // 2).tolist())}
+    basis_full = sector_basis(L, L // 2).tolist()
+    product = np.zeros(len(basis_full))
+    for i, m in enumerate(basis_full):
+        il = index_left.get(m & ((1 << half) - 1))
+        ir = index_right.get(m >> half)
+        if il is not None and ir is not None:
+            product[i] = left.amplitudes[il] * right.amplitudes[ir]
+    return product
 
 
 class TestSpinChainSpec:
@@ -48,17 +94,31 @@ class TestSpinChainSpec:
 
 class TestSectorBasis:
     def test_small_enumeration(self):
-        assert sector_basis(4, 2) == [0b0011, 0b0101, 0b0110, 0b1001,
-                                      0b1010, 0b1100]
-        assert sector_basis(3, 0) == [0]
-        assert sector_basis(3, 3) == [0b111]
+        assert sector_basis(4, 2).tolist() == [0b0011, 0b0101, 0b0110, 0b1001,
+                                               0b1010, 0b1100]
+        assert sector_basis(3, 0).tolist() == [0]
+        assert sector_basis(3, 3).tolist() == [0b111]
 
     def test_counts(self):
         for n, k in ((6, 3), (8, 4), (10, 2)):
             basis = sector_basis(n, k)
             assert len(basis) == math.comb(n, k)
-            assert basis == sorted(basis)
-            assert all(bin(m).count("1") == k for m in basis)
+            assert basis.tolist() == sorted(basis.tolist())
+            assert all(bin(m).count("1") == k for m in basis.tolist())
+
+    def test_matches_combinations(self):
+        for n in range(11):
+            for k in range(n + 1):
+                masks = sorted(sum(1 << p for p in positions)
+                               for positions in combinations(range(n), k))
+                basis = sector_basis(n, k)
+                assert basis.dtype == np.int64
+                assert np.array_equal(basis, masks), (n, k)
+
+    def test_widest_mask(self):
+        assert sector_basis(63, 1)[-1] == 1 << 62
+        with pytest.raises(InvalidSpec):
+            sector_basis(64, 1)
 
     def test_neel_sign_pattern(self):
         assert [_neel_sign(s) for s in range(5)] == [-1, 1, -1, 1, -1]
@@ -108,6 +168,25 @@ class TestSectorMatrix:
             np.linalg.eigvalsh(_sector_matrix(L, n, bonds, fields, delta).toarray())
             for n in range(L + 1)]))
         assert sector_spectrum == pytest.approx(dense_spectrum, abs=1e-12)
+
+    def test_matches_loop_builder(self):
+        # same CSR arrays, bit for bit, in every sector of short chains
+        delta = SpinChainSpec(8, 0.2).delta
+        h = -0.5 * delta
+        for n in range(2, 11):
+            for split in (False, True):
+                bonds = [(j, j + 1) for j in range(1, n)]
+                if split:
+                    bonds.remove((n // 2, n // 2 + 1))
+                for fields in ([], [(1, h * _neel_sign(0)),
+                                    (n, h * _neel_sign(n + 1))]):
+                    for n_up in range(n + 1):
+                        new = _sector_matrix(n, n_up, bonds, fields, delta)
+                        old = _loop_sector_matrix(n, n_up, bonds, fields, delta)
+                        for attr in ("indptr", "indices", "data"):
+                            a, b = getattr(new, attr), getattr(old, attr)
+                            assert a.dtype == b.dtype, (n, n_up, split, attr)
+                            assert np.array_equal(a, b), (n, n_up, split, attr)
 
     def test_hermitian(self):
         for split in (False, True):
@@ -201,6 +280,23 @@ class TestSplitStructure:
         product = split_product_state(8, left, right)
         assert abs(np.linalg.norm(product) - 1.0) < 1e-12
         assert abs(abs(np.dot(gs.amplitudes, product)) - 1.0) < 1e-10
+
+    def test_product_state_matches_loop_reference(self):
+        rng = np.random.default_rng(7)
+        for L in (8, 12):
+            half = L // 2
+            left = _half_ground(half, -2.6, Pinning.NEEL, "left")
+            right = _half_ground(half, -2.6, Pinning.NEEL, "right")
+            assert np.array_equal(split_product_state(L, left, right),
+                                  _loop_split_product_state(L, left, right))
+            for n_up in range(half + 1):
+                sector = 2 * n_up - half
+                left = GroundState(0.0, rng.standard_normal(math.comb(half, n_up)),
+                                   sector)
+                right = GroundState(0.0, rng.standard_normal(
+                    math.comb(half, half - n_up)), -sector)
+                assert np.array_equal(split_product_state(L, left, right),
+                                      _loop_split_product_state(L, left, right))
 
     def test_sector_mismatch(self):
         polarized = GroundState(energy=0.0, amplitudes=np.array([1.0]), sector=4)

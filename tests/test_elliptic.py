@@ -56,6 +56,16 @@ class TestModelPoint:
         with pytest.raises(InvalidSpec):
             ModelPoint(subnormal.x, 739.0, subnormal.delta,
                        math.exp(-math.pi ** 2 / 739.0))
+        # delta is -inf exactly where 1/x overflows, and only there
+        overflowing = ModelPoint.from_eps(720.0)
+        assert overflowing.delta == -math.inf
+        for bad in (math.inf, math.nan, -1e308):
+            with pytest.raises(InvalidSpec):
+                ModelPoint(overflowing.x, overflowing.eps, bad,
+                           overflowing.x_dual)
+        for bad in (-math.inf, math.nan):
+            with pytest.raises(InvalidSpec):
+                ModelPoint(good.x, good.eps, bad, good.x_dual)
 
     def test_rejects_out_of_range(self):
         for bad in (0.0, 1.0, -0.5, 2.0):
