@@ -3,7 +3,6 @@ antiferromagnetic XXZ chain, from multi-base q-Pochhammer products, with an
 elliptic/modular toolbox, asymptotic-scaling extraction, and a finite-chain
 exact-diagonalization cross-check.
 """
-from .backends import DEFAULT_BACKEND, FloatBackend, MPMathBackend
 from .ed_oracle import (ConvergenceRow, GroundState, Pinning, SpinChainSpec,
                         bipartite_fidelity_finite, build_hamiltonian,
                         convergence_study, ground_state, split_product_state)
@@ -27,11 +26,10 @@ from .scaling import (CENTRAL_CHARGE, AsymptoticFit, collect_ln_xi,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticFit", "CENTRAL_CHARGE", "ConvergenceRow", "DEFAULT_BACKEND",
-    "DomainError", "EllipticModuli", "FidelityResult", "FloatBackend",
-    "GFactor", "GroundState", "InvalidSpec", "MPMathBackend", "ModelPoint",
-    "NonConvergent", "Overflow", "Path", "Pinning",
-    "QProductSpec", "SectorMismatch", "SingularSystem", "SizeLimit",
+    "AsymptoticFit", "CENTRAL_CHARGE", "ConvergenceRow", "DomainError",
+    "EllipticModuli", "FidelityResult", "GFactor", "GroundState",
+    "InvalidSpec", "ModelPoint", "NonConvergent", "Overflow", "Path",
+    "Pinning", "QProductSpec", "SectorMismatch", "SingularSystem", "SizeLimit",
     "SpinChainSpec", "Tolerance", "Underflow", "XXZFidelityError",
     "bipartite_fidelity_finite", "build_hamiltonian", "collect_ln_xi",
     "collect_minus_ln_f", "conjecture_ratio", "convergence_study",

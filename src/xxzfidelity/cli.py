@@ -30,9 +30,10 @@ from .errors import DomainError, InvalidSpec, XXZFidelityError
 from .fidelity import (fidelity, fidelity_modular, fidelity_raw,
                        fidelity_simplified, g_decomposition_residual,
                        g_product, ln_g_series, short_theta_identity_residual)
-from .qseries import Tolerance, minus_one_peel_residual, verify_qcalc_identities
-from .scaling import (CENTRAL_CHARGE, collect_ln_xi, collect_minus_ln_f,
-                      fit_asymptote, log_spaced)
+from .qseries import (_LN_HUGE, Tolerance, minus_one_peel_residual,
+                      verify_qcalc_identities)
+from .scaling import (LN_XI_COEFFS, MINUS_LN_F_COEFFS, collect_ln_xi,
+                      collect_minus_ln_f, fit_asymptote, log_spaced)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,7 +42,6 @@ EXIT_NUMERICAL = 2
 POINT_COLUMNS = ("x", "eps", "delta", "xi", "ln_xi", "f", "ln_f", "ratio",
                  "path", "est_rel_error")
 
-_LN_HUGE = math.log(sys.float_info.max)
 _SELF_DUAL_X = math.exp(-math.pi)
 
 
@@ -155,13 +155,11 @@ def _run_fit(config: RunConfig):
     tol = config.tolerance
     eps_grid = _grid(config)
     targets = [
-        ("minus_ln_f", collect_minus_ln_f(eps_grid, tol),
-         math.pi ** 2 / 16.0, -0.25 * math.log(2.0)),
-        ("ln_xi", collect_ln_xi(eps_grid, tol),
-         math.pi ** 2 / 2.0, -math.log(4.0)),
+        ("minus_ln_f", collect_minus_ln_f(eps_grid, tol), MINUS_LN_F_COEFFS),
+        ("ln_xi", collect_ln_xi(eps_grid, tol), LN_XI_COEFFS),
     ]
     rows = []
-    for name, samples, a_ref, b_ref in targets:
+    for name, samples, (a_ref, b_ref) in targets:
         fit = fit_asymptote(samples)
         augmented = fit_asymptote(samples, include_log=True)
         rows.append({

@@ -42,8 +42,9 @@ from .qseries import DEFAULT_TOL, Tolerance
 
 #: refuse to build sector bases beyond this dimension
 SECTOR_DIM_CAP = 200_000
-#: below this dimension the dense eigensolver is used
-DENSE_DIM_LIMIT = 2000
+#: below this dimension the dense eigensolver is used (the measured
+#: dense-eigh / Lanczos crossover with one BLAS thread)
+DENSE_DIM_LIMIT = 250
 #: warn when the finite-volume gap shrinks below this
 GAP_FLAG = 1e-8
 
@@ -148,13 +149,14 @@ def _sector_matrix(n_sites, n_up, bonds, fields, delta):
     return H
 
 
-def build_hamiltonian(spec: SpinChainSpec, dim_cap: int = SECTOR_DIM_CAP):
+def build_hamiltonian(spec: SpinChainSpec):
     """Sparse symmetric H of the (possibly split) chain in the zero sector."""
     L = spec.L
     n_up = L // 2
     dim = math.comb(L, n_up)
-    if dim > dim_cap:
-        raise SizeLimit(f"zero sector of L={L} has dimension {dim} > cap {dim_cap}")
+    if dim > SECTOR_DIM_CAP:
+        raise SizeLimit(
+            f"zero sector of L={L} has dimension {dim} > cap {SECTOR_DIM_CAP}")
     bonds = [(j, j + 1) for j in range(1, L)]
     if spec.split:
         bonds.remove((L // 2, L // 2 + 1))
@@ -165,22 +167,17 @@ def build_hamiltonian(spec: SpinChainSpec, dim_cap: int = SECTOR_DIM_CAP):
     return _sector_matrix(L, n_up, bonds, fields, spec.delta)
 
 
-def ground_state(H, sector: int = 0, method: str = "auto") -> GroundState:
+def ground_state(H, sector: int = 0) -> GroundState:
     """Lowest eigenpair of a symmetric operator; deterministic.
 
     Dense diagonalization, for the two lowest levels only, below
-    DENSE_DIM_LIMIT (or method="dense"), otherwise a Lanczos solve seeded
-    with the normalized all-ones vector (method="iterative" forces it).
-    The gap to the next level is recorded and a warning is emitted when it
-    falls below GAP_FLAG, signalling a near-degenerate finite-volume ground
-    state.
+    DENSE_DIM_LIMIT, otherwise a Lanczos solve seeded with the normalized
+    all-ones vector.  The gap to the next level is recorded and a warning is
+    emitted when it falls below GAP_FLAG, signalling a near-degenerate
+    finite-volume ground state.
     """
     dim = H.shape[0]
-    if method not in ("auto", "dense", "iterative"):
-        raise InvalidSpec(f"unknown method {method!r}")
-    use_dense = method == "dense" or (method == "auto" and dim < DENSE_DIM_LIMIT)
-
-    if use_dense or dim <= 2:
+    if dim < DENSE_DIM_LIMIT:
         import scipy.linalg as sla  # loaded only where a dense solve runs
         dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
         w, v = sla.eigh(dense, subset_by_index=[0, min(1, dim - 1)])
@@ -268,9 +265,15 @@ def bipartite_fidelity_finite(L: int, x: float,
 
     The split ground state is assembled from the half-chain ground states,
     which is both cheaper and exact (the removed bond decouples the
-    halves).
+    halves).  Unpinned, an odd half-chain has degenerate ground states in
+    the sectors +1 and -1, so no unique split state exists and the length
+    is rejected.
     """
     spec = SpinChainSpec(L, x, split=False, pinning=pinning)
+    if pinning is Pinning.NONE and (L // 2) % 2 == 1:
+        raise InvalidSpec(
+            f"unpinned L={L} has an odd half, whose ground state is degenerate "
+            "in the sectors +1 and -1; use L divisible by 4 or Neel pinning")
     full = ground_state(build_hamiltonian(spec), sector=0)
     delta = spec.delta
     left = _half_ground(L // 2, delta, pinning, "left")

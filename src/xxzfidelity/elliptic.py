@@ -20,17 +20,17 @@ itself overflows the float range).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
-from .backends import DEFAULT_BACKEND, FloatBackend
 from .errors import DomainError, InvalidSpec, Overflow, Underflow
-from .qseries import DEFAULT_TOL, _MIN_REL_TOL, Tolerance, log_multibase_product
+from .qseries import (DEFAULT_TOL, _LN_HUGE, _MIN_REL_TOL, Tolerance,
+                      log_multibase_product)
 
 #: nome above which correlation_length switches to the dual-modulus branch
 BRANCH_SWITCH_X = 0.7
 
 _LN_TINY = math.log(5e-324)   # below this a positive double rounds to zero
-_LN_HUGE = math.log(1.7976931348623157e308)
 
 
 @dataclass(frozen=True)
@@ -120,25 +120,24 @@ class EllipticModuli:
         return abs(self.k ** 2 + self.kprime ** 2 - 1.0)
 
 
-def _log_modulus_k(ln_z: float, tol: Tolerance, backend: FloatBackend):
+def _log_modulus_k(ln_z: float, tol: Tolerance):
     """ln k at nome z given ln z; tolerates z underflowed to 0.0."""
-    z = backend.exp(backend.real(ln_z))
+    z = math.exp(ln_z)
     z2 = z * z
-    return (backend.log(backend.real(4.0)) + 0.5 * backend.real(ln_z)
-            + 4.0 * log_multibase_product(-z2, (z2,), tol, backend)
-            - 4.0 * log_multibase_product(-z, (z2,), tol, backend))
+    return (math.log(4.0) + 0.5 * ln_z
+            + 4.0 * log_multibase_product(-z2, (z2,), tol)
+            - 4.0 * log_multibase_product(-z, (z2,), tol))
 
 
-def _log_modulus_kprime(ln_z: float, tol: Tolerance, backend: FloatBackend):
+def _log_modulus_kprime(ln_z: float, tol: Tolerance):
     """ln k' at nome z given ln z."""
-    z = backend.exp(backend.real(ln_z))
+    z = math.exp(ln_z)
     z2 = z * z
-    return (4.0 * log_multibase_product(z, (z2,), tol, backend)
-            - 4.0 * log_multibase_product(-z, (z2,), tol, backend))
+    return (4.0 * log_multibase_product(z, (z2,), tol)
+            - 4.0 * log_multibase_product(-z, (z2,), tol))
 
 
-def modulus_k(z: float, tol: Tolerance = DEFAULT_TOL,
-              backend: FloatBackend = DEFAULT_BACKEND) -> float:
+def modulus_k(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """k(z) = 4 z^{1/2} (-z^2;z^2)_inf^4 / (-z;z^2)_inf^4 for z in (0,1).
 
     Assembled in log space and exponentiated once, so the fourth powers
@@ -146,25 +145,22 @@ def modulus_k(z: float, tol: Tolerance = DEFAULT_TOL,
     """
     if not (0.0 < z < 1.0):
         raise DomainError(f"nome must lie in (0,1), got {z!r}")
-    return backend.to_float(backend.exp(_log_modulus_k(math.log(z), tol, backend)))
+    return math.exp(_log_modulus_k(math.log(z), tol))
 
 
-def modulus_kprime(z: float, tol: Tolerance = DEFAULT_TOL,
-                   backend: FloatBackend = DEFAULT_BACKEND) -> float:
+def modulus_kprime(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """k'(z) = (z;z^2)_inf^4 / (-z;z^2)_inf^4 for z in (0,1)."""
     if not (0.0 < z < 1.0):
         raise DomainError(f"nome must lie in (0,1), got {z!r}")
-    return backend.to_float(backend.exp(_log_modulus_kprime(math.log(z), tol, backend)))
+    return math.exp(_log_modulus_kprime(math.log(z), tol))
 
 
-def moduli(z: float, tol: Tolerance = DEFAULT_TOL,
-           backend: FloatBackend = DEFAULT_BACKEND) -> EllipticModuli:
+def moduli(z: float, tol: Tolerance = DEFAULT_TOL) -> EllipticModuli:
     """Both moduli at one nome, for complementary-relation checks."""
-    return EllipticModuli(modulus_k(z, tol, backend), modulus_kprime(z, tol, backend))
+    return EllipticModuli(modulus_k(z, tol), modulus_kprime(z, tol))
 
 
 def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                           backend: FloatBackend = DEFAULT_BACKEND,
                            branch: str | None = None) -> float:
     """ln xi, assembled fully in log space so it exists for every valid point.
 
@@ -188,38 +184,29 @@ def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
         # so the product tolerance must absorb that amplification: tighten it
         # two decades (floored at the representable minimum).
         tight = Tolerance(max(0.01 * tol.rel_tol, _MIN_REL_TOL), tol.max_terms)
-        ln_k = _log_modulus_k(-2.0 * p.eps, tight, backend)
-        ln_k_f = backend.to_float(ln_k)
-        if ln_k_f <= _LN_TINY:
+        ln_k = _log_modulus_k(-2.0 * p.eps, tight)
+        if ln_k <= _LN_TINY:
             raise Underflow(f"k(x^2) rounds to zero at x={p.x!r}; xi below resolution")
-        inv_xi = -0.5 * ln_k
-        return backend.to_float(-backend.log(inv_xi))
+        return -math.log(-0.5 * ln_k)
     if branch == "dual":
-        ln_kp = _log_modulus_kprime_dual(p, tol, backend)
-        ln_kp_f = backend.to_float(ln_kp)
-        if ln_kp_f <= 0.5 * math.log(3.0 * backend.eps):
-            return -ln_kp_f
-        kp = backend.exp(ln_kp)
+        # ln k'(x) through the duality k'(x) = k(x~), using ln x~ = -pi^2/eps
+        ln_kp = _log_modulus_k(p.ln_x_dual, tol)
+        if ln_kp <= 0.5 * math.log(3.0 * sys.float_info.epsilon):
+            return -float(ln_kp)
+        kp = math.exp(ln_kp)
         if not kp < 1.0:
             raise Underflow(f"1 - k'(x) rounds to zero at x={p.x!r}; use branch='direct'")
-        inv_xi = backend.atanh(kp)
-        return backend.to_float(-backend.log(inv_xi))
+        return -math.log(math.atanh(kp))
     raise InvalidSpec(f"branch must be 'direct', 'dual' or None, got {branch!r}")
 
 
-def _log_modulus_kprime_dual(p: ModelPoint, tol: Tolerance, backend: FloatBackend):
-    """ln k'(x) through the duality k'(x) = k(x~), using ln x~ = -pi^2/eps."""
-    return _log_modulus_k(p.ln_x_dual, tol, backend)
-
-
 def correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                       backend: FloatBackend = DEFAULT_BACKEND,
                        branch: str | None = None) -> float:
     """xi > 0; raises Overflow once xi leaves the double range (eps < ~0.0067).
 
     Use log_correlation_length for asymptotic work near x -> 1.
     """
-    ln_xi = log_correlation_length(p, tol, backend, branch)
+    ln_xi = log_correlation_length(p, tol, branch)
     if ln_xi > _LN_HUGE:
         raise Overflow(
             f"xi = exp({ln_xi:.6g}) exceeds the float range; "

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, replace
 
-from .backends import DEFAULT_BACKEND, FloatBackend
 from .elliptic import ModelPoint
 from .errors import DomainError, NonConvergent
 from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, QProductSpec, Tolerance,
@@ -41,7 +41,7 @@ CROSS_CHECK_WINDOW = (0.6, 0.9)
 #: ln g from its expansion up to here (order 30 reaches 0.152 at rel_tol 1e-12)
 LN_G_SWITCH_EPS = 0.15
 
-_QUARTER_LN2 = 0.17328679513998632
+_QUARTER_LN2 = 0.25 * math.log(2.0)
 # c_2, c_4, ..., c_30 and B_1, ..., B_15 (rounded up) of _ln_g_expansion
 _LN_G_EVEN = (0.0625, 0.020833333333333332, 0.02361111111111111,
               0.05228174603174603, 0.18889770723104057, 1.0083776922665812,
@@ -85,31 +85,29 @@ class GFactor:
     ln_g: float
 
 
-def _combine(parts, rel_tol, backend):
+def _combine(parts, rel_tol):
     """Sum coef*log-term contributions; returns (ln_f, est_rel_error)."""
-    ln_f = backend.real(0.0)
+    ln_f = 0.0
     magnitude = 0.0
     for coef, term in parts:
         ln_f = ln_f + coef * term
-        magnitude += abs(coef) * abs(backend.to_float(term))
-    est = magnitude * (rel_tol + backend.eps) + backend.eps
+        magnitude += abs(coef) * abs(term)
+    est = magnitude * (rel_tol + sys.float_info.epsilon) + sys.float_info.epsilon
     return ln_f, est
 
 
-def _result(ln_f, est, path, backend):
-    ln_f_f = backend.to_float(ln_f)
-    return FidelityResult(f=math.exp(ln_f_f), ln_f=ln_f_f, path=path,
-                          est_rel_error=est)
+def _result(ln_f, est, path):
+    return FidelityResult(f=math.exp(ln_f), ln_f=float(ln_f), path=path,
+                          est_rel_error=float(est))
 
 
-def fidelity_raw(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                 backend: FloatBackend = DEFAULT_BACKEND) -> FidelityResult:
+def fidelity_raw(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
     """f by the unsimplified seven-product form (direct-evaluation regime).
 
     Intended for x <= 0.9; closer to 1 the constituent series need ever
     more terms and eventually raise NonConvergent against the term cap.
     """
-    x = backend.real(p.x)
+    x = p.x
     x2 = x * x
     x4 = x2 * x2
     x6 = x4 * x2
@@ -118,7 +116,7 @@ def fidelity_raw(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     x12 = x8 * x4
 
     def L(z, bases):
-        return log_multibase_product(z, bases, tol, backend)
+        return log_multibase_product(z, bases, tol)
 
     parts = [
         (1.0, L(x2, (x4,))),
@@ -129,30 +127,29 @@ def fidelity_raw(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
         (2.0, L(x2, (x4, x8))),
         (-2.0, L(x4, (x4, x8))),
     ]
-    ln_f, est = _combine(parts, tol.rel_tol, backend)
-    return _result(ln_f, est, Path.RAW, backend)
+    ln_f, est = _combine(parts, tol.rel_tol)
+    return _result(ln_f, est, Path.RAW)
 
 
-def fidelity_simplified(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                        backend: FloatBackend = DEFAULT_BACKEND) -> FidelityResult:
+def fidelity_simplified(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
     """f = (x^2;x^4) (-x^4;x^4,x^4)^2 / (-x^2;x^4,x^4)^2."""
-    x = backend.real(p.x)
+    x = p.x
     x2 = x * x
     x4 = x2 * x2
 
     def L(z, bases):
-        return log_multibase_product(z, bases, tol, backend)
+        return log_multibase_product(z, bases, tol)
 
     parts = [
         (1.0, L(x2, (x4,))),
         (2.0, L(-x4, (x4, x4))),
         (-2.0, L(-x2, (x4, x4))),
     ]
-    ln_f, est = _combine(parts, tol.rel_tol, backend)
-    return _result(ln_f, est, Path.SIMPLIFIED, backend)
+    ln_f, est = _combine(parts, tol.rel_tol)
+    return _result(ln_f, est, Path.SIMPLIFIED)
 
 
-def _ln_g_expansion(eps: float, rel_tol: float, backend: FloatBackend):
+def _ln_g_expansion(eps: float, rel_tol: float):
     """ln g = sum_k c_k eps^k to the first order whose error bound is below
     rel_tol (ln 2)/4 <= rel_tol ln g; None if no order up to 30 is.
 
@@ -174,15 +171,14 @@ def _ln_g_expansion(eps: float, rel_tol: float, backend: FloatBackend):
             break
     else:
         return None
-    e = backend.real(eps)
-    e2 = e * e
-    acc = backend.real(0.0)
+    e2 = eps * eps
+    acc = 0.0
     for c in reversed(_LN_G_EVEN[:order]):
         acc = (acc + c) * e2
-    return 0.25 * backend.log(backend.real(2.0)) + 0.25 * e + acc
+    return _QUARTER_LN2 + 0.25 * eps + acc
 
 
-def _ln_g_sum(eps: float, rel_tol: float, max_terms: int, backend: FloatBackend):
+def _ln_g_sum(eps: float, rel_tol: float, max_terms: int):
     """Accelerated series ln g = ln 2 - sum (-1)^{N+1} u_N / N with
     u_N = 1 - (1+q^N)^{-2} = q^N (2 + q^N) / (1 + q^N)^2 and q = x^2.
 
@@ -191,27 +187,24 @@ def _ln_g_sum(eps: float, rel_tol: float, max_terms: int, backend: FloatBackend)
     ~|ln rel_tol| / (2 eps).  As a stability guard the sum runs on to twice
     the stopping index and must agree with itself.
     """
-    one = backend.real(1.0)
-    two = backend.real(2.0)
-    ln2 = backend.log(two)
-    q = backend.exp(backend.real(-2.0) * backend.real(eps))
-    qa = one
-    acc = backend.real(0.0)
+    ln2 = math.log(2.0)
+    q = math.exp(-2.0 * eps)
+    qa = 1.0
+    acc = 0.0
     sign = 1.0
     stop_n = None
     for n in range(1, max_terms + 1):
         qa = qa * q
-        t = qa * (two + qa) / ((one + qa) * (one + qa) * n)
+        t = qa * (2.0 + qa) / ((1.0 + qa) * (1.0 + qa) * n)
         acc = acc + sign * t
         sign = -sign
         ln_g = ln2 - acc
         if stop_n is None:
-            if backend.to_float(t) <= rel_tol * abs(backend.to_float(ln_g)):
+            if t <= rel_tol * abs(ln_g):
                 stop_n = n
                 ln_g_first = ln_g
         elif n >= 2 * stop_n:
-            if abs(backend.to_float(ln_g - ln_g_first)) > \
-                    8.0 * rel_tol * abs(backend.to_float(ln_g)):
+            if abs(ln_g - ln_g_first) > 8.0 * rel_tol * abs(ln_g):
                 raise NonConvergent(
                     f"ln g unstable under term doubling at eps={eps}")
             return ln_g
@@ -219,8 +212,7 @@ def _ln_g_sum(eps: float, rel_tol: float, max_terms: int, backend: FloatBackend)
         f"ln g series needed more than {max_terms} terms at eps={eps}")
 
 
-def ln_g_series(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                backend: FloatBackend = DEFAULT_BACKEND) -> GFactor:
+def ln_g_series(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> GFactor:
     """The g factor from its log series, the route that is stable as x -> 1.
 
     ln g runs from ln 2 (x -> 0) down to (ln 2)/4 (x -> 1), the approach to
@@ -229,16 +221,14 @@ def ln_g_series(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     accelerated series, whose term count tol.max_terms caps; neither costs
     more as eps -> 0.
     """
-    ln_g = (_ln_g_expansion(p.eps, tol.rel_tol, backend)
+    ln_g = (_ln_g_expansion(p.eps, tol.rel_tol)
             if p.eps <= LN_G_SWITCH_EPS else None)
     if ln_g is None:
-        ln_g = _ln_g_sum(p.eps, tol.rel_tol, tol.cap(SERIES_MAX_TERMS), backend)
-    ln_g_f = backend.to_float(ln_g)
-    return GFactor(g=math.exp(ln_g_f), ln_g=ln_g_f)
+        ln_g = _ln_g_sum(p.eps, tol.rel_tol, tol.cap(SERIES_MAX_TERMS))
+    return GFactor(g=math.exp(ln_g), ln_g=float(ln_g))
 
 
 def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-              backend: FloatBackend = DEFAULT_BACKEND,
               minus_one_direct: bool = False) -> GFactor:
     """g by its product form (-1;x^4,x^4)(-x^4;x^4,x^4)/(-x^2;x^4,x^4)^2.
 
@@ -247,28 +237,23 @@ def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     minus_one_direct=True evaluates it by the direct product instead, which
     makes the result an independent second route for testing.
     """
-    x = backend.real(p.x)
+    x = p.x
     x2 = x * x
     x4 = x2 * x2
 
     def L(z, bases):
-        return log_multibase_product(z, bases, tol, backend)
+        return log_multibase_product(z, bases, tol)
 
     if minus_one_direct:
-        minus_one = qproduct_direct(
-            QProductSpec(-1.0, (backend.to_float(x4), backend.to_float(x4))),
-            tol, backend)
-        ln_minus_one = backend.log(minus_one)
-        ln_g = (ln_minus_one + L(-x4, (x4, x4)) - 2.0 * L(-x2, (x4, x4)))
+        minus_one = qproduct_direct(QProductSpec(-1.0, (x4, x4)), tol)
+        ln_g = (math.log(minus_one) + L(-x4, (x4, x4)) - 2.0 * L(-x2, (x4, x4)))
     else:
-        ln_g = (backend.log(backend.real(2.0)) + L(-x4, (x4,))
+        ln_g = (math.log(2.0) + L(-x4, (x4,))
                 + 2.0 * L(-x4, (x4, x4)) - 2.0 * L(-x2, (x4, x4)))
-    ln_g_f = backend.to_float(ln_g)
-    return GFactor(g=math.exp(ln_g_f), ln_g=ln_g_f)
+    return GFactor(g=math.exp(ln_g), ln_g=float(ln_g))
 
 
-def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                     backend: FloatBackend = DEFAULT_BACKEND) -> FidelityResult:
+def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
     """f = x^{1/4} x~^{1/16} (-x~;x~)/(x~^{1/2};x~) * g, in log space.
 
     The dual nome x~ = e^{-pi^2/eps} makes this the fast route near x -> 1
@@ -277,28 +262,27 @@ def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     -pi^2/eps exactly).  It remains valid down to small x, where x~ -> 1
     merely makes it slow; prefer the simplified route below x ~ 0.3.
     """
-    ln_xt = backend.real(p.ln_x_dual)
-    xt = backend.exp(ln_xt)
-    xt_half = backend.exp(0.5 * ln_xt)
-    g = ln_g_series(p, tol, backend)
+    ln_xt = p.ln_x_dual
+    xt = math.exp(ln_xt)
+    xt_half = math.exp(0.5 * ln_xt)
+    g = ln_g_series(p, tol)
 
     def L(z, bases):
-        return log_multibase_product(z, bases, tol, backend)
+        return log_multibase_product(z, bases, tol)
 
     parts = [
-        (0.25, backend.real(-p.eps)),
+        (0.25, -p.eps),
         (0.0625, ln_xt),
         (1.0, L(-xt, (xt,))),
         (-1.0, L(xt_half, (xt,))),
-        (1.0, backend.real(g.ln_g)),
+        (1.0, g.ln_g),
     ]
-    ln_f, est = _combine(parts, tol.rel_tol, backend)
-    return _result(ln_f, est, Path.MODULAR, backend)
+    ln_f, est = _combine(parts, tol.rel_tol)
+    return _result(ln_f, est, Path.MODULAR)
 
 
 def short_theta_identity_residual(b: float, p: ModelPoint,
-                                  tol: Tolerance = DEFAULT_TOL,
-                                  backend: FloatBackend = DEFAULT_BACKEND) -> float:
+                                  tol: Tolerance = DEFAULT_TOL) -> float:
     """Relative residual of the single-product modular identity
 
         x^{-b/48} (x^{b/2}; x^b)_inf = sqrt(2) x~^{1/(6b)} (-x~^{4/b}; x~^{4/b})_inf
@@ -308,42 +292,35 @@ def short_theta_identity_residual(b: float, p: ModelPoint,
     if not (b > 0.0):
         raise DomainError(f"b must be positive, got {b!r}")
     eps = p.eps
-    xb = backend.exp(backend.real(-b * eps))
-    xb_half = backend.exp(backend.real(-0.5 * b * eps))
-    if not backend.to_float(xb) < 1.0:
+    xb = math.exp(-b * eps)
+    xb_half = math.exp(-0.5 * b * eps)
+    if not xb < 1.0:
         raise DomainError(f"x^b rounds to 1 for b={b!r}, eps={eps!r}")
-    ln_xt4b = 4.0 / b * p.ln_x_dual
-    xt4b = backend.exp(backend.real(ln_xt4b))
+    xt4b = math.exp(4.0 / b * p.ln_x_dual)
 
-    lhs = (backend.real(b / 48.0 * eps)
-           + log_multibase_product(xb_half, (xb,), tol, backend))
-    rhs = (0.5 * backend.log(backend.real(2.0))
-           + backend.real(p.ln_x_dual / (6.0 * b))
-           + log_multibase_product(-xt4b, (xt4b,), tol, backend))
-    return abs(backend.to_float(backend.expm1(lhs - rhs)))
+    lhs = b / 48.0 * eps + log_multibase_product(xb_half, (xb,), tol)
+    rhs = (0.5 * math.log(2.0) + p.ln_x_dual / (6.0 * b)
+           + log_multibase_product(-xt4b, (xt4b,), tol))
+    return abs(math.expm1(lhs - rhs))
 
 
-def g_decomposition_residual(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                             backend: FloatBackend = DEFAULT_BACKEND) -> float:
+def g_decomposition_residual(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """Relative residual of the split f = (x^2;x^4) / (2 (-x^4;x^4)) * g.
 
     The right-hand side takes g from ln_g_series, so the check ties the
     product representation of f to the independently summed log series.
     """
-    x = backend.real(p.x)
+    x = p.x
     x2 = x * x
     x4 = x2 * x2
-    g = ln_g_series(p, tol, backend)
-    ln_rhs = (log_multibase_product(x2, (x4,), tol, backend)
-              - backend.log(backend.real(2.0))
-              - log_multibase_product(-x4, (x4,), tol, backend)
-              + backend.real(g.ln_g))
-    ln_lhs = backend.real(fidelity_simplified(p, tol, backend).ln_f)
-    return abs(backend.to_float(backend.expm1(ln_lhs - ln_rhs)))
+    g = ln_g_series(p, tol)
+    ln_rhs = (log_multibase_product(x2, (x4,), tol) - math.log(2.0)
+              - log_multibase_product(-x4, (x4,), tol) + g.ln_g)
+    ln_lhs = fidelity_simplified(p, tol).ln_f
+    return abs(math.expm1(ln_lhs - ln_rhs))
 
 
 def fidelity(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-             backend: FloatBackend = DEFAULT_BACKEND,
              cross_check: bool = True) -> FidelityResult:
     """Route selector: Simplified for x <= 0.7, Modular above.
 
@@ -353,10 +330,10 @@ def fidelity(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     pass unnoticed.
     """
     use_modular = p.x > PATH_SWITCH_X
-    primary = (fidelity_modular if use_modular else fidelity_simplified)(p, tol, backend)
+    primary = (fidelity_modular if use_modular else fidelity_simplified)(p, tol)
     lo, hi = CROSS_CHECK_WINDOW
     if cross_check and lo <= p.x <= hi:
-        other = (fidelity_simplified if use_modular else fidelity_modular)(p, tol, backend)
+        other = (fidelity_simplified if use_modular else fidelity_modular)(p, tol)
         discrepancy = abs(math.expm1(primary.ln_f - other.ln_f))
         return replace(primary,
                        est_rel_error=max(primary.est_rel_error, discrepancy))

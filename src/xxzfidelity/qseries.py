@@ -21,11 +21,12 @@ downstream.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .backends import DEFAULT_BACKEND, FloatBackend
-from .errors import DomainError, InvalidSpec, NonConvergent
+from .errors import DomainError, InvalidSpec, NonConvergent, Overflow
 
 #: default relative-error target of every truncated evaluation
 DEFAULT_REL_TOL = 1e-12
@@ -33,7 +34,9 @@ DEFAULT_REL_TOL = 1e-12
 DIRECT_MAX_TERMS = 10_000_000
 SERIES_MAX_TERMS = 1_000_000
 
-_MIN_REL_TOL = 10.0 * 2.220446049250313e-16
+_MIN_REL_TOL = 10.0 * sys.float_info.epsilon
+#: largest ln v for which v is a finite double
+_LN_HUGE = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,8 @@ class QProductSpec:
             raise InvalidSpec(f"|z| <= 1 required, got z={self.z!r}")
 
 
-def log_multibase_product(z: float, bases: Sequence[float], tol: Tolerance = DEFAULT_TOL,
-                          backend: FloatBackend = DEFAULT_BACKEND):
+def log_multibase_product(z: float, bases: Sequence[float],
+                          tol: Tolerance = DEFAULT_TOL) -> float:
     """ln (z; a_1,...,a_N)_inf via the logarithmic series; requires |z| < 1.
 
     Bases equal to 0.0 are tolerated here (a zero base contributes a single
@@ -109,43 +112,46 @@ def log_multibase_product(z: float, bases: Sequence[float], tol: Tolerance = DEF
         if not (0.0 <= b < 1.0):
             raise DomainError(f"bases must lie in [0,1), got {b!r}")
     if z == 0.0:
-        return backend.real(0.0)
+        return 0.0
 
     rel_tol = tol.rel_tol
     max_terms = tol.cap(SERIES_MAX_TERMS)
     az = abs(z)
     tail_factor = az / (1.0 - az)
 
-    zb = backend.real(z)
-    one = backend.real(1.0)
-    acc = backend.real(0.0)
-    zp = one
-    powers = [one for _ in bases]
-    base_vals = [backend.real(b) for b in bases]
+    acc = 0.0
+    zp = 1.0
+    powers = [1.0 for _ in bases]
 
     for m in range(1, max_terms + 1):
-        zp = zp * zb
-        denom = one
-        for i, bv in enumerate(base_vals):
-            powers[i] = powers[i] * bv
-            denom = denom * (one - powers[i])
+        zp = zp * z
+        denom = 1.0
+        for i, b in enumerate(bases):
+            powers[i] = powers[i] * b
+            denom = denom * (1.0 - powers[i])
         term = zp / (m * denom)
         acc = acc - term
-        bound = abs(backend.to_float(term)) * tail_factor
-        if bound <= rel_tol * abs(backend.to_float(acc)):
-            return acc
+        bound = abs(term) * tail_factor
+        if bound <= rel_tol * abs(acc):
+            return float(acc)
     raise NonConvergent(
         f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
         f"within {max_terms} terms")
 
 
-def qproduct_log(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL,
-                 backend: FloatBackend = DEFAULT_BACKEND):
+def qproduct_log(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
     """ln of the product for a validated spec (log-series strategy)."""
-    return log_multibase_product(spec.z, spec.bases, tol, backend)
+    return log_multibase_product(spec.z, spec.bases, tol)
 
 
-def _direct_pass(z, bases, suffix_mass, cutoff, max_terms, backend):
+def _exp(ln_value: float, what) -> float:
+    """e^ln_value, raising Overflow where it leaves the double range."""
+    if ln_value > _LN_HUGE:
+        raise Overflow(f"{what} = exp({ln_value:.6g}) exceeds the float range")
+    return math.exp(ln_value)
+
+
+def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
     """One truncated sweep of the factor lattice at a fixed weight cutoff.
 
     Returns (log_acc, omitted_mass, zero_factor, count) where omitted_mass
@@ -153,7 +159,7 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms, backend):
     running weight w drops to <= cutoff in direction i, the whole subtree
     below it carries weight w/(1-a_i) * prod_{j>i} 1/(1-a_j).
     """
-    log_acc = backend.real(0.0)
+    log_acc = 0.0
     omitted = 0.0
     count = 0
     zero_factor = False
@@ -174,7 +180,7 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms, backend):
                 if zw == 1.0:
                     zero_factor = True
                 else:
-                    log_acc = log_acc + backend.log1p(-zw)
+                    log_acc = log_acc + math.log1p(-zw)
                 wi *= b
         else:
             while wi > cutoff:
@@ -186,8 +192,7 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms, backend):
     return log_acc, omitted, zero_factor, count
 
 
-def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL,
-                    backend: FloatBackend = DEFAULT_BACKEND):
+def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
     """(z; a_1,...,a_N)_inf by direct factor multiplication.
 
     Lattice points are retained while their weight exceeds a cutoff that
@@ -199,11 +204,12 @@ def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL,
     |ln(1 - z w)| <= |z| w / (1 - |z| cutoff) since w <= cutoff).
     Accumulation happens on ln(1 - z w) so tiny products cannot underflow
     prematurely.  z = +-1 is legal here: a factor that is exactly zero
-    short-circuits the whole product to 0.
+    short-circuits the whole product to 0.  A product beyond the double
+    range raises Overflow.
     """
     z = spec.z
     if z == 0.0:
-        return backend.real(1.0)
+        return 1.0
     rel_tol = tol.rel_tol
     max_terms = tol.cap(DIRECT_MAX_TERMS)
     bases = spec.bases
@@ -217,30 +223,29 @@ def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL,
     cutoff = rel_tol / 10.0
     for _attempt in range(6):
         log_acc, omitted, zero_factor, _count = _direct_pass(
-            z, bases, suffix_mass, cutoff, max_terms, backend)
+            z, bases, suffix_mass, cutoff, max_terms)
         if zero_factor:
-            return backend.real(0.0)
+            return 0.0
         est = abs(z) * omitted / (1.0 - abs(z) * cutoff)
         if est <= rel_tol:
-            return backend.exp(log_acc)
+            return _exp(log_acc, spec)
         cutoff *= max(min(rel_tol / (2.0 * est), 0.5), 1e-6)
     raise NonConvergent(
         f"direct product for {spec} could not certify rel_tol={rel_tol}")
 
 
-def _both_paths(z, bases, tol, backend):
+def _both_paths(z, bases, tol):
     """Product value via (direct, exp(log series)); |z| = 1 uses direct only."""
     spec = QProductSpec(z, tuple(bases))
-    direct = qproduct_direct(spec, tol, backend)
+    direct = qproduct_direct(spec, tol)
     if abs(z) < 1.0:
-        series = backend.exp(qproduct_log(spec, tol, backend))
+        series = _exp(qproduct_log(spec, tol), spec)
         return direct, series
     return direct, direct
 
 
 def verify_qcalc_identities(x: float, z: float, b: int, c: int,
-                            tol: Tolerance = DEFAULT_TOL,
-                            backend: FloatBackend = DEFAULT_BACKEND) -> tuple[float, float]:
+                            tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Residuals of the two base-splitting product identities.
 
     r1:  (z; x^{2b}, x^c) (z x^b; x^{2b}, x^c)  =  (z; x^b, x^c)
@@ -267,20 +272,19 @@ def verify_qcalc_identities(x: float, z: float, b: int, c: int,
     r2 = 0.0
     for which in range(2):
         def val(zz, bases):
-            return _both_paths(zz, bases, tol, backend)[which]
+            return _both_paths(zz, bases, tol)[which]
 
         lhs1 = val(z, (x2b, xc)) * val(z * xb, (x2b, xc))
         rhs1 = val(z, (xb, xc))
-        r1 = max(r1, abs(backend.to_float(lhs1 - rhs1) / backend.to_float(rhs1)))
+        r1 = max(r1, abs((lhs1 - rhs1) / rhs1))
 
         lhs2 = val(z, (xb, xc)) * val(-z, (xb, xc))
         rhs2 = val(z * z, (x2b, x2c))
-        r2 = max(r2, abs(backend.to_float(lhs2 - rhs2) / backend.to_float(rhs2)))
+        r2 = max(r2, abs((lhs2 - rhs2) / rhs2))
     return (r1, r2)
 
 
-def minus_one_peel_residual(a: float, tol: Tolerance = DEFAULT_TOL,
-                            backend: FloatBackend = DEFAULT_BACKEND) -> float:
+def minus_one_peel_residual(a: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """Residual of peeling the n_1 = 0 slice off the z = -1 two-base product:
 
         (-a; a, a)_inf = (-1; a, a)_inf / (2 (-a; a)_inf).
@@ -290,8 +294,8 @@ def minus_one_peel_residual(a: float, tol: Tolerance = DEFAULT_TOL,
     """
     if not (0.0 < a < 1.0):
         raise InvalidSpec(f"a must lie in (0,1), got {a!r}")
-    lhs = backend.exp(qproduct_log(QProductSpec(-a, (a, a)), tol, backend))
-    minus_one = qproduct_direct(QProductSpec(-1.0, (a, a)), tol, backend)
-    single = backend.exp(qproduct_log(QProductSpec(-a, (a,)), tol, backend))
+    lhs = _exp(qproduct_log(QProductSpec(-a, (a, a)), tol), f"(-a; a, a) at a={a}")
+    minus_one = qproduct_direct(QProductSpec(-1.0, (a, a)), tol)
+    single = _exp(qproduct_log(QProductSpec(-a, (a,)), tol), f"(-a; a) at a={a}")
     rhs = minus_one / (2.0 * single)
-    return abs(backend.to_float(lhs - rhs) / backend.to_float(rhs))
+    return abs((lhs - rhs) / rhs)

@@ -23,32 +23,32 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .backends import DEFAULT_BACKEND, FloatBackend
 from .elliptic import ModelPoint, log_correlation_length
 from .errors import InvalidSpec, SingularSystem
-from .fidelity import fidelity_modular
+from .fidelity import _QUARTER_LN2, fidelity_modular
 from .qseries import DEFAULT_TOL, Tolerance
 
 #: UV central charge of the XXZ chain; the conjecture target ratio is c/8
 CENTRAL_CHARGE = 1.0
-
-_PI2 = math.pi ** 2
-_LN4 = math.log(4.0)
-_QUARTER_LN2 = 0.25 * math.log(2.0)
+#: (A, B) of the leading asymptotes A/eps + B of ln xi and of -ln f
+LN_XI_COEFFS = (math.pi ** 2 / 2.0, -math.log(4.0))
+MINUS_LN_F_COEFFS = (math.pi ** 2 / 16.0, -_QUARTER_LN2)
 
 
 def ln_xi_reference(eps: float) -> float:
     """Leading asymptote pi^2/(2 eps) - ln 4 of ln xi."""
     if not (eps > 0.0):
         raise InvalidSpec(f"eps must be positive, got {eps!r}")
-    return _PI2 / (2.0 * eps) - _LN4
+    a, b = LN_XI_COEFFS
+    return a / eps + b
 
 
 def minus_ln_f_reference(eps: float) -> float:
     """Leading asymptote pi^2/(16 eps) - (ln 2)/4 of -ln f."""
     if not (eps > 0.0):
         raise InvalidSpec(f"eps must be positive, got {eps!r}")
-    return _PI2 / (16.0 * eps) - _QUARTER_LN2
+    a, b = MINUS_LN_F_COEFFS
+    return a / eps + b
 
 
 @dataclass(frozen=True)
@@ -118,23 +118,21 @@ def log_spaced(lo: float, hi: float, count: int) -> list[float]:
     return [float(v) for v in np.geomspace(lo, hi, count)]
 
 
-def collect_minus_ln_f(eps_values: Iterable[float], tol: Tolerance = DEFAULT_TOL,
-                       backend: FloatBackend = DEFAULT_BACKEND) -> list[tuple[float, float]]:
+def collect_minus_ln_f(eps_values: Iterable[float],
+                       tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
     """(eps, -ln f) samples from the modular route, for asymptotic fits."""
-    return [(e, -fidelity_modular(ModelPoint.from_eps(e), tol, backend).ln_f)
+    return [(e, -fidelity_modular(ModelPoint.from_eps(e), tol).ln_f)
             for e in eps_values]
 
 
-def collect_ln_xi(eps_values: Iterable[float], tol: Tolerance = DEFAULT_TOL,
-                  backend: FloatBackend = DEFAULT_BACKEND) -> list[tuple[float, float]]:
+def collect_ln_xi(eps_values: Iterable[float],
+                  tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
     """(eps, ln xi) samples from the dual-modulus branch, for asymptotic fits."""
-    return [(e, log_correlation_length(ModelPoint.from_eps(e), tol, backend,
-                                       branch="dual"))
+    return [(e, log_correlation_length(ModelPoint.from_eps(e), tol, branch="dual"))
             for e in eps_values]
 
 
-def conjecture_ratio(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                     backend: FloatBackend = DEFAULT_BACKEND) -> float:
+def conjecture_ratio(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """-ln f / ln xi, the quantity conjectured to approach c/8 = 0.125.
 
     Uses the modular fidelity route and the dual-modulus correlation-length
@@ -142,8 +140,8 @@ def conjecture_ratio(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     eps (recommended regime eps <= 0.1; for larger eps the ratio has no
     distinguished interpretation and ln xi may even vanish).
     """
-    ln_f = fidelity_modular(p, tol, backend).ln_f
-    ln_xi = log_correlation_length(p, tol, backend, branch="dual")
+    ln_f = fidelity_modular(p, tol).ln_f
+    ln_xi = log_correlation_length(p, tol, branch="dual")
     if ln_xi == 0.0:
         raise InvalidSpec(f"ln xi vanishes at x={p.x!r}; ratio undefined")
     return -ln_f / ln_xi

@@ -206,9 +206,16 @@ class TestEd:
 
     def test_pinning_choice(self, capsys):
         code, out, _ = _invoke(
-            capsys, ["ed", "--x", "0.2", "--Ls", "4", "--pinning", "none"])
+            capsys, ["ed", "--x", "0.2", "--Ls", "4,8", "--pinning", "none"])
         assert code == EXIT_OK
-        assert json.loads(out)[0]["L"] == 4
+        assert [r["L"] for r in json.loads(out)] == [4, 8]
+
+    def test_unpinned_odd_half_rejected(self, capsys):
+        code, out, err = _invoke(
+            capsys, ["ed", "--x", "0.3", "--Ls", "6", "--pinning", "none"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidSpec"
 
     def test_odd_length_rejected(self, capsys):
         code, _, err = _invoke(capsys, ["ed", "--x", "0.2", "--Ls", "5"])

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -13,8 +14,9 @@ from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
                          build_hamiltonian, convergence_study, fidelity,
                          ground_state, split_product_state)
 from xxzfidelity.elliptic import ModelPoint
-from xxzfidelity.ed_oracle import (_half_ground, _neel_sign, _sector_matrix,
-                                   sector_basis)
+from xxzfidelity import ed_oracle
+from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, _half_ground, _neel_sign,
+                                   _sector_matrix, sector_basis)
 
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
@@ -203,8 +205,6 @@ class TestBuildHamiltonian:
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
-            build_hamiltonian(SpinChainSpec(8, 0.2), dim_cap=10)
-        with pytest.raises(SizeLimit):
             build_hamiltonian(SpinChainSpec(24, 0.2))
 
 
@@ -220,11 +220,14 @@ class TestGroundState:
         assert a.gap is not None and a.gap > 1e-3
 
     def test_dense_iterative_parity(self):
+        # dim 924 > DENSE_DIM_LIMIT: the Lanczos route against a full eigh
         H = build_hamiltonian(SpinChainSpec(12, 0.2))
-        dense = ground_state(H, method="dense")
-        iterative = ground_state(H, method="iterative")
-        assert abs(dense.energy - iterative.energy) < 1e-10
-        assert np.max(np.abs(dense.amplitudes - iterative.amplitudes)) < 1e-10
+        assert H.shape[0] >= DENSE_DIM_LIMIT
+        iterative = ground_state(H)
+        w, v = sla.eigh(H.toarray())
+        vec = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
+        assert abs(w[0] - iterative.energy) < 1e-10
+        assert np.max(np.abs(vec - iterative.amplitudes)) < 1e-10
 
     def test_iterative_residual(self):
         # dim 3432 > DENSE_DIM_LIMIT, so auto takes the Lanczos route
@@ -239,20 +242,16 @@ class TestGroundState:
                                            np.empty((0, 0)))
 
         monkeypatch.setattr(spla, "eigsh", fail)
-        H = build_hamiltonian(SpinChainSpec(8, 0.2))
+        H = build_hamiltonian(SpinChainSpec(12, 0.2))
+        assert H.shape[0] >= DENSE_DIM_LIMIT
         with pytest.raises(NonConvergent, match="Lanczos"):
-            ground_state(H, method="iterative")
+            ground_state(H)
 
     def test_one_dimensional_sector(self):
         H = _sector_matrix(2, 0, [(1, 2)], [], -2.6)
         gs = ground_state(H)
         assert gs.gap is None
         assert gs.energy == pytest.approx(-0.5 * (-2.6), rel=1e-15)
-
-    def test_unknown_method(self):
-        H = build_hamiltonian(SpinChainSpec(8, 0.2))
-        with pytest.raises(InvalidSpec):
-            ground_state(H, method="magic")
 
     def test_near_degeneracy_warns(self):
         # unpinned and nearly classical: the two Néel states barely split
@@ -320,6 +319,15 @@ class TestFiniteFidelity:
     def test_near_classical_chain_barely_entangles(self):
         for L in (4, 8):
             assert 1.0 - bipartite_fidelity_finite(L, 0.01) < 1e-3
+
+    def test_unpinned_odd_half_rejected_before_diagonalizing(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("diagonalized an unpinned odd-half chain")
+
+        monkeypatch.setattr(ed_oracle, "ground_state", never)
+        for L in (6, 10, 14):
+            with pytest.raises(InvalidSpec, match="odd half"):
+                bipartite_fidelity_finite(L, 0.3, Pinning.NONE)
 
 
 class TestConvergenceStudy:

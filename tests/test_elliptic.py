@@ -183,16 +183,3 @@ class TestCorrelationLength:
         loose = log_correlation_length(p, Tolerance(rel_tol=1e-8))
         tight = log_correlation_length(p, Tolerance(rel_tol=1e-13))
         assert loose == pytest.approx(tight, rel=1e-7)
-
-
-class TestExtendedPrecisionBackend:
-    def test_matches_float_backend(self):
-        mpmath = pytest.importorskip("mpmath")
-        from xxzfidelity import MPMathBackend
-
-        backend = MPMathBackend(dps=30)
-        p = ModelPoint.from_x(0.5)
-        hi = log_correlation_length(p, backend=backend)
-        lo = log_correlation_length(p)
-        assert hi == pytest.approx(lo, rel=1e-11)
-        assert modulus_k(0.25, backend=backend) == pytest.approx(K_025, rel=1e-12)

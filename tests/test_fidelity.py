@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (DEFAULT_BACKEND, DomainError, FidelityResult, GFactor,
-                         ModelPoint, NonConvergent, Path, Tolerance,
-                         XXZFidelityError, conjecture_ratio,
-                         correlation_length, fidelity, fidelity_modular,
-                         fidelity_raw, fidelity_simplified,
+from xxzfidelity import (DomainError, FidelityResult, GFactor, ModelPoint,
+                         NonConvergent, Path, Tolerance, XXZFidelityError,
+                         conjecture_ratio, correlation_length, fidelity,
+                         fidelity_modular, fidelity_raw, fidelity_simplified,
                          g_decomposition_residual, g_product, ln_g_series,
-                         log_correlation_length, short_theta_identity_residual)
+                         log_correlation_length, log_multibase_product,
+                         short_theta_identity_residual)
 from xxzfidelity.fidelity import (CROSS_CHECK_WINDOW, LN_G_SWITCH_EPS,
                                   PATH_SWITCH_X, _LN_G_EVEN, _LN_G_REMAINDER,
                                   _QUARTER_LN2, _ln_g_expansion, _ln_g_sum)
@@ -225,10 +225,10 @@ class TestLnGRegimes:
     def test_regimes_agree_across_the_switch(self):
         for rel_tol in (1e-12, 1e-8):
             for eps in (0.1, LN_G_SWITCH_EPS, 0.2):
-                short = _ln_g_expansion(eps, rel_tol, DEFAULT_BACKEND)
+                short = _ln_g_expansion(eps, rel_tol)
                 if short is None:
                     continue
-                summed = _ln_g_sum(eps, rel_tol, 10 ** 6, DEFAULT_BACKEND)
+                summed = _ln_g_sum(eps, rel_tol, 10 ** 6)
                 assert abs(short - summed) <= rel_tol * summed, (rel_tol, eps)
         rel_tol = Tolerance().rel_tol
         below = ln_g_series(ModelPoint.from_eps(LN_G_SWITCH_EPS)).ln_g
@@ -238,8 +238,8 @@ class TestLnGRegimes:
 
     def test_tight_tolerance_falls_back_to_the_series(self):
         eps = LN_G_SWITCH_EPS
-        assert _ln_g_expansion(eps, Tolerance().rel_tol, DEFAULT_BACKEND) is not None
-        assert _ln_g_expansion(eps, 1e-14, DEFAULT_BACKEND) is None
+        assert _ln_g_expansion(eps, Tolerance().rel_tol) is not None
+        assert _ln_g_expansion(eps, 1e-14) is None
         got = ln_g_series(ModelPoint.from_eps(eps), Tolerance(1e-14)).ln_g
         assert got == pytest.approx(_mp_ln_g(eps), rel=1e-14)
 
@@ -323,18 +323,19 @@ class TestResultTypes:
         assert got.est_rel_error > 0.0
         assert isinstance(ln_g_series(ModelPoint.from_x(0.5)), GFactor)
 
-
-class TestExtendedPrecisionBackend:
-    def test_matches_float_backend(self):
-        pytest.importorskip("mpmath")
-        from xxzfidelity import MPMathBackend
-
-        backend = MPMathBackend(dps=30)
-        p = ModelPoint.from_x(0.5)
-        assert fidelity_simplified(p, backend=backend).ln_f == pytest.approx(
-            LN_F_05, rel=1e-13)
-        # eps = ln 2 > LN_G_SWITCH_EPS: the series regime of ln g
-        assert ln_g_series(p, backend=backend).ln_g == pytest.approx(
-            LN_G_05, rel=1e-13)
-        assert fidelity_modular(p, backend=backend).ln_f == pytest.approx(
-            LN_F_05, rel=1e-13)
+    @pytest.mark.parametrize("x", [0.3, 0.65, 0.8])
+    def test_numpy_scalar_inputs_give_python_floats(self, x):
+        # np.float64 subclasses float, so the check is on the exact type
+        p = ModelPoint.from_x(x)
+        q = ModelPoint(*(np.float64(v) for v in (p.x, p.eps, p.delta, p.x_dual)))
+        z, a = np.float64(-x * x), np.float64(x ** 4)
+        assert type(log_multibase_product(z, (a, a))) is float
+        assert log_multibase_product(z, (a, a)) == log_multibase_product(
+            float(z), (float(a), float(a)))
+        got = fidelity(q)
+        assert all(type(v) is float for v in (got.f, got.ln_f, got.est_rel_error))
+        assert got == fidelity(p)
+        for branch in ("direct", "dual"):
+            ln_xi = log_correlation_length(q, branch=branch)
+            assert type(ln_xi) is float
+            assert ln_xi == log_correlation_length(p, branch=branch)

@@ -4,8 +4,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (DomainError, InvalidSpec, NonConvergent, QProductSpec,
-                         Tolerance, log_multibase_product,
+from xxzfidelity import (DomainError, InvalidSpec, NonConvergent, Overflow,
+                         QProductSpec, Tolerance, log_multibase_product,
                          minus_one_peel_residual, qproduct_direct,
                          qproduct_log, verify_qcalc_identities)
 from xxzfidelity.qseries import DEFAULT_REL_TOL, DIRECT_MAX_TERMS, SERIES_MAX_TERMS
@@ -108,6 +108,11 @@ class TestDirectProduct:
         with pytest.raises(NonConvergent):
             qproduct_direct(QProductSpec(0.5, (0.9, 0.9)), Tolerance(max_terms=10))
 
+    def test_overflow_is_documented(self):
+        # ln (-1; 0.999)_inf is about 820 > ln(DBL_MAX)
+        with pytest.raises(Overflow):
+            qproduct_direct(QProductSpec(-1.0, (0.999,)))
+
 
 class TestPathAgreement:
     @settings(max_examples=120, deadline=None)
@@ -175,6 +180,13 @@ class TestMinusOnePeel:
     def test_grid(self):
         for ix in range(1, 10):
             assert minus_one_peel_residual((ix / 10.0) ** 4) < 1e-10
+
+    @pytest.mark.parametrize("eps", [0.036, 0.035])
+    def test_overflow_is_documented(self, eps):
+        # at eps = 0.036 the direct (-1; a, a) leaves the double range; at
+        # 0.035 already the log series of (-a; a, a) does (ln = 736)
+        with pytest.raises(Overflow):
+            minus_one_peel_residual(math.exp(-eps))
 
     def test_validates_argument(self):
         with pytest.raises(InvalidSpec):
