@@ -14,8 +14,8 @@ from .errors import (DomainError, InvalidSpec, NonConvergent, Overflow,
                      XXZFidelityError)
 from .fidelity import (FidelityResult, GFactor, Path, fidelity,
                        fidelity_modular, fidelity_raw, fidelity_simplified,
-                       g_decomposition_residual, g_product, ln_g_series,
-                       short_theta_identity_residual)
+                       g_decomposition_residual, g_product, identity_report,
+                       ln_g_series, short_theta_identity_residual)
 from .qseries import (QProductSpec, Tolerance, log_multibase_product,
                       minus_one_peel_residual, qproduct_direct, qproduct_log,
                       verify_qcalc_identities)
@@ -35,7 +35,8 @@ __all__ = [
     "collect_minus_ln_f", "conjecture_ratio", "convergence_study",
     "correlation_length", "dual_point", "fidelity", "fidelity_modular",
     "fidelity_raw", "fidelity_simplified", "fit_asymptote",
-    "g_decomposition_residual", "g_product", "ground_state", "ln_g_series",
+    "g_decomposition_residual", "g_product", "ground_state",
+    "identity_report", "ln_g_series",
     "ln_xi_reference", "log_correlation_length", "log_multibase_product",
     "log_spaced", "minus_ln_f_reference", "minus_one_peel_residual",
     "moduli", "modulus_k", "modulus_kprime", "qproduct_direct",

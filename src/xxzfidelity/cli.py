@@ -25,13 +25,12 @@ import sys
 from dataclasses import dataclass
 
 from .ed_oracle import Pinning, convergence_study
-from .elliptic import ModelPoint, log_correlation_length, moduli, modulus_k
+from .elliptic import ModelPoint, log_correlation_length
 from .errors import DomainError, InvalidSpec, XXZFidelityError
-from .fidelity import (fidelity, fidelity_modular, fidelity_raw,
-                       fidelity_simplified, g_decomposition_residual,
-                       g_product, ln_g_series, short_theta_identity_residual)
-from .qseries import (_LN_HUGE, Tolerance, minus_one_peel_residual,
-                      verify_qcalc_identities)
+# fidelity_modular stays bound here: perfbench/test_perfbench.py checks that
+# its tracer wraps this binding
+from .fidelity import fidelity, fidelity_modular, identity_report  # noqa: F401
+from .qseries import _LN_HUGE, Tolerance
 from .scaling import (LN_XI_COEFFS, MINUS_LN_F_COEFFS, collect_ln_xi,
                       collect_minus_ln_f, fit_asymptote, log_spaced)
 
@@ -41,8 +40,6 @@ EXIT_NUMERICAL = 2
 
 POINT_COLUMNS = ("x", "eps", "delta", "xi", "ln_xi", "f", "ln_f", "ratio",
                  "path", "est_rel_error")
-
-_SELF_DUAL_X = math.exp(-math.pi)
 
 
 @dataclass(frozen=True)
@@ -180,62 +177,8 @@ _IDENTITY_COLUMNS = ("check", "max_residual")
 
 
 def _run_identities(config: RunConfig):
-    tol = config.tolerance
-    x_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
-
-    r1_max = r2_max = 0.0
-    for x in (0.1, 0.5, 0.9):
-        for z in (0.6, -0.6):
-            for b, c in ((1, 2), (2, 3)):
-                r1, r2 = verify_qcalc_identities(x, z, b, c, tol)
-                r1_max = max(r1_max, r1)
-                r2_max = max(r2_max, r2)
-
-    peel_max = max(minus_one_peel_residual(x ** 4, tol) for x in x_grid)
-
-    theta_max = 0.0
-    for b, x in ((4.0, 0.5), (2.0, 0.7), (4.0, _SELF_DUAL_X), (1.0, 0.4), (8.0, 0.6)):
-        theta_max = max(theta_max,
-                        short_theta_identity_residual(b, ModelPoint.from_x(x), tol))
-
-    three_path_max = 0.0
-    for x in (0.3, 0.45, 0.6, 0.75, 0.9):
-        p = ModelPoint.from_x(x)
-        lns = [fidelity_raw(p, tol).ln_f, fidelity_simplified(p, tol).ln_f,
-               fidelity_modular(p, tol).ln_f]
-        three_path_max = max(three_path_max,
-                             abs(math.expm1(max(lns) - min(lns))))
-
-    complementary_max = max(moduli(z, tol).complementary_residual()
-                            for z in (0.05, 0.25, 0.5, 0.7, 0.9))
-    duality_max = 0.0
-    for x in (0.3, 0.5, 0.7, 0.85, 0.95):
-        p = ModelPoint.from_x(x)
-        kp = moduli(x, tol).kprime
-        duality_max = max(duality_max, abs(modulus_k(p.x_dual, tol) - kp) / kp)
-
-    g_routes_max = 0.0
-    g_decomp_max = 0.0
-    for x in x_grid:
-        p = ModelPoint.from_x(x)
-        g_routes_max = max(g_routes_max,
-                           abs(math.expm1(ln_g_series(p, tol).ln_g
-                                          - g_product(p, tol).ln_g)))
-        g_decomp_max = max(g_decomp_max, g_decomposition_residual(p, tol))
-
-    checks = [
-        ("qcalc_r1", r1_max),
-        ("qcalc_r2", r2_max),
-        ("minus_one_peel", peel_max),
-        ("short_theta", theta_max),
-        ("three_path_fidelity", three_path_max),
-        ("moduli_complementary", complementary_max),
-        ("moduli_duality", duality_max),
-        ("g_series_vs_product", g_routes_max),
-        ("g_decomposition", g_decomp_max),
-    ]
-    return [{"check": name, "max_residual": value} for name, value in checks], \
-        _IDENTITY_COLUMNS
+    return [{"check": name, "max_residual": value}
+            for name, value in identity_report(config.tolerance)], _IDENTITY_COLUMNS
 
 
 _ED_COLUMNS = ("L", "f_finite", "f_exact", "abs_error")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -66,7 +67,8 @@ class SpinChainSpec:
     pinning: Pinning = Pinning.NEEL
 
     def __post_init__(self):
-        if self.L < 4 or self.L % 2 != 0:
+        if (not isinstance(self.L, numbers.Integral) or self.L < 4
+                or self.L % 2 != 0):
             raise InvalidSpec(f"L must be an even integer >= 4, got {self.L!r}")
         if not (0.0 < self.x < 1.0):
             raise InvalidSpec(f"x must lie in (0,1), got {self.x!r}")

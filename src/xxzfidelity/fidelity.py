@@ -29,10 +29,11 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .elliptic import ModelPoint
+from .elliptic import ModelPoint, moduli, modulus_k, modulus_kprime
 from .errors import DomainError, NonConvergent
 from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, QProductSpec, Tolerance,
-                      log_multibase_product, qproduct_direct)
+                      log_multibase_product, minus_one_peel_residual,
+                      qproduct_direct, verify_qcalc_identities)
 
 #: nome above which the path selector switches from Simplified to Modular
 PATH_SWITCH_X = 0.7
@@ -40,6 +41,8 @@ PATH_SWITCH_X = 0.7
 CROSS_CHECK_WINDOW = (0.6, 0.9)
 #: ln g from its expansion up to here (order 30 reaches 0.152 at rel_tol 1e-12)
 LN_G_SWITCH_EPS = 0.15
+#: the self-dual nome x = e^{-pi} (eps = pi), fixed point of x -> x~
+_SELF_DUAL_X = math.exp(-math.pi)
 
 _QUARTER_LN2 = 0.25 * math.log(2.0)
 # c_2, c_4, ..., c_30 and B_1, ..., B_15 (rounded up) of _ln_g_expansion
@@ -320,21 +323,67 @@ def g_decomposition_residual(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> flo
     return abs(math.expm1(ln_lhs - ln_rhs))
 
 
-def fidelity(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-             cross_check: bool = True) -> FidelityResult:
+def fidelity(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
     """Route selector: Simplified for x <= 0.7, Modular above.
 
-    Inside the overlap window [0.6, 0.9] (and with cross_check on) the other
-    route is evaluated too and the observed discrepancy is folded into
-    est_rel_error, so a silent divergence of the two representations cannot
-    pass unnoticed.
+    Inside the overlap window [0.6, 0.9] the other route is evaluated too
+    and the observed discrepancy is folded into est_rel_error, so a silent
+    divergence of the two representations cannot pass unnoticed.
     """
     use_modular = p.x > PATH_SWITCH_X
     primary = (fidelity_modular if use_modular else fidelity_simplified)(p, tol)
     lo, hi = CROSS_CHECK_WINDOW
-    if cross_check and lo <= p.x <= hi:
+    if lo <= p.x <= hi:
         other = (fidelity_simplified if use_modular else fidelity_modular)(p, tol)
         discrepancy = abs(math.expm1(primary.ln_f - other.ln_f))
         return replace(primary,
                        est_rel_error=max(primary.est_rel_error, discrepancy))
     return primary
+
+
+def identity_report(tol: Tolerance = DEFAULT_TOL) -> list[tuple[str, float]]:
+    """(check, max_residual) of each of the nine identity suites, in order.
+
+    Every suite runs on its own fixed grid: the base-splitting (qcalc_r1)
+    and sign-pairing (qcalc_r2) product identities, the minus-one peel, the
+    short-theta modular identity (including the self-dual point), the
+    spread of the three fidelity routes, k^2 + k'^2 = 1, the nome duality
+    k'(x) = k(x~), ln g by series against product, and the g split of f.
+    """
+    x_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
+    qcalc = [verify_qcalc_identities(x, z, b, c, tol)
+             for x in (0.1, 0.5, 0.9) for z in (0.6, -0.6)
+             for b, c in ((1, 2), (2, 3))]
+
+    def route_spread(x):
+        p = ModelPoint.from_x(x)
+        lns = [route(p, tol).ln_f for route in
+               (fidelity_raw, fidelity_simplified, fidelity_modular)]
+        return abs(math.expm1(max(lns) - min(lns)))
+
+    def duality(x):
+        kp = modulus_kprime(x, tol)
+        return abs(modulus_k(ModelPoint.from_x(x).x_dual, tol) - kp) / kp
+
+    def g_routes(p):
+        return abs(math.expm1(ln_g_series(p, tol).ln_g - g_product(p, tol).ln_g))
+
+    g_points = [ModelPoint.from_x(x) for x in x_grid]
+    return [
+        ("qcalc_r1", max(r1 for r1, _ in qcalc)),
+        ("qcalc_r2", max(r2 for _, r2 in qcalc)),
+        ("minus_one_peel", max(minus_one_peel_residual(x ** 4, tol)
+                               for x in x_grid)),
+        ("short_theta", max(
+            short_theta_identity_residual(b, ModelPoint.from_x(x), tol)
+            for b, x in ((4.0, 0.5), (2.0, 0.7), (4.0, _SELF_DUAL_X),
+                         (1.0, 0.4), (8.0, 0.6)))),
+        ("three_path_fidelity", max(route_spread(x)
+                                    for x in (0.3, 0.45, 0.6, 0.75, 0.9))),
+        ("moduli_complementary", max(moduli(z, tol).complementary_residual()
+                                     for z in (0.05, 0.25, 0.5, 0.7, 0.9))),
+        ("moduli_duality", max(duality(x) for x in (0.3, 0.5, 0.7, 0.85, 0.95))),
+        ("g_series_vs_product", max(g_routes(p) for p in g_points)),
+        ("g_decomposition", max(g_decomposition_residual(p, tol)
+                                for p in g_points)),
+    ]

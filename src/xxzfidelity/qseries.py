@@ -22,6 +22,7 @@ downstream.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,8 +56,10 @@ class Tolerance:
             raise InvalidSpec(
                 f"rel_tol must be >= {_MIN_REL_TOL:.2e} (10 x machine epsilon), "
                 f"got {self.rel_tol!r}")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise InvalidSpec(f"max_terms must be >= 1, got {self.max_terms!r}")
+        if self.max_terms is not None and not (
+                isinstance(self.max_terms, numbers.Integral) and self.max_terms >= 1):
+            raise InvalidSpec(
+                f"max_terms must be an integer >= 1, got {self.max_terms!r}")
 
     def cap(self, default: int) -> int:
         return default if self.max_terms is None else self.max_terms
@@ -234,16 +237,6 @@ def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
         f"direct product for {spec} could not certify rel_tol={rel_tol}")
 
 
-def _both_paths(z, bases, tol):
-    """Product value via (direct, exp(log series)); |z| = 1 uses direct only."""
-    spec = QProductSpec(z, tuple(bases))
-    direct = qproduct_direct(spec, tol)
-    if abs(z) < 1.0:
-        series = _exp(qproduct_log(spec, tol), spec)
-        return direct, series
-    return direct, direct
-
-
 def verify_qcalc_identities(x: float, z: float, b: int, c: int,
                             tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
     """Residuals of the two base-splitting product identities.
@@ -253,12 +246,13 @@ def verify_qcalc_identities(x: float, z: float, b: int, c: int,
     r2:  (z; x^b, x^c) (-z; x^b, x^c)           =  (z^2; x^{2b}, x^{2c})
          (pairing factors of opposite sign)
 
-    Each residual is |LHS - RHS| / |RHS|, evaluated with both the direct and
-    the log-series strategy; the worse of the two is returned.
+    Each of the five distinct products is evaluated once with the direct
+    and once with the log-series strategy; each residual is
+    |LHS - RHS| / |RHS|, the worse of the two strategies.
     """
     if not (0.0 < x < 1.0):
         raise InvalidSpec(f"x must lie in (0,1), got {x!r}")
-    if b < 1 or c < 1 or int(b) != b or int(c) != c:
+    if not all(math.isfinite(v) and v >= 1 and int(v) == v for v in (b, c)):
         raise InvalidSpec(f"b, c must be positive integers, got {b!r}, {c!r}")
     if not (abs(z) < 1.0):
         raise InvalidSpec(f"identity check requires |z| < 1, got {z!r}")
@@ -267,21 +261,17 @@ def verify_qcalc_identities(x: float, z: float, b: int, c: int,
 
     xb, xc = x ** b, x ** c
     x2b, x2c = x ** (2 * b), x ** (2 * c)
+    specs = [QProductSpec(zz, bases) for zz, bases in (
+        (z, (x2b, xc)), (z * xb, (x2b, xc)), (z, (xb, xc)), (-z, (xb, xc)),
+        (z * z, (x2b, x2c)))]
 
-    r1 = 0.0
-    r2 = 0.0
-    for which in range(2):
-        def val(zz, bases):
-            return _both_paths(zz, bases, tol)[which]
+    def residuals(even, odd, whole, negated, squared):
+        return (abs((even * odd - whole) / whole),
+                abs((whole * negated - squared) / squared))
 
-        lhs1 = val(z, (x2b, xc)) * val(z * xb, (x2b, xc))
-        rhs1 = val(z, (xb, xc))
-        r1 = max(r1, abs((lhs1 - rhs1) / rhs1))
-
-        lhs2 = val(z, (xb, xc)) * val(-z, (xb, xc))
-        rhs2 = val(z * z, (x2b, x2c))
-        r2 = max(r2, abs((lhs2 - rhs2) / rhs2))
-    return (r1, r2)
+    d1, d2 = residuals(*[qproduct_direct(s, tol) for s in specs])
+    s1, s2 = residuals(*[_exp(qproduct_log(s, tol), s) for s in specs])
+    return (max(d1, s1), max(d2, s2))
 
 
 def minus_one_peel_residual(a: float, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -78,7 +78,7 @@ def fit_asymptote(samples: Sequence[tuple[float, float]],
                   include_log: bool = False) -> AsymptoticFit:
     """Deterministic least-squares fit in the basis {1/eps, 1, eps} (+ ln eps).
 
-    Requires at least three samples at distinct positive eps; raises
+    Requires at least three finite samples at distinct positive eps; raises
     SingularSystem when the design matrix is rank-deficient (e.g. the
     augmented four-column basis with only three samples).
     """
@@ -87,6 +87,8 @@ def fit_asymptote(samples: Sequence[tuple[float, float]],
         raise InvalidSpec(f"need at least 3 samples, got {len(pairs)}")
     eps = np.array([e for e, _ in pairs])
     y = np.array([v for _, v in pairs])
+    if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(y))):
+        raise InvalidSpec("all samples must be finite")
     if not np.all(eps > 0.0):
         raise InvalidSpec("all eps values must be positive")
     if len(set(eps.tolist())) != len(pairs):
@@ -109,8 +111,8 @@ def fit_asymptote(samples: Sequence[tuple[float, float]],
 
 def log_spaced(lo: float, hi: float, count: int) -> list[float]:
     """count log-spaced values from lo to hi inclusive."""
-    if not (0.0 < lo <= hi):
-        raise InvalidSpec(f"need 0 < lo <= hi, got {lo!r}, {hi!r}")
+    if not (0.0 < lo <= hi < math.inf):
+        raise InvalidSpec(f"need 0 < lo <= hi < inf, got {lo!r}, {hi!r}")
     if count < 1:
         raise InvalidSpec(f"count must be >= 1, got {count!r}")
     if lo == hi:

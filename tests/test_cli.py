@@ -7,7 +7,7 @@ import math
 import pytest
 
 from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, fidelity,
-                         log_correlation_length)
+                         identity_report, log_correlation_length)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              POINT_COLUMNS, RunConfig, main, run)
 
@@ -174,6 +174,12 @@ class TestIdentities:
             "g_series_vs_product", "g_decomposition"}
         for r in rows:
             assert r["max_residual"] < 1e-10, r["check"]
+
+    def test_rows_are_the_library_report(self, capsys):
+        code, out, _ = _invoke(capsys, ["identities"])
+        assert code == EXIT_OK
+        assert [(r["check"], r["max_residual"])
+                for r in json.loads(out)] == identity_report()
 
     def test_csv_shape(self, capsys):
         code, out, _ = _invoke(capsys, ["identities", "--format", "csv"])

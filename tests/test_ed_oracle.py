@@ -82,6 +82,13 @@ class TestSpinChainSpec:
             SpinChainSpec(2, 0.5)
         with pytest.raises(InvalidSpec):
             SpinChainSpec(7, 0.5)
+        for bad_L in (8.0, 8.5, "8"):
+            with pytest.raises(InvalidSpec):
+                SpinChainSpec(bad_L, 0.5)
+        with pytest.raises(InvalidSpec):
+            bipartite_fidelity_finite(8.0, 0.3)
+        with pytest.raises(InvalidSpec):
+            convergence_study([8.0], 0.3)
         for bad_x in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(InvalidSpec):
                 SpinChainSpec(8, bad_x)

@@ -94,9 +94,11 @@ class TestPathSelector:
 
     def test_cross_check_folds_discrepancy_into_estimate(self):
         lo, hi = CROSS_CHECK_WINDOW
-        p = ModelPoint.from_x(0.5 * (lo + hi))
-        checked = fidelity(p, cross_check=True)
-        bare = fidelity(p, cross_check=False)
+        x = 0.75
+        assert lo <= x <= hi and x > PATH_SWITCH_X
+        p = ModelPoint.from_x(x)
+        checked = fidelity(p)
+        bare = fidelity_modular(p)
         assert checked.ln_f == bare.ln_f
         assert checked.est_rel_error >= bare.est_rel_error
         assert checked.est_rel_error < 1e-9

@@ -8,6 +8,7 @@ from xxzfidelity import (DomainError, InvalidSpec, NonConvergent, Overflow,
                          QProductSpec, Tolerance, log_multibase_product,
                          minus_one_peel_residual, qproduct_direct,
                          qproduct_log, verify_qcalc_identities)
+from xxzfidelity import qseries
 from xxzfidelity.qseries import DEFAULT_REL_TOL, DIRECT_MAX_TERMS, SERIES_MAX_TERMS
 
 
@@ -32,6 +33,11 @@ class TestTolerance:
     def test_rejects_nonpositive_max_terms(self):
         with pytest.raises(InvalidSpec):
             Tolerance(max_terms=0)
+
+    def test_rejects_non_integer_max_terms(self):
+        for bad in (2.5, 100.0, "100"):
+            with pytest.raises(InvalidSpec):
+                Tolerance(1e-12, bad)
 
 
 class TestQProductSpec:
@@ -174,6 +180,27 @@ class TestQCalcIdentities:
             verify_qcalc_identities(0.5, 1.0, 1, 1)
         with pytest.raises(InvalidSpec):
             verify_qcalc_identities(0.5, 0.3, 0, 1)
+        for bad in (math.inf, math.nan, 1.5):
+            with pytest.raises(InvalidSpec):
+                verify_qcalc_identities(0.5, 0.3, bad, 1)
+            with pytest.raises(InvalidSpec):
+                verify_qcalc_identities(0.5, 0.3, 1, bad)
+
+    def test_each_product_evaluated_once_per_strategy(self, monkeypatch):
+        calls = {"direct": 0, "series": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(qseries, "qproduct_direct",
+                            counted("direct", qseries.qproduct_direct))
+        monkeypatch.setattr(qseries, "log_multibase_product",
+                            counted("series", qseries.log_multibase_product))
+        verify_qcalc_identities(0.5, 0.3, 2, 3)
+        assert calls == {"direct": 5, "series": 5}
 
 
 class TestMinusOnePeel:

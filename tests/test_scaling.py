@@ -70,6 +70,11 @@ class TestFitAsymptote:
             fit_asymptote([(0.0, 1.0), (0.2, 2.0), (0.3, 3.0)])
         with pytest.raises(InvalidSpec):
             fit_asymptote([(-0.1, 1.0), (0.2, 2.0), (0.3, 3.0)])
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidSpec):
+                fit_asymptote([(0.1, 1.0), (0.2, 1.0), (bad, 2.0)])
+            with pytest.raises(InvalidSpec):
+                fit_asymptote([(0.1, 1.0), (0.2, bad), (0.3, 2.0)])
 
     def test_singular_when_underdetermined(self):
         # four basis columns, three samples
@@ -99,6 +104,10 @@ class TestLogSpaced:
             log_spaced(2.0, 1.0, 5)
         with pytest.raises(InvalidSpec):
             log_spaced(0.1, 1.0, 0)
+        for lo, hi in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0),
+                       (0.1, math.nan)):
+            with pytest.raises(InvalidSpec):
+                log_spaced(lo, hi, 3)
 
 
 class TestCollectors:
