@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -87,8 +88,8 @@ class RunConfig:
                 raise InvalidSpec(f"{self.command} needs grid bounds")
             if not (self.grid_min <= self.grid_max):
                 raise InvalidSpec("grid min must be <= max")
-            if self.count < 1:
-                raise InvalidSpec(f"count must be >= 1, got {self.count}")
+            if not (isinstance(self.count, numbers.Integral) and self.count >= 1):
+                raise InvalidSpec(f"count must be an integer >= 1, got {self.count!r}")
             if self.grid_var == "x":
                 if not (0.0 < self.grid_min and self.grid_max < 1.0):
                     raise InvalidSpec("x grid bounds must lie inside (0,1)")

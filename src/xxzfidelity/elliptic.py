@@ -13,9 +13,9 @@ x -> 1 into rapidly convergent ones.  The correlation length follows from
 
     1/xi = -1/2 ln k(x^2) = -1/2 ln((1 - k'(x)) / (1 + k'(x))) = atanh(k'(x)),
 
-where the second form, fed by the dual products, is the branch that
-survives numerically as x -> 1 (ln xi is then available even where xi
-itself overflows the float range).
+evaluated through k(x^2) or through k'(x) = k(x~), whichever nome is
+smaller (x^2 below x ~ 0.1085, x~ above).  ln xi is available even where
+xi itself overflows the float range.
 """
 from __future__ import annotations
 
@@ -24,13 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidSpec, Overflow, Underflow
-from .qseries import (DEFAULT_TOL, _LN_HUGE, _MIN_REL_TOL, Tolerance,
-                      log_multibase_product)
-
-#: nome above which correlation_length switches to the dual-modulus branch
-BRANCH_SWITCH_X = 0.7
-
-_LN_TINY = math.log(5e-324)   # below this a positive double rounds to zero
+from .qseries import DEFAULT_TOL, _LN_HUGE, Tolerance, log_multibase_product
 
 
 @dataclass(frozen=True)
@@ -160,53 +154,33 @@ def moduli(z: float, tol: Tolerance = DEFAULT_TOL) -> EllipticModuli:
     return EllipticModuli(modulus_k(z, tol), modulus_kprime(z, tol))
 
 
-def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                           branch: str | None = None) -> float:
+def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """ln xi, assembled fully in log space so it exists for every valid point.
 
-    branch selects the evaluation route (mathematically identical):
-      - "direct": 1/xi = -1/2 ln k(x^2), products in the nome x^2.  Because
-        k(x^2) = 1 - O(1/xi), the subtraction leaves |ln k| ~ 2/xi and the
-        route loses roughly the factor xi in relative accuracy; it is the
-        natural choice only while xi is modest (small x);
-      - "dual":   1/xi = atanh(k'(x)) with k'(x) = k(x~), products in the
-        tiny dual nome, the only convergent route as x -> 1.  When k'
-        drops below sqrt(3*eps_machine), atanh(k') = k' to working
-        precision and ln xi = -ln k' is used outright (k' itself may
-        underflow; its log never does).  Where k' rounds to 1 (possible
-        once x < ~1e-30, xi being below resolution) it raises Underflow.
-    None picks "direct" for x <= 0.7 and "dual" above.
+    The two equal forms 1/xi = -1/2 ln k(x^2) = atanh(k(x~)) evaluate ln k
+    at the nome x^2 or at the dual nome x~; the smaller nome is used:
+      - x^2 < x~ (x < e^{-pi/sqrt 2} ~ 0.1085): the direct form;
+      - otherwise the dual form, with k' = k(x~).  When k' drops below
+        sqrt(3*eps_machine), atanh(k') = k' to working precision and
+        ln xi = -ln k' is used outright (k' itself may underflow; its log
+        never does).
+    At the crossover x^2 = x~ both forms evaluate the same product.
     """
-    if branch is None:
-        branch = "dual" if p.x > BRANCH_SWITCH_X else "direct"
-    if branch == "direct":
-        # ln k(x^2) = -2/xi is tiny while the assembled log-products are O(1),
-        # so the product tolerance must absorb that amplification: tighten it
-        # two decades (floored at the representable minimum).
-        tight = Tolerance(max(0.01 * tol.rel_tol, _MIN_REL_TOL), tol.max_terms)
-        ln_k = _log_modulus_k(-2.0 * p.eps, tight)
-        if ln_k <= _LN_TINY:
-            raise Underflow(f"k(x^2) rounds to zero at x={p.x!r}; xi below resolution")
-        return -math.log(-0.5 * ln_k)
-    if branch == "dual":
-        # ln k'(x) through the duality k'(x) = k(x~), using ln x~ = -pi^2/eps
-        ln_kp = _log_modulus_k(p.ln_x_dual, tol)
-        if ln_kp <= 0.5 * math.log(3.0 * sys.float_info.epsilon):
-            return -float(ln_kp)
-        kp = math.exp(ln_kp)
-        if not kp < 1.0:
-            raise Underflow(f"1 - k'(x) rounds to zero at x={p.x!r}; use branch='direct'")
-        return -math.log(math.atanh(kp))
-    raise InvalidSpec(f"branch must be 'direct', 'dual' or None, got {branch!r}")
+    # in the smaller nome k <= sqrt(2) - 1, so |ln k| >= 0.88 and nothing cancels
+    if 2.0 * p.eps * p.eps > math.pi ** 2:
+        return -math.log(-0.5 * _log_modulus_k(-2.0 * p.eps, tol))
+    ln_kp = _log_modulus_k(p.ln_x_dual, tol)
+    if ln_kp <= 0.5 * math.log(3.0 * sys.float_info.epsilon):
+        return -float(ln_kp)
+    return -math.log(math.atanh(math.exp(ln_kp)))
 
 
-def correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-                       branch: str | None = None) -> float:
+def correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """xi > 0; raises Overflow once xi leaves the double range (eps < ~0.0067).
 
     Use log_correlation_length for asymptotic work near x -> 1.
     """
-    ln_xi = log_correlation_length(p, tol, branch)
+    ln_xi = log_correlation_length(p, tol)
     if ln_xi > _LN_HUGE:
         raise Overflow(
             f"xi = exp({ln_xi:.6g}) exceeds the float range; "

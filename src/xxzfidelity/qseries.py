@@ -52,10 +52,10 @@ class Tolerance:
     max_terms: int | None = None
 
     def __post_init__(self):
-        if not (self.rel_tol >= _MIN_REL_TOL):
+        if not (_MIN_REL_TOL <= self.rel_tol < 1.0):
             raise InvalidSpec(
-                f"rel_tol must be >= {_MIN_REL_TOL:.2e} (10 x machine epsilon), "
-                f"got {self.rel_tol!r}")
+                f"rel_tol must lie in [{_MIN_REL_TOL:.2e}, 1) (10 x machine "
+                f"epsilon up to 1), got {self.rel_tol!r}")
         if self.max_terms is not None and not (
                 isinstance(self.max_terms, numbers.Integral) and self.max_terms >= 1):
             raise InvalidSpec(

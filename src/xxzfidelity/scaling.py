@@ -18,6 +18,7 @@ space so it survives arbitrarily small eps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .elliptic import ModelPoint, log_correlation_length
 from .errors import InvalidSpec, SingularSystem
-from .fidelity import _QUARTER_LN2, fidelity_modular
+from .fidelity import _QUARTER_LN2, fidelity
 from .qseries import DEFAULT_TOL, Tolerance
 
 #: UV central charge of the XXZ chain; the conjecture target ratio is c/8
@@ -113,8 +114,8 @@ def log_spaced(lo: float, hi: float, count: int) -> list[float]:
     """count log-spaced values from lo to hi inclusive."""
     if not (0.0 < lo <= hi < math.inf):
         raise InvalidSpec(f"need 0 < lo <= hi < inf, got {lo!r}, {hi!r}")
-    if count < 1:
-        raise InvalidSpec(f"count must be >= 1, got {count!r}")
+    if not (isinstance(count, numbers.Integral) and count >= 1):
+        raise InvalidSpec(f"count must be an integer >= 1, got {count!r}")
     if lo == hi:
         return [lo] * count
     return [float(v) for v in np.geomspace(lo, hi, count)]
@@ -122,28 +123,28 @@ def log_spaced(lo: float, hi: float, count: int) -> list[float]:
 
 def collect_minus_ln_f(eps_values: Iterable[float],
                        tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
-    """(eps, -ln f) samples from the modular route, for asymptotic fits."""
-    return [(e, -fidelity_modular(ModelPoint.from_eps(e), tol).ln_f)
+    """(eps, -ln f) samples for asymptotic fits."""
+    return [(e, -fidelity(ModelPoint.from_eps(e), tol).ln_f)
             for e in eps_values]
 
 
 def collect_ln_xi(eps_values: Iterable[float],
                   tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
-    """(eps, ln xi) samples from the dual-modulus branch, for asymptotic fits."""
-    return [(e, log_correlation_length(ModelPoint.from_eps(e), tol, branch="dual"))
+    """(eps, ln xi) samples for asymptotic fits."""
+    return [(e, log_correlation_length(ModelPoint.from_eps(e), tol))
             for e in eps_values]
 
 
 def conjecture_ratio(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     """-ln f / ln xi, the quantity conjectured to approach c/8 = 0.125.
 
-    Uses the modular fidelity route and the dual-modulus correlation-length
-    branch, both in log space, so it is meaningful for arbitrarily small
-    eps (recommended regime eps <= 0.1; for larger eps the ratio has no
+    Both logs come from the library's route selectors, which stay finite in
+    log space at every valid point, so the ratio survives arbitrarily small
+    eps and x (recommended regime eps <= 0.1; for larger eps the ratio has no
     distinguished interpretation and ln xi may even vanish).
     """
-    ln_f = fidelity_modular(p, tol).ln_f
-    ln_xi = log_correlation_length(p, tol, branch="dual")
+    ln_f = fidelity(p, tol).ln_f
+    ln_xi = log_correlation_length(p, tol)
     if ln_xi == 0.0:
         raise InvalidSpec(f"ln xi vanishes at x={p.x!r}; ratio undefined")
     return -ln_f / ln_xi

@@ -72,6 +72,12 @@ class TestEval:
             assert code == EXIT_VALIDATION
             assert json.loads(err)["error"] == "InvalidSpec"
 
+    def test_invalid_rel_tol_exits_1_with_stderr_json(self, capsys):
+        code, out, err = _invoke(capsys, ["eval", "--x", "0.5", "--rel-tol", "inf"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"] == "InvalidSpec"
+
     def test_numerical_failure_exits_2(self, capsys):
         code, _, err = _invoke(
             capsys, ["eval", "--x", "0.5", "--max-terms", "3"])
@@ -266,6 +272,9 @@ class TestRunConfig:
             RunConfig(command="scan", grid_min=0.2)
         with pytest.raises(InvalidSpec):
             RunConfig(command="scan", grid_var="z", grid_min=0.2, grid_max=0.5)
+        for bad in (2.5, 3.0):
+            with pytest.raises(InvalidSpec):
+                RunConfig(command="scan", grid_min=0.1, grid_max=0.5, count=bad)
         with pytest.raises(InvalidSpec):
             RunConfig(command="ed")
         with pytest.raises(InvalidSpec):

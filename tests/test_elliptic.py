@@ -16,6 +16,24 @@ LN_XI_02 = 1.6769738168664083291
 LN_XI_05 = 5.7331194282139301106
 XI_05 = 308.93145636014032487
 
+#: the largest eps at which x = e^{-eps} is still a positive (subnormal) double
+EPS_X_UNDERFLOW = 745.1332191019411
+#: eps at which x^2 = x~, where log_correlation_length changes nome
+EPS_NOME_CROSSOVER = math.pi / math.sqrt(2.0)
+
+
+def _mp_ln_xi(eps):
+    """50-digit ln xi from mpmath's modulus of a nome: 1/xi = -1/2 ln k(x^2)
+    for eps > 1 and atanh(k(x~)) otherwise."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        if e > 1:
+            inv_xi = -mpmath.log(mpmath.kfrom(q=mpmath.exp(-2 * e))) / 2
+        else:
+            inv_xi = mpmath.atanh(mpmath.kfrom(q=mpmath.exp(-mpmath.pi ** 2 / e)))
+        return float(-mpmath.log(inv_xi))
+
 
 class TestModelPoint:
     def test_from_x_consistency(self):
@@ -137,15 +155,20 @@ class TestCorrelationLength:
         assert correlation_length(ModelPoint.from_x(0.5)) == pytest.approx(
             XI_05, rel=1e-10)
 
-    def test_branches_agree(self):
-        p = ModelPoint.from_x(0.5)
-        direct = log_correlation_length(p, branch="direct")
-        dual = log_correlation_length(p, branch="dual")
-        assert abs(direct - dual) < 1e-10
-
-    def test_branch_validation(self):
-        with pytest.raises(InvalidSpec):
-            log_correlation_length(ModelPoint.from_x(0.5), branch="bogus")
+    def test_matches_mpmath_across_the_range(self):
+        # 64 log-spaced eps over the whole range, and pairs of points on
+        # either side of the crossover, where the route changes
+        lo, hi = math.log(1.2e-16), math.log(EPS_X_UNDERFLOW)
+        grid = [math.exp(lo + (hi - lo) * i / 63) for i in range(63)]
+        grid += [EPS_X_UNDERFLOW] + [EPS_NOME_CROSSOVER * (1.0 + s * d)
+                                     for s in (-1.0, 1.0)
+                                     for d in (1e-12, 1e-6, 1e-3, 1e-1)]
+        refs = [_mp_ln_xi(eps) for eps in grid]
+        for rel_tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 2.3e-15):
+            tol = Tolerance(rel_tol)
+            for eps, ref in zip(grid, refs):
+                got = log_correlation_length(ModelPoint.from_eps(eps), tol)
+                assert abs(got - ref) <= rel_tol * abs(ref), (eps, rel_tol)
 
     def test_strictly_increasing_in_x(self):
         grid = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.65, 0.7, 0.75, 0.8, 0.9, 0.95]
@@ -161,7 +184,7 @@ class TestCorrelationLength:
 
     def test_asymptote_small_eps(self):
         for eps, budget in ((1e-3, 1e-2), (1e-5, 1e-4)):
-            ln_xi = log_correlation_length(ModelPoint.from_eps(eps), branch="dual")
+            ln_xi = log_correlation_length(ModelPoint.from_eps(eps))
             ref = math.pi ** 2 / (2.0 * eps) - math.log(4.0)
             assert abs(ln_xi - ref) < budget
 
@@ -172,11 +195,11 @@ class TestCorrelationLength:
         # log-space variant stays finite
         assert math.isfinite(log_correlation_length(ModelPoint.from_eps(1e-3)))
 
-    def test_dual_branch_unresolvable_xi(self):
+    def test_tiny_x_resolves_xi(self):
+        # here k'(x) rounds to 1, and the direct form needs no k'
         p = ModelPoint.from_x(1e-300)
-        with pytest.raises(Underflow):
-            log_correlation_length(p, branch="dual")
-        assert math.isfinite(log_correlation_length(p))
+        assert log_correlation_length(p) == pytest.approx(
+            _mp_ln_xi(p.eps), rel=1e-12)
 
     def test_tolerance_is_honored(self):
         p = ModelPoint.from_x(0.5)

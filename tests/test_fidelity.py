@@ -1,12 +1,13 @@
 """Fidelity routes, the g factor, and the log-space identities."""
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (DomainError, FidelityResult, GFactor, ModelPoint,
-                         NonConvergent, Path, Tolerance, XXZFidelityError,
+                         NonConvergent, Overflow, Path, Tolerance,
                          conjecture_ratio, correlation_length, fidelity,
                          fidelity_modular, fidelity_raw, fidelity_simplified,
                          g_decomposition_residual, g_product, ln_g_series,
@@ -280,12 +281,13 @@ class TestLnGRegimes:
         result = fidelity(p)
         assert math.isfinite(result.ln_f) and math.isfinite(result.est_rel_error)
         assert result.ln_f <= 0.0 and result.f == math.exp(result.ln_f)
-        for call in (log_correlation_length, correlation_length, conjecture_ratio):
-            try:
-                value = call(p)
-            except XXZFidelityError:
-                continue
-            assert math.isfinite(value), call.__name__
+        ln_xi = log_correlation_length(p)
+        assert math.isfinite(ln_xi) and math.isfinite(conjecture_ratio(p))
+        if ln_xi <= math.log(sys.float_info.max):
+            assert math.isfinite(correlation_length(p))
+        else:
+            with pytest.raises(Overflow):
+                correlation_length(p)
 
 
 class TestIdentities:
@@ -325,7 +327,7 @@ class TestResultTypes:
         assert got.est_rel_error > 0.0
         assert isinstance(ln_g_series(ModelPoint.from_x(0.5)), GFactor)
 
-    @pytest.mark.parametrize("x", [0.3, 0.65, 0.8])
+    @pytest.mark.parametrize("x", [0.05, 0.3, 0.65, 0.8])
     def test_numpy_scalar_inputs_give_python_floats(self, x):
         # np.float64 subclasses float, so the check is on the exact type
         p = ModelPoint.from_x(x)
@@ -337,7 +339,6 @@ class TestResultTypes:
         got = fidelity(q)
         assert all(type(v) is float for v in (got.f, got.ln_f, got.est_rel_error))
         assert got == fidelity(p)
-        for branch in ("direct", "dual"):
-            ln_xi = log_correlation_length(q, branch=branch)
-            assert type(ln_xi) is float
-            assert ln_xi == log_correlation_length(p, branch=branch)
+        ln_xi = log_correlation_length(q)
+        assert type(ln_xi) is float
+        assert ln_xi == log_correlation_length(p)

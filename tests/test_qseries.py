@@ -27,6 +27,12 @@ class TestTolerance:
         with pytest.raises(InvalidSpec):
             Tolerance(rel_tol=1e-16)
 
+    def test_rejects_rel_tol_not_below_one(self):
+        for bad in (1.0, 2.0, math.inf, math.nan):
+            with pytest.raises(InvalidSpec):
+                Tolerance(rel_tol=bad)
+        assert Tolerance(rel_tol=0.5).rel_tol == 0.5
+
     def test_allows_tight_but_legal_rel_tol(self):
         assert Tolerance(rel_tol=1e-14).rel_tol == 1e-14
 
