@@ -17,7 +17,11 @@ array of bitmasks of up spins, in which a state's index is its
 assembled by numpy array operations, one bond or field at a time.  The full
 and split ground states live in the zero sector for even L, and the split
 ground state is assembled exactly as the tensor product of the two
-half-chain ground states.  The finite-size fidelity
+half-chain ground states.  Only the left half is diagonalized: reflection
+composed with a global spin flip maps it onto the right half, fields
+included, so the right ground state is a permutation of the left one's
+amplitudes.  The product state then starts the one-eigenpair Lanczos solve
+of the full chain.  The finite-size fidelity
 
     f_L = |<gs(H)|gs_left x gs_right>|^2
 
@@ -30,7 +34,6 @@ from __future__ import annotations
 import enum
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +49,6 @@ SECTOR_DIM_CAP = 200_000
 #: below this dimension the dense eigensolver is used (the measured
 #: dense-eigh / Lanczos crossover with one BLAS thread)
 DENSE_DIM_LIMIT = 250
-#: warn when the finite-volume gap shrinks below this
-GAP_FLAG = 1e-8
 
 
 class Pinning(enum.Enum):
@@ -84,15 +85,12 @@ class SpinChainSpec:
 class GroundState:
     """Lowest eigenpair within one magnetization sector.
 
-    sector is the total-sigma^z eigenvalue (2 * n_up - n_sites); gap is the
-    distance to the next eigenvalue when the solver produced one (None for
-    one-dimensional sectors).
+    sector is the total-sigma^z eigenvalue (2 * n_up - n_sites).
     """
 
     energy: float
     amplitudes: np.ndarray
     sector: int
-    gap: float | None = None
 
 
 def _neel_sign(site: int) -> int:
@@ -169,62 +167,63 @@ def build_hamiltonian(spec: SpinChainSpec):
     return _sector_matrix(L, n_up, bonds, fields, spec.delta)
 
 
-def ground_state(H, sector: int = 0) -> GroundState:
+def ground_state(H, sector: int = 0, start=None) -> GroundState:
     """Lowest eigenpair of a symmetric operator; deterministic.
 
-    Dense diagonalization, for the two lowest levels only, below
-    DENSE_DIM_LIMIT, otherwise a Lanczos solve seeded with the normalized
-    all-ones vector.  The gap to the next level is recorded and a warning is
-    emitted when it falls below GAP_FLAG, signalling a near-degenerate
-    finite-volume ground state.
+    Dense diagonalization of the lowest level only below DENSE_DIM_LIMIT,
+    otherwise a one-eigenpair Lanczos solve started from ``start`` (the
+    normalized all-ones vector when None; the dense path ignores it).  The
+    returned vector is normalized, with its largest entry positive.
+
+    A start vector needs only overlap with the ground state.  The split
+    product state that bipartite_fidelity_finite passes overlaps it by
+    sqrt(f_L), about 0.9.  Like the all-ones vector it is symmetric under
+    reflection composed with a spin flip, which permutes the zero-sector
+    basis and commutes with H, pinned or not.  Either start keeps Lanczos
+    in the symmetric subspace, so the product state cannot miss a ground
+    state that the all-ones start would find.
     """
+    dense = not sp.issparse(H)
+    H = np.asarray(H, dtype=float) if dense else H.tocsr()
+    if (H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0
+            or not np.isfinite(H if dense else H.data).all()):
+        raise InvalidSpec(
+            f"H must be a non-empty, square, finite matrix, got shape {H.shape}")
     dim = H.shape[0]
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if (start.shape != (dim,) or not np.isfinite(start).all()
+                or np.linalg.norm(start) == 0.0):
+            raise InvalidSpec(
+                f"start must be a finite nonzero vector of length {dim}")
     if dim < DENSE_DIM_LIMIT:
         import scipy.linalg as sla  # loaded only where a dense solve runs
-        dense = H.toarray() if sp.issparse(H) else np.asarray(H, dtype=float)
-        w, v = sla.eigh(dense, subset_by_index=[0, min(1, dim - 1)])
-        energy = float(w[0])
-        vec = v[:, 0]
-        gap = float(w[1] - w[0]) if dim > 1 else None
+        w, v = sla.eigh(H if dense else H.toarray(), subset_by_index=[0, 0])
     else:
         import scipy.sparse.linalg as spla  # loaded only where ARPACK runs
-        v0 = np.full(dim, 1.0 / math.sqrt(dim))
+        if start is None:
+            start = np.full(dim, 1.0 / math.sqrt(dim))
         try:
-            w, v = spla.eigsh(H, k=2, which="SA", v0=v0)
+            w, v = spla.eigsh(H, k=1, which="SA", v0=start)
         except spla.ArpackNoConvergence as exc:
             raise NonConvergent(f"Lanczos failed to converge: {exc}") from exc
-        order = np.argsort(w)
-        energy = float(w[order[0]])
-        vec = v[:, order[0]]
-        gap = float(w[order[1]] - w[order[0]])
 
-    vec = np.asarray(vec, dtype=float)
-    vec = vec / np.linalg.norm(vec)
+    vec = v[:, 0] / np.linalg.norm(v[:, 0])
     pivot = int(np.argmax(np.abs(vec)))
     if vec[pivot] < 0.0:
         vec = -vec
-    if gap is not None and gap < GAP_FLAG:
-        warnings.warn(f"near-degenerate ground state: gap = {gap:.3e}",
-                      RuntimeWarning)
-    return GroundState(energy=energy, amplitudes=vec, sector=sector, gap=gap)
+    return GroundState(energy=float(w[0]), amplitudes=vec, sector=sector)
 
 
-def _half_ground(n_sites: int, delta: float, pinning: Pinning,
-                 side: str) -> GroundState:
-    """Global ground state of one half-chain, minimized over all sectors.
+def _half_ground(n_sites: int, delta: float, pinning: Pinning) -> GroundState:
+    """Global ground state of the left half-chain, minimized over all sectors.
 
-    The left half keeps the virtual-site-0 field on its first site; the
-    right half keeps the virtual-site-(L+1) field on its last site (its
-    sign is +1 for even L, continuing the alternating pattern).
+    Pinned, the half keeps the virtual-site-0 field on its first site.
     """
     bonds = [(j, j + 1) for j in range(1, n_sites)]
     fields = []
     if pinning is Pinning.NEEL:
-        h = -0.5 * delta
-        if side == "left":
-            fields = [(1, h * _neel_sign(0))]
-        else:
-            fields = [(n_sites, h * _neel_sign(2 * n_sites + 1))]
+        fields = [(1, -0.5 * delta * _neel_sign(0))]
     best = None
     for n_up in range(n_sites + 1):
         H = _sector_matrix(n_sites, n_up, bonds, fields, delta)
@@ -234,18 +233,49 @@ def _half_ground(n_sites: int, delta: float, pinning: Pinning,
     return best
 
 
+def _mirror(left: GroundState, n_sites: int) -> GroundState:
+    """The right half-chain ground state, as the image of the left one.
+
+    Site j goes to n_sites + 1 - j and every spin flips.  The map commutes
+    with the bonds, takes the left field -h on site 1 to the right field +h
+    on site n_sites, and takes sector s to -s.  On amplitudes it is a
+    permutation: each image mask is ranked in the target sector's basis.
+    """
+    n_up = (left.sector + n_sites) // 2
+    basis = sector_basis(n_sites, n_up)
+    image = np.full_like(basis, (1 << n_sites) - 1)
+    for j in range(n_sites):
+        image ^= ((basis >> j) & 1) << (n_sites - 1 - j)
+    target = sector_basis(n_sites, n_sites - n_up)
+    amplitudes = np.empty_like(left.amplitudes)
+    amplitudes[np.searchsorted(target, image)] = left.amplitudes
+    return GroundState(left.energy, amplitudes, -left.sector)
+
+
+def _half_basis(half: int, gs: GroundState) -> np.ndarray:
+    """The sector basis of a half-chain state, checked against its length."""
+    n_up, odd = divmod(gs.sector + half, 2)
+    basis = sector_basis(half, n_up) if not odd else np.zeros(0, dtype=np.int64)
+    if np.shape(gs.amplitudes) != basis.shape:
+        raise InvalidSpec(
+            f"sector {gs.sector} of a {half}-site half has dimension "
+            f"{len(basis)}, got amplitudes of shape {np.shape(gs.amplitudes)}")
+    return basis
+
+
 def split_product_state(L: int, left: GroundState, right: GroundState) -> np.ndarray:
     """Tensor product of half-chain ground states on the full zero-sector basis.
 
     Raises SectorMismatch unless the half sectors add up to zero, i.e.
-    unless the product state has any weight in the zero sector at all.
+    unless the product state has any weight in the zero sector at all, and
+    InvalidSpec unless each half's amplitudes span its sector.
     """
     if left.sector + right.sector != 0:
         raise SectorMismatch(
             f"half-chain sectors {left.sector} + {right.sector} != 0")
     half = L // 2
-    basis_left = sector_basis(half, (left.sector + half) // 2)
-    basis_right = sector_basis(half, (right.sector + half) // 2)
+    basis_left = _half_basis(half, left)
+    basis_right = _half_basis(half, right)
     basis_full = sector_basis(L, L // 2)
     il, in_left = _rank(basis_left, basis_full & ((1 << half) - 1))
     ir, in_right = _rank(basis_right, basis_full >> half)
@@ -267,20 +297,22 @@ def bipartite_fidelity_finite(L: int, x: float,
 
     The split ground state is assembled from the half-chain ground states,
     which is both cheaper and exact (the removed bond decouples the
-    halves).  Unpinned, an odd half-chain has degenerate ground states in
-    the sectors +1 and -1, so no unique split state exists and the length
-    is rejected.
+    halves); the right half is the mirror image of the left one.  The
+    product state then starts the full-chain solve.  Unpinned, an odd
+    half-chain has degenerate ground states in the sectors +1 and -1, so no
+    unique split state exists and the length is rejected.  The full-chain
+    Hamiltonian is built first, so an oversized L raises SizeLimit before
+    any half-chain work.
     """
     spec = SpinChainSpec(L, x, split=False, pinning=pinning)
     if pinning is Pinning.NONE and (L // 2) % 2 == 1:
         raise InvalidSpec(
             f"unpinned L={L} has an odd half, whose ground state is degenerate "
             "in the sectors +1 and -1; use L divisible by 4 or Neel pinning")
-    full = ground_state(build_hamiltonian(spec), sector=0)
-    delta = spec.delta
-    left = _half_ground(L // 2, delta, pinning, "left")
-    right = _half_ground(L // 2, delta, pinning, "right")
-    product = split_product_state(L, left, right)
+    H = build_hamiltonian(spec)
+    left = _half_ground(L // 2, spec.delta, pinning)
+    product = split_product_state(L, left, _mirror(left, L // 2))
+    full = ground_state(H, sector=0, start=product)
     overlap = float(np.dot(full.amplitudes, product))
     return overlap * overlap
 

@@ -15,8 +15,8 @@ from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
                          ground_state, split_product_state)
 from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
-from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, _half_ground, _neel_sign,
-                                   _sector_matrix, sector_basis)
+from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, _half_ground, _mirror,
+                                   _neel_sign, _sector_matrix, sector_basis)
 
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
@@ -65,6 +65,16 @@ def _loop_split_product_state(L, left, right):
         if il is not None and ir is not None:
             product[i] = left.amplitudes[il] * right.amplitudes[ir]
     return product
+
+
+def _right_half_by_sector(n, delta, pinning):
+    """Independent right-half solve: the field on site n, one level per sector."""
+    bonds = [(j, j + 1) for j in range(1, n)]
+    fields = ([(n, -0.5 * delta * _neel_sign(2 * n + 1))]
+              if pinning is Pinning.NEEL else [])
+    return {2 * n_up - n: ground_state(
+        _sector_matrix(n, n_up, bonds, fields, delta), sector=2 * n_up - n)
+        for n_up in range(n + 1)}
 
 
 class TestSpinChainSpec:
@@ -224,7 +234,6 @@ class TestGroundState:
         assert a.amplitudes[np.argmax(np.abs(a.amplitudes))] > 0.0
         assert a.energy == b.energy
         assert np.array_equal(a.amplitudes, b.amplitudes)
-        assert a.gap is not None and a.gap > 1e-3
 
     def test_dense_iterative_parity(self):
         # dim 924 > DENSE_DIM_LIMIT: the Lanczos route against a full eigh
@@ -257,15 +266,55 @@ class TestGroundState:
     def test_one_dimensional_sector(self):
         H = _sector_matrix(2, 0, [(1, 2)], [], -2.6)
         gs = ground_state(H)
-        assert gs.gap is None
+        assert gs.amplitudes.tolist() == [1.0]
         assert gs.energy == pytest.approx(-0.5 * (-2.6), rel=1e-15)
 
-    def test_near_degeneracy_warns(self):
+    def test_near_degenerate_solve_finds_the_lowest_level(self):
         # unpinned and nearly classical: the two Néel states barely split
         H = build_hamiltonian(SpinChainSpec(8, 1e-4, pinning=Pinning.NONE))
-        with pytest.warns(RuntimeWarning):
-            gs = ground_state(H)
-        assert gs.gap < 1e-8
+        lowest = sla.eigh(H.toarray(), eigvals_only=True)[0]
+        assert ground_state(H).energy == pytest.approx(lowest, rel=1e-14)
+
+    def test_product_state_start_saves_matvecs(self, monkeypatch):
+        eigsh, counts = spla.eigsh, []
+
+        def counting(A, *args, **kwargs):
+            counts.append(0)
+
+            def matvec(v):
+                counts[-1] += 1
+                return A @ v
+
+            return eigsh(spla.LinearOperator(A.shape, matvec=matvec,
+                                             dtype=float), *args, **kwargs)
+
+        spec = SpinChainSpec(16, 0.3)
+        left = _half_ground(8, spec.delta, Pinning.NEEL)
+        product = split_product_state(16, left, _mirror(left, 8))
+        H = build_hamiltonian(spec)
+        monkeypatch.setattr(spla, "eigsh", counting)
+        warm = ground_state(H, start=product)
+        cold = ground_state(H)
+        assert counts[0] < counts[1]
+        assert abs(warm.energy - cold.energy) < 1e-10
+        assert abs(abs(np.dot(warm.amplitudes, cold.amplitudes)) - 1.0) < 1e-10
+
+    def test_rejects_bad_operators(self):
+        nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        for bad in (sp.csr_matrix((0, 0)), np.zeros((0, 0)), np.ones(3),
+                    np.ones((2, 3)), sp.csr_matrix(np.ones((2, 3))), nan,
+                    sp.csr_matrix(nan), np.array([[0.0, np.inf], [np.inf, 0.0]])):
+            with pytest.raises(InvalidSpec):
+                ground_state(bad)
+
+    def test_rejects_bad_start_vectors(self):
+        for L in (8, 12):  # dense and Lanczos paths
+            H = build_hamiltonian(SpinChainSpec(L, 0.2))
+            dim = H.shape[0]
+            for bad in (np.ones(dim - 1), np.ones((dim, 1)), np.zeros(dim),
+                        np.full(dim, np.nan), np.full(dim, np.inf)):
+                with pytest.raises(InvalidSpec):
+                    ground_state(H, start=bad)
 
 
 class TestSplitStructure:
@@ -273,26 +322,41 @@ class TestSplitStructure:
         # removed central bond decouples the halves exactly
         spec = SpinChainSpec(8, 0.2, split=True)
         gs = ground_state(build_hamiltonian(spec), sector=0)
-        left = _half_ground(4, spec.delta, Pinning.NEEL, "left")
-        right = _half_ground(4, spec.delta, Pinning.NEEL, "right")
+        left = _half_ground(4, spec.delta, Pinning.NEEL)
+        right = _mirror(left, 4)
         assert left.sector == right.sector == 0
         assert abs(gs.energy - left.energy - right.energy) < 1e-12
 
     def test_product_state_factorizes_split_ground_state(self):
         spec = SpinChainSpec(8, 0.2, split=True)
         gs = ground_state(build_hamiltonian(spec), sector=0)
-        left = _half_ground(4, spec.delta, Pinning.NEEL, "left")
-        right = _half_ground(4, spec.delta, Pinning.NEEL, "right")
-        product = split_product_state(8, left, right)
+        left = _half_ground(4, spec.delta, Pinning.NEEL)
+        product = split_product_state(8, left, _mirror(left, 4))
         assert abs(np.linalg.norm(product) - 1.0) < 1e-12
         assert abs(abs(np.dot(gs.amplitudes, product)) - 1.0) < 1e-10
+
+    def test_mirror_matches_independent_right_half_solve(self):
+        for delta in (-1.01, -2.6, -5.0):
+            for pinning in Pinning:
+                for n in range(2, 10):
+                    left = _half_ground(n, delta, pinning)
+                    right = _mirror(left, n)
+                    by_sector = _right_half_by_sector(n, delta, pinning)
+                    lowest = min(gs.energy for gs in by_sector.values())
+                    independent = by_sector[-left.sector]
+                    case = (delta, pinning, n)
+                    assert right.sector == -left.sector, case
+                    assert abs(right.energy - lowest) < 1e-12, case
+                    assert abs(independent.energy - lowest) < 1e-12, case
+                    overlap = np.dot(right.amplitudes, independent.amplitudes)
+                    assert abs(abs(overlap) - 1.0) < 1e-12, case
 
     def test_product_state_matches_loop_reference(self):
         rng = np.random.default_rng(7)
         for L in (8, 12):
             half = L // 2
-            left = _half_ground(half, -2.6, Pinning.NEEL, "left")
-            right = _half_ground(half, -2.6, Pinning.NEEL, "right")
+            left = _half_ground(half, -2.6, Pinning.NEEL)
+            right = _mirror(left, half)
             assert np.array_equal(split_product_state(L, left, right),
                                   _loop_split_product_state(L, left, right))
             for n_up in range(half + 1):
@@ -311,6 +375,18 @@ class TestSplitStructure:
                                sector=0)
         with pytest.raises(SectorMismatch):
             split_product_state(8, polarized, balanced)
+
+    def test_rejects_amplitudes_that_miss_their_sector(self):
+        balanced = GroundState(0.0, np.full(6, 1.0 / math.sqrt(6.0)), 0)
+        for left, right in (
+                (GroundState(0.0, np.ones(3), 0), balanced),
+                (balanced, GroundState(0.0, np.ones((6, 1)), 0)),
+                (GroundState(0.0, np.ones(6), 1),
+                 GroundState(0.0, np.ones(6), -1)),
+                (GroundState(0.0, np.ones(1), 6),
+                 GroundState(0.0, np.ones(1), -6))):
+            with pytest.raises(InvalidSpec):
+                split_product_state(8, left, right)
 
 
 class TestFiniteFidelity:
@@ -335,6 +411,15 @@ class TestFiniteFidelity:
         for L in (6, 10, 14):
             with pytest.raises(InvalidSpec, match="odd half"):
                 bipartite_fidelity_finite(L, 0.3, Pinning.NONE)
+
+    def test_size_cap_checked_before_half_chain_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved a half chain of an oversized L")
+
+        monkeypatch.setattr(ed_oracle, "_half_ground", never)
+        for L in (22, 64):
+            with pytest.raises(SizeLimit):
+                bipartite_fidelity_finite(L, 0.3)
 
 
 class TestConvergenceStudy:
