@@ -9,8 +9,7 @@ from .ed_oracle import (ConvergenceRow, GroundState, Pinning, SpinChainSpec,
 from .elliptic import (EllipticModuli, ModelPoint, correlation_length,
                        dual_point, log_correlation_length, moduli, modulus_k,
                        modulus_kprime)
-from .errors import (DomainError, InvalidSpec, NonConvergent, Overflow,
-                     SectorMismatch, SingularSystem, SizeLimit, Underflow,
+from .errors import (InvalidSpec, NonConvergent, Overflow, SizeLimit,
                      XXZFidelityError)
 from .fidelity import (FidelityResult, GFactor, Path, fidelity,
                        fidelity_modular, fidelity_raw, fidelity_simplified,
@@ -26,11 +25,10 @@ from .scaling import (CENTRAL_CHARGE, AsymptoticFit, collect_ln_xi,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticFit", "CENTRAL_CHARGE", "ConvergenceRow", "DomainError",
-    "EllipticModuli", "FidelityResult", "GFactor", "GroundState",
-    "InvalidSpec", "ModelPoint", "NonConvergent", "Overflow", "Path",
-    "Pinning", "QProductSpec", "SectorMismatch", "SingularSystem", "SizeLimit",
-    "SpinChainSpec", "Tolerance", "Underflow", "XXZFidelityError",
+    "AsymptoticFit", "CENTRAL_CHARGE", "ConvergenceRow", "EllipticModuli",
+    "FidelityResult", "GFactor", "GroundState", "InvalidSpec", "ModelPoint",
+    "NonConvergent", "Overflow", "Path", "Pinning", "QProductSpec",
+    "SizeLimit", "SpinChainSpec", "Tolerance", "XXZFidelityError",
     "bipartite_fidelity_finite", "build_hamiltonian", "collect_ln_xi",
     "collect_minus_ln_f", "conjecture_ratio", "convergence_study",
     "correlation_length", "dual_point", "fidelity", "fidelity_modular",

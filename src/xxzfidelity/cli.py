@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .ed_oracle import Pinning, convergence_study
 from .elliptic import ModelPoint, log_correlation_length
-from .errors import DomainError, InvalidSpec, XXZFidelityError
+from .errors import InvalidSpec, XXZFidelityError
 # fidelity_modular stays bound here: perfbench/test_perfbench.py checks that
 # its tracer wraps this binding
 from .fidelity import fidelity, fidelity_modular, identity_report  # noqa: F401
@@ -145,8 +145,7 @@ def _run_scan(config: RunConfig):
 
 
 _FIT_COLUMNS = ("quantity", "A", "B", "C", "max_residual", "sample_count",
-                "A_expected", "A_rel_error", "B_expected", "B_abs_error",
-                "ln_eps_coeff")
+                "A_expected", "A_rel_error", "B_expected", "B_abs_error")
 
 
 def _run_fit(config: RunConfig):
@@ -159,7 +158,6 @@ def _run_fit(config: RunConfig):
     rows = []
     for name, samples, (a_ref, b_ref) in targets:
         fit = fit_asymptote(samples)
-        augmented = fit_asymptote(samples, include_log=True)
         rows.append({
             "quantity": name,
             "A": fit.A, "B": fit.B, "C": fit.C,
@@ -169,7 +167,6 @@ def _run_fit(config: RunConfig):
             "A_rel_error": abs(fit.A - a_ref) / abs(a_ref),
             "B_expected": b_ref,
             "B_abs_error": abs(fit.B - b_ref),
-            "ln_eps_coeff": augmented.ln_coeff,
         })
     return rows, _FIT_COLUMNS
 
@@ -197,16 +194,8 @@ def _render_csv(rows, columns) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+        writer.writerow([row[c] for c in columns])
     return buf.getvalue()
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    if v is None:
-        return ""
-    return str(v)
 
 
 def _render(rows, columns, fmt: str) -> str:
@@ -227,7 +216,7 @@ def run(config: RunConfig) -> int:
     try:
         rows, columns = runners[config.command](config)
         text = _render(rows, columns, config.fmt)
-    except (InvalidSpec, DomainError) as exc:
+    except InvalidSpec as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
     except XXZFidelityError as exc:
@@ -309,7 +298,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         config = RunConfig(**vars(args))
-    except (InvalidSpec, DomainError) as exc:
+    except InvalidSpec as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
     return run(config)

@@ -40,9 +40,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elliptic import ModelPoint
-from .errors import InvalidSpec, NonConvergent, SectorMismatch, SizeLimit
+from .errors import InvalidSpec, NonConvergent, SizeLimit
 from .fidelity import fidelity as _exact_fidelity
-from .qseries import DEFAULT_TOL, Tolerance
+from .qseries import DEFAULT_TOL, _LN_HUGE, Tolerance
 
 #: refuse to build sector bases beyond this dimension
 SECTOR_DIM_CAP = 200_000
@@ -68,17 +68,26 @@ class SpinChainSpec:
     pinning: Pinning = Pinning.NEEL
 
     def __post_init__(self):
-        if (not isinstance(self.L, numbers.Integral) or self.L < 4
-                or self.L % 2 != 0):
-            raise InvalidSpec(f"L must be an even integer >= 4, got {self.L!r}")
+        _check_length(self.L)
         if not (0.0 < self.x < 1.0):
             raise InvalidSpec(f"x must lie in (0,1), got {self.x!r}")
+        # every diagonal entry of H is bounded by (L + 1) |Delta| / 2; in log
+        # space, since a float times an int beyond 1.8e308 raises OverflowError
+        if math.log(self.L + 1) + math.log(0.5 * abs(self.delta)) > _LN_HUGE:
+            raise InvalidSpec(f"at x={self.x!r} the L={self.L} Hamiltonian "
+                              "overflows the float range; x is too small")
         if not isinstance(self.pinning, Pinning):
             raise InvalidSpec(f"pinning must be a Pinning member, got {self.pinning!r}")
 
     @property
     def delta(self) -> float:
         return -0.5 * (self.x + 1.0 / self.x)
+
+
+def _check_length(L) -> None:
+    """The one rule on a chain length, shared by the spec and the product state."""
+    if not isinstance(L, numbers.Integral) or L < 4 or L % 2 != 0:
+        raise InvalidSpec(f"L must be an even integer >= 4, got {L!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,12 +275,13 @@ def _half_basis(half: int, gs: GroundState) -> np.ndarray:
 def split_product_state(L: int, left: GroundState, right: GroundState) -> np.ndarray:
     """Tensor product of half-chain ground states on the full zero-sector basis.
 
-    Raises SectorMismatch unless the half sectors add up to zero, i.e.
-    unless the product state has any weight in the zero sector at all, and
-    InvalidSpec unless each half's amplitudes span its sector.
+    Raises InvalidSpec unless L is an even integer >= 4, the half sectors
+    add up to zero (else the product has no weight in the zero sector) and
+    each half's amplitudes span its sector.
     """
+    _check_length(L)
     if left.sector + right.sector != 0:
-        raise SectorMismatch(
+        raise InvalidSpec(
             f"half-chain sectors {left.sector} + {right.sector} != 0")
     half = L // 2
     basis_left = _half_basis(half, left)

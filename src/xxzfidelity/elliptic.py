@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, InvalidSpec, Overflow, Underflow
+from .errors import InvalidSpec, Overflow
 from .qseries import DEFAULT_TOL, _LN_HUGE, Tolerance, log_multibase_product
 
 
@@ -93,13 +93,10 @@ class ModelPoint:
 def dual_point(p: ModelPoint) -> "ModelPoint":
     """The point at the dual nome x~ = e^{-pi^2/eps}; an involution.
 
-    The fixed point is eps = pi.  Raises Underflow when x~ is too small to
-    represent as a double (eps < pi^2/745), since no valid ModelPoint exists
-    there; log-space consumers should use ``p.ln_x_dual`` instead.
+    The fixed point is eps = pi.  Where x~ rounds to 0.0 (eps < pi^2/745)
+    no valid ModelPoint exists and ``ModelPoint.from_x`` raises InvalidSpec;
+    log-space consumers should use ``p.ln_x_dual`` instead.
     """
-    if p.x_dual == 0.0:
-        raise Underflow(
-            f"dual nome exp(-pi^2/{p.eps}) underflows; use ln_x_dual instead")
     return ModelPoint.from_x(p.x_dual)
 
 
@@ -138,14 +135,14 @@ def modulus_k(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     cannot overflow or underflow on the way.
     """
     if not (0.0 < z < 1.0):
-        raise DomainError(f"nome must lie in (0,1), got {z!r}")
+        raise InvalidSpec(f"nome must lie in (0,1), got {z!r}")
     return math.exp(_log_modulus_k(math.log(z), tol))
 
 
 def modulus_kprime(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """k'(z) = (z;z^2)_inf^4 / (-z;z^2)_inf^4 for z in (0,1)."""
     if not (0.0 < z < 1.0):
-        raise DomainError(f"nome must lie in (0,1), got {z!r}")
+        raise InvalidSpec(f"nome must lie in (0,1), got {z!r}")
     return math.exp(_log_modulus_kprime(math.log(z), tol))
 
 

@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all modules."""
+"""One exception class per failure kind: InvalidSpec is a bad argument (the
+CLI exits 1); NonConvergent, Overflow and SizeLimit are failures to compute.
+"""
+
+__all__ = ["XXZFidelityError", "InvalidSpec", "NonConvergent", "Overflow",
+           "SizeLimit"]
 
 
 class XXZFidelityError(Exception):
@@ -6,32 +11,16 @@ class XXZFidelityError(Exception):
 
 
 class InvalidSpec(XXZFidelityError):
-    """A product spec, tolerance, chain spec or config violates its invariants."""
-
-
-class DomainError(XXZFidelityError):
-    """An argument lies outside the mathematical domain of the operation."""
+    """An argument violates its invariants or lies outside its domain."""
 
 
 class NonConvergent(XXZFidelityError):
     """A series, product or iterative eigensolver failed to converge."""
 
 
-class Underflow(XXZFidelityError):
-    """A quantity rounded to zero where a strictly positive value is required."""
-
-
 class Overflow(XXZFidelityError):
     """A quantity exceeds the floating-point range; use its log-space variant."""
 
 
-class SingularSystem(XXZFidelityError):
-    """Least-squares design matrix is rank deficient."""
-
-
 class SizeLimit(XXZFidelityError):
     """A sector dimension exceeds the configured cap."""
-
-
-class SectorMismatch(XXZFidelityError):
-    """Ground states live in incompatible magnetization sectors."""

@@ -30,7 +30,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .elliptic import ModelPoint, moduli, modulus_k, modulus_kprime
-from .errors import DomainError, NonConvergent
+from .errors import InvalidSpec, NonConvergent
 from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, QProductSpec, Tolerance,
                       log_multibase_product, minus_one_peel_residual,
                       qproduct_direct, verify_qcalc_identities)
@@ -293,12 +293,12 @@ def short_theta_identity_residual(b: float, p: ModelPoint,
     for real b > 0, computed fully in log space on both sides.
     """
     if not (b > 0.0):
-        raise DomainError(f"b must be positive, got {b!r}")
+        raise InvalidSpec(f"b must be positive, got {b!r}")
     eps = p.eps
     xb = math.exp(-b * eps)
     xb_half = math.exp(-0.5 * b * eps)
     if not xb < 1.0:
-        raise DomainError(f"x^b rounds to 1 for b={b!r}, eps={eps!r}")
+        raise InvalidSpec(f"x^b rounds to 1 for b={b!r}, eps={eps!r}")
     xt4b = math.exp(4.0 / b * p.ln_x_dual)
 
     lhs = b / 48.0 * eps + log_multibase_product(xb_half, (xb,), tol)

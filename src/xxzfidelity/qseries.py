@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DomainError, InvalidSpec, NonConvergent, Overflow
+from .errors import InvalidSpec, NonConvergent, Overflow
 
 #: default relative-error target of every truncated evaluation
 DEFAULT_REL_TOL = 1e-12
@@ -107,13 +107,14 @@ def log_multibase_product(z: float, bases: Sequence[float],
     (valid because successive terms shrink at least by |z|) must drop below
     rel_tol times the accumulated sum.  The sum's scale is set by its first
     term and never cancels away, so the relative test needs no absolute
-    floor beyond the z = 0 short-circuit.
+    floor beyond the z = 0 short-circuit.  A sum past the float range raises
+    Overflow (bases so close to 1 that the denominators underflow).
     """
     if not (abs(z) < 1.0):
-        raise DomainError(f"log series requires |z| < 1, got z={z!r}")
+        raise InvalidSpec(f"log series requires |z| < 1, got z={z!r}")
     for b in bases:
         if not (0.0 <= b < 1.0):
-            raise DomainError(f"bases must lie in [0,1), got {b!r}")
+            raise InvalidSpec(f"bases must lie in [0,1), got {b!r}")
     if z == 0.0:
         return 0.0
 
@@ -132,14 +133,21 @@ def log_multibase_product(z: float, bases: Sequence[float],
         for i, b in enumerate(bases):
             powers[i] = powers[i] * b
             denom = denom * (1.0 - powers[i])
-        term = zp / (m * denom)
+        try:
+            term = zp / (m * denom)
+        except ZeroDivisionError:  # the denominator underflowed to 0
+            term = math.inf
         acc = acc - term
         bound = abs(term) * tail_factor
-        if bound <= rel_tol * abs(acc):
-            return float(acc)
-    raise NonConvergent(
-        f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
-        f"within {max_terms} terms")
+        if not bound > rel_tol * abs(acc):  # an inf or nan sum stops here too
+            break
+    else:
+        raise NonConvergent(
+            f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
+            f"within {max_terms} terms")
+    if not math.isfinite(acc):
+        raise Overflow(f"log series for (z={z}; {tuple(bases)}) leaves the float range")
+    return float(acc)
 
 
 def qproduct_log(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -282,8 +290,6 @@ def minus_one_peel_residual(a: float, tol: Tolerance = DEFAULT_TOL) -> float:
     The left side uses the log series, the right side the direct product
     (the only strategy defined at z = -1), so the check is two-strategy.
     """
-    if not (0.0 < a < 1.0):
-        raise InvalidSpec(f"a must lie in (0,1), got {a!r}")
     lhs = _exp(qproduct_log(QProductSpec(-a, (a, a)), tol), f"(-a; a, a) at a={a}")
     minus_one = qproduct_direct(QProductSpec(-1.0, (a, a)), tol)
     single = _exp(qproduct_log(QProductSpec(-a, (a,)), tol), f"(-a; a) at a={a}")

@@ -10,10 +10,9 @@ whose leading coefficients combine into the scaling law
     -ln f ~ (c/8) ln xi    with central charge c = 1.
 
 The module provides the reference formulas, a deterministic least-squares
-extractor for (A, B, C) in y ~ A/eps + B + C eps (optionally augmented with
-a ln(eps) basis function to certify the absence of logarithmic
-corrections), and the conjecture ratio -ln f / ln xi evaluated fully in log
-space so it survives arbitrarily small eps.
+extractor for (A, B, C) in y ~ A/eps + B + C eps, and the conjecture ratio
+-ln f / ln xi evaluated fully in log space so it survives arbitrarily small
+eps.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .elliptic import ModelPoint, log_correlation_length
-from .errors import InvalidSpec, SingularSystem
+from .errors import InvalidSpec
 from .fidelity import _QUARTER_LN2, fidelity
 from .qseries import DEFAULT_TOL, Tolerance
 
@@ -56,9 +55,8 @@ def minus_ln_f_reference(eps: float) -> float:
 class AsymptoticFit:
     """Least-squares coefficients of y ~ A/eps + B + C eps.
 
-    ln_coeff is the coefficient of an optional extra ln(eps) basis function
-    (None when the basis was not augmented); max_residual is the worst
-    absolute deviation of the fitted model from the samples.
+    max_residual is the worst absolute deviation of the fitted model from
+    the samples.
     """
 
     A: float
@@ -66,22 +64,17 @@ class AsymptoticFit:
     C: float
     max_residual: float
     sample_count: int
-    ln_coeff: float | None = None
 
     def model(self, eps: float) -> float:
-        y = self.A / eps + self.B + self.C * eps
-        if self.ln_coeff is not None:
-            y += self.ln_coeff * math.log(eps)
-        return y
+        return self.A / eps + self.B + self.C * eps
 
 
-def fit_asymptote(samples: Sequence[tuple[float, float]],
-                  include_log: bool = False) -> AsymptoticFit:
-    """Deterministic least-squares fit in the basis {1/eps, 1, eps} (+ ln eps).
+def fit_asymptote(samples: Sequence[tuple[float, float]]) -> AsymptoticFit:
+    """Deterministic least-squares fit in the basis {1/eps, 1, eps}.
 
-    Requires at least three finite samples at distinct positive eps; raises
-    SingularSystem when the design matrix is rank-deficient (e.g. the
-    augmented four-column basis with only three samples).
+    Requires at least three finite samples at distinct positive eps, and a
+    design matrix of full rank in floating point, which eps = (1e-16, 1, 745)
+    lacks (rank 2); InvalidSpec otherwise.
     """
     pairs = [(float(e), float(y)) for e, y in samples]
     if len(pairs) < 3:
@@ -95,19 +88,15 @@ def fit_asymptote(samples: Sequence[tuple[float, float]],
     if len(set(eps.tolist())) != len(pairs):
         raise InvalidSpec("eps values must be distinct")
 
-    columns = [1.0 / eps, np.ones_like(eps), eps]
-    if include_log:
-        columns.append(np.log(eps))
-    design = np.column_stack(columns)
+    design = np.column_stack([1.0 / eps, np.ones_like(eps), eps])
     coeffs, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < design.shape[1]:
-        raise SingularSystem(
+        raise InvalidSpec(
             f"design matrix rank {rank} < {design.shape[1]} columns")
     residual = float(np.max(np.abs(design @ coeffs - y)))
     return AsymptoticFit(A=float(coeffs[0]), B=float(coeffs[1]),
                          C=float(coeffs[2]), max_residual=residual,
-                         sample_count=len(pairs),
-                         ln_coeff=float(coeffs[3]) if include_log else None)
+                         sample_count=len(pairs))
 
 
 def log_spaced(lo: float, hi: float, count: int) -> list[float]:

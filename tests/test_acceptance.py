@@ -13,8 +13,9 @@ from xxzfidelity import (ModelPoint, Pinning, SpinChainSpec, build_hamiltonian,
                          convergence_study, fidelity, fidelity_modular,
                          fidelity_raw, fidelity_simplified, fit_asymptote,
                          collect_ln_xi, collect_minus_ln_f, ground_state,
-                         ln_g_series, log_spaced, minus_one_peel_residual,
-                         moduli, modulus_k, modulus_kprime, conjecture_ratio,
+                         ln_g_series, log_spaced, minus_ln_f_reference,
+                         minus_one_peel_residual, moduli, modulus_k,
+                         modulus_kprime, conjecture_ratio,
                          short_theta_identity_residual, split_product_state,
                          verify_qcalc_identities)
 from xxzfidelity.ed_oracle import _half_ground, _mirror
@@ -118,11 +119,16 @@ def test_05_conjecture_ratio():
 
 
 def test_06_no_log_correction():
-    """Adding a ln(eps) basis function attracts no weight."""
-    eps_grid = log_spaced(1e-3, 1e-2, 10)
-    fit = fit_asymptote(collect_minus_ln_f(eps_grid), include_log=True)
-    ok = abs(fit.ln_coeff) < 1e-3
-    _report(6, ok, f"|ln(eps) coefficient| = {abs(fit.ln_coeff):.3e} (< 1e-3)")
+    """-ln f minus its asymptote is exactly -eps^2/16 to leading order.
+
+    Any ln(eps) correction would dominate this remainder: one with
+    coefficient 1e-8 already moves the ratio by more than 1 at eps = 1e-3.
+    """
+    worst = max(abs((y - minus_ln_f_reference(e)) / (-e * e / 16.0) - 1.0)
+                for e, y in collect_minus_ln_f(log_spaced(1e-3, 1e-2, 10)))
+    _report(6, worst < 1e-3,
+            f"max |(-ln f - asymptote) / (-eps^2/16) - 1| on eps in "
+            f"[1e-3, 1e-2]: {worst:.3e} (< 1e-3)")
 
 
 def test_07_finite_chain_convergence():

@@ -150,16 +150,28 @@ class TestFit:
         assert code == EXIT_OK
         rows = {r["quantity"]: r for r in json.loads(out)}
         assert set(rows) == {"minus_ln_f", "ln_xi"}
+        for row in rows.values():
+            assert list(row) == ["quantity", "A", "B", "C", "max_residual",
+                                 "sample_count", "A_expected", "A_rel_error",
+                                 "B_expected", "B_abs_error"]
         f_row = rows["minus_ln_f"]
         assert f_row["A_expected"] == math.pi ** 2 / 16.0
         assert f_row["A_rel_error"] < 1e-6
         assert f_row["B_abs_error"] < 1e-4
-        assert abs(f_row["ln_eps_coeff"]) < 1e-4
         xi_row = rows["ln_xi"]
         assert xi_row["A_expected"] == math.pi ** 2 / 2.0
         assert xi_row["A_rel_error"] < 1e-12
         assert xi_row["B_abs_error"] < 1e-10
         assert f_row["sample_count"] == xi_row["sample_count"] == 10
+
+    def test_three_samples_suffice(self, capsys):
+        code, out, err = _invoke(
+            capsys, ["fit", "--eps-min", "1e-3", "--eps-max", "1e-2",
+                     "--count", "3"])
+        assert code == EXIT_OK, err
+        rows = json.loads(out)
+        assert len(rows) == 2
+        assert all(r["sample_count"] == 3 for r in rows)
 
     def test_needs_three_samples(self, capsys):
         code, _, err = _invoke(
@@ -228,6 +240,13 @@ class TestEd:
         assert code == EXIT_VALIDATION
         assert out == ""
         assert json.loads(err)["error"] == "InvalidSpec"
+
+    def test_x_whose_hamiltonian_overflows_rejected(self, capsys):
+        code, out, err = _invoke(capsys, ["ed", "--x", "1e-310", "--Ls", "8"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "x=1e-310" in json.loads(err)["message"]
 
     def test_odd_length_rejected(self, capsys):
         code, _, err = _invoke(capsys, ["ed", "--x", "0.2", "--Ls", "5"])

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
-                         NonConvergent, Pinning, SectorMismatch, SizeLimit,
+                         NonConvergent, Pinning, SizeLimit,
                          SpinChainSpec, Tolerance, bipartite_fidelity_finite,
                          build_hamiltonian, convergence_study, fidelity,
                          ground_state, split_product_state)
@@ -104,6 +104,17 @@ class TestSpinChainSpec:
                 SpinChainSpec(8, bad_x)
         with pytest.raises(InvalidSpec):
             SpinChainSpec(8, 0.5, pinning="neel")
+
+    def test_rejects_x_whose_hamiltonian_overflows(self):
+        # Delta = -5e307, so (L + 1) |Delta| / 2 leaves the float range
+        with pytest.raises(InvalidSpec):
+            SpinChainSpec(8, 1e-308)
+        with pytest.raises(InvalidSpec):
+            SpinChainSpec(8, 1e-310)
+        with pytest.raises(InvalidSpec):
+            SpinChainSpec(10 ** 400, 0.5)
+        assert SpinChainSpec(8, 1e-300).delta == pytest.approx(-5e299)
+        assert bipartite_fidelity_finite(8, 1e-300) == 1.0
 
     def test_frozen(self):
         spec = SpinChainSpec(8, 0.5)
@@ -373,7 +384,7 @@ class TestSplitStructure:
         balanced = GroundState(energy=0.0,
                                amplitudes=np.full(6, 1.0 / math.sqrt(6.0)),
                                sector=0)
-        with pytest.raises(SectorMismatch):
+        with pytest.raises(InvalidSpec):
             split_product_state(8, polarized, balanced)
 
     def test_rejects_amplitudes_that_miss_their_sector(self):
@@ -387,6 +398,13 @@ class TestSplitStructure:
                  GroundState(0.0, np.ones(1), -6))):
             with pytest.raises(InvalidSpec):
                 split_product_state(8, left, right)
+
+    def test_rejects_a_length_that_is_not_an_even_integer(self):
+        left = _half_ground(4, -2.6, Pinning.NEEL)
+        right = _mirror(left, 4)
+        for bad_L in (9, 8.0):
+            with pytest.raises(InvalidSpec):
+                split_product_state(bad_L, left, right)
 
 
 class TestFiniteFidelity:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (DomainError, FidelityResult, GFactor, ModelPoint,
+from xxzfidelity import (FidelityResult, GFactor, InvalidSpec, ModelPoint,
                          NonConvergent, Overflow, Path, Tolerance,
                          conjecture_ratio, correlation_length, fidelity,
                          fidelity_modular, fidelity_raw, fidelity_simplified,
@@ -299,10 +299,10 @@ class TestIdentities:
     def test_theta_rejects_bad_b(self):
         p = ModelPoint.from_x(0.5)
         for bad in (0.0, -1.0):
-            with pytest.raises(DomainError):
+            with pytest.raises(InvalidSpec):
                 short_theta_identity_residual(bad, p)
         # b so small that x^b rounds to 1.0
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidSpec):
             short_theta_identity_residual(1e-17, p)
 
     def test_g_decomposition(self):

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (DomainError, InvalidSpec, NonConvergent, Overflow,
+from xxzfidelity import (InvalidSpec, NonConvergent, Overflow,
                          QProductSpec, Tolerance, log_multibase_product,
                          minus_one_peel_residual, qproduct_direct,
                          qproduct_log, verify_qcalc_identities)
@@ -76,14 +76,27 @@ class TestLogSeries:
         assert got == pytest.approx(expected, rel=1e-13)
 
     def test_rejects_unit_z(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidSpec):
             log_multibase_product(1.0, (0.5,))
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidSpec):
             log_multibase_product(-1.0, (0.5,))
 
     def test_rejects_base_one(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidSpec):
             log_multibase_product(0.5, (1.0,))
+
+    def test_sum_beyond_the_float_range_raises_overflow(self):
+        # each denominator factor is about m 2^-53: with 20 bases the first
+        # term overflows, with 21 the denominator underflows to 0
+        base = 1.0 - 2.0 ** -53
+        assert math.isfinite(log_multibase_product(0.5, (base,) * 19))
+        for n in (20, 21, 40):
+            with pytest.raises(Overflow):
+                log_multibase_product(0.5, (base,) * n)
+            with pytest.raises(Overflow):
+                qproduct_log(QProductSpec(0.5, (base,) * n))
+        with pytest.raises(Overflow):
+            log_multibase_product(-0.5, (base,) * 20)
 
     def test_tolerates_underflowed_base_zero(self):
         # (z; 0)_inf has the single factor (1 - z)
