@@ -11,7 +11,7 @@ from .elliptic import (EllipticModuli, ModelPoint, correlation_length,
                        modulus_kprime)
 from .errors import (InvalidSpec, NonConvergent, Overflow, SizeLimit,
                      XXZFidelityError)
-from .fidelity import (FidelityResult, GFactor, Path, fidelity,
+from .fidelity import (FidelityResult, Path, fidelity,
                        fidelity_modular, fidelity_raw, fidelity_simplified,
                        g_decomposition_residual, g_product, identity_report,
                        ln_g_series, short_theta_identity_residual)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticFit", "CENTRAL_CHARGE", "ConvergenceRow", "EllipticModuli",
-    "FidelityResult", "GFactor", "GroundState", "InvalidSpec", "ModelPoint",
+    "FidelityResult", "GroundState", "InvalidSpec", "ModelPoint",
     "NonConvergent", "Overflow", "Path", "Pinning", "QProductSpec",
     "SizeLimit", "SpinChainSpec", "Tolerance", "XXZFidelityError",
     "bipartite_fidelity_finite", "build_hamiltonian", "collect_ln_xi",

@@ -95,8 +95,6 @@ class RunConfig:
                     raise InvalidSpec("x grid bounds must lie inside (0,1)")
             elif not (self.grid_min > 0.0):
                 raise InvalidSpec("eps grid bounds must be positive")
-        if self.command == "fit" and self.count < 3:
-            raise InvalidSpec("fit needs count >= 3")
         if self.command == "ed":
             if self.x is None:
                 raise InvalidSpec("ed needs --x")

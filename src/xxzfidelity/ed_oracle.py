@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elliptic import ModelPoint
-from .errors import InvalidSpec, NonConvergent, SizeLimit
+from .errors import InvalidSpec, NonConvergent, Overflow, SizeLimit
 from .fidelity import fidelity as _exact_fidelity
 from .qseries import DEFAULT_TOL, _LN_HUGE, Tolerance
 
@@ -216,7 +216,8 @@ def ground_state(H, sector: int = 0, start=None) -> GroundState:
             w, v = spla.eigsh(H, k=1, which="SA", v0=start)
         except spla.ArpackNoConvergence as exc:
             raise NonConvergent(f"Lanczos failed to converge: {exc}") from exc
-
+    if not (np.isfinite(w[0]) and np.isfinite(v[:, 0]).all()):
+        raise Overflow(f"the lowest eigenpair of H leaves the float range: {w[0]}")
     vec = v[:, 0] / np.linalg.norm(v[:, 0])
     pivot = int(np.argmax(np.abs(vec)))
     if vec[pivot] < 0.0:

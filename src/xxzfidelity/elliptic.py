@@ -29,20 +29,16 @@ from .qseries import DEFAULT_TOL, _LN_HUGE, Tolerance, log_multibase_product
 
 @dataclass(frozen=True)
 class ModelPoint:
-    """One anisotropy point: the coordinate every formula consumes.
+    """One anisotropy point: the nome x in (0,1) and eps = -ln x.
 
-    Fields are mutually redundant on purpose (x = e^{-eps},
-    Delta = -(x + 1/x)/2, x_dual = e^{-pi^2/eps}); construction through
-    ``from_x`` / ``from_eps`` keeps them consistent, and ``__post_init__``
-    rejects inconsistent hand-built instances.  ``x_dual`` is stored as a
-    double and rounds to 0.0 for eps < pi^2/745; log-space consumers should
-    use ``ln_x_dual``, which never underflows.
+    Both are stored, since neither is recovered exactly from the other;
+    ``from_x`` / ``from_eps`` derive one from the other, and
+    ``__post_init__`` rejects a hand-built pair that disagrees.  Delta and
+    the dual nome are computed on access.
     """
 
     x: float
     eps: float
-    delta: float
-    x_dual: float
 
     def __post_init__(self):
         if not (0.0 < self.x < 1.0):
@@ -55,24 +51,13 @@ class ModelPoint:
                                                    math.ulp(self.x) / self.x):
             raise InvalidSpec(
                 f"inconsistent point: eps={self.eps!r} but -ln x={-math.log(self.x)!r}")
-        # 1/x overflows for eps above ~709.78; delta is then exactly -inf
-        expected_delta = -0.5 * (self.x + 1.0 / self.x)
-        if not (self.delta == expected_delta if math.isinf(expected_delta)
-                else abs(self.delta - expected_delta) <= 1e-12 * abs(expected_delta)):
-            raise InvalidSpec(
-                f"inconsistent point: delta={self.delta!r} for x={self.x!r}")
-        expected_dual = math.exp(-math.pi ** 2 / self.eps)
-        if abs(self.x_dual - expected_dual) > 1e-12 * max(expected_dual, 5e-324):
-            raise InvalidSpec(
-                f"inconsistent point: x_dual={self.x_dual!r} for eps={self.eps!r}")
 
     @classmethod
     def from_x(cls, x: float) -> "ModelPoint":
         x = float(x)
         if not (0.0 < x < 1.0):
             raise InvalidSpec(f"x must lie in (0,1), got {x!r}")
-        eps = -math.log(x)
-        return cls(x, eps, -0.5 * (x + 1.0 / x), math.exp(-math.pi ** 2 / eps))
+        return cls(x, -math.log(x))
 
     @classmethod
     def from_eps(cls, eps: float) -> "ModelPoint":
@@ -82,7 +67,18 @@ class ModelPoint:
         x = math.exp(-eps)
         if not (0.0 < x < 1.0):
             raise InvalidSpec(f"eps={eps!r} leaves the representable x range (0,1)")
-        return cls(x, eps, -0.5 * (x + 1.0 / x), math.exp(-math.pi ** 2 / eps))
+        return cls(x, eps)
+
+    @property
+    def delta(self) -> float:
+        """Delta = -(x + 1/x)/2 < -1; -inf once 1/x overflows (eps > ~709.78)."""
+        return -0.5 * (self.x + 1.0 / self.x)
+
+    @property
+    def x_dual(self) -> float:
+        """x~ = e^{-pi^2/eps}; rounds to 0.0 for eps < pi^2/745, where
+        log-space consumers should use ``ln_x_dual``."""
+        return math.exp(-math.pi ** 2 / self.eps)
 
     @property
     def ln_x_dual(self) -> float:

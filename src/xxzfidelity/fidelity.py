@@ -31,9 +31,9 @@ from dataclasses import dataclass, replace
 
 from .elliptic import ModelPoint, moduli, modulus_k, modulus_kprime
 from .errors import InvalidSpec, NonConvergent
-from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, QProductSpec, Tolerance,
+from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, Tolerance,
                       log_multibase_product, minus_one_peel_residual,
-                      qproduct_direct, verify_qcalc_identities)
+                      verify_qcalc_identities)
 
 #: nome above which the path selector switches from Simplified to Modular
 PATH_SWITCH_X = 0.7
@@ -65,27 +65,22 @@ class Path(enum.Enum):
 
 @dataclass(frozen=True)
 class FidelityResult:
-    """Value and log-value of f, the route used, and an error estimate.
+    """Log-value of f, the route used, and an error estimate.
 
     est_rel_error accumulates the loosest relative tolerance over every
     constituent product (scaled by the magnitude of its log contribution),
-    so it is a bound-flavored estimate of the relative error of f.  f
-    underflows to 0.0 for ln_f < -745; ln_f is always the authoritative
-    field.
+    so it is a bound-flavored estimate of the relative error of f.  The
+    property f = e^{ln_f} underflows to 0.0 for ln_f < -745; ln_f is the
+    authoritative field.
     """
 
-    f: float
     ln_f: float
     path: Path
     est_rel_error: float
 
-
-@dataclass(frozen=True)
-class GFactor:
-    """The x -> 1 convergent residual factor g = e^{ln_g} of the modular route."""
-
-    g: float
-    ln_g: float
+    @property
+    def f(self) -> float:
+        return math.exp(self.ln_f)
 
 
 def _combine(parts, rel_tol):
@@ -100,8 +95,7 @@ def _combine(parts, rel_tol):
 
 
 def _result(ln_f, est, path):
-    return FidelityResult(f=math.exp(ln_f), ln_f=float(ln_f), path=path,
-                          est_rel_error=float(est))
+    return FidelityResult(ln_f=float(ln_f), path=path, est_rel_error=float(est))
 
 
 def fidelity_raw(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
@@ -215,8 +209,8 @@ def _ln_g_sum(eps: float, rel_tol: float, max_terms: int):
         f"ln g series needed more than {max_terms} terms at eps={eps}")
 
 
-def ln_g_series(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> GFactor:
-    """The g factor from its log series, the route that is stable as x -> 1.
+def ln_g_series(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
+    """ln g of the modular route's factor g, by the log series stable as x -> 1.
 
     ln g runs from ln 2 (x -> 0) down to (ln 2)/4 (x -> 1), the approach to
     the limit being O(eps).  For eps <= LN_G_SWITCH_EPS it comes from the
@@ -228,17 +222,14 @@ def ln_g_series(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> GFactor:
             if p.eps <= LN_G_SWITCH_EPS else None)
     if ln_g is None:
         ln_g = _ln_g_sum(p.eps, tol.rel_tol, tol.cap(SERIES_MAX_TERMS))
-    return GFactor(g=math.exp(ln_g), ln_g=float(ln_g))
+    return float(ln_g)
 
 
-def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
-              minus_one_direct: bool = False) -> GFactor:
-    """g by its product form (-1;x^4,x^4)(-x^4;x^4,x^4)/(-x^2;x^4,x^4)^2.
+def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
+    """ln g by its product form (-1;x^4,x^4)(-x^4;x^4,x^4)/(-x^2;x^4,x^4)^2.
 
-    The |z| = 1 factor is normally rewritten through the peel identity
-    (-1; a, a) = 2 (-a; a) (-a; a, a) so everything runs on the log series;
-    minus_one_direct=True evaluates it by the direct product instead, which
-    makes the result an independent second route for testing.
+    The |z| = 1 factor is rewritten through the peel identity
+    (-1; a, a) = 2 (-a; a) (-a; a, a) so everything runs on the log series.
     """
     x = p.x
     x2 = x * x
@@ -247,13 +238,8 @@ def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL,
     def L(z, bases):
         return log_multibase_product(z, bases, tol)
 
-    if minus_one_direct:
-        minus_one = qproduct_direct(QProductSpec(-1.0, (x4, x4)), tol)
-        ln_g = (math.log(minus_one) + L(-x4, (x4, x4)) - 2.0 * L(-x2, (x4, x4)))
-    else:
-        ln_g = (math.log(2.0) + L(-x4, (x4,))
-                + 2.0 * L(-x4, (x4, x4)) - 2.0 * L(-x2, (x4, x4)))
-    return GFactor(g=math.exp(ln_g), ln_g=float(ln_g))
+    return float(math.log(2.0) + L(-x4, (x4,))
+                 + 2.0 * L(-x4, (x4, x4)) - 2.0 * L(-x2, (x4, x4)))
 
 
 def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
@@ -268,7 +254,7 @@ def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityRes
     ln_xt = p.ln_x_dual
     xt = math.exp(ln_xt)
     xt_half = math.exp(0.5 * ln_xt)
-    g = ln_g_series(p, tol)
+    ln_g = ln_g_series(p, tol)
 
     def L(z, bases):
         return log_multibase_product(z, bases, tol)
@@ -278,7 +264,7 @@ def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityRes
         (0.0625, ln_xt),
         (1.0, L(-xt, (xt,))),
         (-1.0, L(xt_half, (xt,))),
-        (1.0, g.ln_g),
+        (1.0, ln_g),
     ]
     ln_f, est = _combine(parts, tol.rel_tol)
     return _result(ln_f, est, Path.MODULAR)
@@ -316,9 +302,9 @@ def g_decomposition_residual(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> flo
     x = p.x
     x2 = x * x
     x4 = x2 * x2
-    g = ln_g_series(p, tol)
+    ln_g = ln_g_series(p, tol)
     ln_rhs = (log_multibase_product(x2, (x4,), tol) - math.log(2.0)
-              - log_multibase_product(-x4, (x4,), tol) + g.ln_g)
+              - log_multibase_product(-x4, (x4,), tol) + ln_g)
     ln_lhs = fidelity_simplified(p, tol).ln_f
     return abs(math.expm1(ln_lhs - ln_rhs))
 
@@ -366,7 +352,7 @@ def identity_report(tol: Tolerance = DEFAULT_TOL) -> list[tuple[str, float]]:
         return abs(modulus_k(ModelPoint.from_x(x).x_dual, tol) - kp) / kp
 
     def g_routes(p):
-        return abs(math.expm1(ln_g_series(p, tol).ln_g - g_product(p, tol).ln_g))
+        return abs(math.expm1(ln_g_series(p, tol) - g_product(p, tol)))
 
     g_points = [ModelPoint.from_x(x) for x in x_grid]
     return [

@@ -260,7 +260,10 @@ def verify_qcalc_identities(x: float, z: float, b: int, c: int,
     """
     if not (0.0 < x < 1.0):
         raise InvalidSpec(f"x must lie in (0,1), got {x!r}")
-    if not all(math.isfinite(v) and v >= 1 and int(v) == v for v in (b, c)):
+    # range first: it rejects nan and inf, and keeps huge ints from repr()
+    if not all(1 <= v <= sys.float_info.max for v in (b, c)):
+        raise InvalidSpec("b, c must lie in [1, sys.float_info.max]")
+    if not all(int(v) == v for v in (b, c)):
         raise InvalidSpec(f"b, c must be positive integers, got {b!r}, {c!r}")
     if not (abs(z) < 1.0):
         raise InvalidSpec(f"identity check requires |z| < 1, got {z!r}")

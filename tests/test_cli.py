@@ -174,11 +174,13 @@ class TestFit:
         assert all(r["sample_count"] == 3 for r in rows)
 
     def test_needs_three_samples(self, capsys):
-        code, _, err = _invoke(
+        code, out, err = _invoke(
             capsys, ["fit", "--eps-min", "1e-3", "--eps-max", "1e-2",
                      "--count", "2"])
         assert code == EXIT_VALIDATION
-        assert json.loads(err)["error"] == "InvalidSpec"
+        assert out == ""
+        assert json.loads(err) == {"error": "InvalidSpec",
+                                   "message": "need at least 3 samples, got 2"}
 
 
 class TestIdentities:

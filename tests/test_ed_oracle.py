@@ -9,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
-                         NonConvergent, Pinning, SizeLimit,
+                         NonConvergent, Overflow, Pinning, SizeLimit,
                          SpinChainSpec, Tolerance, bipartite_fidelity_finite,
                          build_hamiltonian, convergence_study, fidelity,
                          ground_state, split_product_state)
@@ -317,6 +317,12 @@ class TestGroundState:
                     sp.csr_matrix(nan), np.array([[0.0, np.inf], [np.inf, 0.0]])):
             with pytest.raises(InvalidSpec):
                 ground_state(bad)
+
+    def test_eigenvalue_beyond_the_float_range_raises_overflow(self):
+        # finite entries whose lowest eigenvalue the solver cannot represent
+        big = np.finfo(float).max
+        with pytest.raises(Overflow):
+            ground_state(np.array([[0.0, big], [big, 0.0]]))
 
     def test_rejects_bad_start_vectors(self):
         for L in (8, 12):  # dense and Lanczos paths

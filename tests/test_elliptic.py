@@ -65,25 +65,12 @@ class TestModelPoint:
     def test_rejects_inconsistent_fields(self):
         good = ModelPoint.from_x(0.5)
         with pytest.raises(InvalidSpec):
-            ModelPoint(good.x, good.eps, -2.0, good.x_dual)
-        with pytest.raises(InvalidSpec):
-            ModelPoint(good.x, good.eps + 0.1, good.delta, good.x_dual)
-        with pytest.raises(InvalidSpec):
-            ModelPoint(good.x, good.eps, good.delta, 0.5)
+            ModelPoint(good.x, good.eps + 0.1)
         subnormal = ModelPoint.from_eps(740.0)
         with pytest.raises(InvalidSpec):
-            ModelPoint(subnormal.x, 739.0, subnormal.delta,
-                       math.exp(-math.pi ** 2 / 739.0))
-        # delta is -inf exactly where 1/x overflows, and only there
-        overflowing = ModelPoint.from_eps(720.0)
-        assert overflowing.delta == -math.inf
-        for bad in (math.inf, math.nan, -1e308):
-            with pytest.raises(InvalidSpec):
-                ModelPoint(overflowing.x, overflowing.eps, bad,
-                           overflowing.x_dual)
-        for bad in (-math.inf, math.nan):
-            with pytest.raises(InvalidSpec):
-                ModelPoint(good.x, good.eps, bad, good.x_dual)
+            ModelPoint(subnormal.x, 739.0)
+        # delta is -inf exactly where 1/x overflows
+        assert ModelPoint.from_eps(720.0).delta == -math.inf
 
     def test_rejects_out_of_range(self):
         for bad in (0.0, 1.0, -0.5, 2.0):

@@ -199,7 +199,8 @@ class TestQCalcIdentities:
             verify_qcalc_identities(0.5, 1.0, 1, 1)
         with pytest.raises(InvalidSpec):
             verify_qcalc_identities(0.5, 0.3, 0, 1)
-        for bad in (math.inf, math.nan, 1.5):
+        # integers past the float range, the second past repr()'s digit limit
+        for bad in (math.inf, math.nan, 1.5, 10 ** 400, 10 ** 5000):
             with pytest.raises(InvalidSpec):
                 verify_qcalc_identities(0.5, 0.3, bad, 1)
             with pytest.raises(InvalidSpec):

@@ -4,18 +4,23 @@ ZeroDivisionError.
 
 The strategies cover each documented domain, its edges (0, 1, subnormals,
 the last doubles below 1) and arbitrary floats beyond it, nan and inf
-included.  A term cap of 20 000 keeps each property under a second; near
+included.  A term cap of 20 000 keeps each property to about a second; near
 x = 1 it turns slow products into NonConvergent, which is a documented
 outcome.
 """
 import math
 
+import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (ModelPoint, Pinning, QProductSpec, SpinChainSpec,
-                         Tolerance, XXZFidelityError, g_decomposition_residual,
-                         g_product, log_multibase_product,
-                         minus_one_peel_residual, moduli, qproduct_direct,
+                         Tolerance, XXZFidelityError,
+                         bipartite_fidelity_finite, fidelity_modular,
+                         fidelity_raw, fidelity_simplified,
+                         g_decomposition_residual, g_product, ground_state,
+                         log_multibase_product, minus_one_peel_residual,
+                         moduli, qproduct_direct,
                          short_theta_identity_residual,
                          verify_qcalc_identities)
 
@@ -28,6 +33,8 @@ ANY = st.floats()
 EPS = st.floats(0.0, 800.0) | st.floats(-40.0, 6.7).map(math.exp)
 NOME = EPS.map(lambda eps: math.exp(-eps))
 UNIT = st.floats(0.0, 1.0) | NOME | ANY
+OPEN_UNIT = (st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+             | NOME.filter(lambda x: 0.0 < x < 1.0))
 SIGNED_UNIT = UNIT | UNIT.map(lambda v: -v)
 BASES = st.lists(UNIT, max_size=3)
 # 16 to 32 bases within 1e-12 of 1, where the log series overflows
@@ -66,10 +73,20 @@ def test_moduli(z):
 
 
 @SWEEP
-@given(x=UNIT, minus_one_direct=st.booleans())
-def test_g_product(x, minus_one_direct):
-    _finite_or_documented(
-        lambda: g_product(ModelPoint.from_x(x), TOL, minus_one_direct).ln_g)
+@given(x=UNIT)
+def test_g_product(x):
+    _finite_or_documented(lambda: g_product(ModelPoint.from_x(x), TOL))
+
+
+@SWEEP
+@given(x=OPEN_UNIT,
+       route=st.sampled_from([fidelity_raw, fidelity_simplified,
+                              fidelity_modular]))
+def test_fidelity_routes(x, route):
+    def ln_f_and_error():
+        result = route(ModelPoint.from_x(x), TOL)
+        return result.ln_f, result.est_rel_error
+    _finite_or_documented(ln_f_and_error)
 
 
 @SWEEP
@@ -107,3 +124,31 @@ def test_spin_chain_spec(L, x, split, pinning):
         spec = SpinChainSpec(L, x, split, pinning)
         return spec.delta, (spec.L + 1) * 0.5 * abs(spec.delta)
     _finite_or_documented(bound)
+
+
+@SWEEP
+@given(L=st.sampled_from([4, 6, 8, 10, 12]), x=OPEN_UNIT,
+       pinning=st.sampled_from(Pinning))
+def test_bipartite_fidelity_finite(L, x, pinning):
+    try:
+        f_L = bipartite_fidelity_finite(L, x, pinning)
+    except XXZFidelityError:
+        return
+    assert 0.0 <= f_L <= 1.0, f_L
+
+
+@SWEEP
+@given(data=st.data(), n=st.integers(1, 6), sparse=st.booleans())
+def test_ground_state(data, n, sparse):
+    upper = data.draw(st.lists(st.floats(-1e3, 1e3) | ANY,
+                               min_size=n * (n + 1) // 2,
+                               max_size=n * (n + 1) // 2))
+    H = np.zeros((n, n))
+    H[np.triu_indices(n)] = upper
+    H = H + np.triu(H, 1).T
+    try:
+        gs = ground_state(sp.csr_matrix(H) if sparse else H)
+    except XXZFidelityError:
+        return
+    assert math.isfinite(gs.energy) and np.isfinite(gs.amplitudes).all()
+    assert abs(np.linalg.norm(gs.amplitudes) - 1.0) < 1e-12
