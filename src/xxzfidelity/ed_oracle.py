@@ -14,14 +14,19 @@ state in the massive regime.
 Everything is built in a fixed-magnetization sector basis: a sorted int64
 array of bitmasks of up spins, in which a state's index is its
 ``searchsorted`` rank, so the Hamiltonian and the product state are
-assembled by numpy array operations, one bond or field at a time.  The full
-and split ground states live in the zero sector for even L, and the split
+assembled by numpy array operations, one bond or field at a time.
+
+The map R, reflection j -> L+1-j composed with a global spin flip, commutes
+with the full, split and half-chain Hamiltonians, Néel fields included.
+The full and split ground states live in the zero sector for even L, and
+both are even under R, so the full-length chain is built and solved only
+in the R-even block of that sector, about half its dimension (the
+symmetry-adapted basis of Sandvik, arXiv:1101.3281, section 4).  The split
 ground state is assembled exactly as the tensor product of the two
-half-chain ground states.  Only the left half is diagonalized: reflection
-composed with a global spin flip maps it onto the right half, fields
-included, so the right ground state is a permutation of the left one's
-amplitudes.  The product state then starts the one-eigenpair Lanczos solve
-of the full chain.  The finite-size fidelity
+half-chain ground states.  Only the left half is diagonalized: R maps it
+onto the right half, so the right ground state is a permutation of the
+left one's amplitudes.  The product state then starts the one-eigenpair
+Lanczos solve of the full chain.  The finite-size fidelity
 
     f_L = |<gs(H)|gs_left x gs_right>|^2
 
@@ -42,10 +47,11 @@ import scipy.sparse as sp
 from .elliptic import ModelPoint
 from .errors import InvalidSpec, NonConvergent, Overflow, SizeLimit
 from .fidelity import fidelity as _exact_fidelity
-from .qseries import DEFAULT_TOL, _LN_HUGE, Tolerance
+from .qseries import DEFAULT_TOL, _LN_HUGE, Tolerance, _brief
 
-#: refuse to build sector bases beyond this dimension
-SECTOR_DIM_CAP = 200_000
+#: refuse to build an even block beyond this dimension (L = 24 has 1,354,126
+#: states, L = 26 has 5,204,396)
+SECTOR_DIM_CAP = 1_400_000
 #: below this dimension the dense eigensolver is used (the measured
 #: dense-eigh / Lanczos crossover with one BLAS thread)
 DENSE_DIM_LIMIT = 250
@@ -74,7 +80,7 @@ class SpinChainSpec:
         # every diagonal entry of H is bounded by (L + 1) |Delta| / 2; in log
         # space, since a float times an int beyond 1.8e308 raises OverflowError
         if math.log(self.L + 1) + math.log(0.5 * abs(self.delta)) > _LN_HUGE:
-            raise InvalidSpec(f"at x={self.x!r} the L={self.L} Hamiltonian "
+            raise InvalidSpec(f"at x={self.x!r} the L={_brief(self.L)} Hamiltonian "
                               "overflows the float range; x is too small")
         if not isinstance(self.pinning, Pinning):
             raise InvalidSpec(f"pinning must be a Pinning member, got {self.pinning!r}")
@@ -87,7 +93,7 @@ class SpinChainSpec:
 def _check_length(L) -> None:
     """The one rule on a chain length, shared by the spec and the product state."""
     if not isinstance(L, numbers.Integral) or L < 4 or L % 2 != 0:
-        raise InvalidSpec(f"L must be an even integer >= 4, got {L!r}")
+        raise InvalidSpec(f"L must be an even integer >= 4, got {_brief(L)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,42 +136,112 @@ def sector_basis(n_sites: int, n_up: int) -> np.ndarray:
     return levels.get(n_up, empty)
 
 
-def _sector_matrix(n_sites, n_up, bonds, fields, delta):
-    """Sparse symmetric H in the (n_sites, n_up) sector.
+def _sector_matrix(n_sites, n_up, bonds, fields, delta, block=None):
+    """Sparse symmetric H in the (n_sites, n_up) sector, or in a block of it.
 
     bonds: (a, b) 1-based site pairs carrying the exchange;
     fields: (site, h) pairs adding h * sigma^z_site.  The diagonal adds the
     bond terms, then the field terms, in the order given.
+
+    block = (rows, column, weight) restricts H to symmetry-adapted states:
+    block state r is built on the basis state rows[r], a hop onto basis
+    state t lands on block state column[t], and its amplitude h becomes
+    h * weight[column[t]] / weight[r].  The default is the whole sector:
+    every row, the identity map and unit weights.
     """
     basis = sector_basis(n_sites, n_up)
-    dim = len(basis)
+    if block is None:
+        index = np.arange(len(basis), dtype=np.int32)
+        block = (index, index, np.ones(len(basis)))
+    rows_of, column, weight = block
+    states = basis[rows_of]
+    dim = len(states)
     diag = np.zeros(dim)
-    rows, cols = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    # int32 indices, the CSR index type, halve the memory of the entries
+    rows, cols = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    vals = [np.zeros(0)]
     for a, b in bonds:
-        sa = (basis >> (a - 1)) & 1
-        sb = (basis >> (b - 1)) & 1
+        sa = (states >> (a - 1)) & 1
+        sb = (states >> (b - 1)) & 1
         diag += np.where(sa == sb, -0.5 * delta, 0.5 * delta)
         hop = np.flatnonzero(sa != sb)
         mask = (1 << (a - 1)) | (1 << (b - 1))
-        rows.append(hop)
-        cols.append(np.searchsorted(basis, basis[hop] ^ mask))
+        target = column[np.searchsorted(basis, states[hop] ^ mask)]
+        rows.append(hop.astype(np.int32))
+        cols.append(target)
+        vals.append(-weight[target] / weight[hop])
     for site, h in fields:
-        diag += np.where((basis >> (site - 1)) & 1, h, -h)
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    vals = np.full(len(rows), -1.0)
-    H = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    H = H + sp.diags(diag).tocsr()
-    return H
+        diag += np.where((states >> (site - 1)) & 1, h, -h)
+    # the nonzero diagonal joins the same COO list, whose duplicates the CSR
+    # conversion sums; one list at a time, so each is freed once joined
+    nonzero = np.flatnonzero(diag).astype(np.int32)
+    rows.append(nonzero)
+    cols.append(nonzero)
+    vals.append(diag[nonzero])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+
+
+def _image(masks: np.ndarray, n_sites: int) -> np.ndarray:
+    """Reflection composed with a global spin flip, on bitmasks.
+
+    Site j goes to n_sites + 1 - j and every spin flips.  The map commutes
+    with the bonds of the full, split and half chains and takes the Néel
+    field -h on site 1 to +h on site n_sites.
+    """
+    image = np.full_like(masks, (1 << n_sites) - 1)
+    for j in range(n_sites):
+        image ^= ((masks >> j) & 1) << (n_sites - 1 - j)
+    return image
+
+
+def _even_states(L: int):
+    """The R-even states of the zero sector: representatives and weights.
+
+    R is _image on the L-site chain; it maps the zero sector onto itself.
+    Each pair {m, R m} is represented by its lower mask, which has the
+    lower rank, and spans the normalized state (|m> + |R m>) / sqrt(2); a
+    self-image m = R m spans |m> alone.  With n_r = 2 for a self-image and
+    1 otherwise, <r|psi> = sqrt(2 / n_r) psi[m_r] for an R-even psi, and
+    weight = sqrt(n_r) turns each hop into the standard sqrt(n_r'/n_r)
+    matrix element.  Returns (basis, image, rows, weight): the sector
+    basis, the image of each of its masks, the basis indices of the
+    representatives and their weights.
+    """
+    basis = sector_basis(L, L // 2)
+    image = _image(basis, L)
+    rows = np.flatnonzero(basis <= image)
+    weight = np.where(basis[rows] == image[rows], math.sqrt(2.0), 1.0)
+    return basis, image, rows, weight
+
+
+def _even_dim(L: int) -> int:
+    """Dimension of the even block: each pair counts once, and the
+    2^(L/2) self-images (each site pair j, L+1-j holds one up spin) once."""
+    return (math.comb(L, L // 2) + 2 ** (L // 2)) // 2
 
 
 def build_hamiltonian(spec: SpinChainSpec):
-    """Sparse symmetric H of the (possibly split) chain in the zero sector."""
+    """Sparse symmetric H of the (possibly split) chain in the even block.
+
+    The block holds the states of the zero sector that are even under
+    reflection composed with a global spin flip (see _even_states).  R
+    commutes with H, pinned or not and split or not.  In the full chain
+    every off-diagonal entry of H is -1 and hops connect the zero sector,
+    so by Perron-Frobenius its ground state is unique and positive, hence
+    R-even; the split ground state, a half-chain state times its mirror
+    image, is R-even by construction.  So the block loses neither.  Raises
+    SizeLimit before any allocation when the block exceeds SECTOR_DIM_CAP.
+    """
     L = spec.L
-    n_up = L // 2
-    dim = math.comb(L, n_up)
-    if dim > SECTOR_DIM_CAP:
-        raise SizeLimit(
-            f"zero sector of L={L} has dimension {dim} > cap {SECTOR_DIM_CAP}")
+    # the block holds the 2^(L/2) self-images, so a long chain is refused
+    # before math.comb runs on it
+    if (L // 2 >= SECTOR_DIM_CAP.bit_length()
+            or _even_dim(L) > SECTOR_DIM_CAP):
+        raise SizeLimit(f"the even block of L={L} has more than "
+                        f"SECTOR_DIM_CAP = {SECTOR_DIM_CAP} states")
     bonds = [(j, j + 1) for j in range(1, L)]
     if spec.split:
         bonds.remove((L // 2, L // 2 + 1))
@@ -173,7 +249,17 @@ def build_hamiltonian(spec: SpinChainSpec):
     if spec.pinning is Pinning.NEEL:
         h = -0.5 * spec.delta
         fields = [(1, h * _neel_sign(0)), (L, h * _neel_sign(L + 1))]
-    return _sector_matrix(L, n_up, bonds, fields, spec.delta)
+    basis, image, rows, weight = _even_states(L)
+    # R permutes the sector, so sorting the images ranks them (several
+    # times faster than a searchsorted of the scattered images)
+    index = np.arange(len(basis))
+    image_rank = np.empty_like(index)
+    image_rank[np.argsort(image)] = index
+    # basis state i lands on the block state of the lower of i and R i
+    column = (np.cumsum(basis <= image, dtype=np.int32) - 1)[
+        np.minimum(index, image_rank)]
+    return _sector_matrix(L, L // 2, bonds, fields, spec.delta,
+                          block=(rows, column, weight))
 
 
 def ground_state(H, sector: int = 0, start=None) -> GroundState:
@@ -181,16 +267,17 @@ def ground_state(H, sector: int = 0, start=None) -> GroundState:
 
     Dense diagonalization of the lowest level only below DENSE_DIM_LIMIT,
     otherwise a one-eigenpair Lanczos solve started from ``start`` (the
-    normalized all-ones vector when None; the dense path ignores it).  The
-    returned vector is normalized, with its largest entry positive.
+    normalized all-ones vector when None; the dense path ignores it).  Any
+    finite vector with a nonzero entry is a valid start: it is scaled by
+    its largest magnitude first, so neither its norm nor its square can
+    leave the float range.  The returned vector is normalized, with its
+    largest entry positive.
 
     A start vector needs only overlap with the ground state.  The split
     product state that bipartite_fidelity_finite passes overlaps it by
-    sqrt(f_L), about 0.9.  Like the all-ones vector it is symmetric under
-    reflection composed with a spin flip, which permutes the zero-sector
-    basis and commutes with H, pinned or not.  Either start keeps Lanczos
-    in the symmetric subspace, so the product state cannot miss a ground
-    state that the all-ones start would find.
+    sqrt(f_L), about 0.9.  Both lie in the even block of build_hamiltonian,
+    which holds no other symmetry sector, so no symmetry can make the start
+    orthogonal to the ground state.
     """
     dense = not sp.issparse(H)
     H = np.asarray(H, dtype=float) if dense else H.tocsr()
@@ -202,9 +289,10 @@ def ground_state(H, sector: int = 0, start=None) -> GroundState:
     if start is not None:
         start = np.asarray(start, dtype=float)
         if (start.shape != (dim,) or not np.isfinite(start).all()
-                or np.linalg.norm(start) == 0.0):
+                or not start.any()):
             raise InvalidSpec(
                 f"start must be a finite nonzero vector of length {dim}")
+        start = start / np.abs(start).max()
     if dim < DENSE_DIM_LIMIT:
         import scipy.linalg as sla  # loaded only where a dense solve runs
         w, v = sla.eigh(H if dense else H.toarray(), subset_by_index=[0, 0])
@@ -244,18 +332,14 @@ def _half_ground(n_sites: int, delta: float, pinning: Pinning) -> GroundState:
 
 
 def _mirror(left: GroundState, n_sites: int) -> GroundState:
-    """The right half-chain ground state, as the image of the left one.
+    """The right half-chain ground state, as the _image of the left one.
 
-    Site j goes to n_sites + 1 - j and every spin flips.  The map commutes
-    with the bonds, takes the left field -h on site 1 to the right field +h
-    on site n_sites, and takes sector s to -s.  On amplitudes it is a
-    permutation: each image mask is ranked in the target sector's basis.
+    The map takes the left half's field onto the right half's and sector s
+    to -s.  On amplitudes it is a permutation: each image mask is ranked in
+    the target sector's basis.
     """
     n_up = (left.sector + n_sites) // 2
-    basis = sector_basis(n_sites, n_up)
-    image = np.full_like(basis, (1 << n_sites) - 1)
-    for j in range(n_sites):
-        image ^= ((basis >> j) & 1) << (n_sites - 1 - j)
+    image = _image(sector_basis(n_sites, n_up), n_sites)
     target = sector_basis(n_sites, n_sites - n_up)
     amplitudes = np.empty_like(left.amplitudes)
     amplitudes[np.searchsorted(target, image)] = left.amplitudes
@@ -273,26 +357,28 @@ def _half_basis(half: int, gs: GroundState) -> np.ndarray:
     return basis
 
 
-def split_product_state(L: int, left: GroundState, right: GroundState) -> np.ndarray:
-    """Tensor product of half-chain ground states on the full zero-sector basis.
+def split_product_state(L: int, left: GroundState) -> np.ndarray:
+    """left x mirror(left) in the even-block coordinates of build_hamiltonian.
 
-    Raises InvalidSpec unless L is an even integer >= 4, the half sectors
-    add up to zero (else the product has no weight in the zero sector) and
-    each half's amplitudes span its sector.
+    The product of a half-chain state and its mirror image is R-even by
+    construction; its coordinate on block state r is
+    sqrt(2 / n_r) left[m_r & low] right[m_r >> L/2].  Raises InvalidSpec
+    unless L is an even integer >= 4 and left's amplitudes span its sector.
     """
     _check_length(L)
-    if left.sector + right.sector != 0:
-        raise InvalidSpec(
-            f"half-chain sectors {left.sector} + {right.sector} != 0")
     half = L // 2
     basis_left = _half_basis(half, left)
-    basis_right = _half_basis(half, right)
-    basis_full = sector_basis(L, L // 2)
-    il, in_left = _rank(basis_left, basis_full & ((1 << half) - 1))
-    ir, in_right = _rank(basis_right, basis_full >> half)
-    keep = np.flatnonzero(in_left & in_right)
-    product = np.zeros(len(basis_full))
-    product[keep] = left.amplitudes[il[keep]] * right.amplitudes[ir[keep]]
+    right = _mirror(left, half)
+    basis, _, rows, weight = _even_states(L)
+    states = basis[rows]
+    il, in_left = _rank(basis_left, states & ((1 << half) - 1))
+    keep = np.flatnonzero(in_left)
+    # the upper half of a kept state holds the rest of the zero sector's
+    # up spins, so it always lies in the right half's sector
+    ir = np.searchsorted(_half_basis(half, right), states[keep] >> half)
+    product = np.zeros(len(states))
+    product[keep] = (left.amplitudes[il[keep]] * right.amplitudes[ir]
+                     * (math.sqrt(2.0) / weight[keep]))
     return product
 
 
@@ -309,9 +395,11 @@ def bipartite_fidelity_finite(L: int, x: float,
     The split ground state is assembled from the half-chain ground states,
     which is both cheaper and exact (the removed bond decouples the
     halves); the right half is the mirror image of the left one.  The
-    product state then starts the full-chain solve.  Unpinned, an odd
-    half-chain has degenerate ground states in the sectors +1 and -1, so no
-    unique split state exists and the length is rejected.  The full-chain
+    product state then starts the full-chain solve.  Both vectors are in
+    the orthonormal coordinates of the even block of build_hamiltonian, so
+    the overlap is a plain dot product.  Unpinned, an odd half-chain has
+    degenerate ground states in the sectors +1 and -1, so no unique split
+    state exists and the length is rejected.  The full-chain
     Hamiltonian is built first, so an oversized L raises SizeLimit before
     any half-chain work.
     """
@@ -322,7 +410,7 @@ def bipartite_fidelity_finite(L: int, x: float,
             "in the sectors +1 and -1; use L divisible by 4 or Neel pinning")
     H = build_hamiltonian(spec)
     left = _half_ground(L // 2, spec.delta, pinning)
-    product = split_product_state(L, left, _mirror(left, L // 2))
+    product = split_product_state(L, left)
     full = ground_state(H, sector=0, start=product)
     overlap = float(np.dot(full.amplitudes, product))
     return overlap * overlap

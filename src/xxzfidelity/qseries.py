@@ -40,6 +40,13 @@ _MIN_REL_TOL = 10.0 * sys.float_info.epsilon
 _LN_HUGE = math.log(sys.float_info.max)
 
 
+def _brief(value) -> str:
+    """repr(value), or the size of an integer too long for str() to print."""
+    if isinstance(value, numbers.Integral) and int(value).bit_length() > 1024:
+        return f"<an integer of {int(value).bit_length()} bits>"
+    return repr(value)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Relative-error target plus a hard cap on retained terms.
@@ -59,7 +66,7 @@ class Tolerance:
         if self.max_terms is not None and not (
                 isinstance(self.max_terms, numbers.Integral) and self.max_terms >= 1):
             raise InvalidSpec(
-                f"max_terms must be an integer >= 1, got {self.max_terms!r}")
+                f"max_terms must be an integer >= 1, got {_brief(self.max_terms)}")
 
     def cap(self, default: int) -> int:
         return default if self.max_terms is None else self.max_terms

@@ -18,7 +18,7 @@ from xxzfidelity import (ModelPoint, Pinning, SpinChainSpec, build_hamiltonian,
                          modulus_kprime, conjecture_ratio,
                          short_theta_identity_residual, split_product_state,
                          verify_qcalc_identities)
-from xxzfidelity.ed_oracle import _half_ground, _mirror
+from xxzfidelity.ed_oracle import _half_ground
 
 QUARTER_LN2 = 0.25 * math.log(2.0)
 SELF_DUAL_X = math.exp(-math.pi)
@@ -144,7 +144,7 @@ def test_07_finite_chain_convergence():
     spec = SpinChainSpec(8, 0.2, split=True)
     split_gs = ground_state(build_hamiltonian(spec), sector=0)
     left = _half_ground(4, spec.delta, Pinning.NEEL)
-    product = split_product_state(8, left, _mirror(left, 4))
+    product = split_product_state(8, left)
     full = ground_state(build_hamiltonian(SpinChainSpec(8, 0.2)), sector=0)
     via_diag = float(np.dot(full.amplitudes, split_gs.amplitudes)) ** 2
     via_product = float(np.dot(full.amplitudes, product)) ** 2

@@ -15,8 +15,9 @@ from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
                          ground_state, split_product_state)
 from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
-from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, _half_ground, _mirror,
-                                   _neel_sign, _sector_matrix, sector_basis)
+from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, _even_dim, _half_ground,
+                                   _image, _mirror, _neel_sign, _sector_matrix,
+                                   sector_basis)
 
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
@@ -228,12 +229,47 @@ class TestBuildHamiltonian:
     def test_split_removes_central_bond_only(self):
         full = build_hamiltonian(SpinChainSpec(8, 0.2))
         split = build_hamiltonian(SpinChainSpec(8, 0.2, split=True))
-        assert full.shape == split.shape == (70, 70)
+        assert full.shape == split.shape == (43, 43)
         assert (full != split).nnz > 0
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            build_hamiltonian(SpinChainSpec(24, 0.2))
+        # L = 24 is the longest admitted chain; only its size is checked here
+        assert _even_dim(24) <= ed_oracle.SECTOR_DIM_CAP < _even_dim(26)
+        for L in (26, 64, 10 ** 300):
+            with pytest.raises(SizeLimit):
+                build_hamiltonian(SpinChainSpec(L, 0.2))
+
+    def test_even_dimension(self):
+        # one state per {m, R m} pair, the 2^(L/2) self-images counted once
+        for L in range(4, 15, 2):
+            basis = sector_basis(L, L // 2)
+            image = _image(basis, L)
+            assert _even_dim(L) == np.count_nonzero(basis <= image)
+            assert np.count_nonzero(basis == image) == 2 ** (L // 2)
+            assert build_hamiltonian(SpinChainSpec(L, 0.3)).shape == (
+                _even_dim(L),) * 2
+        assert [_even_dim(L) for L in (8, 12, 16, 18, 22, 24)] == [
+            43, 494, 6563, 24566, 353740, 1354126]
+
+    def test_even_block_spectrum_lies_in_the_zero_sector(self):
+        # R-even levels are zero-sector levels, and the lowest one is shared
+        for L in range(4, 13, 2):
+            for pinning in Pinning:
+                for split in (False, True):
+                    spec = SpinChainSpec(L, 0.3, split, pinning)
+                    bonds = [(j, j + 1) for j in range(1, L)]
+                    if split:
+                        bonds.remove((L // 2, L // 2 + 1))
+                    h = -0.5 * spec.delta
+                    fields = ([(1, h * _neel_sign(0)), (L, h * _neel_sign(L + 1))]
+                              if pinning is Pinning.NEEL else [])
+                    full = np.linalg.eigvalsh(_loop_sector_matrix(
+                        L, L // 2, bonds, fields, spec.delta).toarray())
+                    even = np.linalg.eigvalsh(build_hamiltonian(spec).toarray())
+                    nearest = np.abs(even[:, None] - full[None, :]).min(axis=1)
+                    case = (L, pinning, split)
+                    assert nearest.max() < 1e-12, case
+                    assert abs(even[0] - full[0]) < 1e-12, case
 
 
 class TestGroundState:
@@ -247,7 +283,7 @@ class TestGroundState:
         assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_dense_iterative_parity(self):
-        # dim 924 > DENSE_DIM_LIMIT: the Lanczos route against a full eigh
+        # dim 494 > DENSE_DIM_LIMIT: the Lanczos route against a full eigh
         H = build_hamiltonian(SpinChainSpec(12, 0.2))
         assert H.shape[0] >= DENSE_DIM_LIMIT
         iterative = ground_state(H)
@@ -257,7 +293,7 @@ class TestGroundState:
         assert np.max(np.abs(vec - iterative.amplitudes)) < 1e-10
 
     def test_iterative_residual(self):
-        # dim 3432 > DENSE_DIM_LIMIT, so auto takes the Lanczos route
+        # dim 1730 > DENSE_DIM_LIMIT, so auto takes the Lanczos route
         H = build_hamiltonian(SpinChainSpec(14, 0.2))
         gs = ground_state(H)
         residual = H @ gs.amplitudes - gs.energy * gs.amplitudes
@@ -301,7 +337,7 @@ class TestGroundState:
 
         spec = SpinChainSpec(16, 0.3)
         left = _half_ground(8, spec.delta, Pinning.NEEL)
-        product = split_product_state(16, left, _mirror(left, 8))
+        product = split_product_state(16, left)
         H = build_hamiltonian(spec)
         monkeypatch.setattr(spla, "eigsh", counting)
         warm = ground_state(H, start=product)
@@ -329,9 +365,21 @@ class TestGroundState:
             H = build_hamiltonian(SpinChainSpec(L, 0.2))
             dim = H.shape[0]
             for bad in (np.ones(dim - 1), np.ones((dim, 1)), np.zeros(dim),
-                        np.full(dim, np.nan), np.full(dim, np.inf)):
+                        np.full(dim, -0.0), np.full(dim, np.nan),
+                        np.full(dim, np.inf)):
                 with pytest.raises(InvalidSpec):
                     ground_state(H, start=bad)
+
+    def test_start_vectors_of_any_finite_scale(self):
+        # neither the norm of 1e308s nor that of subnormals is representable
+        for L in (8, 12):  # dense and Lanczos paths
+            H = build_hamiltonian(SpinChainSpec(L, 0.2))
+            dim = H.shape[0]
+            plain = ground_state(H)
+            for scale in (1e308, -1e308, 1e-320, 5e-324):
+                gs = ground_state(H, start=np.full(dim, scale))
+                assert abs(gs.energy - plain.energy) < 1e-12
+                assert np.max(np.abs(gs.amplitudes - plain.amplitudes)) < 1e-10
 
 
 class TestSplitStructure:
@@ -348,7 +396,7 @@ class TestSplitStructure:
         spec = SpinChainSpec(8, 0.2, split=True)
         gs = ground_state(build_hamiltonian(spec), sector=0)
         left = _half_ground(4, spec.delta, Pinning.NEEL)
-        product = split_product_state(8, left, _mirror(left, 4))
+        product = split_product_state(8, left)
         assert abs(np.linalg.norm(product) - 1.0) < 1e-12
         assert abs(abs(np.dot(gs.amplitudes, product)) - 1.0) < 1e-10
 
@@ -369,48 +417,38 @@ class TestSplitStructure:
                     assert abs(abs(overlap) - 1.0) < 1e-12, case
 
     def test_product_state_matches_loop_reference(self):
+        # the even-block coordinates are sqrt(2 / n_r) times the full-basis
+        # amplitude of the representative, and the full product is R-even
         rng = np.random.default_rng(7)
         for L in (8, 12):
             half = L // 2
-            left = _half_ground(half, -2.6, Pinning.NEEL)
-            right = _mirror(left, half)
-            assert np.array_equal(split_product_state(L, left, right),
-                                  _loop_split_product_state(L, left, right))
-            for n_up in range(half + 1):
-                sector = 2 * n_up - half
-                left = GroundState(0.0, rng.standard_normal(math.comb(half, n_up)),
-                                   sector)
-                right = GroundState(0.0, rng.standard_normal(
-                    math.comb(half, half - n_up)), -sector)
-                assert np.array_equal(split_product_state(L, left, right),
-                                      _loop_split_product_state(L, left, right))
-
-    def test_sector_mismatch(self):
-        polarized = GroundState(energy=0.0, amplitudes=np.array([1.0]), sector=4)
-        balanced = GroundState(energy=0.0,
-                               amplitudes=np.full(6, 1.0 / math.sqrt(6.0)),
-                               sector=0)
-        with pytest.raises(InvalidSpec):
-            split_product_state(8, polarized, balanced)
+            basis = sector_basis(L, half)
+            image = _image(basis, L)
+            represents = basis <= image
+            scale = np.where(basis == image, 1.0, math.sqrt(2.0))[represents]
+            lefts = [_half_ground(half, -2.6, Pinning.NEEL)] + [
+                GroundState(0.0, rng.standard_normal(math.comb(half, n_up)),
+                            2 * n_up - half) for n_up in range(half + 1)]
+            for left in lefts:
+                full = _loop_split_product_state(L, left, _mirror(left, half))
+                assert np.array_equal(full[np.searchsorted(basis, image)], full)
+                assert np.allclose(split_product_state(L, left),
+                                   scale * full[represents],
+                                   rtol=1e-15, atol=0.0)
 
     def test_rejects_amplitudes_that_miss_their_sector(self):
-        balanced = GroundState(0.0, np.full(6, 1.0 / math.sqrt(6.0)), 0)
-        for left, right in (
-                (GroundState(0.0, np.ones(3), 0), balanced),
-                (balanced, GroundState(0.0, np.ones((6, 1)), 0)),
-                (GroundState(0.0, np.ones(6), 1),
-                 GroundState(0.0, np.ones(6), -1)),
-                (GroundState(0.0, np.ones(1), 6),
-                 GroundState(0.0, np.ones(1), -6))):
+        for left in (GroundState(0.0, np.ones(3), 0),
+                     GroundState(0.0, np.ones((6, 1)), 0),
+                     GroundState(0.0, np.ones(6), 1),
+                     GroundState(0.0, np.ones(1), 6)):
             with pytest.raises(InvalidSpec):
-                split_product_state(8, left, right)
+                split_product_state(8, left)
 
     def test_rejects_a_length_that_is_not_an_even_integer(self):
         left = _half_ground(4, -2.6, Pinning.NEEL)
-        right = _mirror(left, 4)
         for bad_L in (9, 8.0):
             with pytest.raises(InvalidSpec):
-                split_product_state(bad_L, left, right)
+                split_product_state(bad_L, left)
 
 
 class TestFiniteFidelity:
@@ -441,7 +479,7 @@ class TestFiniteFidelity:
             raise AssertionError("solved a half chain of an oversized L")
 
         monkeypatch.setattr(ed_oracle, "_half_ground", never)
-        for L in (22, 64):
+        for L in (26, 64):
             with pytest.raises(SizeLimit):
                 bipartite_fidelity_finite(L, 0.3)
 

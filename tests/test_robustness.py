@@ -4,7 +4,8 @@ ZeroDivisionError.
 
 The strategies cover each documented domain, its edges (0, 1, subnormals,
 the last doubles below 1) and arbitrary floats beyond it, nan and inf
-included.  A term cap of 20 000 keeps each property to about a second; near
+included, integers up to 10^5000 in magnitude (past the digit limit of
+str()), and eigensolver start vectors scaled by 10^-300 to 10^300.  A term cap of 20 000 keeps each property to about a second; near
 x = 1 it turns slow products into NonConvergent, which is a documented
 outcome.
 """
@@ -16,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (ModelPoint, Pinning, QProductSpec, SpinChainSpec,
                          Tolerance, XXZFidelityError,
-                         bipartite_fidelity_finite, fidelity_modular,
+                         bipartite_fidelity_finite, build_hamiltonian,
+                         fidelity_modular,
                          fidelity_raw, fidelity_simplified,
                          g_decomposition_residual, g_product, ground_state,
                          log_multibase_product, minus_one_peel_residual,
@@ -117,7 +119,19 @@ def test_verify_qcalc_identities(x, z, b, c):
 
 
 @SWEEP
-@given(L=st.integers(2, 32).map(lambda n: 2 * n) | st.integers() | ANY,
+@given(max_terms=st.none() | st.integers() | st.integers(-10 ** 5000, 10 ** 5000)
+       | ANY)
+def test_tolerance(max_terms):
+    try:
+        tol = Tolerance(max_terms=max_terms)
+    except XXZFidelityError:
+        return
+    assert tol.cap(100) >= 1
+
+
+@SWEEP
+@given(L=(st.integers(2, 32).map(lambda n: 2 * n) | st.integers() | ANY
+          | st.integers(-10 ** 5000, 10 ** 5000)),
        x=UNIT, split=st.booleans(), pinning=st.sampled_from(Pinning))
 def test_spin_chain_spec(L, x, split, pinning):
     def bound():
@@ -137,18 +151,51 @@ def test_bipartite_fidelity_finite(L, x, pinning):
     assert 0.0 <= f_L <= 1.0, f_L
 
 
+# a start vector: None, or unit-range entries (zeros included) times 10^±300
+START_SCALE = st.none() | st.integers(-300, 300).map(lambda e: 10.0 ** e)
+
+
+def _start(data, n, scale):
+    if scale is None:
+        return None
+    entries = data.draw(st.lists(st.floats(-1.0, 1.0) | st.just(0.0),
+                                 min_size=n, max_size=n))
+    return np.array(entries) * scale
+
+
+def _check_ground_state(H, start):
+    try:
+        gs = ground_state(H, start=start)
+    except XXZFidelityError:
+        return
+    assert math.isfinite(gs.energy) and np.isfinite(gs.amplitudes).all()
+    assert abs(np.linalg.norm(gs.amplitudes) - 1.0) < 1e-12
+
+
 @SWEEP
-@given(data=st.data(), n=st.integers(1, 6), sparse=st.booleans())
-def test_ground_state(data, n, sparse):
+@given(data=st.data(), n=st.integers(1, 6), sparse=st.booleans(),
+       scale=START_SCALE)
+def test_ground_state(data, n, sparse, scale):
     upper = data.draw(st.lists(st.floats(-1e3, 1e3) | ANY,
                                min_size=n * (n + 1) // 2,
                                max_size=n * (n + 1) // 2))
     H = np.zeros((n, n))
     H[np.triu_indices(n)] = upper
     H = H + np.triu(H, 1).T
-    try:
-        gs = ground_state(sp.csr_matrix(H) if sparse else H)
-    except XXZFidelityError:
-        return
-    assert math.isfinite(gs.energy) and np.isfinite(gs.amplitudes).all()
-    assert abs(np.linalg.norm(gs.amplitudes) - 1.0) < 1e-12
+    _check_ground_state(sp.csr_matrix(H) if sparse else H,
+                        _start(data, n, scale))
+
+
+# dimension 494 >= DENSE_DIM_LIMIT: the start vector reaches Lanczos
+LANCZOS_H = build_hamiltonian(SpinChainSpec(12, 0.3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-300, 300),
+       zero_frac=st.sampled_from([0.0, 0.5, 0.99, 1.0]))
+def test_ground_state_lanczos_start(seed, exponent, zero_frac):
+    rng = np.random.default_rng(seed)
+    dim = LANCZOS_H.shape[0]
+    start = rng.uniform(-1.0, 1.0, dim) * 10.0 ** exponent
+    start[rng.random(dim) < zero_frac] = 0.0
+    _check_ground_state(LANCZOS_H, start)
