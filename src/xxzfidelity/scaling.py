@@ -26,13 +26,15 @@ import numpy as np
 from .elliptic import ModelPoint, log_correlation_length
 from .errors import InvalidSpec
 from .fidelity import _QUARTER_LN2, fidelity
-from .qseries import DEFAULT_TOL, Tolerance
+from .qseries import DEFAULT_TOL, Tolerance, _brief
 
 #: UV central charge of the XXZ chain; the conjecture target ratio is c/8
 CENTRAL_CHARGE = 1.0
 #: (A, B) of the leading asymptotes A/eps + B of ln xi and of -ln f
 LN_XI_COEFFS = (math.pi ** 2 / 2.0, -math.log(4.0))
 MINUS_LN_F_COEFFS = (math.pi ** 2 / 16.0, -_QUARTER_LN2)
+#: largest grid log_spaced builds
+MAX_GRID_COUNT = 1_000_000
 
 
 def ln_xi_reference(eps: float) -> float:
@@ -100,11 +102,17 @@ def fit_asymptote(samples: Sequence[tuple[float, float]]) -> AsymptoticFit:
 
 
 def log_spaced(lo: float, hi: float, count: int) -> list[float]:
-    """count log-spaced values from lo to hi inclusive."""
+    """count log-spaced values from lo to hi inclusive.
+
+    Raises InvalidSpec, before allocating anything, for a count outside
+    [1, MAX_GRID_COUNT].
+    """
     if not (0.0 < lo <= hi < math.inf):
         raise InvalidSpec(f"need 0 < lo <= hi < inf, got {lo!r}, {hi!r}")
-    if not (isinstance(count, numbers.Integral) and count >= 1):
-        raise InvalidSpec(f"count must be an integer >= 1, got {count!r}")
+    if not (isinstance(count, numbers.Integral)
+            and 1 <= count <= MAX_GRID_COUNT):
+        raise InvalidSpec(f"count must be an integer in [1, {MAX_GRID_COUNT}], "
+                          f"got {_brief(count)}")
     if lo == hi:
         return [lo] * count
     return [float(v) for v in np.geomspace(lo, hi, count)]

@@ -251,6 +251,14 @@ class TestBuildHamiltonian:
         assert [_even_dim(L) for L in (8, 12, 16, 18, 22, 24)] == [
             43, 494, 6563, 24566, 353740, 1354126]
 
+    def test_even_states_built_once_per_f_L(self):
+        ed_oracle._even_states.cache_clear()
+        bipartite_fidelity_finite(8, 0.3)
+        info = ed_oracle._even_states.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # the shared arrays cannot be changed under another caller
+        assert not any(a.flags.writeable for a in ed_oracle._even_states(8))
+
     def test_even_block_spectrum_lies_in_the_zero_sector(self):
         # R-even levels are zero-sector levels, and the lowest one is shared
         for L in range(4, 13, 2):

@@ -1,5 +1,7 @@
 """Multi-base product evaluation: both strategies, tolerances, identities."""
 import math
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,6 +139,111 @@ class TestDirectProduct:
         # ln (-1; 0.999)_inf is about 820 > ln(DBL_MAX)
         with pytest.raises(Overflow):
             qproduct_direct(QProductSpec(-1.0, (0.999,)))
+
+
+def _loop_direct_pass(z, bases, suffix_mass, cutoff, max_terms):
+    """Reference: the lattice walked point by point, recursively, with one
+    math.log1p per retained factor summed in order."""
+    log_acc = 0.0
+    omitted = 0.0
+    count = 0
+    zero_factor = False
+    last = len(bases) - 1
+
+    def rec(i, w):
+        nonlocal log_acc, omitted, count, zero_factor
+        b = bases[i]
+        wi = w
+        if i == last:
+            while wi > cutoff:
+                count += 1
+                if count > max_terms:
+                    raise NonConvergent("reference exceeded max_terms")
+                zw = z * wi
+                if zw == 1.0:
+                    zero_factor = True
+                else:
+                    log_acc = log_acc + math.log1p(-zw)
+                wi *= b
+        else:
+            while wi > cutoff:
+                rec(i + 1, wi)
+                wi *= b
+        omitted += wi / (1.0 - b) * suffix_mass[i + 1]
+
+    rec(0, 1.0)
+    return log_acc, omitted, zero_factor, count
+
+
+def _suffix_mass(bases):
+    mass = [1.0] * (len(bases) + 1)
+    for i in range(len(bases) - 1, -1, -1):
+        mass[i] = mass[i + 1] / (1.0 - bases[i])
+    return mass
+
+
+def _pass_or_none(direct_pass, *args):
+    try:
+        return direct_pass(*args)
+    except NonConvergent:
+        return None
+
+
+class TestDirectPass:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        z=st.floats(min_value=-1.0, max_value=1.0),
+        bases=st.lists(st.floats(min_value=0.05, max_value=0.9),
+                       min_size=1, max_size=3),
+        rel_tol=st.floats(min_value=1e-13, max_value=1e-6),
+        slab=st.sampled_from([1, 7, qseries._SLAB]),
+    )
+    def test_matches_the_loop(self, z, bases, rel_tol, slab):
+        # slabs of 1 and 7 points cut the last direction's runs everywhere
+        args = (z, bases, _suffix_mass(bases), rel_tol / 10.0, 20_000)
+        expected = _pass_or_none(_loop_direct_pass, *args)
+        with mock.patch.object(qseries, "_SLAB", slab):
+            got = _pass_or_none(qseries._direct_pass, *args)
+        assert (got is None) == (expected is None)
+        if expected is None:
+            return
+        log_acc, omitted, zero_factor, count = got
+        assert count == expected[3]
+        assert zero_factor == expected[2]
+        assert omitted == pytest.approx(expected[1], rel=1e-14)
+        if not zero_factor:
+            assert log_acc == pytest.approx(expected[0], rel=0.0, abs=1e-11)
+
+    @pytest.mark.parametrize("bases", [(0.7,), (0.3, 0.6), (0.5, 0.2, 0.4)])
+    def test_max_terms_boundary(self, bases):
+        args = (0.5, bases, _suffix_mass(bases), 1e-10)
+        count = qseries._direct_pass(*args, 10 ** 9)[3]
+        assert count == _loop_direct_pass(*args, 10 ** 9)[3]
+        assert qseries._direct_pass(*args, count)[3] == count
+        with pytest.raises(NonConvergent):
+            qseries._direct_pass(*args, count - 1)
+
+    @pytest.mark.parametrize("bases", [(1.0 - 1e-12,), (0.5, 1.0 - 1e-12)])
+    def test_cap_checked_before_allocating(self, bases):
+        # about 3e13 points per prefix: only the estimate may see them
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonConvergent):
+                qproduct_direct(QProductSpec(0.5, bases), Tolerance(max_terms=20_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_sum_stays_inside_rel_tol(self):
+        # about a million factors; summed in order they missed by 5e-11
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            z, a = mpmath.mpf(0.5), mpmath.mpf(0.8)
+            ln_ref = -mpmath.nsum(lambda m: z ** m / (m * (1 - a ** m) ** 3),
+                                  [1, mpmath.inf])
+        got = math.log(qproduct_direct(QProductSpec(0.5, (0.8, 0.8, 0.8))))
+        assert abs(got - float(ln_ref)) <= 2e-12
 
 
 class TestPathAgreement:

@@ -1,5 +1,6 @@
 """Asymptotic references, least-squares extraction, conjecture ratio."""
 import math
+import tracemalloc
 
 import pytest
 
@@ -8,7 +9,7 @@ from xxzfidelity import (AsymptoticFit, InvalidSpec, ModelPoint,
                          collect_minus_ln_f, conjecture_ratio, fit_asymptote,
                          fidelity_modular, log_spaced, ln_xi_reference,
                          minus_ln_f_reference)
-from xxzfidelity.scaling import CENTRAL_CHARGE
+from xxzfidelity.scaling import CENTRAL_CHARGE, MAX_GRID_COUNT
 
 TARGET_RATIO = CENTRAL_CHARGE / 8.0
 
@@ -100,6 +101,19 @@ class TestLogSpaced:
                        (0.1, math.nan)):
             with pytest.raises(InvalidSpec):
                 log_spaced(lo, hi, 3)
+
+    def test_oversized_count_refused_before_allocating(self):
+        # 10**400 is past the float range, 10**5000 past repr()'s digit limit
+        tracemalloc.start()
+        try:
+            for count in (MAX_GRID_COUNT + 1, 10 ** 400, 10 ** 5000):
+                for lo, hi in ((1e-3, 1e-2), (0.5, 0.5)):
+                    with pytest.raises(InvalidSpec):
+                        log_spaced(lo, hi, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCollectors:
