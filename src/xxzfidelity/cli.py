@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -32,8 +31,9 @@ from .errors import InvalidSpec, XXZFidelityError
 # its tracer wraps this binding
 from .fidelity import fidelity, fidelity_modular, identity_report  # noqa: F401
 from .qseries import _LN_HUGE, Tolerance
-from .scaling import (LN_XI_COEFFS, MINUS_LN_F_COEFFS, collect_ln_xi,
-                      collect_minus_ln_f, fit_asymptote, log_spaced)
+from .scaling import (LN_XI_COEFFS, MINUS_LN_F_COEFFS, _check_grid_count,
+                      collect_ln_xi, collect_minus_ln_f, fit_asymptote,
+                      log_spaced)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -88,8 +88,7 @@ class RunConfig:
                 raise InvalidSpec(f"{self.command} needs grid bounds")
             if not (self.grid_min <= self.grid_max):
                 raise InvalidSpec("grid min must be <= max")
-            if not (isinstance(self.count, numbers.Integral) and self.count >= 1):
-                raise InvalidSpec(f"count must be an integer >= 1, got {self.count!r}")
+            _check_grid_count(self.count)
             if self.grid_var == "x":
                 if not (0.0 < self.grid_min and self.grid_max < 1.0):
                     raise InvalidSpec("x grid bounds must lie inside (0,1)")

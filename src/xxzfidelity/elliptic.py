@@ -86,27 +86,6 @@ class ModelPoint:
         return -math.pi ** 2 / self.eps
 
 
-def dual_point(p: ModelPoint) -> "ModelPoint":
-    """The point at the dual nome x~ = e^{-pi^2/eps}; an involution.
-
-    The fixed point is eps = pi.  Where x~ rounds to 0.0 (eps < pi^2/745)
-    no valid ModelPoint exists and ``ModelPoint.from_x`` raises InvalidSpec;
-    log-space consumers should use ``p.ln_x_dual`` instead.
-    """
-    return ModelPoint.from_x(p.x_dual)
-
-
-@dataclass(frozen=True)
-class EllipticModuli:
-    """The modulus pair (k, k') at one nome, satisfying k^2 + k'^2 = 1."""
-
-    k: float
-    kprime: float
-
-    def complementary_residual(self) -> float:
-        return abs(self.k ** 2 + self.kprime ** 2 - 1.0)
-
-
 def _log_modulus_k(ln_z: float, tol: Tolerance):
     """ln k at nome z given ln z; tolerates z underflowed to 0.0."""
     z = math.exp(ln_z)
@@ -140,11 +119,6 @@ def modulus_kprime(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     if not (0.0 < z < 1.0):
         raise InvalidSpec(f"nome must lie in (0,1), got {z!r}")
     return math.exp(_log_modulus_kprime(math.log(z), tol))
-
-
-def moduli(z: float, tol: Tolerance = DEFAULT_TOL) -> EllipticModuli:
-    """Both moduli at one nome, for complementary-relation checks."""
-    return EllipticModuli(modulus_k(z, tol), modulus_kprime(z, tol))
 
 
 def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:

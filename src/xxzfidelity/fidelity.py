@@ -29,7 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-from .elliptic import ModelPoint, moduli, modulus_k, modulus_kprime
+from .elliptic import ModelPoint, modulus_k, modulus_kprime
 from .errors import InvalidSpec, NonConvergent
 from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, Tolerance,
                       log_multibase_product, minus_one_peel_residual,
@@ -366,8 +366,9 @@ def identity_report(tol: Tolerance = DEFAULT_TOL) -> list[tuple[str, float]]:
                          (1.0, 0.4), (8.0, 0.6)))),
         ("three_path_fidelity", max(route_spread(x)
                                     for x in (0.3, 0.45, 0.6, 0.75, 0.9))),
-        ("moduli_complementary", max(moduli(z, tol).complementary_residual()
-                                     for z in (0.05, 0.25, 0.5, 0.7, 0.9))),
+        ("moduli_complementary", max(
+            abs(modulus_k(z, tol) ** 2 + modulus_kprime(z, tol) ** 2 - 1.0)
+            for z in (0.05, 0.25, 0.5, 0.7, 0.9))),
         ("moduli_duality", max(duality(x) for x in (0.3, 0.5, 0.7, 0.85, 0.95))),
         ("g_series_vs_product", max(g_routes(p) for p in g_points)),
         ("g_decomposition", max(g_decomposition_residual(p, tol)

@@ -4,19 +4,21 @@ The central object is
 
     (z; a_1, ..., a_N)_inf = prod_{n_1,...,n_N >= 0} (1 - z a_1^{n_1} ... a_N^{n_N})
 
-with every base a_i in (0, 1).  Two independent evaluation strategies are
-provided:
+Both evaluation strategies take the same arguments (z, bases, tol), checked
+against one shared domain, |z| <= 1 and a nonempty sequence of bases in
+[0, 1); each adds the one condition its own maths needs:
 
 * ``qproduct_direct`` multiplies the lattice factors themselves, truncating
   the multi-index lattice by total weight w = a_1^{n_1}...a_N^{n_N}; it
   builds the retained lattice one direction at a time as numpy arrays and
-  sums ln(1 - z w) pairwise, slab by slab;
-* ``qproduct_log`` sums the logarithmic series
+  sums ln(1 - z w) pairwise, slab by slab.  It takes ln a_i, so every base
+  must be > 0; z = +-1 is legal.  It returns the product itself;
+* ``log_multibase_product`` sums the logarithmic series
 
       ln (z; a_1,...,a_N)_inf = -sum_{m>=1} z^m / (m prod_i (1 - a_i^m)),
 
   valid for |z| < 1 (expand ln(1 - z w) per factor and sum the geometric
-  series over each index).
+  series over each index).  It returns the log of the product.
 
 Their agreement is the workhorse cross-check for every identity used
 downstream.
@@ -81,40 +83,30 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-@dataclass(frozen=True)
-class QProductSpec:
-    """Argument z plus the ordered base list of one multi-base product.
+def _check_product(z, bases) -> None:
+    """Raise InvalidSpec unless |z| <= 1 and bases is a nonempty sequence of
+    values in [0, 1), the domain both strategies share.
 
-    Every base must lie strictly inside (0, 1), which makes the product
-    converge absolutely.  |z| <= 1 is accepted here; the log-series strategy
-    additionally requires |z| < 1 strictly, while z = +-1 is meaningful for
-    the direct strategy (e.g. the (-1; a, a)_inf factor, whose leading
-    factor is simply 2).
+    The log series runs this on every call, so it only compares: nan fails
+    every comparison, and an integer of any size compares exactly.
     """
-
-    z: float
-    bases: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", float(self.z))
-        object.__setattr__(self, "bases", tuple(float(b) for b in self.bases))
-        if len(self.bases) == 0:
-            raise InvalidSpec("bases must be nonempty")
-        for b in self.bases:
-            if not (0.0 < b < 1.0):
-                raise InvalidSpec(f"every base must lie in (0,1), got {b!r}")
-        if not (abs(self.z) <= 1.0):
-            raise InvalidSpec(f"|z| <= 1 required, got z={self.z!r}")
+    if not abs(z) <= 1.0:
+        raise InvalidSpec(f"|z| <= 1 required, got z={_brief(z)}")
+    if len(bases) == 0:
+        raise InvalidSpec("bases must be nonempty")
+    for b in bases:
+        if not 0.0 <= b < 1.0:
+            raise InvalidSpec(f"every base must lie in [0,1), got {_brief(b)}")
 
 
 def log_multibase_product(z: float, bases: Sequence[float],
                           tol: Tolerance = DEFAULT_TOL) -> float:
-    """ln (z; a_1,...,a_N)_inf via the logarithmic series; requires |z| < 1.
+    """ln (z; a_1,...,a_N)_inf via the logarithmic series.
 
-    Bases equal to 0.0 are tolerated here (a zero base contributes a single
-    lattice slice, and its geometric sums collapse to 1), which lets callers
-    pass dual-nome powers that underflowed to zero; the public
-    ``QProductSpec`` remains strict about (0, 1).
+    On top of the shared domain the series requires |z| < 1 strictly.  A
+    base equal to 0.0 is legal (it contributes a single lattice slice, and
+    its geometric sums collapse to 1), which lets callers pass dual-nome
+    powers that underflowed to zero.
 
     Stopping rule: the geometric tail bound |term_m| * |z| / (1 - |z|)
     (valid because successive terms shrink at least by |z|) must drop below
@@ -123,11 +115,9 @@ def log_multibase_product(z: float, bases: Sequence[float],
     floor beyond the z = 0 short-circuit.  A sum past the float range raises
     Overflow (bases so close to 1 that the denominators underflow).
     """
-    if not (abs(z) < 1.0):
+    _check_product(z, bases)
+    if not abs(z) < 1.0:
         raise InvalidSpec(f"log series requires |z| < 1, got z={z!r}")
-    for b in bases:
-        if not (0.0 <= b < 1.0):
-            raise InvalidSpec(f"bases must lie in [0,1), got {b!r}")
     if z == 0.0:
         return 0.0
 
@@ -161,11 +151,6 @@ def log_multibase_product(z: float, bases: Sequence[float],
     if not math.isfinite(acc):
         raise Overflow(f"log series for (z={z}; {tuple(bases)}) leaves the float range")
     return float(acc)
-
-
-def qproduct_log(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
-    """ln of the product for a validated spec (log-series strategy)."""
-    return log_multibase_product(spec.z, spec.bases, tol)
 
 
 def _exp(ln_value: float, what) -> float:
@@ -241,8 +226,12 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
     return log_acc, omitted, False, count
 
 
-def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
+def qproduct_direct(z: float, bases: Sequence[float],
+                    tol: Tolerance = DEFAULT_TOL) -> float:
     """(z; a_1,...,a_N)_inf by direct factor multiplication.
+
+    On top of the shared domain every base must be > 0, since the lattice
+    counts take ln a_i.
 
     Lattice points are retained while their weight exceeds a cutoff that
     starts at rel_tol/10 and is tightened until the omitted log-mass bound
@@ -261,12 +250,13 @@ def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
     rel_tol: (0.5; 0.8, 0.8, 0.8), about a million factors, misses 30-digit
     mpmath by 8e-13 in ln, where a sequential sum missed by 5e-11.
     """
-    z = spec.z
+    _check_product(z, bases)
+    if not min(bases) > 0.0:
+        raise InvalidSpec(f"the direct product needs every base > 0, got {bases!r}")
     if z == 0.0:
         return 1.0
     rel_tol = tol.rel_tol
     max_terms = tol.cap(DIRECT_MAX_TERMS)
-    bases = spec.bases
     n_dim = len(bases)
 
     # suffix_mass[i] = total weight of the sub-lattice over directions j >= i
@@ -282,10 +272,10 @@ def qproduct_direct(spec: QProductSpec, tol: Tolerance = DEFAULT_TOL) -> float:
             return 0.0
         est = abs(z) * omitted / (1.0 - abs(z) * cutoff)
         if est <= rel_tol:
-            return _exp(log_acc, spec)
+            return _exp(log_acc, f"({z}; {bases})_inf")
         cutoff *= max(min(rel_tol / (2.0 * est), 0.5), 1e-6)
     raise NonConvergent(
-        f"direct product for {spec} could not certify rel_tol={rel_tol}")
+        f"direct product ({z}; {bases})_inf could not certify rel_tol={rel_tol}")
 
 
 def verify_qcalc_identities(x: float, z: float, b: int, c: int,
@@ -315,16 +305,18 @@ def verify_qcalc_identities(x: float, z: float, b: int, c: int,
 
     xb, xc = x ** b, x ** c
     x2b, x2c = x ** (2 * b), x ** (2 * c)
-    specs = [QProductSpec(zz, bases) for zz, bases in (
-        (z, (x2b, xc)), (z * xb, (x2b, xc)), (z, (xb, xc)), (-z, (xb, xc)),
-        (z * z, (x2b, x2c)))]
+    products = ((z, (x2b, xc)), (z * xb, (x2b, xc)), (z, (xb, xc)),
+                (-z, (xb, xc)), (z * z, (x2b, x2c)))
 
     def residuals(even, odd, whole, negated, squared):
         return (abs((even * odd - whole) / whole),
                 abs((whole * negated - squared) / squared))
 
-    d1, d2 = residuals(*[qproduct_direct(s, tol) for s in specs])
-    s1, s2 = residuals(*[_exp(qproduct_log(s, tol), s) for s in specs])
+    d1, d2 = residuals(*[qproduct_direct(zz, bases, tol)
+                         for zz, bases in products])
+    s1, s2 = residuals(*[_exp(log_multibase_product(zz, bases, tol),
+                              f"({zz}; {bases})_inf")
+                         for zz, bases in products])
     return (max(d1, s1), max(d2, s2))
 
 
@@ -336,8 +328,8 @@ def minus_one_peel_residual(a: float, tol: Tolerance = DEFAULT_TOL) -> float:
     The left side uses the log series, the right side the direct product
     (the only strategy defined at z = -1), so the check is two-strategy.
     """
-    lhs = _exp(qproduct_log(QProductSpec(-a, (a, a)), tol), f"(-a; a, a) at a={a}")
-    minus_one = qproduct_direct(QProductSpec(-1.0, (a, a)), tol)
-    single = _exp(qproduct_log(QProductSpec(-a, (a,)), tol), f"(-a; a) at a={a}")
+    lhs = _exp(log_multibase_product(-a, (a, a), tol), f"(-a; a, a) at a={a}")
+    minus_one = qproduct_direct(-1.0, (a, a), tol)
+    single = _exp(log_multibase_product(-a, (a,), tol), f"(-a; a) at a={a}")
     rhs = minus_one / (2.0 * single)
     return abs((lhs - rhs) / rhs)

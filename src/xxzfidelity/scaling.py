@@ -28,8 +28,6 @@ from .errors import InvalidSpec
 from .fidelity import _QUARTER_LN2, fidelity
 from .qseries import DEFAULT_TOL, Tolerance, _brief
 
-#: UV central charge of the XXZ chain; the conjecture target ratio is c/8
-CENTRAL_CHARGE = 1.0
 #: (A, B) of the leading asymptotes A/eps + B of ln xi and of -ln f
 LN_XI_COEFFS = (math.pi ** 2 / 2.0, -math.log(4.0))
 MINUS_LN_F_COEFFS = (math.pi ** 2 / 16.0, -_QUARTER_LN2)
@@ -101,6 +99,14 @@ def fit_asymptote(samples: Sequence[tuple[float, float]]) -> AsymptoticFit:
                          sample_count=len(pairs))
 
 
+def _check_grid_count(count) -> None:
+    """Raise InvalidSpec unless count is an integer in [1, MAX_GRID_COUNT]."""
+    if not (isinstance(count, numbers.Integral)
+            and 1 <= count <= MAX_GRID_COUNT):
+        raise InvalidSpec(f"count must be an integer in [1, {MAX_GRID_COUNT}], "
+                          f"got {_brief(count)}")
+
+
 def log_spaced(lo: float, hi: float, count: int) -> list[float]:
     """count log-spaced values from lo to hi inclusive.
 
@@ -109,10 +115,7 @@ def log_spaced(lo: float, hi: float, count: int) -> list[float]:
     """
     if not (0.0 < lo <= hi < math.inf):
         raise InvalidSpec(f"need 0 < lo <= hi < inf, got {lo!r}, {hi!r}")
-    if not (isinstance(count, numbers.Integral)
-            and 1 <= count <= MAX_GRID_COUNT):
-        raise InvalidSpec(f"count must be an integer in [1, {MAX_GRID_COUNT}], "
-                          f"got {_brief(count)}")
+    _check_grid_count(count)
     if lo == hi:
         return [lo] * count
     return [float(v) for v in np.geomspace(lo, hi, count)]

@@ -10,6 +10,7 @@ from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, fidelity,
                          identity_report, log_correlation_length)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              POINT_COLUMNS, RunConfig, main, run)
+from xxzfidelity.scaling import MAX_GRID_COUNT
 
 
 def _invoke(capsys, argv):
@@ -131,6 +132,11 @@ class TestScan:
         bad = (["scan", "--min", "0.8", "--max", "0.2"],
                ["scan", "--min", "0.0", "--max", "0.5"],
                ["scan", "--min", "0.2", "--max", "0.5", "--count", "0"],
+               # past MAX_GRID_COUNT; 10**400 is past the float range
+               ["scan", "--min", "0.1", "--max", "0.5", "--count",
+                str(MAX_GRID_COUNT + 1)],
+               ["scan", "--min", "0.1", "--max", "0.5", "--count",
+                "1" + "0" * 400],
                ["scan", "--var", "eps", "--min", "-1.0", "--max", "1.0"],
                ["scan", "--var", "z", "--min", "0.2", "--max", "0.5"],
                ["scan", "--min", "0.2", "--max", "0.5", "--format", "xml"],
@@ -293,7 +299,8 @@ class TestRunConfig:
             RunConfig(command="scan", grid_min=0.2)
         with pytest.raises(InvalidSpec):
             RunConfig(command="scan", grid_var="z", grid_min=0.2, grid_max=0.5)
-        for bad in (2.5, 3.0):
+        # the rule of log_spaced; 10**5000 is past repr()'s digit limit
+        for bad in (2.5, 3.0, MAX_GRID_COUNT + 1, 10 ** 400, 10 ** 5000):
             with pytest.raises(InvalidSpec):
                 RunConfig(command="scan", grid_min=0.1, grid_max=0.5, count=bad)
         with pytest.raises(InvalidSpec):

@@ -4,9 +4,8 @@ import math
 import pytest
 
 from xxzfidelity import (InvalidSpec, ModelPoint, Overflow, Tolerance,
-                         correlation_length, dual_point,
-                         log_correlation_length, moduli, modulus_k,
-                         modulus_kprime)
+                         correlation_length, log_correlation_length,
+                         modulus_k, modulus_kprime)
 
 # 50-digit reference values (independent high-precision evaluation)
 K_025 = 0.9935469827401039810989
@@ -83,13 +82,13 @@ class TestModelPoint:
 
     def test_dual_involution(self):
         p = ModelPoint.from_x(0.3)
-        back = dual_point(dual_point(p))
+        back = ModelPoint.from_x(ModelPoint.from_x(p.x_dual).x_dual)
         assert back.x == pytest.approx(p.x, rel=1e-12)
 
     def test_self_dual_fixed_point(self):
         p = ModelPoint.from_eps(math.pi)
         assert p.x_dual == pytest.approx(p.x, rel=1e-14)
-        assert dual_point(p).x == pytest.approx(p.x, rel=1e-14)
+        assert ModelPoint.from_x(p.x_dual).x == pytest.approx(p.x, rel=1e-14)
 
     def test_dual_point_underflow(self):
         # eps so small that exp(-pi^2/eps) rounds to zero as a double
@@ -98,7 +97,7 @@ class TestModelPoint:
         assert p.ln_x_dual == pytest.approx(-math.pi ** 2 / 0.01, rel=1e-15)
         # no ModelPoint exists at x~ = 0.0
         with pytest.raises(InvalidSpec):
-            dual_point(p)
+            ModelPoint.from_x(p.x_dual)
 
 
 class TestModuli:
@@ -118,7 +117,7 @@ class TestModuli:
     def test_complementary_relation_grid(self):
         for iz in range(1, 19):
             z = iz * 0.05
-            assert moduli(z).complementary_residual() < 1e-10, z
+            assert abs(modulus_k(z) ** 2 + modulus_kprime(z) ** 2 - 1.0) < 1e-10, z
 
     def test_duality_grid(self):
         for ix in range(6, 20):

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (FidelityResult, InvalidSpec, ModelPoint,
-                         NonConvergent, Overflow, Path, QProductSpec,
-                         Tolerance, conjecture_ratio, correlation_length,
-                         fidelity, fidelity_modular, fidelity_raw,
+                         NonConvergent, Overflow, Path, Tolerance,
+                         conjecture_ratio, correlation_length, fidelity,
+                         fidelity_modular, fidelity_raw,
                          fidelity_simplified, g_decomposition_residual,
                          g_product, ln_g_series, log_correlation_length,
                          log_multibase_product, qproduct_direct,
@@ -154,7 +154,7 @@ class TestGFactor:
             # the same product with its |z| = 1 factor (-1; x^4, x^4) taken
             # by the direct lattice product instead of the peel identity
             x4 = x ** 4
-            direct = (math.log(qproduct_direct(QProductSpec(-1.0, (x4, x4))))
+            direct = (math.log(qproduct_direct(-1.0, (x4, x4)))
                       + log_multibase_product(-x4, (x4, x4))
                       - 2.0 * log_multibase_product(-x * x, (x4, x4)))
             assert abs(math.expm1(peeled - s)) < 1e-11, x

@@ -6,10 +6,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (InvalidSpec, NonConvergent, Overflow,
-                         QProductSpec, Tolerance, log_multibase_product,
-                         minus_one_peel_residual, qproduct_direct,
-                         qproduct_log, verify_qcalc_identities)
+from xxzfidelity import (InvalidSpec, NonConvergent, Overflow, Tolerance,
+                         log_multibase_product, minus_one_peel_residual,
+                         qproduct_direct, verify_qcalc_identities)
 from xxzfidelity import qseries
 from xxzfidelity.qseries import DEFAULT_REL_TOL, DIRECT_MAX_TERMS, SERIES_MAX_TERMS
 
@@ -48,22 +47,55 @@ class TestTolerance:
                 Tolerance(1e-12, bad)
 
 
+# outside the domain both strategies share: |z| <= 1, a nonempty sequence
+# of bases in [0, 1); 10**5000 is past repr()'s digit limit
+OUTSIDE_SHARED_DOMAIN = [
+    (0.5, ()), (0.5, (1.0,)), (0.5, (0.5, -0.1)), (0.5, (math.nan,)),
+    (0.5, (math.inf,)), (0.5, (10 ** 5000,)), (0.5, (-10 ** 5000,)),
+    (1.5, (0.5,)), (-1.5, (0.5,)), (math.nan, (0.5,)), (math.inf, (0.5,)),
+    (10 ** 5000, (0.5,)), (-10 ** 5000, (0.5,)),
+]
+
+
 class TestQProductSpec:
+    """The (z, bases) specification of a product, as each strategy checks it."""
+
+    STRATEGIES = (log_multibase_product, qproduct_direct)
+
     def test_validates_bases(self):
-        with pytest.raises(InvalidSpec):
-            QProductSpec(0.5, ())
-        with pytest.raises(InvalidSpec):
-            QProductSpec(0.5, (1.0,))
-        with pytest.raises(InvalidSpec):
-            QProductSpec(0.5, (0.5, -0.1))
+        for strategy in self.STRATEGIES:
+            for bases in ((), (1.0,), (0.5, -0.1)):
+                with pytest.raises(InvalidSpec):
+                    strategy(0.5, bases)
 
     def test_validates_z(self):
-        with pytest.raises(InvalidSpec):
-            QProductSpec(1.5, (0.5,))
+        for strategy in self.STRATEGIES:
+            with pytest.raises(InvalidSpec):
+                strategy(1.5, (0.5,))
 
     def test_unit_z_is_legal(self):
-        assert QProductSpec(-1.0, (0.5, 0.5)).z == -1.0
-        assert QProductSpec(1.0, (0.5,)).z == 1.0
+        # |z| = 1 is inside the shared domain; only the series refuses it
+        assert qproduct_direct(1.0, (0.5,)) == 0.0
+        assert math.isfinite(qproduct_direct(-1.0, (0.5, 0.5)))
+        with pytest.raises(InvalidSpec, match=r"\|z\| < 1"):
+            log_multibase_product(-1.0, (0.5, 0.5))
+
+
+class TestProductDomain:
+    @pytest.mark.parametrize("strategy, extra, other", [
+        # the series needs |z| < 1; a zero base is legal there
+        (log_multibase_product, [(1.0, (0.5,)), (-1.0, (0.5, 0.5))],
+         [(0.5, (0.5, 0.0)), (0.0, (0.0,))]),
+        # the direct product needs every base > 0; |z| = 1 is legal there
+        (qproduct_direct, [(0.5, (0.5, 0.0)), (0.0, (0.0,))],
+         [(1.0, (0.5,)), (-1.0, (0.5, 0.5))]),
+    ], ids=["series", "direct"])
+    def test_domain(self, strategy, extra, other):
+        for z, bases in OUTSIDE_SHARED_DOMAIN + extra:
+            with pytest.raises(InvalidSpec):
+                strategy(z, bases)
+        for z, bases in other:
+            assert math.isfinite(strategy(z, bases)), (z, bases)
 
 
 class TestLogSeries:
@@ -95,8 +127,6 @@ class TestLogSeries:
         for n in (20, 21, 40):
             with pytest.raises(Overflow):
                 log_multibase_product(0.5, (base,) * n)
-            with pytest.raises(Overflow):
-                qproduct_log(QProductSpec(0.5, (base,) * n))
         with pytest.raises(Overflow):
             log_multibase_product(-0.5, (base,) * 20)
 
@@ -112,33 +142,33 @@ class TestLogSeries:
 
 class TestDirectProduct:
     def test_zero_z_is_one(self):
-        assert qproduct_direct(QProductSpec(0.0, (0.5,))) == 1.0
+        assert qproduct_direct(0.0, (0.5,)) == 1.0
 
     def test_unit_z_zero_factor(self):
         # z = 1: the n = 0 factor is exactly (1 - 1) = 0
-        assert qproduct_direct(QProductSpec(1.0, (0.5,))) == 0.0
+        assert qproduct_direct(1.0, (0.5,)) == 0.0
 
     def test_minus_one_leading_factor(self):
         # (-1; a)_inf = 2 (-a; a)_inf: the n = 0 factor is exactly 2
         a = 0.3
-        full = qproduct_direct(QProductSpec(-1.0, (a,)))
-        peeled = qproduct_direct(QProductSpec(-a, (a,)))
+        full = qproduct_direct(-1.0, (a,))
+        peeled = qproduct_direct(-a, (a,))
         assert full == pytest.approx(2.0 * peeled, rel=3e-12)
 
     def test_agrees_with_series_two_bases(self):
-        spec = QProductSpec(0.25, (0.0625, 0.0625))
-        direct = qproduct_direct(spec)
-        series = math.exp(qproduct_log(spec))
+        args = (0.25, (0.0625, 0.0625))
+        direct = qproduct_direct(*args)
+        series = math.exp(log_multibase_product(*args))
         assert direct == pytest.approx(series, rel=2e-12)
 
     def test_nonconvergent_when_capped(self):
         with pytest.raises(NonConvergent):
-            qproduct_direct(QProductSpec(0.5, (0.9, 0.9)), Tolerance(max_terms=10))
+            qproduct_direct(0.5, (0.9, 0.9), Tolerance(max_terms=10))
 
     def test_overflow_is_documented(self):
         # ln (-1; 0.999)_inf is about 820 > ln(DBL_MAX)
         with pytest.raises(Overflow):
-            qproduct_direct(QProductSpec(-1.0, (0.999,)))
+            qproduct_direct(-1.0, (0.999,))
 
 
 def _loop_direct_pass(z, bases, suffix_mass, cutoff, max_terms):
@@ -229,7 +259,7 @@ class TestDirectPass:
         tracemalloc.start()
         try:
             with pytest.raises(NonConvergent):
-                qproduct_direct(QProductSpec(0.5, bases), Tolerance(max_terms=20_000))
+                qproduct_direct(0.5, bases, Tolerance(max_terms=20_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -242,7 +272,7 @@ class TestDirectPass:
             z, a = mpmath.mpf(0.5), mpmath.mpf(0.8)
             ln_ref = -mpmath.nsum(lambda m: z ** m / (m * (1 - a ** m) ** 3),
                                   [1, mpmath.inf])
-        got = math.log(qproduct_direct(QProductSpec(0.5, (0.8, 0.8, 0.8))))
+        got = math.log(qproduct_direct(0.5, (0.8, 0.8, 0.8)))
         assert abs(got - float(ln_ref)) <= 2e-12
 
 
@@ -254,9 +284,8 @@ class TestPathAgreement:
                        min_size=1, max_size=2),
     )
     def test_strategies_agree_within_combined_tolerance(self, z, bases):
-        spec = QProductSpec(z, tuple(bases))
-        direct = qproduct_direct(spec)
-        log_value = qproduct_log(spec)
+        direct = qproduct_direct(z, bases)
+        log_value = log_multibase_product(z, bases)
         series = math.exp(log_value)
         # direct certifies rel_tol on the value; the series certifies
         # rel_tol on the log, i.e. rel_tol * |log| on the value
@@ -268,12 +297,11 @@ class TestPathAgreement:
            base=st.floats(min_value=0.05, max_value=0.9))
     def test_monotone_truncation(self, z, base):
         # tightening rel_tol moves the result by less than the looser tolerance
-        spec = QProductSpec(z, (base,))
-        loose = qproduct_direct(spec, Tolerance(rel_tol=1e-8))
-        tight = qproduct_direct(spec, Tolerance(rel_tol=1e-13))
+        loose = qproduct_direct(z, (base,), Tolerance(rel_tol=1e-8))
+        tight = qproduct_direct(z, (base,), Tolerance(rel_tol=1e-13))
         assert abs(loose - tight) <= 1e-8 * abs(tight)
-        loose_log = qproduct_log(spec, Tolerance(rel_tol=1e-8))
-        tight_log = qproduct_log(spec, Tolerance(rel_tol=1e-13))
+        loose_log = log_multibase_product(z, (base,), Tolerance(rel_tol=1e-8))
+        tight_log = log_multibase_product(z, (base,), Tolerance(rel_tol=1e-13))
         assert abs(loose_log - tight_log) <= 1.5e-8 * abs(tight_log) + 1e-15
 
 
@@ -312,6 +340,10 @@ class TestQCalcIdentities:
                 verify_qcalc_identities(0.5, 0.3, bad, 1)
             with pytest.raises(InvalidSpec):
                 verify_qcalc_identities(0.5, 0.3, 1, bad)
+        # a base that underflows to 0: x^c in every product, x^{2c} in the last
+        for c in (2000, 600):
+            with pytest.raises(InvalidSpec):
+                verify_qcalc_identities(0.5, 0.3, 1, c)
 
     def test_each_product_evaluated_once_per_strategy(self, monkeypatch):
         calls = {"direct": 0, "series": 0}

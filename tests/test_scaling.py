@@ -9,9 +9,9 @@ from xxzfidelity import (AsymptoticFit, InvalidSpec, ModelPoint,
                          collect_minus_ln_f, conjecture_ratio, fit_asymptote,
                          fidelity_modular, log_spaced, ln_xi_reference,
                          minus_ln_f_reference)
-from xxzfidelity.scaling import CENTRAL_CHARGE, MAX_GRID_COUNT
+from xxzfidelity.scaling import MAX_GRID_COUNT
 
-TARGET_RATIO = CENTRAL_CHARGE / 8.0
+TARGET_RATIO = 1 / 8  # c/8 with central charge c = 1
 
 
 class TestReferenceFormulas:
