@@ -3,7 +3,7 @@ antiferromagnetic XXZ chain, from multi-base q-Pochhammer products, with an
 elliptic/modular toolbox, asymptotic-scaling extraction, and a finite-chain
 exact-diagonalization cross-check.
 """
-from .ed_oracle import (ConvergenceRow, GroundState, Pinning, SpinChainSpec,
+from .ed_oracle import (ConvergenceRow, GroundState, SpinChainSpec,
                         bipartite_fidelity_finite, build_hamiltonian,
                         convergence_study, ground_state, split_product_state)
 from .elliptic import (ModelPoint, correlation_length, log_correlation_length,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticFit", "ConvergenceRow", "FidelityResult", "GroundState",
     "InvalidSpec", "ModelPoint", "NonConvergent", "Overflow", "Path",
-    "Pinning", "SizeLimit", "SpinChainSpec", "Tolerance", "XXZFidelityError",
+    "SizeLimit", "SpinChainSpec", "Tolerance", "XXZFidelityError",
     "bipartite_fidelity_finite", "build_hamiltonian", "collect_ln_xi",
     "collect_minus_ln_f", "conjecture_ratio", "convergence_study",
     "correlation_length", "fidelity", "fidelity_modular", "fidelity_raw",

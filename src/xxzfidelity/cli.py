@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .ed_oracle import Pinning, convergence_study
+from .ed_oracle import convergence_study
 from .elliptic import ModelPoint, log_correlation_length
 from .errors import InvalidSpec, XXZFidelityError
 # fidelity_modular stays bound here: perfbench/test_perfbench.py checks that
@@ -64,7 +64,6 @@ class RunConfig:
     fmt: str = "json"
     output: str | None = None
     Ls: tuple[int, ...] = ()
-    pinning: str = "neel"
 
     def __post_init__(self):
         if self.command not in ("eval", "scan", "fit", "identities", "ed"):
@@ -94,11 +93,8 @@ class RunConfig:
                     raise InvalidSpec("x grid bounds must lie inside (0,1)")
             elif not (self.grid_min > 0.0):
                 raise InvalidSpec("eps grid bounds must be positive")
-        if self.command == "ed":
-            if self.x is None:
-                raise InvalidSpec("ed needs --x")
-            if self.pinning not in ("neel", "none"):
-                raise InvalidSpec(f"pinning must be neel or none, got {self.pinning!r}")
+        if self.command == "ed" and self.x is None:
+            raise InvalidSpec("ed needs --x")
 
     @property
     def tolerance(self) -> Tolerance:
@@ -180,8 +176,7 @@ _ED_COLUMNS = ("L", "f_finite", "f_exact", "abs_error")
 
 
 def _run_ed(config: RunConfig):
-    rows = convergence_study(config.Ls, config.x, Pinning(config.pinning),
-                             config.tolerance)
+    rows = convergence_study(config.Ls, config.x, config.tolerance)
     return [{"L": r.L, "f_finite": r.f_finite, "f_exact": r.f_exact,
              "abs_error": r.abs_error} for r in rows], _ED_COLUMNS
 
@@ -282,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ed.add_argument("--x", type=float, required=True)
     p_ed.add_argument("--Ls", type=lambda s: tuple(int(t) for t in s.split(",")),
                       default=(8, 12), help="comma-separated even lengths")
-    p_ed.add_argument("--pinning", default="neel", help="neel or none")
     _add_common(p_ed)
 
     return parser

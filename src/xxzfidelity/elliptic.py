@@ -24,7 +24,8 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InvalidSpec, Overflow
-from .qseries import DEFAULT_TOL, _LN_HUGE, Tolerance, log_multibase_product
+from .qseries import (DEFAULT_TOL, _HUGE, _LN_HUGE, Tolerance, _brief,
+                      log_multibase_product)
 
 
 @dataclass(frozen=True)
@@ -42,9 +43,10 @@ class ModelPoint:
 
     def __post_init__(self):
         if not (0.0 < self.x < 1.0):
-            raise InvalidSpec(f"x must lie in (0,1), got {self.x!r}")
-        if not (self.eps > 0.0):
-            raise InvalidSpec(f"eps must be positive, got {self.eps!r}")
+            raise InvalidSpec(f"x must lie in (0,1), got {_brief(self.x)}")
+        if not (0.0 < self.eps <= _HUGE):
+            raise InvalidSpec(
+                f"eps must be positive and finite, got {_brief(self.eps)}")
         # a subnormal x carries an absolute rounding error of one ulp, which
         # moves -ln x by up to ulp/x; for a normal x that is below 1e-12
         if abs(self.eps + math.log(self.x)) > max(1e-12 * (1.0 + self.eps),
@@ -54,16 +56,18 @@ class ModelPoint:
 
     @classmethod
     def from_x(cls, x: float) -> "ModelPoint":
-        x = float(x)
+        # compared before float() (here, in from_eps and in __post_init__),
+        # so an integer of any size is refused exactly
         if not (0.0 < x < 1.0):
-            raise InvalidSpec(f"x must lie in (0,1), got {x!r}")
+            raise InvalidSpec(f"x must lie in (0,1), got {_brief(x)}")
+        x = float(x)
         return cls(x, -math.log(x))
 
     @classmethod
     def from_eps(cls, eps: float) -> "ModelPoint":
+        if not (0.0 < eps <= _HUGE):
+            raise InvalidSpec(f"eps must be positive and finite, got {_brief(eps)}")
         eps = float(eps)
-        if not (eps > 0.0):
-            raise InvalidSpec(f"eps must be positive, got {eps!r}")
         x = math.exp(-eps)
         if not (0.0 < x < 1.0):
             raise InvalidSpec(f"eps={eps!r} leaves the representable x range (0,1)")
@@ -110,14 +114,14 @@ def modulus_k(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     cannot overflow or underflow on the way.
     """
     if not (0.0 < z < 1.0):
-        raise InvalidSpec(f"nome must lie in (0,1), got {z!r}")
+        raise InvalidSpec(f"nome must lie in (0,1), got {_brief(z)}")
     return math.exp(_log_modulus_k(math.log(z), tol))
 
 
 def modulus_kprime(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """k'(z) = (z;z^2)_inf^4 / (-z;z^2)_inf^4 for z in (0,1)."""
     if not (0.0 < z < 1.0):
-        raise InvalidSpec(f"nome must lie in (0,1), got {z!r}")
+        raise InvalidSpec(f"nome must lie in (0,1), got {_brief(z)}")
     return math.exp(_log_modulus_kprime(math.log(z), tol))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 from .elliptic import ModelPoint, modulus_k, modulus_kprime
 from .errors import InvalidSpec, NonConvergent
-from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, Tolerance,
+from .qseries import (DEFAULT_TOL, SERIES_MAX_TERMS, _HUGE, Tolerance, _brief,
                       log_multibase_product, minus_one_peel_residual,
                       verify_qcalc_identities)
 
@@ -278,8 +278,9 @@ def short_theta_identity_residual(b: float, p: ModelPoint,
 
     for real b > 0, computed fully in log space on both sides.
     """
-    if not (b > 0.0):
-        raise InvalidSpec(f"b must be positive, got {b!r}")
+    # compared before any arithmetic, so an integer of any size is refused
+    if not (0.0 < b <= _HUGE):
+        raise InvalidSpec(f"b must be positive and finite, got {_brief(b)}")
     eps = p.eps
     xb = math.exp(-b * eps)
     xb_half = math.exp(-0.5 * b * eps)

@@ -44,8 +44,9 @@ SERIES_MAX_TERMS = 1_000_000
 _SLAB = 1 << 18
 
 _MIN_REL_TOL = 10.0 * sys.float_info.epsilon
-#: largest ln v for which v is a finite double
-_LN_HUGE = math.log(sys.float_info.max)
+#: the largest finite double, and its log
+_HUGE = sys.float_info.max
+_LN_HUGE = math.log(_HUGE)
 
 
 def _brief(value) -> str:
@@ -70,7 +71,7 @@ class Tolerance:
         if not (_MIN_REL_TOL <= self.rel_tol < 1.0):
             raise InvalidSpec(
                 f"rel_tol must lie in [{_MIN_REL_TOL:.2e}, 1) (10 x machine "
-                f"epsilon up to 1), got {self.rel_tol!r}")
+                f"epsilon up to 1), got {_brief(self.rel_tol)}")
         if self.max_terms is not None and not (
                 isinstance(self.max_terms, numbers.Integral) and self.max_terms >= 1):
             raise InvalidSpec(
@@ -292,14 +293,14 @@ def verify_qcalc_identities(x: float, z: float, b: int, c: int,
     |LHS - RHS| / |RHS|, the worse of the two strategies.
     """
     if not (0.0 < x < 1.0):
-        raise InvalidSpec(f"x must lie in (0,1), got {x!r}")
+        raise InvalidSpec(f"x must lie in (0,1), got {_brief(x)}")
     # range first: it rejects nan and inf, and keeps huge ints from repr()
     if not all(1 <= v <= sys.float_info.max for v in (b, c)):
         raise InvalidSpec("b, c must lie in [1, sys.float_info.max]")
     if not all(int(v) == v for v in (b, c)):
         raise InvalidSpec(f"b, c must be positive integers, got {b!r}, {c!r}")
     if not (abs(z) < 1.0):
-        raise InvalidSpec(f"identity check requires |z| < 1, got {z!r}")
+        raise InvalidSpec(f"identity check requires |z| < 1, got {_brief(z)}")
     if z == 0.0:
         return (0.0, 0.0)
 

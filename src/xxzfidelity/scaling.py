@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .elliptic import ModelPoint, log_correlation_length
-from .errors import InvalidSpec
+from .errors import InvalidSpec, Overflow
 from .fidelity import _QUARTER_LN2, fidelity
-from .qseries import DEFAULT_TOL, Tolerance, _brief
+from .qseries import DEFAULT_TOL, _HUGE, Tolerance, _brief
 
 #: (A, B) of the leading asymptotes A/eps + B of ln xi and of -ln f
 LN_XI_COEFFS = (math.pi ** 2 / 2.0, -math.log(4.0))
@@ -35,20 +35,26 @@ MINUS_LN_F_COEFFS = (math.pi ** 2 / 16.0, -_QUARTER_LN2)
 MAX_GRID_COUNT = 1_000_000
 
 
+def _asymptote(coeffs: tuple[float, float], eps: float) -> float:
+    """A/eps + B; Overflow at a subnormal eps, where A/eps leaves the range."""
+    # compared before any arithmetic, so an integer of any size is refused
+    if not (0.0 < eps <= _HUGE):
+        raise InvalidSpec(f"eps must be positive and finite, got {_brief(eps)}")
+    a, b = coeffs
+    value = a / eps + b
+    if math.isinf(value):
+        raise Overflow(f"{a!r}/eps leaves the float range at eps={eps!r}")
+    return value
+
+
 def ln_xi_reference(eps: float) -> float:
     """Leading asymptote pi^2/(2 eps) - ln 4 of ln xi."""
-    if not (eps > 0.0):
-        raise InvalidSpec(f"eps must be positive, got {eps!r}")
-    a, b = LN_XI_COEFFS
-    return a / eps + b
+    return _asymptote(LN_XI_COEFFS, eps)
 
 
 def minus_ln_f_reference(eps: float) -> float:
     """Leading asymptote pi^2/(16 eps) - (ln 2)/4 of -ln f."""
-    if not (eps > 0.0):
-        raise InvalidSpec(f"eps must be positive, got {eps!r}")
-    a, b = MINUS_LN_F_COEFFS
-    return a / eps + b
+    return _asymptote(MINUS_LN_F_COEFFS, eps)
 
 
 @dataclass(frozen=True)
@@ -72,19 +78,21 @@ class AsymptoticFit:
 def fit_asymptote(samples: Sequence[tuple[float, float]]) -> AsymptoticFit:
     """Deterministic least-squares fit in the basis {1/eps, 1, eps}.
 
-    Requires at least three finite samples at distinct positive eps, and a
-    design matrix of full rank in floating point, which eps = (1e-16, 1, 745)
-    lacks (rank 2); InvalidSpec otherwise.
+    Requires at least three finite samples at distinct eps with eps and
+    1/eps finite and positive, and a design matrix of full rank in floating
+    point, which eps = (1e-16, 1, 745) lacks (rank 2); InvalidSpec
+    otherwise.  Overflow when the fit leaves the float range.
     """
-    pairs = [(float(e), float(y)) for e, y in samples]
+    pairs = [(e, y) for e, y in samples]
     if len(pairs) < 3:
         raise InvalidSpec(f"need at least 3 samples, got {len(pairs)}")
-    eps = np.array([e for e, _ in pairs])
-    y = np.array([v for _, v in pairs])
-    if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(y))):
-        raise InvalidSpec("all samples must be finite")
-    if not np.all(eps > 0.0):
-        raise InvalidSpec("all eps values must be positive")
+    # compared before float(), so an integer of any size is refused; a
+    # subnormal eps would put 1/eps past the float range, where lstsq hangs
+    if not all(1.0 / _HUGE < e <= _HUGE and abs(y) <= _HUGE for e, y in pairs):
+        raise InvalidSpec("every sample needs a finite y, and eps and 1/eps "
+                          "finite and positive")
+    eps = np.array([float(e) for e, _ in pairs])
+    y = np.array([float(v) for _, v in pairs])
     if len(set(eps.tolist())) != len(pairs):
         raise InvalidSpec("eps values must be distinct")
 
@@ -93,7 +101,10 @@ def fit_asymptote(samples: Sequence[tuple[float, float]]) -> AsymptoticFit:
     if rank < design.shape[1]:
         raise InvalidSpec(
             f"design matrix rank {rank} < {design.shape[1]} columns")
-    residual = float(np.max(np.abs(design @ coeffs - y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.max(np.abs(design @ coeffs - y)))
+    if not (np.all(np.isfinite(coeffs)) and math.isfinite(residual)):
+        raise Overflow("the fitted coefficients leave the float range")
     return AsymptoticFit(A=float(coeffs[0]), B=float(coeffs[1]),
                          C=float(coeffs[2]), max_residual=residual,
                          sample_count=len(pairs))
@@ -113,8 +124,9 @@ def log_spaced(lo: float, hi: float, count: int) -> list[float]:
     Raises InvalidSpec, before allocating anything, for a count outside
     [1, MAX_GRID_COUNT].
     """
-    if not (0.0 < lo <= hi < math.inf):
-        raise InvalidSpec(f"need 0 < lo <= hi < inf, got {lo!r}, {hi!r}")
+    # compared before numpy converts them, so an integer of any size is refused
+    if not (0.0 < lo <= hi <= _HUGE):
+        raise InvalidSpec(f"need 0 < lo <= hi < inf, got {_brief(lo)}, {_brief(hi)}")
     _check_grid_count(count)
     if lo == hi:
         return [lo] * count

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from xxzfidelity import (ModelPoint, Pinning, SpinChainSpec, build_hamiltonian,
+from xxzfidelity import (ModelPoint, SpinChainSpec, build_hamiltonian,
                          convergence_study, fidelity, fidelity_modular,
                          fidelity_raw, fidelity_simplified, fit_asymptote,
                          collect_ln_xi, collect_minus_ln_f, ground_state,
@@ -144,7 +144,7 @@ def test_07_finite_chain_convergence():
     # states is the split-chain ground state
     spec = SpinChainSpec(8, 0.2, split=True)
     split_gs = ground_state(build_hamiltonian(spec), sector=0)
-    left = _half_ground(4, spec.delta, Pinning.NEEL)
+    left = _half_ground(4, spec.delta)
     product = split_product_state(8, left)
     full = ground_state(build_hamiltonian(SpinChainSpec(8, 0.2)), sector=0)
     via_diag = float(np.dot(full.amplitudes, split_gs.amplitudes)) ** 2

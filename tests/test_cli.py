@@ -1,5 +1,7 @@
 """Command-line interface: schema, round trips, exit codes."""
+import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +11,8 @@ import pytest
 from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, fidelity,
                          identity_report, log_correlation_length)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                             POINT_COLUMNS, RunConfig, main, run)
+                             POINT_COLUMNS, RunConfig, build_parser, main,
+                             run)
 from xxzfidelity.scaling import MAX_GRID_COUNT
 
 
@@ -140,8 +143,7 @@ class TestScan:
                ["scan", "--var", "eps", "--min", "-1.0", "--max", "1.0"],
                ["scan", "--var", "z", "--min", "0.2", "--max", "0.5"],
                ["scan", "--min", "0.2", "--max", "0.5", "--format", "xml"],
-               ["scan", "--min", "0.2", "--max", "0.5", "--spacing", "cubic"],
-               ["ed", "--x", "0.2", "--Ls", "4", "--pinning", "weak"])
+               ["scan", "--min", "0.2", "--max", "0.5", "--spacing", "cubic"])
         for argv in bad:
             code, out, err = _invoke(capsys, argv)
             assert code == EXIT_VALIDATION, argv
@@ -236,18 +238,13 @@ class TestEd:
             assert r["f_exact"] == f_exact
             assert r["abs_error"] == abs(r["f_finite"] - f_exact)
 
-    def test_pinning_choice(self, capsys):
-        code, out, _ = _invoke(
-            capsys, ["ed", "--x", "0.2", "--Ls", "4,8", "--pinning", "none"])
-        assert code == EXIT_OK
-        assert [r["L"] for r in json.loads(out)] == [4, 8]
-
-    def test_unpinned_odd_half_rejected(self, capsys):
+    def test_chain_too_long_to_solve_exits_2(self, capsys):
+        # refused for its length, which is past SECTOR_DIM_CAP, not for x
         code, out, err = _invoke(
-            capsys, ["ed", "--x", "0.3", "--Ls", "6", "--pinning", "none"])
-        assert code == EXIT_VALIDATION
+            capsys, ["ed", "--x", "0.2", "--Ls", "1" + "0" * 400])
+        assert code == EXIT_NUMERICAL
         assert out == ""
-        assert json.loads(err)["error"] == "InvalidSpec"
+        assert json.loads(err)["error"] == "SizeLimit"
 
     def test_x_whose_hamiltonian_overflows_rejected(self, capsys):
         code, out, err = _invoke(capsys, ["ed", "--x", "1e-310", "--Ls", "8"])
@@ -279,6 +276,18 @@ class TestParser:
             assert main(argv) == EXIT_VALIDATION
             capsys.readouterr()
 
+    def test_flags_set_exactly_the_run_config_fields(self):
+        # main passes the parsed namespace to RunConfig whole: a flag with no
+        # field fails there, and a field that no flag sets is dead code
+        parser = build_parser()
+        (commands,) = [a for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        dests = {commands.dest}
+        for sub in commands.choices.values():
+            dests |= {a.dest for a in sub._actions
+                      if not isinstance(a, argparse._HelpAction)}
+        assert dests == {f.name for f in dataclasses.fields(RunConfig)}
+
 
 class TestRunConfig:
     def test_tolerance_property(self):
@@ -305,8 +314,6 @@ class TestRunConfig:
                 RunConfig(command="scan", grid_min=0.1, grid_max=0.5, count=bad)
         with pytest.raises(InvalidSpec):
             RunConfig(command="ed")
-        with pytest.raises(InvalidSpec):
-            RunConfig(command="ed", x=0.2, pinning="weak")
         # fit bounds are eps, whatever their size; an x grid is refused
         assert RunConfig(command="fit", grid_min=1e-3, grid_max=2.0).grid_var == "eps"
         with pytest.raises(InvalidSpec):

@@ -9,14 +9,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
-                         NonConvergent, Overflow, Pinning, SizeLimit,
+                         NonConvergent, Overflow, SizeLimit,
                          SpinChainSpec, Tolerance, bipartite_fidelity_finite,
                          build_hamiltonian, convergence_study, fidelity,
                          ground_state, split_product_state)
 from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
 from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, _even_dim, _half_ground,
-                                   _image, _mirror, _neel_sign, _sector_matrix,
+                                   _image, _mirror, _sector_matrix,
                                    sector_basis)
 
 # frozen finite-size values at x = 0.2, Néel pinning
@@ -68,11 +68,11 @@ def _loop_split_product_state(L, left, right):
     return product
 
 
-def _right_half_by_sector(n, delta, pinning):
-    """Independent right-half solve: the field on site n, one level per sector."""
+def _right_half_by_sector(n, delta):
+    """Independent right-half solve: the field of the up virtual spin on
+    site n, one level per sector."""
     bonds = [(j, j + 1) for j in range(1, n)]
-    fields = ([(n, -0.5 * delta * _neel_sign(2 * n + 1))]
-              if pinning is Pinning.NEEL else [])
+    fields = [(n, -0.5 * delta)]
     return {2 * n_up - n: ground_state(
         _sector_matrix(n, n_up, bonds, fields, delta), sector=2 * n_up - n)
         for n_up in range(n + 1)}
@@ -86,7 +86,6 @@ class TestSpinChainSpec:
     def test_defaults(self):
         spec = SpinChainSpec(8, 0.5)
         assert spec.split is False
-        assert spec.pinning is Pinning.NEEL
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):
@@ -103,8 +102,6 @@ class TestSpinChainSpec:
         for bad_x in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(InvalidSpec):
                 SpinChainSpec(8, bad_x)
-        with pytest.raises(InvalidSpec):
-            SpinChainSpec(8, 0.5, pinning="neel")
 
     def test_rejects_x_whose_hamiltonian_overflows(self):
         # Delta = -5e307, so (L + 1) |Delta| / 2 leaves the float range
@@ -112,7 +109,8 @@ class TestSpinChainSpec:
             SpinChainSpec(8, 1e-308)
         with pytest.raises(InvalidSpec):
             SpinChainSpec(8, 1e-310)
-        with pytest.raises(InvalidSpec):
+        # a chain too long to solve is refused as such, whatever x is
+        with pytest.raises(SizeLimit):
             SpinChainSpec(10 ** 400, 0.5)
         assert SpinChainSpec(8, 1e-300).delta == pytest.approx(-5e299)
         assert bipartite_fidelity_finite(8, 1e-300) == 1.0
@@ -151,9 +149,6 @@ class TestSectorBasis:
         with pytest.raises(InvalidSpec):
             sector_basis(64, 1)
 
-    def test_neel_sign_pattern(self):
-        assert [_neel_sign(s) for s in range(5)] == [-1, 1, -1, 1, -1]
-
 
 class TestSectorMatrix:
     def test_two_site_analytic(self):
@@ -188,13 +183,14 @@ class TestSectorMatrix:
             H += -0.5 * (site_op(L, j, SX) @ site_op(L, j + 1, SX)
                          + site_op(L, j, SY) @ site_op(L, j + 1, SY)
                          + delta * site_op(L, j, SZ) @ site_op(L, j + 1, SZ))
-        H += h * _neel_sign(0) * site_op(L, 1, SZ)
-        H += h * _neel_sign(L + 1) * site_op(L, L, SZ)
+        # virtual spins down on site 0 and up on site L+1
+        H -= h * site_op(L, 1, SZ)
+        H += h * site_op(L, L, SZ)
         assert np.max(np.abs(H.imag)) < 1e-14
         dense_spectrum = np.sort(np.linalg.eigvalsh(H.real))
 
         bonds = [(j, j + 1) for j in range(1, L)]
-        fields = [(1, h * _neel_sign(0)), (L, h * _neel_sign(L + 1))]
+        fields = [(1, -h), (L, h)]
         sector_spectrum = np.sort(np.concatenate([
             np.linalg.eigvalsh(_sector_matrix(L, n, bonds, fields, delta).toarray())
             for n in range(L + 1)]))
@@ -209,8 +205,7 @@ class TestSectorMatrix:
                 bonds = [(j, j + 1) for j in range(1, n)]
                 if split:
                     bonds.remove((n // 2, n // 2 + 1))
-                for fields in ([], [(1, h * _neel_sign(0)),
-                                    (n, h * _neel_sign(n + 1))]):
+                for fields in ([], [(1, -h), (n, h * (-1) ** n)]):
                     for n_up in range(n + 1):
                         new = _sector_matrix(n, n_up, bonds, fields, delta)
                         old = _loop_sector_matrix(n, n_up, bonds, fields, delta)
@@ -233,11 +228,27 @@ class TestBuildHamiltonian:
         assert (full != split).nnz > 0
 
     def test_size_limit(self):
-        # L = 24 is the longest admitted chain; only its size is checked here
+        # L = 24 is the longest admitted chain; only its size is checked
+        # here, by the spec, so no Hamiltonian is built
         assert _even_dim(24) <= ed_oracle.SECTOR_DIM_CAP < _even_dim(26)
         for L in (26, 64, 10 ** 300):
             with pytest.raises(SizeLimit):
-                build_hamiltonian(SpinChainSpec(L, 0.2))
+                SpinChainSpec(L, 0.2)
+
+    def test_neel_fields_continue_the_boundary_pattern(self):
+        # with the virtual spins down on site 0 and up on site L+1, the Néel
+        # state with odd sites up is the one diagonal state at the bound
+        # -(L + 1)|Delta|/2 of SpinChainSpec; free ends would tie it with
+        # its spin flip
+        for L in (4, 8, 12):
+            spec = SpinChainSpec(L, 0.3)
+            diag = build_hamiltonian(spec).diagonal()
+            basis, _, rows, _ = ed_oracle._even_states(L)
+            neel = sum(1 << (j - 1) for j in range(1, L + 1, 2))
+            lowest = np.flatnonzero(diag == diag.min())
+            assert basis[rows][lowest].tolist() == [neel]
+            assert diag.min() == pytest.approx((L + 1) * 0.5 * spec.delta,
+                                               rel=1e-15)
 
     def test_even_dimension(self):
         # one state per {m, R m} pair, the 2^(L/2) self-images counted once
@@ -262,22 +273,19 @@ class TestBuildHamiltonian:
     def test_even_block_spectrum_lies_in_the_zero_sector(self):
         # R-even levels are zero-sector levels, and the lowest one is shared
         for L in range(4, 13, 2):
-            for pinning in Pinning:
-                for split in (False, True):
-                    spec = SpinChainSpec(L, 0.3, split, pinning)
-                    bonds = [(j, j + 1) for j in range(1, L)]
-                    if split:
-                        bonds.remove((L // 2, L // 2 + 1))
-                    h = -0.5 * spec.delta
-                    fields = ([(1, h * _neel_sign(0)), (L, h * _neel_sign(L + 1))]
-                              if pinning is Pinning.NEEL else [])
-                    full = np.linalg.eigvalsh(_loop_sector_matrix(
-                        L, L // 2, bonds, fields, spec.delta).toarray())
-                    even = np.linalg.eigvalsh(build_hamiltonian(spec).toarray())
-                    nearest = np.abs(even[:, None] - full[None, :]).min(axis=1)
-                    case = (L, pinning, split)
-                    assert nearest.max() < 1e-12, case
-                    assert abs(even[0] - full[0]) < 1e-12, case
+            for split in (False, True):
+                spec = SpinChainSpec(L, 0.3, split)
+                bonds = [(j, j + 1) for j in range(1, L)]
+                if split:
+                    bonds.remove((L // 2, L // 2 + 1))
+                h = -0.5 * spec.delta
+                full = np.linalg.eigvalsh(_loop_sector_matrix(
+                    L, L // 2, bonds, [(1, -h), (L, h)], spec.delta).toarray())
+                even = np.linalg.eigvalsh(build_hamiltonian(spec).toarray())
+                nearest = np.abs(even[:, None] - full[None, :]).min(axis=1)
+                case = (L, split)
+                assert nearest.max() < 1e-12, case
+                assert abs(even[0] - full[0]) < 1e-12, case
 
 
 class TestGroundState:
@@ -325,8 +333,10 @@ class TestGroundState:
         assert gs.energy == pytest.approx(-0.5 * (-2.6), rel=1e-15)
 
     def test_near_degenerate_solve_finds_the_lowest_level(self):
-        # unpinned and nearly classical: the two Néel states barely split
-        H = build_hamiltonian(SpinChainSpec(8, 1e-4, pinning=Pinning.NONE))
+        # free ends and nearly classical: the two Néel states barely split
+        delta = SpinChainSpec(8, 1e-4).delta
+        bonds = [(j, j + 1) for j in range(1, 8)]
+        H = _sector_matrix(8, 4, bonds, [], delta)
         lowest = sla.eigh(H.toarray(), eigvals_only=True)[0]
         assert ground_state(H).energy == pytest.approx(lowest, rel=1e-14)
 
@@ -344,7 +354,7 @@ class TestGroundState:
                                              dtype=float), *args, **kwargs)
 
         spec = SpinChainSpec(16, 0.3)
-        left = _half_ground(8, spec.delta, Pinning.NEEL)
+        left = _half_ground(8, spec.delta)
         product = split_product_state(16, left)
         H = build_hamiltonian(spec)
         monkeypatch.setattr(spla, "eigsh", counting)
@@ -395,7 +405,7 @@ class TestSplitStructure:
         # removed central bond decouples the halves exactly
         spec = SpinChainSpec(8, 0.2, split=True)
         gs = ground_state(build_hamiltonian(spec), sector=0)
-        left = _half_ground(4, spec.delta, Pinning.NEEL)
+        left = _half_ground(4, spec.delta)
         right = _mirror(left, 4)
         assert left.sector == right.sector == 0
         assert abs(gs.energy - left.energy - right.energy) < 1e-12
@@ -403,26 +413,25 @@ class TestSplitStructure:
     def test_product_state_factorizes_split_ground_state(self):
         spec = SpinChainSpec(8, 0.2, split=True)
         gs = ground_state(build_hamiltonian(spec), sector=0)
-        left = _half_ground(4, spec.delta, Pinning.NEEL)
+        left = _half_ground(4, spec.delta)
         product = split_product_state(8, left)
         assert abs(np.linalg.norm(product) - 1.0) < 1e-12
         assert abs(abs(np.dot(gs.amplitudes, product)) - 1.0) < 1e-10
 
     def test_mirror_matches_independent_right_half_solve(self):
         for delta in (-1.01, -2.6, -5.0):
-            for pinning in Pinning:
-                for n in range(2, 10):
-                    left = _half_ground(n, delta, pinning)
-                    right = _mirror(left, n)
-                    by_sector = _right_half_by_sector(n, delta, pinning)
-                    lowest = min(gs.energy for gs in by_sector.values())
-                    independent = by_sector[-left.sector]
-                    case = (delta, pinning, n)
-                    assert right.sector == -left.sector, case
-                    assert abs(right.energy - lowest) < 1e-12, case
-                    assert abs(independent.energy - lowest) < 1e-12, case
-                    overlap = np.dot(right.amplitudes, independent.amplitudes)
-                    assert abs(abs(overlap) - 1.0) < 1e-12, case
+            for n in range(2, 10):
+                left = _half_ground(n, delta)
+                right = _mirror(left, n)
+                by_sector = _right_half_by_sector(n, delta)
+                lowest = min(gs.energy for gs in by_sector.values())
+                independent = by_sector[-left.sector]
+                case = (delta, n)
+                assert right.sector == -left.sector, case
+                assert abs(right.energy - lowest) < 1e-12, case
+                assert abs(independent.energy - lowest) < 1e-12, case
+                overlap = np.dot(right.amplitudes, independent.amplitudes)
+                assert abs(abs(overlap) - 1.0) < 1e-12, case
 
     def test_product_state_matches_loop_reference(self):
         # the even-block coordinates are sqrt(2 / n_r) times the full-basis
@@ -434,7 +443,7 @@ class TestSplitStructure:
             image = _image(basis, L)
             represents = basis <= image
             scale = np.where(basis == image, 1.0, math.sqrt(2.0))[represents]
-            lefts = [_half_ground(half, -2.6, Pinning.NEEL)] + [
+            lefts = [_half_ground(half, -2.6)] + [
                 GroundState(0.0, rng.standard_normal(math.comb(half, n_up)),
                             2 * n_up - half) for n_up in range(half + 1)]
             for left in lefts:
@@ -453,7 +462,7 @@ class TestSplitStructure:
                 split_product_state(8, left)
 
     def test_rejects_a_length_that_is_not_an_even_integer(self):
-        left = _half_ground(4, -2.6, Pinning.NEEL)
+        left = _half_ground(4, -2.6)
         for bad_L in (9, 8.0):
             with pytest.raises(InvalidSpec):
                 split_product_state(bad_L, left)
@@ -473,15 +482,6 @@ class TestFiniteFidelity:
         for L in (4, 8):
             assert 1.0 - bipartite_fidelity_finite(L, 0.01) < 1e-3
 
-    def test_unpinned_odd_half_rejected_before_diagonalizing(self, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("diagonalized an unpinned odd-half chain")
-
-        monkeypatch.setattr(ed_oracle, "ground_state", never)
-        for L in (6, 10, 14):
-            with pytest.raises(InvalidSpec, match="odd half"):
-                bipartite_fidelity_finite(L, 0.3, Pinning.NONE)
-
     def test_size_cap_checked_before_half_chain_work(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("solved a half chain of an oversized L")
@@ -495,6 +495,18 @@ class TestFiniteFidelity:
 class TestConvergenceStudy:
     def test_empty(self):
         assert convergence_study([], 0.2) == []
+
+    def test_every_length_checked_before_any_solve(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved a chain before checking every length")
+
+        monkeypatch.setattr(ed_oracle, "_half_ground", never)
+        monkeypatch.setattr(ed_oracle, "ground_state", never)
+        for Ls, error in (([8, 12, 7], InvalidSpec), ([8, 12, 8.0], InvalidSpec),
+                          ([8, 26], SizeLimit), ([16, 18, 26], SizeLimit),
+                          ([8, 10 ** 400], SizeLimit)):
+            with pytest.raises(error):
+                convergence_study(Ls, 0.3)
 
     def test_rows_and_errors(self):
         rows = convergence_study([4, 8], 0.2)

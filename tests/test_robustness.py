@@ -15,13 +15,14 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (ModelPoint, Pinning, SpinChainSpec,
+from xxzfidelity import (ModelPoint, SpinChainSpec,
                          Tolerance, XXZFidelityError,
                          bipartite_fidelity_finite, build_hamiltonian,
                          fidelity_modular,
-                         fidelity_raw, fidelity_simplified,
+                         fidelity_raw, fidelity_simplified, fit_asymptote,
                          g_decomposition_residual, g_product, ground_state,
-                         log_multibase_product, minus_one_peel_residual,
+                         ln_xi_reference, log_multibase_product, log_spaced,
+                         minus_ln_f_reference, minus_one_peel_residual,
                          modulus_k, modulus_kprime, qproduct_direct,
                          short_theta_identity_residual,
                          verify_qcalc_identities)
@@ -69,16 +70,47 @@ def test_qproduct_direct(z, bases):
 
 
 @SWEEP
-@given(z=UNIT)
+@given(z=UNIT | HUGE_INT)
 def test_moduli(z):
     _finite_or_documented(
         lambda: (modulus_k(z, TOL), modulus_kprime(z, TOL)))
 
 
 @SWEEP
-@given(x=UNIT)
+@given(x=UNIT | HUGE_INT)
 def test_g_product(x):
     _finite_or_documented(lambda: g_product(ModelPoint.from_x(x), TOL))
+
+
+@SWEEP
+@given(x=UNIT | HUGE_INT, eps=EPS | ANY | HUGE_INT)
+def test_model_point(x, eps):
+    _finite_or_documented(lambda: ModelPoint.from_eps(eps).x)
+    _finite_or_documented(lambda: ModelPoint(x, eps).eps)
+
+
+@SWEEP
+@given(eps=EPS | ANY | HUGE_INT | st.floats(0.0, 1e-300))
+def test_reference_asymptotes(eps):
+    _finite_or_documented(
+        lambda: (ln_xi_reference(eps), minus_ln_f_reference(eps)))
+
+
+@SWEEP
+@given(lo=EPS | ANY | HUGE_INT, hi=EPS | ANY | HUGE_INT,
+       count=st.integers(1, 4) | HUGE_INT)
+def test_log_spaced(lo, hi, count):
+    _finite_or_documented(lambda: tuple(log_spaced(lo, hi, count)))
+
+
+@SWEEP
+@given(samples=st.lists(st.tuples(EPS | ANY | HUGE_INT, ANY | HUGE_INT),
+                        max_size=5))
+def test_fit_asymptote(samples):
+    def coefficients():
+        fit = fit_asymptote(samples)
+        return fit.A, fit.B, fit.C, fit.max_residual
+    _finite_or_documented(coefficients)
 
 
 @SWEEP
@@ -100,7 +132,7 @@ def test_g_decomposition_residual(x):
 
 
 @SWEEP
-@given(b=st.floats(0.0, 64.0) | ANY, x=UNIT)
+@given(b=st.floats(0.0, 64.0) | ANY | HUGE_INT, x=UNIT)
 def test_short_theta_identity_residual(b, x):
     _finite_or_documented(
         lambda: short_theta_identity_residual(b, ModelPoint.from_x(x), TOL))
@@ -113,17 +145,18 @@ def test_minus_one_peel_residual(a):
 
 
 @SWEEP
-@given(x=UNIT, z=SIGNED_UNIT,
+@given(x=UNIT | HUGE_INT, z=SIGNED_UNIT | HUGE_INT,
        b=st.integers(-1, 8) | ANY, c=st.integers(-1, 8) | ANY)
 def test_verify_qcalc_identities(x, z, b, c):
     _finite_or_documented(lambda: verify_qcalc_identities(x, z, b, c, TOL))
 
 
 @SWEEP
-@given(max_terms=st.none() | st.integers() | HUGE_INT | ANY)
-def test_tolerance(max_terms):
+@given(rel_tol=st.just(1e-12) | ANY | HUGE_INT,
+       max_terms=st.none() | st.integers() | HUGE_INT | ANY)
+def test_tolerance(rel_tol, max_terms):
     try:
-        tol = Tolerance(max_terms=max_terms)
+        tol = Tolerance(rel_tol, max_terms)
     except XXZFidelityError:
         return
     assert tol.cap(100) >= 1
@@ -132,20 +165,19 @@ def test_tolerance(max_terms):
 @SWEEP
 @given(L=(st.integers(2, 32).map(lambda n: 2 * n) | st.integers() | ANY
           | HUGE_INT),
-       x=UNIT, split=st.booleans(), pinning=st.sampled_from(Pinning))
-def test_spin_chain_spec(L, x, split, pinning):
+       x=UNIT | HUGE_INT, split=st.booleans())
+def test_spin_chain_spec(L, x, split):
     def bound():
-        spec = SpinChainSpec(L, x, split, pinning)
+        spec = SpinChainSpec(L, x, split)
         return spec.delta, (spec.L + 1) * 0.5 * abs(spec.delta)
     _finite_or_documented(bound)
 
 
 @SWEEP
-@given(L=st.sampled_from([4, 6, 8, 10, 12]), x=OPEN_UNIT,
-       pinning=st.sampled_from(Pinning))
-def test_bipartite_fidelity_finite(L, x, pinning):
+@given(L=st.sampled_from([4, 6, 8, 10, 12]), x=OPEN_UNIT)
+def test_bipartite_fidelity_finite(L, x):
     try:
-        f_L = bipartite_fidelity_finite(L, x, pinning)
+        f_L = bipartite_fidelity_finite(L, x)
     except XXZFidelityError:
         return
     assert 0.0 <= f_L <= 1.0, f_L
