@@ -26,10 +26,11 @@ both are even under R, so the full-length chain is built and solved only
 in the R-even block of that sector, about half its dimension (the
 symmetry-adapted basis of Sandvik, arXiv:1101.3281, section 4).  The split
 ground state is assembled exactly as the tensor product of the two
-half-chain ground states.  Only the left half is diagonalized: R maps it
-onto the right half, so the right ground state is a permutation of the
-left one's amplitudes.  The product state then starts the one-eigenpair
-Lanczos solve of the full chain.  The finite-size fidelity
+half-chain ground states.  Only the left half is diagonalized, and only in
+its Néel sector, where the pinned first spin puts its ground state.  R
+maps the left half onto the right one, so the right amplitude on a mask is
+the left amplitude on its image.  The product state then starts the
+one-eigenpair Lanczos solve of the full chain.  The finite-size fidelity
 
     f_L = |<gs(H)|gs_left x gs_right>|^2
 
@@ -77,6 +78,8 @@ class SpinChainSpec:
         if not (self.L + 1) * 0.5 * abs(self.delta) <= _HUGE:
             raise InvalidSpec(f"at x={self.x!r} the L={self.L} Hamiltonian "
                               "overflows the float range; x is too small")
+        if not isinstance(self.split, (bool, np.bool_)):
+            raise InvalidSpec(f"split must be a bool, got {_brief(self.split)}")
 
     @property
     def delta(self) -> float:
@@ -98,14 +101,10 @@ def _check_length(L) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GroundState:
-    """Lowest eigenpair within one magnetization sector.
-
-    sector is the total-sigma^z eigenvalue (2 * n_up - n_sites).
-    """
+    """Lowest eigenpair of a symmetric operator, as ground_state returns it."""
 
     energy: float
     amplitudes: np.ndarray
-    sector: int
 
 
 def sector_basis(n_sites: int, n_up: int) -> np.ndarray:
@@ -255,8 +254,8 @@ def build_hamiltonian(spec: SpinChainSpec):
                           block=(rows, column, weight))
 
 
-def ground_state(H, sector: int = 0, start=None) -> GroundState:
-    """Lowest eigenpair of a symmetric operator; deterministic.
+def ground_state(H, start=None) -> GroundState:
+    """Lowest eigenpair of a real symmetric operator; deterministic.
 
     Dense diagonalization of the lowest level only below DENSE_DIM_LIMIT,
     otherwise a one-eigenpair Lanczos solve started from ``start`` (the
@@ -264,7 +263,8 @@ def ground_state(H, sector: int = 0, start=None) -> GroundState:
     finite vector with a nonzero entry is a valid start: it is scaled by
     its largest magnitude first, so neither its norm nor its square can
     leave the float range.  The returned vector is normalized, with its
-    largest entry positive.
+    largest entry positive.  H (dense or sparse) and start must hold finite
+    real numbers; anything else, complex entries included, is InvalidSpec.
 
     A start vector needs only overlap with the ground state.  The split
     product state that bipartite_fidelity_finite passes overlaps it by
@@ -273,14 +273,19 @@ def ground_state(H, sector: int = 0, start=None) -> GroundState:
     orthogonal to the ground state.
     """
     dense = not sp.issparse(H)
-    H = np.asarray(H, dtype=float) if dense else H.tocsr()
+    if dense:
+        H = _floats(H, "H")
+    else:
+        H = H.tocsr()
+        H = sp.csr_matrix((_floats(H.data, "H"), H.indices, H.indptr),
+                          shape=H.shape)
     if (H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0
             or not np.isfinite(H if dense else H.data).all()):
         raise InvalidSpec(
             f"H must be a non-empty, square, finite matrix, got shape {H.shape}")
     dim = H.shape[0]
     if start is not None:
-        start = np.asarray(start, dtype=float)
+        start = _floats(start, "start")
         if (start.shape != (dim,) or not np.isfinite(start).all()
                 or not start.any()):
             raise InvalidSpec(
@@ -303,80 +308,67 @@ def ground_state(H, sector: int = 0, start=None) -> GroundState:
     pivot = int(np.argmax(np.abs(vec)))
     if vec[pivot] < 0.0:
         vec = -vec
-    return GroundState(energy=float(w[0]), amplitudes=vec, sector=sector)
+    return GroundState(energy=float(w[0]), amplitudes=vec)
+
+
+def _floats(values, name: str) -> np.ndarray:
+    """values as a float array; InvalidSpec unless they are real numbers
+    that convert to floats (no complex, text or out-of-range integers)."""
+    try:
+        values = np.asarray(values)
+        if values.dtype.kind != "c":
+            return values.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidSpec(f"{name} must hold real numbers that convert to floats")
 
 
 def _half_ground(n_sites: int, delta: float) -> GroundState:
-    """Global ground state of the left half-chain, minimized over all sectors.
+    """Ground state of the left half-chain, solved in its Néel sector.
 
-    The half keeps the virtual-site-0 field on its first site.
+    The half keeps the virtual-site-0 field on its first site, which pins
+    that site up, so its ground state lies in the sector of the Néel state
+    with odd sites up, n_up = ceil(n_sites / 2).  An all-sector scan over
+    every half of an admitted chain finds it there, the next sector at
+    least 0.26 higher.
     """
     bonds = [(j, j + 1) for j in range(1, n_sites)]
     fields = [(1, 0.5 * delta)]
-    best = None
-    for n_up in range(n_sites + 1):
-        H = _sector_matrix(n_sites, n_up, bonds, fields, delta)
-        gs = ground_state(H, sector=2 * n_up - n_sites)
-        if best is None or gs.energy < best.energy:
-            best = gs
-    return best
-
-
-def _mirror(left: GroundState, n_sites: int) -> GroundState:
-    """The right half-chain ground state, as the _image of the left one.
-
-    The map takes the left half's field onto the right half's and sector s
-    to -s.  On amplitudes it is a permutation: each image mask is ranked in
-    the target sector's basis.
-    """
-    n_up = (left.sector + n_sites) // 2
-    image = _image(sector_basis(n_sites, n_up), n_sites)
-    target = sector_basis(n_sites, n_sites - n_up)
-    amplitudes = np.empty_like(left.amplitudes)
-    amplitudes[np.searchsorted(target, image)] = left.amplitudes
-    return GroundState(left.energy, amplitudes, -left.sector)
-
-
-def _half_basis(half: int, gs: GroundState) -> np.ndarray:
-    """The sector basis of a half-chain state, checked against its length."""
-    n_up, odd = divmod(gs.sector + half, 2)
-    basis = sector_basis(half, n_up) if not odd else np.zeros(0, dtype=np.int64)
-    if np.shape(gs.amplitudes) != basis.shape:
-        raise InvalidSpec(
-            f"sector {gs.sector} of a {half}-site half has dimension "
-            f"{len(basis)}, got amplitudes of shape {np.shape(gs.amplitudes)}")
-    return basis
+    return ground_state(_sector_matrix(n_sites, (n_sites + 1) // 2, bonds,
+                                       fields, delta))
 
 
 def split_product_state(L: int, left: GroundState) -> np.ndarray:
     """left x mirror(left) in the even-block coordinates of build_hamiltonian.
 
-    The product of a half-chain state and its mirror image is R-even by
-    construction; its coordinate on block state r is
-    sqrt(2 / n_r) left[m_r & low] right[m_r >> L/2].  Raises InvalidSpec
-    unless L is an even integer >= 4 and left's amplitudes span its sector.
+    left is a Néel-sector state of the L/2-site left half, as _half_ground
+    returns it.  Its mirror, the right half, has on mask h the amplitude
+    left[_image(h)], so the product is R-even by construction; its
+    coordinate on block state r is
+    sqrt(2 / n_r) left[m_r & low] left[_image(m_r >> L/2)].  Raises
+    InvalidSpec unless L is an even integer >= 4 and left's amplitudes span
+    the Néel sector.
     """
     _check_length(L)
     half = L // 2
-    basis_left = _half_basis(half, left)
-    right = _mirror(left, half)
+    basis_left = sector_basis(half, (half + 1) // 2)
+    if np.shape(left.amplitudes) != basis_left.shape:
+        raise InvalidSpec(
+            f"the Néel sector of a {half}-site half has dimension "
+            f"{len(basis_left)}, got amplitudes of shape "
+            f"{np.shape(left.amplitudes)}")
     basis, _, rows, weight = _even_states(L)
     states = basis[rows]
-    il, in_left = _rank(basis_left, states & ((1 << half) - 1))
-    keep = np.flatnonzero(in_left)
-    # the upper half of a kept state holds the rest of the zero sector's
-    # up spins, so it always lies in the right half's sector
-    ir = np.searchsorted(_half_basis(half, right), states[keep] >> half)
+    low = states & ((1 << half) - 1)
+    il = np.searchsorted(basis_left, low)
+    keep = np.flatnonzero(np.append(basis_left, -1)[il] == low)
+    # the upper half of a kept state holds the rest of the zero sector's up
+    # spins, so its image has as many as the left half and lies in its basis
+    ir = np.searchsorted(basis_left, _image(states[keep] >> half, half))
     product = np.zeros(len(states))
-    product[keep] = (left.amplitudes[il[keep]] * right.amplitudes[ir]
+    product[keep] = (left.amplitudes[il[keep]] * left.amplitudes[ir]
                      * (math.sqrt(2.0) / weight[keep]))
     return product
-
-
-def _rank(basis: np.ndarray, masks: np.ndarray):
-    """Index of each mask in the sorted basis, and whether it is there."""
-    index = np.searchsorted(basis, masks)
-    return index, np.append(basis, -1)[index] == masks
 
 
 def bipartite_fidelity_finite(L: int, x: float) -> float:
@@ -394,7 +386,7 @@ def bipartite_fidelity_finite(L: int, x: float) -> float:
     H = build_hamiltonian(spec)
     left = _half_ground(L // 2, spec.delta)
     product = split_product_state(L, left)
-    full = ground_state(H, sector=0, start=product)
+    full = ground_state(H, start=product)
     overlap = float(np.dot(full.amplitudes, product))
     return overlap * overlap
 
@@ -406,7 +398,10 @@ class ConvergenceRow:
     L: int
     f_finite: float
     f_exact: float
-    abs_error: float
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.f_finite - self.f_exact)
 
 
 def convergence_study(Ls, x: float,
@@ -417,8 +412,5 @@ def convergence_study(Ls, x: float,
     if not specs:
         return []
     f_exact = _exact_fidelity(ModelPoint.from_x(x), tol).f
-    rows = []
-    for spec in specs:
-        f_L = bipartite_fidelity_finite(spec.L, x)
-        rows.append(ConvergenceRow(spec.L, f_L, f_exact, abs(f_L - f_exact)))
-    return rows
+    return [ConvergenceRow(spec.L, bipartite_fidelity_finite(spec.L, x),
+                           f_exact) for spec in specs]

@@ -143,10 +143,10 @@ def test_07_finite_chain_convergence():
     # split factorization at L=8: the tensor product of half-chain ground
     # states is the split-chain ground state
     spec = SpinChainSpec(8, 0.2, split=True)
-    split_gs = ground_state(build_hamiltonian(spec), sector=0)
+    split_gs = ground_state(build_hamiltonian(spec))
     left = _half_ground(4, spec.delta)
     product = split_product_state(8, left)
-    full = ground_state(build_hamiltonian(SpinChainSpec(8, 0.2)), sector=0)
+    full = ground_state(build_hamiltonian(SpinChainSpec(8, 0.2)))
     via_diag = float(np.dot(full.amplitudes, split_gs.amplitudes)) ** 2
     via_product = float(np.dot(full.amplitudes, product)) ** 2
     split_gap = abs(via_diag - via_product)

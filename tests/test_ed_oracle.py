@@ -16,8 +16,7 @@ from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
 from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
 from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, _even_dim, _half_ground,
-                                   _image, _mirror, _sector_matrix,
-                                   sector_basis)
+                                   _image, _sector_matrix, sector_basis)
 
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
@@ -51,31 +50,41 @@ def _loop_sector_matrix(n_sites, n_up, bonds, fields, delta):
     return H + sp.diags(diag).tocsr()
 
 
-def _loop_split_product_state(L, left, right):
-    """Reference product state: one dict lookup per full-chain basis state."""
+def _reflect_flip(m, n):
+    """Reference reflection j -> n+1-j with every spin flipped, bit by bit."""
+    return sum(1 << (n - 1 - j) for j in range(n) if not (m >> j) & 1)
+
+
+def _loop_split_product_state(L, left):
+    """Reference product state of a Néel-sector left half and its mirror:
+    one dict lookup per full-chain basis state."""
     half = L // 2
     index_left = {m: i for i, m in enumerate(
-        sector_basis(half, (left.sector + half) // 2).tolist())}
-    index_right = {m: i for i, m in enumerate(
-        sector_basis(half, (right.sector + half) // 2).tolist())}
+        sector_basis(half, (half + 1) // 2).tolist())}
     basis_full = sector_basis(L, L // 2).tolist()
     product = np.zeros(len(basis_full))
     for i, m in enumerate(basis_full):
         il = index_left.get(m & ((1 << half) - 1))
-        ir = index_right.get(m >> half)
+        ir = index_left.get(_reflect_flip(m >> half, half))
         if il is not None and ir is not None:
-            product[i] = left.amplitudes[il] * right.amplitudes[ir]
+            product[i] = left.amplitudes[il] * left.amplitudes[ir]
     return product
 
 
-def _right_half_by_sector(n, delta):
-    """Independent right-half solve: the field of the up virtual spin on
-    site n, one level per sector."""
+def _half_by_n_up(n, delta, field):
+    """All-sector scan of a half chain with one Néel field (site, h): the
+    lowest level for each number of up spins."""
     bonds = [(j, j + 1) for j in range(1, n)]
-    fields = [(n, -0.5 * delta)]
-    return {2 * n_up - n: ground_state(
-        _sector_matrix(n, n_up, bonds, fields, delta), sector=2 * n_up - n)
-        for n_up in range(n + 1)}
+    return {n_up: ground_state(_sector_matrix(n, n_up, bonds, [field], delta))
+            for n_up in range(n + 1)}
+
+
+def _right_half(n, delta):
+    """Independent right-half solve: the field of the up virtual spin on
+    site n, in the sector that completes the left half's Néel sector."""
+    bonds = [(j, j + 1) for j in range(1, n)]
+    return ground_state(_sector_matrix(n, n // 2, bonds,
+                                       [(n, -0.5 * delta)], delta))
 
 
 class TestSpinChainSpec:
@@ -102,6 +111,11 @@ class TestSpinChainSpec:
         for bad_x in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(InvalidSpec):
                 SpinChainSpec(8, bad_x)
+        # any truthy value used to remove the central bond
+        for bad_split in ("no", 1, None, np.array([True])):
+            with pytest.raises(InvalidSpec):
+                SpinChainSpec(8, 0.2, split=bad_split)
+        assert SpinChainSpec(8, 0.2, split=np.bool_(True)).split
 
     def test_rejects_x_whose_hamiltonian_overflows(self):
         # Delta = -5e307, so (L + 1) |Delta| / 2 leaves the float range
@@ -368,7 +382,11 @@ class TestGroundState:
         nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
         for bad in (sp.csr_matrix((0, 0)), np.zeros((0, 0)), np.ones(3),
                     np.ones((2, 3)), sp.csr_matrix(np.ones((2, 3))), nan,
-                    sp.csr_matrix(nan), np.array([[0.0, np.inf], [np.inf, 0.0]])):
+                    sp.csr_matrix(nan), np.array([[0.0, np.inf], [np.inf, 0.0]]),
+                    # past the float range, text, and complex entries whose
+                    # imaginary part a float conversion would drop
+                    [[10 ** 400]], [["a"]], np.array([[0.0, 1j], [-1j, 0.0]]),
+                    sp.csr_matrix(np.array([[0.0, 1j], [-1j, 0.0]]))):
             with pytest.raises(InvalidSpec):
                 ground_state(bad)
 
@@ -384,7 +402,8 @@ class TestGroundState:
             dim = H.shape[0]
             for bad in (np.ones(dim - 1), np.ones((dim, 1)), np.zeros(dim),
                         np.full(dim, -0.0), np.full(dim, np.nan),
-                        np.full(dim, np.inf)):
+                        np.full(dim, np.inf), [10 ** 400] * dim, ["a"] * dim,
+                        np.full(dim, 1j), np.full(dim, 1.0 + 1e-3j)):
                 with pytest.raises(InvalidSpec):
                     ground_state(H, start=bad)
 
@@ -404,62 +423,68 @@ class TestSplitStructure:
     def test_energy_additivity(self):
         # removed central bond decouples the halves exactly
         spec = SpinChainSpec(8, 0.2, split=True)
-        gs = ground_state(build_hamiltonian(spec), sector=0)
+        gs = ground_state(build_hamiltonian(spec))
         left = _half_ground(4, spec.delta)
-        right = _mirror(left, 4)
-        assert left.sector == right.sector == 0
+        right = _right_half(4, spec.delta)
         assert abs(gs.energy - left.energy - right.energy) < 1e-12
 
     def test_product_state_factorizes_split_ground_state(self):
         spec = SpinChainSpec(8, 0.2, split=True)
-        gs = ground_state(build_hamiltonian(spec), sector=0)
+        gs = ground_state(build_hamiltonian(spec))
         left = _half_ground(4, spec.delta)
         product = split_product_state(8, left)
         assert abs(np.linalg.norm(product) - 1.0) < 1e-12
         assert abs(abs(np.dot(gs.amplitudes, product)) - 1.0) < 1e-10
 
-    def test_mirror_matches_independent_right_half_solve(self):
-        for delta in (-1.01, -2.6, -5.0):
-            for n in range(2, 10):
+    def test_half_ground_state_lies_in_the_neel_sector(self):
+        # the all-sector scan is the reference for solving one sector: on
+        # every half of an admitted chain (L <= 24) the pinned first spin
+        # puts the lowest level at ceil(n/2) up spins, and the right half's
+        # ground state reads the left amplitudes through _image
+        for x in (1e-3, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-9):
+            delta = SpinChainSpec(8, x).delta
+            for n in range(2, 13):
+                case = (x, n)
+                by_n_up = _half_by_n_up(n, delta, (1, 0.5 * delta))
+                lowest = min(by_n_up, key=lambda k: by_n_up[k].energy)
+                assert lowest == (n + 1) // 2, case
                 left = _half_ground(n, delta)
-                right = _mirror(left, n)
-                by_sector = _right_half_by_sector(n, delta)
-                lowest = min(gs.energy for gs in by_sector.values())
-                independent = by_sector[-left.sector]
-                case = (delta, n)
-                assert right.sector == -left.sector, case
-                assert abs(right.energy - lowest) < 1e-12, case
-                assert abs(independent.energy - lowest) < 1e-12, case
-                overlap = np.dot(right.amplitudes, independent.amplitudes)
+                assert left.energy == pytest.approx(
+                    by_n_up[lowest].energy, rel=1e-13, abs=1e-13), case
+                right = _right_half(n, delta)
+                assert abs(right.energy - left.energy) < 1e-11 * n, case
+                mirrored = left.amplitudes[np.searchsorted(
+                    sector_basis(n, lowest), _image(sector_basis(n, n // 2), n))]
+                overlap = np.dot(mirrored, right.amplitudes)
                 assert abs(abs(overlap) - 1.0) < 1e-12, case
 
     def test_product_state_matches_loop_reference(self):
         # the even-block coordinates are sqrt(2 / n_r) times the full-basis
         # amplitude of the representative, and the full product is R-even
         rng = np.random.default_rng(7)
-        for L in (8, 12):
+        for L in (8, 10, 12):
             half = L // 2
             basis = sector_basis(L, half)
             image = _image(basis, L)
             represents = basis <= image
             scale = np.where(basis == image, 1.0, math.sqrt(2.0))[represents]
+            dim = math.comb(half, (half + 1) // 2)
             lefts = [_half_ground(half, -2.6)] + [
-                GroundState(0.0, rng.standard_normal(math.comb(half, n_up)),
-                            2 * n_up - half) for n_up in range(half + 1)]
+                GroundState(0.0, rng.standard_normal(dim)) for _ in range(3)]
             for left in lefts:
-                full = _loop_split_product_state(L, left, _mirror(left, half))
+                full = _loop_split_product_state(L, left)
                 assert np.array_equal(full[np.searchsorted(basis, image)], full)
                 assert np.allclose(split_product_state(L, left),
                                    scale * full[represents],
                                    rtol=1e-15, atol=0.0)
 
     def test_rejects_amplitudes_that_miss_their_sector(self):
-        for left in (GroundState(0.0, np.ones(3), 0),
-                     GroundState(0.0, np.ones((6, 1)), 0),
-                     GroundState(0.0, np.ones(6), 1),
-                     GroundState(0.0, np.ones(1), 6)):
+        # the Néel sector of a 4-site half has 6 states; 4 and 1 are the
+        # sizes of other sectors, 10 that of a 5-site half's Néel sector
+        for amplitudes in (np.ones(3), np.ones((6, 1)), np.ones(4),
+                           np.ones(1), np.ones(10), np.ones(0)):
             with pytest.raises(InvalidSpec):
-                split_product_state(8, left)
+                split_product_state(8, GroundState(0.0, amplitudes))
 
     def test_rejects_a_length_that_is_not_an_even_integer(self):
         left = _half_ground(4, -2.6)
@@ -481,6 +506,14 @@ class TestFiniteFidelity:
     def test_near_classical_chain_barely_entangles(self):
         for L in (4, 8):
             assert 1.0 - bipartite_fidelity_finite(L, 0.01) < 1e-3
+
+    @pytest.mark.parametrize("x", [2.4384494202288235e-188,
+                                   4.4206379720286926e-225])
+    def test_tiny_x_stays_in_the_unit_interval(self, x):
+        # an all-sector half-chain scan raised Overflow here: LAPACK returned
+        # a non-finite eigenvector for a 6-site sector that never holds the
+        # ground state
+        assert 0.0 <= bipartite_fidelity_finite(12, x) <= 1.0
 
     def test_size_cap_checked_before_half_chain_work(self, monkeypatch):
         def never(*args, **kwargs):

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (ModelPoint, SpinChainSpec,
+from xxzfidelity import (InvalidSpec, ModelPoint, SpinChainSpec,
                          Tolerance, XXZFidelityError,
                          bipartite_fidelity_finite, build_hamiltonian,
                          fidelity_modular,
@@ -176,9 +176,10 @@ def test_spin_chain_spec(L, x, split):
 @SWEEP
 @given(L=st.sampled_from([4, 6, 8, 10, 12]), x=OPEN_UNIT)
 def test_bipartite_fidelity_finite(L, x):
+    # the one documented refusal: the diagonal of H overflows (x ~ 1e-308)
     try:
         f_L = bipartite_fidelity_finite(L, x)
-    except XXZFidelityError:
+    except InvalidSpec:
         return
     assert 0.0 <= f_L <= 1.0, f_L
 
