@@ -20,20 +20,19 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 from .ed_oracle import convergence_study
-from .elliptic import ModelPoint, log_correlation_length
+from .elliptic import ModelPoint
 from .errors import InvalidSpec, XXZFidelityError
-# fidelity_modular stays bound here: perfbench/test_perfbench.py checks that
-# its tracer wraps this binding
+# fidelity and fidelity_modular are unused here and stay bound only because
+# perfbench/test_perfbench.py checks that its tracer wraps both bindings
 from .fidelity import fidelity, fidelity_modular, identity_report  # noqa: F401
-from .qseries import _LN_HUGE, Tolerance
+from .qseries import Tolerance
 from .scaling import (LN_XI_COEFFS, MINUS_LN_F_COEFFS, _check_grid_count,
-                      collect_ln_xi, collect_minus_ln_f, fit_asymptote,
-                      log_spaced)
+                      collect_ln_xi, collect_minus_ln_f, evaluate_point,
+                      fit_asymptote, log_spaced)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -102,15 +101,13 @@ class RunConfig:
 
 
 def _point_row(p: ModelPoint, tol: Tolerance) -> dict:
-    result = fidelity(p, tol)
-    ln_xi = log_correlation_length(p, tol)
-    xi = math.exp(ln_xi) if ln_xi <= _LN_HUGE else math.inf
-    ratio = (-result.ln_f / ln_xi) if ln_xi != 0.0 else math.inf
+    point = evaluate_point(p, tol)
+    result = point.fidelity
     return {
         "x": p.x, "eps": p.eps, "delta": p.delta,
-        "xi": xi, "ln_xi": ln_xi,
+        "xi": point.xi, "ln_xi": point.ln_xi,
         "f": result.f, "ln_f": result.ln_f,
-        "ratio": ratio, "path": result.path.value,
+        "ratio": point.ratio, "path": result.path.value,
         "est_rel_error": result.est_rel_error,
     }
 

@@ -72,9 +72,8 @@ class SpinChainSpec:
 
     def __post_init__(self):
         _check_length(self.L)
-        if not (0.0 < self.x < 1.0):
-            raise InvalidSpec(f"x must lie in (0,1), got {_brief(self.x)}")
-        # every diagonal entry of H is bounded by (L + 1) |Delta| / 2
+        # delta checks x through ModelPoint; every diagonal entry of H is
+        # bounded by (L + 1) |Delta| / 2
         if not (self.L + 1) * 0.5 * abs(self.delta) <= _HUGE:
             raise InvalidSpec(f"at x={self.x!r} the L={self.L} Hamiltonian "
                               "overflows the float range; x is too small")
@@ -83,7 +82,7 @@ class SpinChainSpec:
 
     @property
     def delta(self) -> float:
-        return -0.5 * (self.x + 1.0 / self.x)
+        return ModelPoint.from_x(self.x).delta
 
 
 def _check_length(L) -> None:
@@ -407,10 +406,12 @@ class ConvergenceRow:
 def convergence_study(Ls, x: float,
                       tol: Tolerance = DEFAULT_TOL) -> list[ConvergenceRow]:
     """Néel-pinned f_L against the exact infinite-chain f(x), computed once
-    at tol.  Every length is checked before any chain is solved."""
+    at tol.  Every length and x are checked before any chain is solved, x
+    also when there is no length."""
     specs = [SpinChainSpec(L, x) for L in Ls]
+    p = ModelPoint.from_x(x)
     if not specs:
         return []
-    f_exact = _exact_fidelity(ModelPoint.from_x(x), tol).f
+    f_exact = _exact_fidelity(p, tol).f
     return [ConvergenceRow(spec.L, bipartite_fidelity_finite(spec.L, x),
                            f_exact) for spec in specs]

@@ -23,8 +23,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import InvalidSpec, Overflow
-from .qseries import (DEFAULT_TOL, _HUGE, _LN_HUGE, Tolerance, _brief,
+from .errors import InvalidSpec
+from .qseries import (DEFAULT_TOL, _HUGE, Tolerance, _brief,
                       log_multibase_product)
 
 
@@ -145,15 +145,3 @@ def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float
         return -float(ln_kp)
     return -math.log(math.atanh(math.exp(ln_kp)))
 
-
-def correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """xi > 0; raises Overflow once xi leaves the double range (eps < ~0.0067).
-
-    Use log_correlation_length for asymptotic work near x -> 1.
-    """
-    ln_xi = log_correlation_length(p, tol)
-    if ln_xi > _LN_HUGE:
-        raise Overflow(
-            f"xi = exp({ln_xi:.6g}) exceeds the float range; "
-            "use log_correlation_length")
-    return math.exp(ln_xi)

@@ -10,9 +10,10 @@ whose leading coefficients combine into the scaling law
     -ln f ~ (c/8) ln xi    with central charge c = 1.
 
 The module provides the reference formulas, a deterministic least-squares
-extractor for (A, B, C) in y ~ A/eps + B + C eps, and the conjecture ratio
--ln f / ln xi evaluated fully in log space so it survives arbitrarily small
-eps.
+extractor for (A, B, C) in y ~ A/eps + B + C eps, and ``evaluate_point``,
+whose ``PointResult`` holds the pair (ln f, ln xi) of one point, with xi
+and the conjecture ratio -ln f / ln xi derived from them; both logs stay
+finite in log space, so the ratio survives arbitrarily small eps.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ import numpy as np
 
 from .elliptic import ModelPoint, log_correlation_length
 from .errors import InvalidSpec, Overflow
-from .fidelity import _QUARTER_LN2, fidelity
-from .qseries import DEFAULT_TOL, _HUGE, Tolerance, _brief
+from .fidelity import _QUARTER_LN2, FidelityResult, fidelity
+from .qseries import DEFAULT_TOL, _HUGE, _LN_HUGE, Tolerance, _brief
 
 #: (A, B) of the leading asymptotes A/eps + B of ln xi and of -ln f
 LN_XI_COEFFS = (math.pi ** 2 / 2.0, -math.log(4.0))
@@ -147,16 +148,34 @@ def collect_ln_xi(eps_values: Iterable[float],
             for e in eps_values]
 
 
-def conjecture_ratio(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """-ln f / ln xi, the quantity conjectured to approach c/8 = 0.125.
+@dataclass(frozen=True)
+class PointResult:
+    """ln f (with its route and error estimate) and ln xi at one point.
 
-    Both logs come from the library's route selectors, which stay finite in
-    log space at every valid point, so the ratio survives arbitrarily small
-    eps and x (recommended regime eps <= 0.1; for larger eps the ratio has no
-    distinguished interpretation and ln xi may even vanish).
+    Each value is stored once; xi and the conjecture ratio -ln f / ln xi,
+    which approaches c/8 = 0.125 as eps -> 0, are derived on access.
     """
-    ln_f = fidelity(p, tol).ln_f
-    ln_xi = log_correlation_length(p, tol)
-    if ln_xi == 0.0:
-        raise InvalidSpec(f"ln xi vanishes at x={p.x!r}; ratio undefined")
-    return -ln_f / ln_xi
+
+    fidelity: FidelityResult
+    ln_xi: float
+
+    @property
+    def xi(self) -> float:
+        """e^{ln_xi}, or inf once it exceeds the double range (eps < ~0.0067)."""
+        return math.exp(self.ln_xi) if self.ln_xi <= _LN_HUGE else math.inf
+
+    @property
+    def ratio(self) -> float:
+        """-ln f / ln xi, or inf where ln xi vanishes (xi = 1, x ~ 0.034).
+
+        Meaningful in the scaling regime eps <= 0.1; for larger eps it has
+        no distinguished interpretation.
+        """
+        if self.ln_xi == 0.0:
+            return math.inf
+        return -self.fidelity.ln_f / self.ln_xi
+
+
+def evaluate_point(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> PointResult:
+    """f and xi at p, each from the library's route selector."""
+    return PointResult(fidelity(p, tol), log_correlation_length(p, tol))

@@ -9,16 +9,16 @@ import math
 import numpy as np
 import scipy.linalg
 
-from xxzfidelity import (ModelPoint, SpinChainSpec, build_hamiltonian,
-                         convergence_study, fidelity, fidelity_modular,
+from xxzfidelity import (ModelPoint, SpinChainSpec, convergence_study,
+                         evaluate_point, fidelity, fidelity_modular,
                          fidelity_raw, fidelity_simplified, fit_asymptote,
-                         collect_ln_xi, collect_minus_ln_f, ground_state,
-                         ln_g_series, log_spaced, minus_ln_f_reference,
-                         minus_one_peel_residual, modulus_k,
-                         modulus_kprime, conjecture_ratio,
-                         short_theta_identity_residual, split_product_state,
-                         verify_qcalc_identities)
-from xxzfidelity.ed_oracle import _half_ground
+                         ln_g_series, minus_ln_f_reference)
+from xxzfidelity.ed_oracle import (_half_ground, build_hamiltonian,
+                                   ground_state, split_product_state)
+from xxzfidelity.elliptic import modulus_k, modulus_kprime
+from xxzfidelity.fidelity import short_theta_identity_residual
+from xxzfidelity.qseries import minus_one_peel_residual, verify_qcalc_identities
+from xxzfidelity.scaling import collect_ln_xi, collect_minus_ln_f, log_spaced
 
 QUARTER_LN2 = 0.25 * math.log(2.0)
 SELF_DUAL_X = math.exp(-math.pi)
@@ -111,7 +111,7 @@ def test_04_asymptote_recovery():
 
 def test_05_conjecture_ratio():
     """-ln f / ln xi hits 0.125 at eps = 1e-4 and approaches it monotonically."""
-    devs = [abs(conjecture_ratio(ModelPoint.from_eps(e)) - 0.125)
+    devs = [abs(evaluate_point(ModelPoint.from_eps(e)).ratio - 0.125)
             for e in (1e-2, 1e-3, 1e-4)]
     ok = devs[-1] < 1e-3 and devs[0] > devs[1] > devs[2]
     _report(5, ok,

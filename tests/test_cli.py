@@ -8,8 +8,8 @@ import math
 
 import pytest
 
-from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, fidelity,
-                         identity_report, log_correlation_length)
+from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, evaluate_point,
+                         fidelity, identity_report, log_correlation_length)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              POINT_COLUMNS, RunConfig, build_parser, main,
                              run)
@@ -61,6 +61,17 @@ class TestEval:
         assert math.isinf(row["xi"])
         assert math.isfinite(row["ln_xi"])
         assert row["ln_xi"] > 4000.0
+
+    def test_ratio_inf_where_xi_is_one(self, capsys):
+        x = 0.033990268760497155  # ln xi rounds to zero here
+        code, out, _ = _invoke(capsys, ["eval", "--x", repr(x)])
+        assert code == EXIT_OK
+        row = json.loads(out)
+        point = evaluate_point(ModelPoint.from_x(x))
+        assert row["ln_xi"] == point.ln_xi == 0.0
+        assert row["xi"] == point.xi == 1.0
+        assert row["ratio"] == point.ratio == math.inf
+        assert row["ln_f"] == point.fidelity.ln_f
 
     def test_invalid_x_exits_1_with_stderr_json(self, capsys):
         code, out, err = _invoke(capsys, ["eval", "--x", "1.5"])
@@ -257,6 +268,13 @@ class TestEd:
         code, _, err = _invoke(capsys, ["ed", "--x", "0.2", "--Ls", "5"])
         assert code == EXIT_VALIDATION
         assert json.loads(err)["error"] == "InvalidSpec"
+
+    def test_bad_x_rejected_without_lengths(self, capsys):
+        code = run(RunConfig(command="ed", x=5.0, Ls=()))
+        captured = capsys.readouterr()
+        assert code == EXIT_VALIDATION
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvalidSpec"
 
 
 class TestOutputFile:

@@ -8,15 +8,17 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from xxzfidelity import (ConvergenceRow, GroundState, InvalidSpec,
-                         NonConvergent, Overflow, SizeLimit,
-                         SpinChainSpec, Tolerance, bipartite_fidelity_finite,
-                         build_hamiltonian, convergence_study, fidelity,
-                         ground_state, split_product_state)
+from xxzfidelity import (ConvergenceRow, InvalidSpec, NonConvergent,
+                         Overflow, SizeLimit, SpinChainSpec, Tolerance,
+                         bipartite_fidelity_finite, convergence_study,
+                         fidelity)
 from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
-from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, _even_dim, _half_ground,
-                                   _image, _sector_matrix, sector_basis)
+from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, GroundState,
+                                   _even_dim, _half_ground, _image,
+                                   _sector_matrix, build_hamiltonian,
+                                   ground_state, sector_basis,
+                                   split_product_state)
 
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
@@ -528,6 +530,9 @@ class TestFiniteFidelity:
 class TestConvergenceStudy:
     def test_empty(self):
         assert convergence_study([], 0.2) == []
+        for bad_x in (5.0, 0.0, 1.0):
+            with pytest.raises(InvalidSpec):
+                convergence_study([], bad_x)
 
     def test_every_length_checked_before_any_solve(self, monkeypatch):
         def never(*args, **kwargs):

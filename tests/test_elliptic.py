@@ -3,9 +3,9 @@ import math
 
 import pytest
 
-from xxzfidelity import (InvalidSpec, ModelPoint, Overflow, Tolerance,
-                         correlation_length, log_correlation_length,
-                         modulus_k, modulus_kprime)
+from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, evaluate_point,
+                         log_correlation_length)
+from xxzfidelity.elliptic import modulus_k, modulus_kprime
 
 # 50-digit reference values (independent high-precision evaluation)
 K_025 = 0.9935469827401039810989
@@ -139,7 +139,7 @@ class TestCorrelationLength:
             LN_XI_02, rel=1e-12)
         assert log_correlation_length(ModelPoint.from_x(0.5)) == pytest.approx(
             LN_XI_05, rel=1e-11)
-        assert correlation_length(ModelPoint.from_x(0.5)) == pytest.approx(
+        assert evaluate_point(ModelPoint.from_x(0.5)).xi == pytest.approx(
             XI_05, rel=1e-10)
 
     def test_matches_mpmath_across_the_range(self):
@@ -176,11 +176,11 @@ class TestCorrelationLength:
             assert abs(ln_xi - ref) < budget
 
     def test_xi_overflow(self):
-        # ln xi ~ pi^2/(2 eps) exceeds ln(double max) near eps ~ 7e-3
-        with pytest.raises(Overflow):
-            correlation_length(ModelPoint.from_eps(1e-3))
-        # log-space variant stays finite
-        assert math.isfinite(log_correlation_length(ModelPoint.from_eps(1e-3)))
+        # ln xi ~ pi^2/(2 eps) exceeds ln(double max) near eps ~ 7e-3, where
+        # xi reads inf and the log-space field stays finite
+        point = evaluate_point(ModelPoint.from_eps(1e-3))
+        assert point.xi == math.inf
+        assert math.isfinite(point.ln_xi)
 
     def test_tiny_x_resolves_xi(self):
         # here k'(x) rounds to 1, and the direct form needs no k'

@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (FidelityResult, InvalidSpec, ModelPoint,
-                         NonConvergent, Overflow, Path, Tolerance,
-                         conjecture_ratio, correlation_length, fidelity,
-                         fidelity_modular, fidelity_raw,
-                         fidelity_simplified, g_decomposition_residual,
-                         g_product, ln_g_series, log_correlation_length,
-                         log_multibase_product, qproduct_direct,
-                         short_theta_identity_residual)
+                         NonConvergent, Path, Tolerance,
+                         evaluate_point, fidelity, fidelity_modular,
+                         fidelity_raw, fidelity_simplified, ln_g_series,
+                         log_correlation_length, log_multibase_product,
+                         qproduct_direct)
 from xxzfidelity.fidelity import (CROSS_CHECK_WINDOW, LN_G_SWITCH_EPS,
                                   PATH_SWITCH_X, _LN_G_EVEN, _LN_G_REMAINDER,
-                                  _QUARTER_LN2, _ln_g_expansion, _ln_g_sum)
+                                  _QUARTER_LN2, _ln_g_expansion, _ln_g_sum,
+                                  g_decomposition_residual, g_product,
+                                  short_theta_identity_residual)
 
 # 50-digit reference values (independent high-precision evaluation)
 LN_F_02 = -0.1163764256178567616394
@@ -282,16 +282,17 @@ class TestLnGRegimes:
     @given(eps=EPS_SWEEP)
     def test_public_calls_finite_or_documented_error(self, eps):
         p = ModelPoint.from_eps(eps)
-        result = fidelity(p)
+        point = evaluate_point(p)
+        result = point.fidelity
         assert math.isfinite(result.ln_f) and math.isfinite(result.est_rel_error)
         assert result.ln_f <= 0.0 and result.f == math.exp(result.ln_f)
-        ln_xi = log_correlation_length(p)
-        assert math.isfinite(ln_xi) and math.isfinite(conjecture_ratio(p))
+        ln_xi = point.ln_xi
+        assert ln_xi == log_correlation_length(p)
+        assert math.isfinite(ln_xi) and math.isfinite(point.ratio)
         if ln_xi <= math.log(sys.float_info.max):
-            assert math.isfinite(correlation_length(p))
+            assert math.isfinite(point.xi)
         else:
-            with pytest.raises(Overflow):
-                correlation_length(p)
+            assert point.xi == math.inf
 
 
 class TestIdentities:

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (InvalidSpec, NonConvergent, Overflow, Tolerance,
-                         log_multibase_product, minus_one_peel_residual,
-                         qproduct_direct, verify_qcalc_identities)
+                         log_multibase_product, qproduct_direct)
 from xxzfidelity import qseries
-from xxzfidelity.qseries import DEFAULT_REL_TOL, DIRECT_MAX_TERMS, SERIES_MAX_TERMS
+from xxzfidelity.qseries import (DEFAULT_REL_TOL, DIRECT_MAX_TERMS,
+                                 SERIES_MAX_TERMS, minus_one_peel_residual,
+                                 verify_qcalc_identities)
 
 
 class TestTolerance:

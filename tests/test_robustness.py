@@ -17,15 +17,16 @@ from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (InvalidSpec, ModelPoint, SpinChainSpec,
                          Tolerance, XXZFidelityError,
-                         bipartite_fidelity_finite, build_hamiltonian,
-                         fidelity_modular,
+                         bipartite_fidelity_finite, fidelity_modular,
                          fidelity_raw, fidelity_simplified, fit_asymptote,
-                         g_decomposition_residual, g_product, ground_state,
-                         ln_xi_reference, log_multibase_product, log_spaced,
-                         minus_ln_f_reference, minus_one_peel_residual,
-                         modulus_k, modulus_kprime, qproduct_direct,
-                         short_theta_identity_residual,
-                         verify_qcalc_identities)
+                         ln_xi_reference, log_multibase_product,
+                         minus_ln_f_reference, qproduct_direct)
+from xxzfidelity.ed_oracle import build_hamiltonian, ground_state
+from xxzfidelity.elliptic import modulus_k, modulus_kprime
+from xxzfidelity.fidelity import (g_decomposition_residual, g_product,
+                                  short_theta_identity_residual)
+from xxzfidelity.qseries import minus_one_peel_residual, verify_qcalc_identities
+from xxzfidelity.scaling import log_spaced
 
 TOL = Tolerance(max_terms=20_000)
 SWEEP = settings(max_examples=200, deadline=None, derandomize=True)

@@ -1,17 +1,19 @@
-"""Asymptotic references, least-squares extraction, conjecture ratio."""
+"""Asymptotic references, least-squares extraction, point results."""
 import math
 import tracemalloc
 
 import pytest
 
-from xxzfidelity import (AsymptoticFit, InvalidSpec, ModelPoint,
-                         Tolerance, collect_ln_xi,
-                         collect_minus_ln_f, conjecture_ratio, fit_asymptote,
-                         fidelity_modular, log_spaced, ln_xi_reference,
-                         minus_ln_f_reference)
-from xxzfidelity.scaling import MAX_GRID_COUNT
+from xxzfidelity import (AsymptoticFit, InvalidSpec, ModelPoint, PointResult,
+                         Tolerance, evaluate_point, fidelity,
+                         fidelity_modular, fit_asymptote, ln_xi_reference,
+                         log_correlation_length, minus_ln_f_reference)
+from xxzfidelity.scaling import (MAX_GRID_COUNT, collect_ln_xi,
+                                 collect_minus_ln_f, log_spaced)
 
 TARGET_RATIO = 1 / 8  # c/8 with central charge c = 1
+#: the x at which ln xi rounds to zero (xi = 1)
+XI_ONE_X = 0.033990268760497155
 
 
 class TestReferenceFormulas:
@@ -165,24 +167,46 @@ class TestConjectureRatio:
         devs = []
         for eps, ref_dev in ((1e-2, -1.270125e-08), (1e-3, -1.266869e-11),
                              (1e-4, -1.265654e-14)):
-            dev = conjecture_ratio(ModelPoint.from_eps(eps)) - TARGET_RATIO
+            dev = evaluate_point(ModelPoint.from_eps(eps)).ratio - TARGET_RATIO
             assert dev == pytest.approx(ref_dev, rel=0.05), eps
             devs.append(abs(dev))
         assert devs[0] > devs[1] > devs[2]
 
     def test_extreme_scaling_regime(self):
         # xi ~ 10^{2e6} here; everything must survive in log space
-        ratio = conjecture_ratio(ModelPoint.from_eps(1e-6), Tolerance())
-        assert abs(ratio - TARGET_RATIO) < 1e-12
+        point = evaluate_point(ModelPoint.from_eps(1e-6), Tolerance())
+        assert abs(point.ratio - TARGET_RATIO) < 1e-12
+        assert point.xi == math.inf
 
     def test_tiny_x_ratio_is_zero(self):
         # the true ratio is ~1e-601, so it rounds to zero
-        assert conjecture_ratio(ModelPoint.from_x(1e-300)) == 0.0
+        assert evaluate_point(ModelPoint.from_x(1e-300)).ratio == 0.0
 
     def test_moderate_x_is_far_from_limit(self):
         # at x = 0.5 the ratio is nowhere near c/8 yet
-        ratio = conjecture_ratio(ModelPoint.from_x(0.5))
+        ratio = evaluate_point(ModelPoint.from_x(0.5)).ratio
         assert ratio == pytest.approx(0.68072159083 / 5.73311942821, rel=1e-9)
+
+    def test_ratio_is_inf_where_xi_is_one(self):
+        # ln xi rounds to zero at this x, so the ratio has no finite value
+        point = evaluate_point(ModelPoint.from_x(XI_ONE_X))
+        assert point.ln_xi == 0.0
+        assert point.xi == 1.0
+        assert point.ratio == math.inf
+        assert math.isfinite(point.fidelity.ln_f)
+
+
+class TestPointResult:
+    def test_one_call_each(self):
+        p = ModelPoint.from_x(0.3)
+        tol = Tolerance(rel_tol=1e-10)
+        point = evaluate_point(p, tol)
+        assert point == PointResult(fidelity(p, tol),
+                                    log_correlation_length(p, tol))
+        assert point.xi == math.exp(point.ln_xi)
+        assert point.ratio == -point.fidelity.ln_f / point.ln_xi
+        with pytest.raises(AttributeError):
+            point.ln_xi = 0.0
 
 
 def test_fit_type_is_frozen():
