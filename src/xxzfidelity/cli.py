@@ -59,7 +59,6 @@ class RunConfig:
     count: int = 10
     spacing: str = "linear"
     rel_tol: float = 1e-12
-    max_terms: int | None = None
     fmt: str = "json"
     output: str | None = None
     Ls: tuple[int, ...] = ()
@@ -97,7 +96,7 @@ class RunConfig:
 
     @property
     def tolerance(self) -> Tolerance:
-        return Tolerance(rel_tol=self.rel_tol, max_terms=self.max_terms)
+        return Tolerance(rel_tol=self.rel_tol)
 
 
 def _point_row(p: ModelPoint, tol: Tolerance) -> dict:
@@ -205,18 +204,26 @@ def run(config: RunConfig) -> int:
     try:
         rows, columns = runners[config.command](config)
         text = _render(rows, columns, config.fmt)
+        if config.output:
+            _write(config.output, text)
+        else:
+            sys.stdout.write(text)
     except InvalidSpec as exc:
         _emit_error(exc)
         return EXIT_VALIDATION
     except XXZFidelityError as exc:
         _emit_error(exc)
         return EXIT_NUMERICAL
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write --output {path!r}: "
+                          f"{exc.strerror or exc}") from exc
 
 
 def _emit_error(exc: Exception) -> None:
@@ -235,8 +242,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common(sub):
     sub.add_argument("--rel-tol", type=float, default=1e-12,
                      help="relative tolerance of every truncated evaluation")
-    sub.add_argument("--max-terms", type=int, default=None,
-                     help="override the per-strategy term caps")
     sub.add_argument("--format", dest="fmt", default="json", help="json or csv")
     sub.add_argument("--output", default=None, help="file path (default stdout)")
 

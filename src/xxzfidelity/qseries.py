@@ -37,7 +37,8 @@ from .errors import InvalidSpec, NonConvergent, Overflow
 
 #: default relative-error target of every truncated evaluation
 DEFAULT_REL_TOL = 1e-12
-#: default term caps (retained lattice factors / series terms)
+#: term caps: retained lattice factors of the direct product, terms of the
+#: log series; read at call time, past either the product raises NonConvergent
 DIRECT_MAX_TERMS = 10_000_000
 SERIES_MAX_TERMS = 1_000_000
 #: points of the last direction expanded at once by the direct product
@@ -58,27 +59,20 @@ def _brief(value) -> str:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative-error target plus a hard cap on retained terms.
+    """Relative-error target of every truncated evaluation.
 
-    ``max_terms=None`` defers to the per-strategy default
-    (``DIRECT_MAX_TERMS`` or ``SERIES_MAX_TERMS``).
+    How many terms an evaluation may take is not part of it: the two
+    product strategies stop at the fixed caps DIRECT_MAX_TERMS and
+    SERIES_MAX_TERMS.
     """
 
     rel_tol: float = DEFAULT_REL_TOL
-    max_terms: int | None = None
 
     def __post_init__(self):
         if not (_MIN_REL_TOL <= self.rel_tol < 1.0):
             raise InvalidSpec(
                 f"rel_tol must lie in [{_MIN_REL_TOL:.2e}, 1) (10 x machine "
                 f"epsilon up to 1), got {_brief(self.rel_tol)}")
-        if self.max_terms is not None and not (
-                isinstance(self.max_terms, numbers.Integral) and self.max_terms >= 1):
-            raise InvalidSpec(
-                f"max_terms must be an integer >= 1, got {_brief(self.max_terms)}")
-
-    def cap(self, default: int) -> int:
-        return default if self.max_terms is None else self.max_terms
 
 
 DEFAULT_TOL = Tolerance()
@@ -123,7 +117,6 @@ def log_multibase_product(z: float, bases: Sequence[float],
         return 0.0
 
     rel_tol = tol.rel_tol
-    max_terms = tol.cap(SERIES_MAX_TERMS)
     az = abs(z)
     tail_factor = az / (1.0 - az)
 
@@ -131,7 +124,7 @@ def log_multibase_product(z: float, bases: Sequence[float],
     zp = 1.0
     powers = [1.0 for _ in bases]
 
-    for m in range(1, max_terms + 1):
+    for m in range(1, SERIES_MAX_TERMS + 1):
         zp = zp * z
         denom = 1.0
         for i, b in enumerate(bases):
@@ -148,7 +141,7 @@ def log_multibase_product(z: float, bases: Sequence[float],
     else:
         raise NonConvergent(
             f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
-            f"within {max_terms} terms")
+            f"within {SERIES_MAX_TERMS} terms")
     if not math.isfinite(acc):
         raise Overflow(f"log series for (z={z}; {tuple(bases)}) leaves the float range")
     return float(acc)
@@ -202,7 +195,7 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
         est = np.floor(np.log(cutoff / w) / math.log(b)) + 1.0
         if np.maximum(est - 1.0, 0.0).sum() > max_terms:
             raise NonConvergent(
-                f"direct product exceeded max_terms={max_terms} "
+                f"direct product exceeded {max_terms} lattice points "
                 f"at cutoff={cutoff:.3e}")
         counts = np.maximum(est, 0.0).astype(np.int64)
         table = b ** np.arange(counts.max() + 2, dtype=float)
@@ -211,7 +204,7 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
         count = int(counts.sum())
         if count > max_terms:
             raise NonConvergent(
-                f"direct product exceeded max_terms={max_terms} "
+                f"direct product exceeded {max_terms} lattice points "
                 f"at cutoff={cutoff:.3e}")
         omitted += (float(np.sum(w * table[counts])) / (1.0 - b)
                     * suffix_mass[i + 1])
@@ -247,7 +240,7 @@ def qproduct_direct(z: float, bases: Sequence[float],
     range raises Overflow.
 
     The certificate covers truncation only, not the rounding of the sum of
-    up to max_terms logarithms.  Summed pairwise, that rounding stays below
+    up to DIRECT_MAX_TERMS logarithms.  Summed pairwise, that rounding stays below
     rel_tol: (0.5; 0.8, 0.8, 0.8), about a million factors, misses 30-digit
     mpmath by 8e-13 in ln, where a sequential sum missed by 5e-11.
     """
@@ -257,7 +250,6 @@ def qproduct_direct(z: float, bases: Sequence[float],
     if z == 0.0:
         return 1.0
     rel_tol = tol.rel_tol
-    max_terms = tol.cap(DIRECT_MAX_TERMS)
     n_dim = len(bases)
 
     # suffix_mass[i] = total weight of the sub-lattice over directions j >= i
@@ -268,7 +260,7 @@ def qproduct_direct(z: float, bases: Sequence[float],
     cutoff = rel_tol / 10.0
     for _attempt in range(6):
         log_acc, omitted, zero_factor, _count = _direct_pass(
-            z, bases, suffix_mass, cutoff, max_terms)
+            z, bases, suffix_mass, cutoff, DIRECT_MAX_TERMS)
         if zero_factor:
             return 0.0
         est = abs(z) * omitted / (1.0 - abs(z) * cutoff)

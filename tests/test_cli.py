@@ -9,7 +9,8 @@ import math
 import pytest
 
 from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, evaluate_point,
-                         fidelity, identity_report, log_correlation_length)
+                         fidelity, identity_report, log_correlation_length,
+                         qseries)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              POINT_COLUMNS, RunConfig, build_parser, main,
                              run)
@@ -93,9 +94,9 @@ class TestEval:
         assert out == ""
         assert json.loads(err)["error"] == "InvalidSpec"
 
-    def test_numerical_failure_exits_2(self, capsys):
-        code, _, err = _invoke(
-            capsys, ["eval", "--x", "0.5", "--max-terms", "3"])
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 3)
+        code, _, err = _invoke(capsys, ["eval", "--x", "0.5"])
         assert code == EXIT_NUMERICAL
         assert json.loads(err)["error"] == "NonConvergent"
 
@@ -287,10 +288,21 @@ class TestOutputFile:
         assert out == ""
         assert target.read_text(encoding="utf-8") == stdout_text
 
+    def test_unwritable_target_exits_1_with_stderr_json(self, capsys, tmp_path):
+        code, out, err = _invoke(
+            capsys, ["eval", "--x", "0.5", "--output", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        report = json.loads(err)
+        assert report["error"] == "InvalidSpec"
+        assert str(tmp_path) in report["message"]
+
 
 class TestParser:
     def test_usage_errors_exit_1(self, capsys):
-        for argv in ([], ["eval", "--bogus", "1"], ["frobnicate"]):
+        # the term caps are module constants, not flags
+        for argv in ([], ["eval", "--bogus", "1"], ["frobnicate"],
+                     ["eval", "--x", "0.5", "--max-terms", "3"]):
             assert main(argv) == EXIT_VALIDATION
             capsys.readouterr()
 
@@ -309,9 +321,8 @@ class TestParser:
 
 class TestRunConfig:
     def test_tolerance_property(self):
-        config = RunConfig(command="identities", rel_tol=1e-10, max_terms=500)
-        assert config.tolerance.rel_tol == 1e-10
-        assert config.tolerance.max_terms == 500
+        config = RunConfig(command="identities", rel_tol=1e-10)
+        assert config.tolerance == Tolerance(rel_tol=1e-10)
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):

@@ -1,4 +1,5 @@
 """Fidelity routes, the g factor, and the log-space identities."""
+import itertools
 import math
 import sys
 
@@ -12,6 +13,7 @@ from xxzfidelity import (FidelityResult, InvalidSpec, ModelPoint,
                          fidelity_raw, fidelity_simplified, ln_g_series,
                          log_correlation_length, log_multibase_product,
                          qproduct_direct)
+from xxzfidelity import qseries
 from xxzfidelity.fidelity import (CROSS_CHECK_WINDOW, LN_G_SWITCH_EPS,
                                   PATH_SWITCH_X, _LN_G_EVEN, _LN_G_REMAINDER,
                                   _QUARTER_LN2, _ln_g_expansion, _ln_g_sum,
@@ -83,9 +85,10 @@ class TestRouteAgreement:
             spread = abs(math.expm1(max(logs) - min(logs)))
             assert spread < 1e-10, x
 
-    def test_raw_respects_term_cap(self):
+    def test_raw_respects_term_cap(self, monkeypatch):
+        monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 5)
         with pytest.raises(NonConvergent):
-            fidelity_raw(ModelPoint.from_x(0.5), Tolerance(1e-12, max_terms=5))
+            fidelity_raw(ModelPoint.from_x(0.5))
 
 
 class TestPathSelector:
@@ -173,9 +176,23 @@ class TestGFactor:
             ln_g = ln_g_series(ModelPoint.from_x(x))
             assert QUARTER_LN2 < ln_g < math.log(2.0), x
 
-    def test_respects_term_cap(self):
-        with pytest.raises(NonConvergent):
-            ln_g_series(ModelPoint.from_eps(0.2), Tolerance(1e-12, max_terms=100))
+
+
+def _doubling_ln_g_sum(eps, rel_tol=1e-12):
+    """The ln g series under its former stopping rule: stop where a term
+    drops below rel_tol ln g, then sum on to twice that index."""
+    q = math.exp(-2.0 * eps)
+    qa, acc, sign, stop_n = 1.0, 0.0, 1.0, None
+    for n in itertools.count(1):
+        qa = qa * q
+        acc = acc + sign * qa * (2.0 + qa) / ((1.0 + qa) * (1.0 + qa) * n)
+        sign = -sign
+        ln_g = math.log(2.0) - acc
+        if stop_n is None:
+            if qa * (2.0 + qa) / ((1.0 + qa) * (1.0 + qa) * n) <= rel_tol * ln_g:
+                stop_n = n
+        elif n >= 2 * stop_n:
+            return ln_g
 
 
 def _mp_ln_g(eps):
@@ -235,7 +252,7 @@ class TestLnGRegimes:
                 short = _ln_g_expansion(eps, rel_tol)
                 if short is None:
                     continue
-                summed = _ln_g_sum(eps, rel_tol, 10 ** 6)
+                summed = _ln_g_sum(eps)
                 assert abs(short - summed) <= rel_tol * summed, (rel_tol, eps)
         rel_tol = Tolerance().rel_tol
         below = ln_g_series(ModelPoint.from_eps(LN_G_SWITCH_EPS))
@@ -250,11 +267,22 @@ class TestLnGRegimes:
         got = ln_g_series(ModelPoint.from_eps(eps), Tolerance(1e-14))
         assert got == pytest.approx(_mp_ln_g(eps), rel=1e-14)
 
-    def test_no_term_cap_at_small_eps(self):
-        # the series alone would need ~7e5 terms here
-        tol = Tolerance(1e-12, max_terms=100)
-        got = ln_g_series(ModelPoint.from_eps(2e-5), tol)
+    def test_no_term_cap_at_small_eps(self, monkeypatch):
+        # the series alone would need ~7e5 terms here; it must not run
+        def no_sum(eps):
+            raise AssertionError(f"the series ran at eps={eps}")
+
+        # the package binds the name fidelity to the function, not the module
+        monkeypatch.setattr(sys.modules["xxzfidelity.fidelity"], "_ln_g_sum",
+                            no_sum)
+        got = ln_g_series(ModelPoint.from_eps(2e-5))
         assert got == pytest.approx(_mp_ln_g(2e-5), rel=1e-12)
+
+    def test_sum_matches_the_doubling_rule(self):
+        # eps > 372 includes q = e^{-2 eps} underflowing to 0
+        for eps in np.geomspace(0.12, 745.0, 2000):
+            eps = float(eps)
+            assert _ln_g_sum(eps) == _doubling_ln_g_sum(eps), eps
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(eps=EPS_SWEEP)

@@ -1,4 +1,5 @@
 """Multi-base product evaluation: both strategies, tolerances, identities."""
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -9,21 +10,14 @@ from hypothesis import given, settings, strategies as st
 from xxzfidelity import (InvalidSpec, NonConvergent, Overflow, Tolerance,
                          log_multibase_product, qproduct_direct)
 from xxzfidelity import qseries
-from xxzfidelity.qseries import (DEFAULT_REL_TOL, DIRECT_MAX_TERMS,
-                                 SERIES_MAX_TERMS, minus_one_peel_residual,
+from xxzfidelity.qseries import (DEFAULT_REL_TOL, minus_one_peel_residual,
                                  verify_qcalc_identities)
 
 
 class TestTolerance:
     def test_defaults(self):
-        tol = Tolerance()
-        assert tol.rel_tol == DEFAULT_REL_TOL
-        assert tol.max_terms is None
-        assert tol.cap(SERIES_MAX_TERMS) == SERIES_MAX_TERMS
-        assert tol.cap(DIRECT_MAX_TERMS) == DIRECT_MAX_TERMS
-
-    def test_max_terms_override(self):
-        assert Tolerance(max_terms=123).cap(10 ** 6) == 123
+        assert Tolerance().rel_tol == DEFAULT_REL_TOL
+        assert [f.name for f in dataclasses.fields(Tolerance)] == ["rel_tol"]
 
     def test_rejects_sub_epsilon_rel_tol(self):
         with pytest.raises(InvalidSpec):
@@ -37,15 +31,6 @@ class TestTolerance:
 
     def test_allows_tight_but_legal_rel_tol(self):
         assert Tolerance(rel_tol=1e-14).rel_tol == 1e-14
-
-    def test_rejects_nonpositive_max_terms(self):
-        with pytest.raises(InvalidSpec):
-            Tolerance(max_terms=0)
-
-    def test_rejects_non_integer_max_terms(self):
-        for bad in (2.5, 100.0, "100"):
-            with pytest.raises(InvalidSpec):
-                Tolerance(1e-12, bad)
 
 
 # outside the domain both strategies share: |z| <= 1, a nonempty sequence
@@ -136,9 +121,10 @@ class TestLogSeries:
         got = log_multibase_product(0.25, (0.0,))
         assert got == pytest.approx(math.log1p(-0.25), rel=1e-14)
 
-    def test_nonconvergent_when_capped(self):
+    def test_nonconvergent_when_capped(self, monkeypatch):
+        monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 3)
         with pytest.raises(NonConvergent):
-            log_multibase_product(0.9, (0.5,), Tolerance(max_terms=3))
+            log_multibase_product(0.9, (0.5,))
 
 
 class TestDirectProduct:
@@ -162,9 +148,10 @@ class TestDirectProduct:
         series = math.exp(log_multibase_product(*args))
         assert direct == pytest.approx(series, rel=2e-12)
 
-    def test_nonconvergent_when_capped(self):
+    def test_nonconvergent_when_capped(self, monkeypatch):
+        monkeypatch.setattr(qseries, "DIRECT_MAX_TERMS", 10)
         with pytest.raises(NonConvergent):
-            qproduct_direct(0.5, (0.9, 0.9), Tolerance(max_terms=10))
+            qproduct_direct(0.5, (0.9, 0.9))
 
     def test_overflow_is_documented(self):
         # ln (-1; 0.999)_inf is about 820 > ln(DBL_MAX)
@@ -260,7 +247,7 @@ class TestDirectPass:
         tracemalloc.start()
         try:
             with pytest.raises(NonConvergent):
-                qproduct_direct(0.5, bases, Tolerance(max_terms=20_000))
+                qproduct_direct(0.5, bases)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
