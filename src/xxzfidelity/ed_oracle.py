@@ -37,6 +37,10 @@ one-eigenpair Lanczos solve of the full chain.  The finite-size fidelity
 converges toward the infinite-chain f(x) as L grows; this module is a
 verification harness with loose tolerances, not a second route to the
 exact result.
+
+scipy is imported only inside the functions that build or solve a chain,
+on their first call, so importing the package, evaluating points and every
+command but ``ed`` load no scipy module.
 """
 from __future__ import annotations
 
@@ -46,7 +50,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .elliptic import ModelPoint
 from .errors import InvalidSpec, NonConvergent, Overflow, SizeLimit
@@ -174,6 +177,7 @@ def _sector_matrix(n_sites, n_up, bonds, fields, delta, block=None):
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     vals = np.concatenate(vals)
+    import scipy.sparse as sp  # loaded only where a finite chain is built
     return sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
@@ -271,6 +275,7 @@ def ground_state(H, start=None) -> GroundState:
     which holds no other symmetry sector, so no symmetry can make the start
     orthogonal to the ground state.
     """
+    import scipy.sparse as sp  # loaded only where a ground state is solved
     dense = not sp.issparse(H)
     if dense:
         H = _floats(H, "H")
