@@ -38,9 +38,9 @@ converges toward the infinite-chain f(x) as L grows; this module is a
 verification harness with loose tolerances, not a second route to the
 exact result.
 
-scipy is imported only inside the functions that build or solve a chain,
-on their first call, so importing the package, evaluating points and every
-command but ``ed`` load no scipy module.
+numpy and scipy are imported only inside the functions that specify, build
+or solve a chain, on their first call, so importing the package and
+evaluating points load neither, and no command but ``ed`` loads scipy.
 """
 from __future__ import annotations
 
@@ -48,13 +48,15 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .elliptic import ModelPoint
 from .errors import InvalidSpec, NonConvergent, Overflow, SizeLimit
 from .fidelity import fidelity as _exact_fidelity
 from .qseries import DEFAULT_TOL, _HUGE, Tolerance, _brief
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: refuse to build an even block beyond this dimension (L = 24 has 1,354,126
 #: states, L = 26 has 5,204,396)
@@ -80,6 +82,7 @@ class SpinChainSpec:
         if not (self.L + 1) * 0.5 * abs(self.delta) <= _HUGE:
             raise InvalidSpec(f"at x={self.x!r} the L={self.L} Hamiltonian "
                               "overflows the float range; x is too small")
+        import numpy as np  # loaded only where a chain is specified
         if not isinstance(self.split, (bool, np.bool_)):
             raise InvalidSpec(f"split must be a bool, got {_brief(self.split)}")
 
@@ -121,6 +124,7 @@ def sector_basis(n_sites: int, n_up: int) -> np.ndarray:
     """
     if n_sites > 63:
         raise InvalidSpec(f"int64 masks hold at most 63 sites, got {n_sites}")
+    import numpy as np  # loaded only where a finite chain is built
     empty = np.zeros(0, dtype=np.int64)
     levels = {0: np.zeros(1, dtype=np.int64)}
     for m in range(1, n_sites + 1):
@@ -145,6 +149,7 @@ def _sector_matrix(n_sites, n_up, bonds, fields, delta, block=None):
     h * weight[column[t]] / weight[r].  The default is the whole sector:
     every row, the identity map and unit weights.
     """
+    import numpy as np  # loaded only where a finite chain is built
     basis = sector_basis(n_sites, n_up)
     if block is None:
         index = np.arange(len(basis), dtype=np.int32)
@@ -188,6 +193,7 @@ def _image(masks: np.ndarray, n_sites: int) -> np.ndarray:
     with the bonds of the full, split and half chains and takes the Néel
     field -h on site 1 to +h on site n_sites.
     """
+    import numpy as np  # loaded only where a finite chain is built
     image = np.full_like(masks, (1 << n_sites) - 1)
     for j in range(n_sites):
         image ^= ((masks >> j) & 1) << (n_sites - 1 - j)
@@ -211,6 +217,7 @@ def _even_states(L: int):
     build_hamiltonian and split_product_state of one f_L share a single
     result, cached for the last L; its arrays are read-only.
     """
+    import numpy as np  # loaded only where a finite chain is built
     basis = sector_basis(L, L // 2)
     image = _image(basis, L)
     rows = np.flatnonzero(basis <= image)
@@ -239,6 +246,7 @@ def build_hamiltonian(spec: SpinChainSpec):
     spec has already bounded the block by SECTOR_DIM_CAP.  The Néel fields
     freeze the virtual spins to sz_0 = -1 and sz_L+1 = +1.
     """
+    import numpy as np  # loaded only where a finite chain is built
     L = spec.L
     bonds = [(j, j + 1) for j in range(1, L)]
     if spec.split:
@@ -275,7 +283,8 @@ def ground_state(H, start=None) -> GroundState:
     which holds no other symmetry sector, so no symmetry can make the start
     orthogonal to the ground state.
     """
-    import scipy.sparse as sp  # loaded only where a ground state is solved
+    import numpy as np  # loaded only where a ground state is solved
+    import scipy.sparse as sp
     dense = not sp.issparse(H)
     if dense:
         H = _floats(H, "H")
@@ -318,6 +327,7 @@ def ground_state(H, start=None) -> GroundState:
 def _floats(values, name: str) -> np.ndarray:
     """values as a float array; InvalidSpec unless they are real numbers
     that convert to floats (no complex, text or out-of-range integers)."""
+    import numpy as np  # loaded only where a ground state is solved
     try:
         values = np.asarray(values)
         if values.dtype.kind != "c":
@@ -353,6 +363,7 @@ def split_product_state(L: int, left: GroundState) -> np.ndarray:
     InvalidSpec unless L is an even integer >= 4 and left's amplitudes span
     the Néel sector.
     """
+    import numpy as np  # loaded only where a finite chain is built
     _check_length(L)
     half = L // 2
     basis_left = sector_basis(half, (half + 1) // 2)
@@ -391,7 +402,7 @@ def bipartite_fidelity_finite(L: int, x: float) -> float:
     left = _half_ground(L // 2, spec.delta)
     product = split_product_state(L, left)
     full = ground_state(H, start=product)
-    overlap = float(np.dot(full.amplitudes, product))
+    overlap = float(full.amplitudes @ product)
     return overlap * overlap
 
 

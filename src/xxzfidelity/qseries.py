@@ -31,8 +31,6 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InvalidSpec, NonConvergent, Overflow
 
 #: default relative-error target of every truncated evaluation
@@ -157,6 +155,7 @@ def _exp(ln_value: float, what) -> float:
 def _runs(w, counts, ends, table, lo, hi):
     """Weights of points lo..hi-1 of the runs w[p] * table[0:counts[p]],
     laid end to end (ends = cumsum(counts); every count is >= 1)."""
+    import numpy as np  # loaded only where the direct product runs
     first = int(np.searchsorted(ends, lo, side="right"))
     stop = int(np.searchsorted(ends, hi, side="left")) + 1
     run_ends = ends[first:stop]
@@ -187,6 +186,7 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
     by the inner directions, and each slab ends in one pairwise np.sum of
     log1p(-z w).
     """
+    import numpy as np  # loaded only where the direct product runs
     w = np.ones(1)
     omitted = 0.0
     log_acc = 0.0

@@ -22,8 +22,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .elliptic import ModelPoint, log_correlation_length
 from .errors import InvalidSpec, Overflow
 from .fidelity import _QUARTER_LN2, FidelityResult, fidelity
@@ -92,6 +90,7 @@ def fit_asymptote(samples: Sequence[tuple[float, float]]) -> AsymptoticFit:
     if not all(1.0 / _HUGE < e <= _HUGE and abs(y) <= _HUGE for e, y in pairs):
         raise InvalidSpec("every sample needs a finite y, and eps and 1/eps "
                           "finite and positive")
+    import numpy as np  # loaded only where a fit runs
     eps = np.array([float(e) for e, _ in pairs])
     y = np.array([float(v) for _, v in pairs])
     if len(set(eps.tolist())) != len(pairs):
@@ -112,8 +111,9 @@ def fit_asymptote(samples: Sequence[tuple[float, float]]) -> AsymptoticFit:
 
 
 def _check_grid_count(count) -> None:
-    """Raise InvalidSpec unless count is an integer in [1, MAX_GRID_COUNT]."""
-    if not (isinstance(count, numbers.Integral)
+    """Raise InvalidSpec unless count is an integer in [1, MAX_GRID_COUNT]
+    (a bool is not a count)."""
+    if not (isinstance(count, numbers.Integral) and not isinstance(count, bool)
             and 1 <= count <= MAX_GRID_COUNT):
         raise InvalidSpec(f"count must be an integer in [1, {MAX_GRID_COUNT}], "
                           f"got {_brief(count)}")
@@ -131,6 +131,7 @@ def log_spaced(lo: float, hi: float, count: int) -> list[float]:
     _check_grid_count(count)
     if lo == hi:
         return [lo] * count
+    import numpy as np  # loaded only where a log-spaced grid is built
     return [float(v) for v in np.geomspace(lo, hi, count)]
 
 

@@ -338,7 +338,7 @@ class TestRunConfig:
         with pytest.raises(InvalidSpec):
             RunConfig(command="scan", grid_var="z", grid_min=0.2, grid_max=0.5)
         # the rule of log_spaced; 10**5000 is past repr()'s digit limit
-        for bad in (2.5, 3.0, MAX_GRID_COUNT + 1, 10 ** 400, 10 ** 5000):
+        for bad in (2.5, 3.0, True, MAX_GRID_COUNT + 1, 10 ** 400, 10 ** 5000):
             with pytest.raises(InvalidSpec):
                 RunConfig(command="scan", grid_min=0.1, grid_max=0.5, count=bad)
         with pytest.raises(InvalidSpec):

@@ -1,5 +1,7 @@
-"""Importing the package loads no scipy, exports exactly what it imports,
-and keeps exporting what the benchmark uses."""
+"""Importing the package, point calls, `eval` and a linear `scan` load no
+numpy and no scipy; `fit`, `identities` and a log-spaced `scan` load numpy
+but no scipy; `ed` loads both.  The package exports exactly what it
+imports, and keeps exporting what the benchmark uses."""
 import json
 import os
 import subprocess
@@ -22,33 +24,53 @@ def _fresh_python(*args: str) -> subprocess.CompletedProcess:
                           text=True, env={**os.environ, "PYTHONPATH": path})
 
 
-def test_points_and_commands_load_no_scipy(tmp_path):
-    # scipy is imported where a finite chain is built or solved, so the
-    # import, point evaluations and every command but ed never load it
-    output = str(tmp_path / "report")
-    script = (
-        "import json, sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "import xxzfidelity\n"
-        "loaded = {'import': scipy_modules()}\n"
-        "xxzfidelity.evaluate_point(xxzfidelity.ModelPoint.from_x(0.3))\n"
-        "loaded['evaluate_point'] = scipy_modules()\n"
-        "from xxzfidelity.cli import main\n"
-        "for argv in (['eval', '--x', '0.5'],\n"
-        "             ['scan', '--min', '0.1', '--max', '0.9', '--count', '5'],\n"
-        "             ['fit', '--eps-min', '1e-3', '--eps-max', '1e-2'],\n"
-        "             ['identities']):\n"
-        f"    code = main([*argv, '--output', {output!r}])\n"
-        "    loaded[argv[0]] = [code, scipy_modules()]\n"
-        "print(json.dumps(loaded))\n")
-    done = _fresh_python("-c", script)
+#: runs in a fresh interpreter: imports the package, evaluates one point,
+#: then runs each command of sys.argv[1] (a JSON list of argv lists) and
+#: prints the numpy and scipy modules loaded after each step
+_TRACE_LOADS = (
+    "import json, sys\n"
+    "def loaded_now():\n"
+    "    return {p: sorted(m for m in sys.modules if m.startswith(p))\n"
+    "            for p in ('numpy', 'scipy')}\n"
+    "import xxzfidelity\n"
+    "steps = [['import', 0, loaded_now()]]\n"
+    "xxzfidelity.evaluate_point(xxzfidelity.ModelPoint.from_x(0.3))\n"
+    "steps.append(['evaluate_point', 0, loaded_now()])\n"
+    "from xxzfidelity.cli import main\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    code = main(argv)\n"
+    "    steps.append([' '.join(argv), code, loaded_now()])\n"
+    "print(json.dumps(steps))\n")
+
+
+def _trace_loads(*commands: list[str]) -> list:
+    done = _fresh_python("-c", _TRACE_LOADS, json.dumps(commands))
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
-    assert loaded["import"] == []
-    assert loaded["evaluate_point"] == []
-    for command in ("eval", "scan", "fit", "identities"):
-        assert loaded[command] == [0, []], command
+    return json.loads(done.stdout)
+
+
+def test_points_and_commands_load_no_scipy(tmp_path):
+    # numpy is imported where arrays are built and scipy where a finite
+    # chain is built or solved, so the import, point evaluations, eval and
+    # a linear scan load neither, and no command but ed loads scipy
+    out = ["--output", str(tmp_path / "report")]
+    steps = _trace_loads(["eval", "--x", "0.5", *out],
+                         ["eval", "--eps", "0.01", *out],
+                         ["scan", "--min", "0.1", "--max", "0.9",
+                          "--count", "5", *out])
+    assert len(steps) == 5
+    for name, code, loaded in steps:
+        assert code == 0, name
+        assert loaded == {"numpy": [], "scipy": []}, name
+    # each in its own interpreter, so each shows that it loads numpy itself
+    for argv in (["fit", "--eps-min", "1e-3", "--eps-max", "1e-2"],
+                 ["identities"],
+                 ["scan", "--min", "0.1", "--max", "0.9", "--count", "5",
+                  "--spacing", "log"]):
+        name, code, loaded = _trace_loads([*argv, *out])[-1]
+        assert code == 0, name
+        assert "numpy" in loaded["numpy"], name
+        assert loaded["scipy"] == [], name
 
 
 def test_ed_command_imports_scipy_where_it_solves():

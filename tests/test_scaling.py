@@ -96,7 +96,8 @@ class TestLogSpaced:
             log_spaced(0.0, 1.0, 5)
         with pytest.raises(InvalidSpec):
             log_spaced(2.0, 1.0, 5)
-        for bad in (0, 2.5, 3.0, "3"):
+        # a bool is an Integral, but not a count
+        for bad in (0, 2.5, 3.0, "3", True, False):
             with pytest.raises(InvalidSpec):
                 log_spaced(0.1, 1.0, bad)
         for lo, hi in ((1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0),
