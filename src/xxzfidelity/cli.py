@@ -86,11 +86,10 @@ class RunConfig:
             if not (self.grid_min <= self.grid_max):
                 raise InvalidSpec("grid min must be <= max")
             _check_grid_count(self.count)
-            if self.grid_var == "x":
-                if not (0.0 < self.grid_min and self.grid_max < 1.0):
-                    raise InvalidSpec("x grid bounds must lie inside (0,1)")
-            elif not (self.grid_min > 0.0):
-                raise InvalidSpec("eps grid bounds must be positive")
+            point = (ModelPoint.from_x if self.grid_var == "x"
+                     else ModelPoint.from_eps)
+            point(self.grid_min)
+            point(self.grid_max)
         if self.command == "ed" and self.x is None:
             raise InvalidSpec("ed needs --x")
 

@@ -40,20 +40,21 @@ from .qseries import (DEFAULT_TOL, _HUGE, Tolerance, _brief,
 PATH_SWITCH_X = 0.7
 #: window where fidelity() cross-checks the two applicable routes
 CROSS_CHECK_WINDOW = (0.6, 0.9)
-#: ln g from its expansion up to here (order 30 reaches 0.152 at rel_tol 1e-12)
-LN_G_SWITCH_EPS = 0.15
+#: ln g from its order-30 expansion up to here, where its bound B_15 eps^31
+#: is at most _MIN_REL_TOL (ln 2)/4, the tightest rel_tol admitted; the
+#: series above
+LN_G_SWITCH_EPS = 0.125
 #: the self-dual nome x = e^{-pi} (eps = pi), fixed point of x -> x~
 _SELF_DUAL_X = math.exp(-math.pi)
 
 _QUARTER_LN2 = 0.25 * math.log(2.0)
-# c_2, c_4, ..., c_30 and B_1, ..., B_15 (rounded up) of _ln_g_expansion
+# c_2, c_4, ..., c_30 and B_15 (rounded up) of _ln_g_expansion
 _LN_G_EVEN = (0.0625, 0.020833333333333332, 0.02361111111111111,
               0.05228174603174603, 0.18889770723104057, 1.0083776922665812,
               7.453417113456796, 72.84383367413989, 909.3411998263687,
               14114.944262769695, 266622.9318069865, 6021721.8303798335,
               160234561.46245712, 4961214936.313177, 176835016896.58295)
-_LN_G_REMAINDER = (0.041, 0.034, 0.060, 0.19, 0.90, 6.1, 55.0, 640.0, 9.4e3,
-                   1.7e5, 3.7e6, 9.4e7, 2.8e9, 9.6e10, 3.8e12)
+_LN_G_REMAINDER = 3.8e12
 
 
 class Path(enum.Enum):
@@ -147,9 +148,8 @@ def fidelity_simplified(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> Fidelity
     return _result(ln_f, est, Path.SIMPLIFIED)
 
 
-def _ln_g_expansion(eps: float, rel_tol: float):
-    """ln g = sum_k c_k eps^k to the first order whose error bound is below
-    rel_tol (ln 2)/4 <= rel_tol ln g; None if no order up to 30 is.
+def _ln_g_expansion(eps: float) -> float:
+    """ln g = (ln 2)/4 + eps/4 + sum_{j=1}^{15} c_{2j} eps^{2j}, by Horner's rule.
 
     Mellin asymptotics of harmonic sums (Flajolet, Gourdon & Dumas, TCS 144,
     1995): with t = 2 eps, ln g - ln 2 = sum_N (-1)^{N+1}/N [h(N t) - 1],
@@ -159,19 +159,15 @@ def _ln_g_expansion(eps: float, rel_tol: float):
     for odd k >= 3.  The expansion diverges (c_k ~ k! (2/pi^2)^k), but M is
     regular on Re s = -(2j+1), and moving the inversion contour there bounds
     the error after the eps^{2j} term by B_j eps^{2j+1},
-    B_j = 2^{2j+1}/(2 pi) int |M(-(2j+1) + iy)| dy.  Rounding the literals
-    past the exact c_2 moves ln g by < 2e-21 at eps <= 0.15; all c_{2j} > 0,
-    so Horner's rule cannot cancel.
+    B_j = 2^{2j+1}/(2 pi) int |M(-(2j+1) + iy)| dy.  Up to LN_G_SWITCH_EPS
+    each further order shrinks that bound (B_{j+1}/B_j eps^2 <= 0.62), so the
+    full order 30 is the best truncation, with B_15 eps^31 <= 10 eps_mach
+    (ln 2)/4.  Rounding the literals past the exact c_2 moves ln g by
+    < 2e-21 there; all c_{2j} > 0, so Horner's rule cannot cancel.
     """
-    budget = rel_tol * _QUARTER_LN2
-    for order, bound in enumerate(_LN_G_REMAINDER, start=1):
-        if bound * eps ** (2 * order + 1) <= budget:
-            break
-    else:
-        return None
     e2 = eps * eps
     acc = 0.0
-    for c in reversed(_LN_G_EVEN[:order]):
+    for c in reversed(_LN_G_EVEN):
         acc = (acc + c) * e2
     return _QUARTER_LN2 + 0.25 * eps + acc
 
@@ -183,8 +179,9 @@ def _ln_g_sum(eps: float) -> float:
     u_N/N decreases strictly, so the alternating tail is bounded by the next
     term, and subtracting the x -> 0 limit ln 2 keeps the term count near
     17 / eps.  The sum stops at the first term that no longer moves it
-    in floating point, so its length depends on eps alone: at most 142
-    terms at eps = 0.12, below which ln_g_series never calls it.
+    in floating point, so its length depends on eps alone: at most 136
+    terms, just above LN_G_SWITCH_EPS = 0.125, below which ln_g_series
+    never calls it.
     """
     q = math.exp(-2.0 * eps)
     qa = 1.0
@@ -200,20 +197,18 @@ def _ln_g_sum(eps: float) -> float:
         sign = -sign
 
 
-def ln_g_series(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
+def ln_g_series(p: ModelPoint) -> float:
     """ln g of the modular route's factor g, by the log series stable as x -> 1.
 
     ln g runs from ln 2 (x -> 0) down to (ln 2)/4 (x -> 1), the approach to
     the limit being O(eps).  For eps <= LN_G_SWITCH_EPS it comes from the
-    small-eps expansion, else (or if that cannot meet tol.rel_tol, which
-    happens only above eps = 0.125) from the accelerated series summed to
-    double precision; neither costs more as eps -> 0.
+    small-eps expansion, else from the accelerated series summed to double
+    precision; neither costs more as eps -> 0, and neither takes a
+    tolerance: both are within ~1e-14 of ln g at every eps.
     """
-    ln_g = (_ln_g_expansion(p.eps, tol.rel_tol)
-            if p.eps <= LN_G_SWITCH_EPS else None)
-    if ln_g is None:
-        ln_g = _ln_g_sum(p.eps)
-    return float(ln_g)
+    if p.eps <= LN_G_SWITCH_EPS:
+        return float(_ln_g_expansion(p.eps))
+    return float(_ln_g_sum(p.eps))
 
 
 def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -245,7 +240,7 @@ def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityRes
     ln_xt = p.ln_x_dual
     xt = math.exp(ln_xt)
     xt_half = math.exp(0.5 * ln_xt)
-    ln_g = ln_g_series(p, tol)
+    ln_g = ln_g_series(p)
 
     def L(z, bases):
         return log_multibase_product(z, bases, tol)
@@ -285,22 +280,6 @@ def short_theta_identity_residual(b: float, p: ModelPoint,
     return abs(math.expm1(lhs - rhs))
 
 
-def g_decomposition_residual(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Relative residual of the split f = (x^2;x^4) / (2 (-x^4;x^4)) * g.
-
-    The right-hand side takes g from ln_g_series, so the check ties the
-    product representation of f to the independently summed log series.
-    """
-    x = p.x
-    x2 = x * x
-    x4 = x2 * x2
-    ln_g = ln_g_series(p, tol)
-    ln_rhs = (log_multibase_product(x2, (x4,), tol) - math.log(2.0)
-              - log_multibase_product(-x4, (x4,), tol) + ln_g)
-    ln_lhs = fidelity_simplified(p, tol).ln_f
-    return abs(math.expm1(ln_lhs - ln_rhs))
-
-
 def fidelity(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
     """Route selector: Simplified for x <= 0.7, Modular above.
 
@@ -320,13 +299,13 @@ def fidelity(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
 
 
 def identity_report(tol: Tolerance = DEFAULT_TOL) -> list[tuple[str, float]]:
-    """(check, max_residual) of each of the nine identity suites, in order.
+    """(check, max_residual) of each of the eight identity suites, in order.
 
     Every suite runs on its own fixed grid: the base-splitting (qcalc_r1)
     and sign-pairing (qcalc_r2) product identities, the minus-one peel, the
     short-theta modular identity (including the self-dual point), the
     spread of the three fidelity routes, k^2 + k'^2 = 1, the nome duality
-    k'(x) = k(x~), ln g by series against product, and the g split of f.
+    k'(x) = k(x~), and ln g by series against product.
     """
     x_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
     qcalc = [verify_qcalc_identities(x, z, b, c, tol)
@@ -343,10 +322,10 @@ def identity_report(tol: Tolerance = DEFAULT_TOL) -> list[tuple[str, float]]:
         kp = modulus_kprime(x, tol)
         return abs(modulus_k(ModelPoint.from_x(x).x_dual, tol) - kp) / kp
 
-    def g_routes(p):
-        return abs(math.expm1(ln_g_series(p, tol) - g_product(p, tol)))
+    def g_routes(x):
+        p = ModelPoint.from_x(x)
+        return abs(math.expm1(ln_g_series(p) - g_product(p, tol)))
 
-    g_points = [ModelPoint.from_x(x) for x in x_grid]
     return [
         ("qcalc_r1", max(r1 for r1, _ in qcalc)),
         ("qcalc_r2", max(r2 for _, r2 in qcalc)),
@@ -362,7 +341,5 @@ def identity_report(tol: Tolerance = DEFAULT_TOL) -> list[tuple[str, float]]:
             abs(modulus_k(z, tol) ** 2 + modulus_kprime(z, tol) ** 2 - 1.0)
             for z in (0.05, 0.25, 0.5, 0.7, 0.9))),
         ("moduli_duality", max(duality(x) for x in (0.3, 0.5, 0.7, 0.85, 0.95))),
-        ("g_series_vs_product", max(g_routes(p) for p in g_points)),
-        ("g_decomposition", max(g_decomposition_residual(p, tol)
-                                for p in g_points)),
+        ("g_series_vs_product", max(g_routes(x) for x in x_grid)),
     ]

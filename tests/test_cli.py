@@ -211,7 +211,7 @@ class TestIdentities:
         assert {r["check"] for r in rows} == {
             "qcalc_r1", "qcalc_r2", "minus_one_peel", "short_theta",
             "three_path_fidelity", "moduli_complementary", "moduli_duality",
-            "g_series_vs_product", "g_decomposition"}
+            "g_series_vs_product"}
         for r in rows:
             assert r["max_residual"] < 1e-10, r["check"]
 
@@ -226,7 +226,7 @@ class TestIdentities:
         assert code == EXIT_OK
         lines = out.strip().split("\n")
         assert lines[0] == "check,max_residual"
-        assert len(lines) == 10
+        assert len(lines) == 9
 
 
 class TestEd:
@@ -349,6 +349,12 @@ class TestRunConfig:
             RunConfig(command="fit", grid_var="x", grid_min=0.1, grid_max=0.5)
         with pytest.raises(InvalidSpec):
             RunConfig(command="fit", grid_min=0.0, grid_max=2.0)
+        # both bounds by ModelPoint's rule, before any point is computed:
+        # x = e^{-800} underflows to 0
+        with pytest.raises(InvalidSpec):
+            RunConfig(command="scan", grid_var="eps", grid_min=0.5, grid_max=800.0)
+        with pytest.raises(InvalidSpec):
+            RunConfig(command="fit", grid_min=1e-3, grid_max=800.0)
         assert RunConfig(command="scan", grid_min=0.2, grid_max=0.5).grid_var == "x"
 
     def test_run_accepts_config_directly(self, capsys, tmp_path):

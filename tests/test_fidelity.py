@@ -5,20 +5,18 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xxzfidelity import (FidelityResult, InvalidSpec, ModelPoint,
-                         NonConvergent, Path, Tolerance,
-                         evaluate_point, fidelity, fidelity_modular,
-                         fidelity_raw, fidelity_simplified, ln_g_series,
-                         log_correlation_length, log_multibase_product,
-                         qproduct_direct)
+                         NonConvergent, Path, evaluate_point, fidelity,
+                         fidelity_modular, fidelity_raw, fidelity_simplified,
+                         ln_g_series, log_correlation_length,
+                         log_multibase_product, qproduct_direct)
 from xxzfidelity import qseries
 from xxzfidelity.fidelity import (CROSS_CHECK_WINDOW, LN_G_SWITCH_EPS,
                                   PATH_SWITCH_X, _LN_G_EVEN, _LN_G_REMAINDER,
                                   _QUARTER_LN2, _ln_g_expansion, _ln_g_sum,
-                                  g_decomposition_residual, g_product,
-                                  short_theta_identity_residual)
+                                  g_product, short_theta_identity_residual)
 
 # 50-digit reference values (independent high-precision evaluation)
 LN_F_02 = -0.1163764256178567616394
@@ -222,7 +220,7 @@ class TestLnGRegimes:
         assert all(c[k] == 0 for k in range(3, 31, 2))
         assert _LN_G_EVEN == tuple(float(c[k]) for k in range(2, 31, 2))
 
-    @pytest.mark.parametrize("j", [1, 15])
+    @pytest.mark.parametrize("j", [15])
     def test_remainder_constants_match_mpmath(self, j):
         mpmath = pytest.importorskip("mpmath")
         eta = mpmath.altzeta
@@ -234,38 +232,35 @@ class TestLnGRegimes:
             integral = mpmath.quad(lambda y: abs(M(-(2 * j + 1) + 1j * y)),
                                    [0, 1, 5, 20, 80])
             exact = float(2 ** (2 * j + 1) / mpmath.pi * integral)
-        assert exact <= _LN_G_REMAINDER[j - 1] <= 1.1 * exact
+        assert exact <= _LN_G_REMAINDER <= 1.1 * exact
 
     def test_remainder_bounds_hold(self):
-        for eps in (0.15, 0.1, 0.05, 0.01):
+        for eps in (LN_G_SWITCH_EPS, 0.1, 0.05, 0.01):
             exact = _mp_ln_g(eps)
-            partial = _QUARTER_LN2 + 0.25 * eps
-            for j, (c, bound) in enumerate(zip(_LN_G_EVEN, _LN_G_REMAINDER), 1):
-                partial += c * eps ** (2 * j)
-                # the float partial sum carries a few ulps of rounding
-                slack = bound * eps ** (2 * j + 1) + 1e-16
-                assert abs(exact - partial) <= slack, (eps, j)
+            # the float sum carries a few ulps of rounding
+            slack = _LN_G_REMAINDER * eps ** 31 + 1e-16
+            assert abs(exact - _ln_g_expansion(eps)) <= slack, eps
 
+    def test_switch_meets_the_tightest_tolerance(self):
+        # the order-30 truncation error at the switch is within the
+        # smallest rel_tol a Tolerance admits, so no caller needs the series
+        assert (_LN_G_REMAINDER * LN_G_SWITCH_EPS ** 31
+                <= qseries._MIN_REL_TOL * _QUARTER_LN2)
+
+    # pytest.approx would add its default abs=1e-12, so these compare bare
     def test_regimes_agree_across_the_switch(self):
-        for rel_tol in (1e-12, 1e-8):
-            for eps in (0.1, LN_G_SWITCH_EPS, 0.2):
-                short = _ln_g_expansion(eps, rel_tol)
-                if short is None:
-                    continue
-                summed = _ln_g_sum(eps)
-                assert abs(short - summed) <= rel_tol * summed, (rel_tol, eps)
-        rel_tol = Tolerance().rel_tol
+        for eps in (0.1, 0.12, LN_G_SWITCH_EPS):
+            summed = _ln_g_sum(eps)
+            assert abs(_ln_g_expansion(eps) - summed) <= 1e-14 * summed, eps
         below = ln_g_series(ModelPoint.from_eps(LN_G_SWITCH_EPS))
         above = ln_g_series(ModelPoint.from_eps(
             math.nextafter(LN_G_SWITCH_EPS, 1.0)))
-        assert abs(below - above) <= rel_tol * below
+        assert abs(below - above) <= 1e-14 * below
 
-    def test_tight_tolerance_falls_back_to_the_series(self):
-        eps = LN_G_SWITCH_EPS
-        assert _ln_g_expansion(eps, Tolerance().rel_tol) is not None
-        assert _ln_g_expansion(eps, 1e-14) is None
-        got = ln_g_series(ModelPoint.from_eps(eps), Tolerance(1e-14))
-        assert got == pytest.approx(_mp_ln_g(eps), rel=1e-14)
+    @pytest.mark.parametrize("eps", [0.09, 0.12, 0.13, 0.14, 0.15])
+    def test_ln_g_near_the_switch_matches_mpmath(self, eps):
+        got = ln_g_series(ModelPoint.from_eps(eps))
+        assert abs(got - _mp_ln_g(eps)) <= 1e-14 * got
 
     def test_no_term_cap_at_small_eps(self, monkeypatch):
         # the series alone would need ~7e5 terms here; it must not run
@@ -286,11 +281,13 @@ class TestLnGRegimes:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(eps=EPS_SWEEP)
+    @example(eps=0.125)
+    @example(eps=math.nextafter(0.125, 1.0))
+    @example(eps=0.126)
     def test_ln_g_matches_mpmath_everywhere(self, eps):
-        tol = Tolerance()
-        got = ln_g_series(ModelPoint.from_eps(eps), tol)
+        got = ln_g_series(ModelPoint.from_eps(eps))
         assert math.isfinite(got)
-        assert abs(got - _mp_ln_g(eps)) <= tol.rel_tol * abs(got)
+        assert abs(got - _mp_ln_g(eps)) <= 1e-14 * abs(got)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(eps=st.floats(math.log(1.2e-16), math.log(0.5)).map(math.exp))
@@ -337,11 +334,6 @@ class TestIdentities:
         # b so small that x^b rounds to 1.0
         with pytest.raises(InvalidSpec):
             short_theta_identity_residual(1e-17, p)
-
-    def test_g_decomposition(self):
-        for ix in range(2, 10):
-            x = ix * 0.1
-            assert g_decomposition_residual(ModelPoint.from_x(x)) < 1e-10, x
 
 
 class TestResultTypes:

@@ -2,6 +2,8 @@
 numpy and no scipy; `fit`, `identities` and a log-spaced `scan` load numpy
 but no scipy; `ed` loads both.  The package exports exactly what it
 imports, and keeps exporting what the benchmark uses."""
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -97,6 +99,20 @@ def test_all_lists_exactly_the_public_imports():
     assert set(exported) == public
 
 
+#: module-level functions that perfbench/tracing.py names as spans and
+#: perfbench/workloads.py calls; a missing one breaks only a traced run
+_BENCHMARK_FUNCTIONS = {
+    "qseries": ("log_multibase_product", "qproduct_direct"),
+    "fidelity": ("fidelity", "fidelity_simplified", "fidelity_modular",
+                 "fidelity_raw", "ln_g_series"),
+    "elliptic": ("log_correlation_length",),
+    "scaling": ("fit_asymptote", "collect_minus_ln_f", "collect_ln_xi"),
+    "ed_oracle": ("sector_basis", "ground_state", "build_hamiltonian",
+                  "split_product_state", "bipartite_fidelity_finite"),
+    "cli": ("main",),
+}
+
+
 def test_benchmark_names_stay_exported():
     # perfbench/workloads.py, freeze_ed.py and test_perfbench.py reach these
     # through the package namespace
@@ -104,3 +120,13 @@ def test_benchmark_names_stay_exported():
                  "convergence_study", "ln_g_series", "NonConvergent",
                  "log_multibase_product", "bipartite_fidelity_finite"):
         assert name in xxzfidelity.__all__, name
+    # the tracer wraps each span's function where its own module defines it
+    for short, names in _BENCHMARK_FUNCTIONS.items():
+        module = importlib.import_module(f"xxzfidelity.{short}")
+        for name in names:
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn), f"{short}.{name}"
+            assert fn.__module__ == module.__name__, f"{short}.{name}"
+    assert hasattr(importlib.import_module("xxzfidelity.ed_oracle"),
+                   "DENSE_DIM_LIMIT")
+    assert hasattr(importlib.import_module("xxzfidelity.cli"), "POINT_COLUMNS")

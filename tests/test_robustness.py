@@ -27,8 +27,7 @@ from xxzfidelity import (InvalidSpec, ModelPoint, SpinChainSpec,
                          minus_ln_f_reference, qproduct_direct)
 from xxzfidelity.ed_oracle import build_hamiltonian, ground_state
 from xxzfidelity.elliptic import modulus_k, modulus_kprime
-from xxzfidelity.fidelity import (g_decomposition_residual, g_product,
-                                  short_theta_identity_residual)
+from xxzfidelity.fidelity import g_product, short_theta_identity_residual
 from xxzfidelity.qseries import minus_one_peel_residual, verify_qcalc_identities
 from xxzfidelity.scaling import log_spaced
 
@@ -135,13 +134,6 @@ def test_fidelity_routes(x, route):
         result = route(ModelPoint.from_x(x))
         return result.ln_f, result.est_rel_error
     _finite_or_documented(ln_f_and_error)
-
-
-@SWEEP
-@given(x=UNIT)
-def test_g_decomposition_residual(x):
-    _finite_or_documented(
-        lambda: g_decomposition_residual(ModelPoint.from_x(x)))
 
 
 @SWEEP
