@@ -38,9 +38,18 @@ converges toward the infinite-chain f(x) as L grows; this module is a
 verification harness with loose tolerances, not a second route to the
 exact result.
 
+Ground states come from a dense ``scipy.linalg.eigh`` of the lowest level
+below DENSE_DIM_LIMIT and otherwise from a restarted Lanczos solve in
+numpy (_lanczos).  It runs on H scaled by its largest |entry|, so no norm
+overflows even at |Delta| ~ 1e188 (x ~ 1e-188), stores at most 20 Lanczos
+vectors, restarts from its Ritz vector, and accepts an eigenpair only
+once the explicit residual ||Hy - ey|| is at most about
+1e-12 max(1, |e|).
+
 numpy and scipy are imported only inside the functions that specify, build
 or solve a chain, on their first call, so importing the package and
-evaluating points load neither, and no command but ``ed`` loads scipy.
+evaluating points load neither, and no command but ``ed`` loads scipy;
+``ed`` loads ``scipy.sparse`` and ``scipy.linalg`` and no ARPACK.
 """
 from __future__ import annotations
 
@@ -61,9 +70,23 @@ if TYPE_CHECKING:
 #: refuse to build an even block beyond this dimension (L = 24 has 1,354,126
 #: states, L = 26 has 5,204,396)
 SECTOR_DIM_CAP = 1_400_000
-#: below this dimension the dense eigensolver is used (the measured
-#: dense-eigh / Lanczos crossover with one BLAS thread)
-DENSE_DIM_LIMIT = 250
+#: below this dimension the dense eigensolver is used: the measured
+#: dense-eigh / Lanczos crossover with one BLAS thread, on half-chain
+#: sectors at x = 0.3 and 0.9.  Dense eigh takes 0.55-0.8 times the
+#: Lanczos time at dimension 126, 0.95-1.0 times at 165 (about 1 ms) and
+#: 1.5-1.9 times at 210
+DENSE_DIM_LIMIT = 165
+#: Lanczos vectors stored per cycle, ARPACK's default ncv: the iterative
+#: solve holds this many vectors of the block's dimension and no more
+_LANCZOS_VECTORS = 20
+#: restarts before NonConvergent.  An all-sector scan of the half chains
+#: of n <= 12 sites, x from 1e-300 to 1 - 1e-12, needs at most 20, at
+#: x ~ 1e-3 in sectors off the Néel one (near-degenerate domain walls); the
+#: even blocks of L = 12-16 need at most 16, the gapless end 3
+_LANCZOS_RESTARTS = 400
+#: accepted residual ||A v - e v|| of the scaled operator, relative to
+#: max(1, |e|)
+_LANCZOS_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -269,8 +292,12 @@ def ground_state(H, start=None) -> GroundState:
     """Lowest eigenpair of a real symmetric operator; deterministic.
 
     Dense diagonalization of the lowest level only below DENSE_DIM_LIMIT,
-    otherwise a one-eigenpair Lanczos solve started from ``start`` (the
-    normalized all-ones vector when None; the dense path ignores it).  Any
+    otherwise a restarted Lanczos solve started from ``start`` (the
+    all-ones vector when None; the dense path ignores it).  The Lanczos
+    solve holds at most 20 vectors of H's dimension, works on H scaled by
+    its largest |entry|, and returns only an eigenpair whose explicit
+    residual ||Hy - ey|| is at most 1e-12 max(s, |e|), s that entry; it
+    raises NonConvergent after 400 restarts from its Ritz vector.  Any
     finite vector with a nonzero entry is a valid start: it is scaled by
     its largest magnitude first, so neither its norm nor its square can
     leave the float range.  The returned vector is normalized, with its
@@ -307,21 +334,77 @@ def ground_state(H, start=None) -> GroundState:
     if dim < DENSE_DIM_LIMIT:
         import scipy.linalg as sla  # loaded only where a dense solve runs
         w, v = sla.eigh(H if dense else H.toarray(), subset_by_index=[0, 0])
+        energy, vec = w[0], v[:, 0]
     else:
-        import scipy.sparse.linalg as spla  # loaded only where ARPACK runs
-        if start is None:
-            start = np.full(dim, 1.0 / math.sqrt(dim))
-        try:
-            w, v = spla.eigsh(H, k=1, which="SA", v0=start)
-        except spla.ArpackNoConvergence as exc:
-            raise NonConvergent(f"Lanczos failed to converge: {exc}") from exc
-    if not (np.isfinite(w[0]) and np.isfinite(v[:, 0]).all()):
-        raise Overflow(f"the lowest eigenpair of H leaves the float range: {w[0]}")
-    vec = v[:, 0] / np.linalg.norm(v[:, 0])
+        energy, vec = _lanczos(H, np.ones(dim) if start is None else start)
+    if not (np.isfinite(energy) and np.isfinite(vec).all()):
+        raise Overflow(f"the lowest eigenpair of H leaves the float range: {energy}")
+    vec = vec / np.linalg.norm(vec)
     pivot = int(np.argmax(np.abs(vec)))
     if vec[pivot] < 0.0:
         vec = -vec
-    return GroundState(energy=float(w[0]), amplitudes=vec)
+    return GroundState(energy=float(energy), amplitudes=vec)
+
+
+def _lanczos(H, start):
+    """Lowest eigenpair of H by restarted Lanczos: (energy, vector).
+
+    The recurrence runs on A = H / s, s the largest |entry| of H, so no
+    norm or Rayleigh quotient leaves the float range however large or small
+    the entries are.  Each product H v is divided by s, so H is never
+    copied, and only a row whose |entries| add up past the float range can
+    overflow.  A cycle runs the three-term recurrence from its start
+    vector for at most _LANCZOS_VECTORS steps, storing those vectors and
+    nothing else, and the next cycle starts from the lowest Ritz vector of
+    its tridiagonal matrix.  The first step of every cycle is the explicit
+    residual test of its start v: with e = v.A v, the pair is accepted once
+    ||A v - e v|| <= _LANCZOS_RTOL max(1, |e|), i.e.
+    ||H v - s e v|| <= 1e-12 max(s, |s e|).  NonConvergent after
+    _LANCZOS_RESTARTS restarts.
+    """
+    import numpy as np  # loaded only where a ground state is solved
+    import scipy.linalg as sla
+    import scipy.sparse as sp
+    scale = float(np.abs(H.data if sp.issparse(H) else H).max(initial=0.0))
+    scale = scale or 1.0
+
+    def product(v):
+        w = H @ v
+        w /= scale
+        return w
+
+    basis = np.empty((_LANCZOS_VECTORS, len(start)))
+    alpha = np.empty(_LANCZOS_VECTORS)
+    beta = np.empty(_LANCZOS_VECTORS)
+    v = start / np.linalg.norm(start)
+    for cycle in range(_LANCZOS_RESTARTS + 2):
+        basis[0] = v
+        w = product(v)
+        alpha[0] = v @ w
+        w -= alpha[0] * v
+        beta[0] = np.linalg.norm(w)
+        bound = _LANCZOS_RTOL * max(1.0, abs(alpha[0]))
+        if beta[0] <= bound:
+            return float(alpha[0]) * scale, v
+        if cycle > _LANCZOS_RESTARTS:  # this pass only tested the last one
+            break
+        # a step whose beta is within the bound closes an invariant subspace
+        n = 1
+        while n < _LANCZOS_VECTORS and beta[n - 1] > bound:
+            np.multiply(w, 1.0 / beta[n - 1], out=basis[n])
+            w = product(basis[n]) - beta[n - 1] * basis[n - 1]
+            alpha[n] = basis[n] @ w
+            w -= alpha[n] * basis[n]
+            beta[n] = np.linalg.norm(w)
+            n += 1
+        _, ritz = sla.eigh_tridiagonal(alpha[:n], beta[:n - 1], select="i",
+                                       select_range=(0, 0))
+        v = ritz[:, 0] @ basis[:n]
+        v /= np.linalg.norm(v)
+    raise NonConvergent(
+        f"Lanczos failed to converge in {_LANCZOS_RESTARTS} restarts: the "
+        f"residual is {float(beta[0]) * scale:.3g} at energy "
+        f"{float(alpha[0]) * scale:.17g}")
 
 
 def _floats(values, name: str) -> np.ndarray:

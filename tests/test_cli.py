@@ -117,7 +117,7 @@ class TestScan:
                      "--count", "3", "--spacing", "log"])
         assert code == EXIT_OK
         eps = [r["eps"] for r in json.loads(out)]
-        assert eps == pytest.approx([1e-3, 1e-2, 1e-1], rel=1e-12)
+        assert eps == pytest.approx([1e-3, 1e-2, 1e-1], rel=1e-12, abs=0)
 
     def test_csv_round_trip(self, capsys):
         argv = ["scan", "--min", "0.2", "--max", "0.8", "--count", "3"]

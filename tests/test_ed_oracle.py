@@ -1,12 +1,13 @@
 """Finite-chain exact diagonalization: sector algebra, splits, convergence."""
+import ast
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from xxzfidelity import (ConvergenceRow, InvalidSpec, NonConvergent,
                          Overflow, SizeLimit, SpinChainSpec, Tolerance,
@@ -23,6 +24,18 @@ from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, GroundState,
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
 F_12 = 0.8995519516351791
+
+#: the benchmark's reference module, whose ED_TABLE holds f_L frozen from
+#: the ARPACK-based solver at x = 0.1 ... 0.5, L = 8 ... 18
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+
+
+def _frozen_ed_table():
+    """ED_TABLE as its file writes it, read without running the module."""
+    for node in ast.parse(REFERENCE.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.AnnAssign) and node.target.id == "ED_TABLE":
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no ED_TABLE in {REFERENCE}")
 
 
 def _loop_sector_matrix(n_sites, n_up, bonds, fields, delta):
@@ -91,8 +104,10 @@ def _right_half(n, delta):
 
 class TestSpinChainSpec:
     def test_delta(self):
-        assert SpinChainSpec(8, 0.5).delta == pytest.approx(-1.25, rel=1e-15)
-        assert SpinChainSpec(8, 0.2).delta == pytest.approx(-2.6, rel=1e-15)
+        assert SpinChainSpec(8, 0.5).delta == pytest.approx(-1.25, rel=1e-15,
+                                                            abs=0)
+        assert SpinChainSpec(8, 0.2).delta == pytest.approx(-2.6, rel=1e-15,
+                                                            abs=0)
 
     def test_defaults(self):
         spec = SpinChainSpec(8, 0.5)
@@ -174,9 +189,9 @@ class TestSectorMatrix:
         assert M == pytest.approx(
             np.array([[delta / 2.0, -1.0], [-1.0, delta / 2.0]]))
         gs = ground_state(M)
-        assert gs.energy == pytest.approx(delta / 2.0 - 1.0, rel=1e-14)
+        assert gs.energy == pytest.approx(delta / 2.0 - 1.0, rel=1e-14, abs=0)
         assert gs.amplitudes == pytest.approx(
-            np.full(2, 1.0 / math.sqrt(2.0)), rel=1e-14)
+            np.full(2, 1.0 / math.sqrt(2.0)), rel=1e-14, abs=0)
 
     def test_full_spectrum_against_dense_kron(self):
         # independent construction on the unreduced 2^L space
@@ -264,7 +279,7 @@ class TestBuildHamiltonian:
             lowest = np.flatnonzero(diag == diag.min())
             assert basis[rows][lowest].tolist() == [neel]
             assert diag.min() == pytest.approx((L + 1) * 0.5 * spec.delta,
-                                               rel=1e-15)
+                                               rel=1e-15, abs=0)
 
     def test_even_dimension(self):
         # one state per {m, R m} pair, the 2^(L/2) self-images counted once
@@ -306,13 +321,14 @@ class TestBuildHamiltonian:
 
 class TestGroundState:
     def test_normalized_pivot_positive_deterministic(self):
-        H = build_hamiltonian(SpinChainSpec(8, 0.2))
-        a = ground_state(H)
-        b = ground_state(H)
-        assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
-        assert a.amplitudes[np.argmax(np.abs(a.amplitudes))] > 0.0
-        assert a.energy == b.energy
-        assert np.array_equal(a.amplitudes, b.amplitudes)
+        for L in (8, 12):  # dense and Lanczos paths
+            H = build_hamiltonian(SpinChainSpec(L, 0.2))
+            a = ground_state(H)
+            b = ground_state(H)
+            assert abs(np.linalg.norm(a.amplitudes) - 1.0) < 1e-12
+            assert a.amplitudes[np.argmax(np.abs(a.amplitudes))] > 0.0
+            assert a.energy == b.energy
+            assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_dense_iterative_parity(self):
         # dim 494 > DENSE_DIM_LIMIT: the Lanczos route against a full eigh
@@ -325,18 +341,15 @@ class TestGroundState:
         assert np.max(np.abs(vec - iterative.amplitudes)) < 1e-10
 
     def test_iterative_residual(self):
-        # dim 1730 > DENSE_DIM_LIMIT, so auto takes the Lanczos route
+        # dim 1780 > DENSE_DIM_LIMIT, so the Lanczos route
         H = build_hamiltonian(SpinChainSpec(14, 0.2))
         gs = ground_state(H)
         residual = H @ gs.amplitudes - gs.energy * gs.amplitudes
         assert np.linalg.norm(residual) < 1e-10
 
     def test_lanczos_failure_raises_nonconvergent(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.empty(0),
-                                           np.empty((0, 0)))
-
-        monkeypatch.setattr(spla, "eigsh", fail)
+        # with no restart the one cycle from the start vector is too short
+        monkeypatch.setattr(ed_oracle, "_LANCZOS_RESTARTS", 0)
         H = build_hamiltonian(SpinChainSpec(12, 0.2))
         assert H.shape[0] >= DENSE_DIM_LIMIT
         with pytest.raises(NonConvergent, match="Lanczos"):
@@ -346,7 +359,7 @@ class TestGroundState:
         H = _sector_matrix(2, 0, [(1, 2)], [], -2.6)
         gs = ground_state(H)
         assert gs.amplitudes.tolist() == [1.0]
-        assert gs.energy == pytest.approx(-0.5 * (-2.6), rel=1e-15)
+        assert gs.energy == pytest.approx(-0.5 * (-2.6), rel=1e-15, abs=0)
 
     def test_near_degenerate_solve_finds_the_lowest_level(self):
         # free ends and nearly classical: the two Néel states barely split
@@ -354,31 +367,44 @@ class TestGroundState:
         bonds = [(j, j + 1) for j in range(1, 8)]
         H = _sector_matrix(8, 4, bonds, [], delta)
         lowest = sla.eigh(H.toarray(), eigvals_only=True)[0]
-        assert ground_state(H).energy == pytest.approx(lowest, rel=1e-14)
+        assert ground_state(H).energy == pytest.approx(lowest, rel=1e-14,
+                                                       abs=0)
 
     def test_product_state_start_saves_matvecs(self, monkeypatch):
-        eigsh, counts = spla.eigsh, []
+        # the solver's matrix-vector products are the CSR operator's `@`
+        matmul, counts = sp.csr_matrix.__matmul__, []
 
-        def counting(A, *args, **kwargs):
-            counts.append(0)
-
-            def matvec(v):
-                counts[-1] += 1
-                return A @ v
-
-            return eigsh(spla.LinearOperator(A.shape, matvec=matvec,
-                                             dtype=float), *args, **kwargs)
+        def counting(A, v):
+            counts[-1] += 1
+            return matmul(A, v)
 
         spec = SpinChainSpec(16, 0.3)
         left = _half_ground(8, spec.delta)
         product = split_product_state(16, left)
         H = build_hamiltonian(spec)
-        monkeypatch.setattr(spla, "eigsh", counting)
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+        counts.append(0)
         warm = ground_state(H, start=product)
+        counts.append(0)
         cold = ground_state(H)
-        assert counts[0] < counts[1]
+        assert 0 < counts[0] < counts[1]
         assert abs(warm.energy - cold.energy) < 1e-10
         assert abs(abs(np.dot(warm.amplitudes, cold.amplitudes)) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("L", [12, 14])
+    @pytest.mark.parametrize("x", [0.1, 0.5, 0.99])
+    def test_lanczos_matches_dense_eigh(self, L, x):
+        # from the all-ones and from the split product start
+        spec = SpinChainSpec(L, x)
+        H = build_hamiltonian(spec)
+        assert H.shape[0] >= DENSE_DIM_LIMIT
+        w, v = sla.eigh(H.toarray(), subset_by_index=[0, 0])
+        vec = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
+        product = split_product_state(L, _half_ground(L // 2, spec.delta))
+        for start in (None, product):
+            gs = ground_state(H, start=start)
+            assert abs(gs.energy - w[0]) <= 1e-12 * abs(w[0])
+            assert np.max(np.abs(gs.amplitudes - vec)) < 1e-10
 
     def test_rejects_bad_operators(self):
         nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
@@ -499,6 +525,17 @@ class TestFiniteFidelity:
     def test_frozen_values(self):
         assert bipartite_fidelity_finite(8, 0.2) == pytest.approx(F_8, abs=1e-8)
         assert bipartite_fidelity_finite(12, 0.2) == pytest.approx(F_12, abs=1e-8)
+
+    def test_benchmark_table(self):
+        # every f_L of the benchmark's ed_chain grid, as the previous
+        # eigensolver froze it
+        table = _frozen_ed_table()
+        assert sorted(table) == [0.1, 0.2, 0.3, 0.4, 0.5]
+        for x, row in table.items():
+            assert {12, 14, 16, 18} <= set(row), x
+            for L, f in row.items():
+                got = bipartite_fidelity_finite(L, x)
+                assert abs(got - f) <= 1e-12, (L, x)
 
     def test_unit_interval(self):
         for L in (4, 6, 8):

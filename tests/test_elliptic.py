@@ -37,15 +37,16 @@ def _mp_ln_xi(eps):
 class TestModelPoint:
     def test_from_x_consistency(self):
         p = ModelPoint.from_x(0.5)
-        assert p.eps == pytest.approx(math.log(2.0), rel=1e-15)
+        assert p.eps == pytest.approx(math.log(2.0), rel=1e-15, abs=0)
         assert p.delta == -1.25
-        assert p.x_dual == pytest.approx(math.exp(-math.pi ** 2 / p.eps), rel=1e-15)
+        assert p.x_dual == pytest.approx(math.exp(-math.pi ** 2 / p.eps),
+                                         rel=1e-15, abs=0)
 
     def test_from_eps_round_trip(self):
         p = ModelPoint.from_eps(0.25)
-        assert p.x == pytest.approx(math.exp(-0.25), rel=1e-15)
+        assert p.x == pytest.approx(math.exp(-0.25), rel=1e-15, abs=0)
         q = ModelPoint.from_x(p.x)
-        assert q.eps == pytest.approx(p.eps, rel=1e-14)
+        assert q.eps == pytest.approx(p.eps, rel=1e-14, abs=0)
 
     def test_from_eps_up_to_x_underflow(self):
         # x is subnormal from eps ~708.4 and rounds to 0 beyond eps_max
@@ -83,18 +84,20 @@ class TestModelPoint:
     def test_dual_involution(self):
         p = ModelPoint.from_x(0.3)
         back = ModelPoint.from_x(ModelPoint.from_x(p.x_dual).x_dual)
-        assert back.x == pytest.approx(p.x, rel=1e-12)
+        assert back.x == pytest.approx(p.x, rel=1e-12, abs=0)
 
     def test_self_dual_fixed_point(self):
         p = ModelPoint.from_eps(math.pi)
-        assert p.x_dual == pytest.approx(p.x, rel=1e-14)
-        assert ModelPoint.from_x(p.x_dual).x == pytest.approx(p.x, rel=1e-14)
+        assert p.x_dual == pytest.approx(p.x, rel=1e-14, abs=0)
+        assert ModelPoint.from_x(p.x_dual).x == pytest.approx(p.x, rel=1e-14,
+                                                              abs=0)
 
     def test_dual_point_underflow(self):
         # eps so small that exp(-pi^2/eps) rounds to zero as a double
         p = ModelPoint.from_eps(0.01)
         assert p.x_dual == 0.0
-        assert p.ln_x_dual == pytest.approx(-math.pi ** 2 / 0.01, rel=1e-15)
+        assert p.ln_x_dual == pytest.approx(-math.pi ** 2 / 0.01, rel=1e-15,
+                                            abs=0)
         # no ModelPoint exists at x~ = 0.0
         with pytest.raises(InvalidSpec):
             ModelPoint.from_x(p.x_dual)
@@ -102,9 +105,10 @@ class TestModelPoint:
 
 class TestModuli:
     def test_reference_values(self):
-        assert modulus_k(0.25) == pytest.approx(K_025, rel=5e-12)
-        assert modulus_kprime(0.25) == pytest.approx(KPRIME_025, rel=5e-12)
-        assert modulus_k(0.04) == pytest.approx(K_004, rel=5e-12)
+        assert modulus_k(0.25) == pytest.approx(K_025, rel=5e-12, abs=0)
+        assert modulus_kprime(0.25) == pytest.approx(KPRIME_025, rel=5e-12,
+                                                     abs=0)
+        assert modulus_k(0.04) == pytest.approx(K_004, rel=5e-12, abs=0)
 
     def test_small_nome_leading_order(self):
         z = 1e-10
@@ -136,11 +140,11 @@ class TestModuli:
 class TestCorrelationLength:
     def test_reference_values(self):
         assert log_correlation_length(ModelPoint.from_x(0.2)) == pytest.approx(
-            LN_XI_02, rel=1e-12)
+            LN_XI_02, rel=1e-12, abs=0)
         assert log_correlation_length(ModelPoint.from_x(0.5)) == pytest.approx(
-            LN_XI_05, rel=1e-11)
+            LN_XI_05, rel=1e-11, abs=0)
         assert evaluate_point(ModelPoint.from_x(0.5)).xi == pytest.approx(
-            XI_05, rel=1e-10)
+            XI_05, rel=1e-10, abs=0)
 
     def test_matches_mpmath_across_the_range(self):
         # 64 log-spaced eps over the whole range, and pairs of points on
@@ -167,7 +171,7 @@ class TestCorrelationLength:
         x = 1e-8
         got = log_correlation_length(ModelPoint.from_x(x))
         expected = -math.log(-0.5 * math.log(4.0 * x))
-        assert got == pytest.approx(expected, rel=1e-7)
+        assert got == pytest.approx(expected, rel=1e-7, abs=0)
 
     def test_asymptote_small_eps(self):
         for eps, budget in ((1e-3, 1e-2), (1e-5, 1e-4)):
@@ -186,10 +190,10 @@ class TestCorrelationLength:
         # here k'(x) rounds to 1, and the direct form needs no k'
         p = ModelPoint.from_x(1e-300)
         assert log_correlation_length(p) == pytest.approx(
-            _mp_ln_xi(p.eps), rel=1e-12)
+            _mp_ln_xi(p.eps), rel=1e-12, abs=0)
 
     def test_tolerance_is_honored(self):
         p = ModelPoint.from_x(0.5)
         loose = log_correlation_length(p, Tolerance(rel_tol=1e-8))
         tight = log_correlation_length(p, Tolerance(rel_tol=1e-13))
-        assert loose == pytest.approx(tight, rel=1e-7)
+        assert loose == pytest.approx(tight, rel=1e-7, abs=0)

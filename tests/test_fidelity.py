@@ -59,7 +59,7 @@ class TestReferenceValues:
     def test_f_fields(self):
         for x, ref in ((0.2, F_02), (0.5, F_05), (0.8, F_08)):
             got = fidelity(ModelPoint.from_x(x))
-            assert got.f == pytest.approx(ref, rel=1e-11)
+            assert got.f == pytest.approx(ref, rel=1e-11, abs=0)
             assert got.f == math.exp(got.ln_f)
 
     def test_every_route_at_self_dual_point(self):
@@ -129,7 +129,7 @@ class TestShape:
         # f = 1 - 3 x^2 + O(x^4)
         x = 1e-6
         got = fidelity(ModelPoint.from_x(x))
-        assert got.ln_f / (-3.0 * x * x) == pytest.approx(1.0, rel=1e-6)
+        assert got.ln_f / (-3.0 * x * x) == pytest.approx(1.0, rel=1e-6, abs=0)
 
     def test_underflow_regime_keeps_ln_f(self):
         got = fidelity(ModelPoint.from_eps(1e-4))
@@ -271,7 +271,7 @@ class TestLnGRegimes:
         monkeypatch.setattr(sys.modules["xxzfidelity.fidelity"], "_ln_g_sum",
                             no_sum)
         got = ln_g_series(ModelPoint.from_eps(2e-5))
-        assert got == pytest.approx(_mp_ln_g(2e-5), rel=1e-12)
+        assert got == pytest.approx(_mp_ln_g(2e-5), rel=1e-12, abs=0)
 
     def test_sum_matches_the_doubling_rule(self):
         # eps > 372 includes q = e^{-2 eps} underflowing to 0

@@ -1,7 +1,8 @@
 """Importing the package, point calls, `eval` and a linear `scan` load no
 numpy and no scipy; `fit`, `identities` and a log-spaced `scan` load numpy
-but no scipy; `ed` loads both.  The package exports exactly what it
-imports, and keeps exporting what the benchmark uses."""
+but no scipy; `ed` loads both, but not scipy.sparse.linalg.  The package
+exports exactly what it imports, and keeps exporting what the benchmark
+uses."""
 import importlib
 import inspect
 import json
@@ -85,6 +86,17 @@ def test_ed_command_imports_scipy_where_it_solves():
     rows = json.loads(done.stdout)
     assert [row["f_finite"] for row in rows] == [
         row.f_finite for row in convergence_study([8, 12], 0.2)]
+
+
+def test_ed_command_loads_no_arpack(tmp_path):
+    # the finite chain is built with scipy.sparse and solved by scipy.linalg
+    # (dense) or the package's own Lanczos, never by scipy.sparse.linalg
+    name, code, loaded = _trace_loads(["ed", "--x", "0.2", "--Ls", "8,12",
+                                       "--output", str(tmp_path / "rows")])[-1]
+    assert code == 0, name
+    assert {"scipy.sparse", "scipy.linalg"} <= set(loaded["scipy"])
+    assert [m for m in loaded["scipy"]
+            if m.startswith("scipy.sparse.linalg")] == []
 
 
 def test_all_lists_exactly_the_public_imports():

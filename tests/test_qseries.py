@@ -92,8 +92,11 @@ class TestLogSeries:
         # ln prod (1 - z a^n) summed factor by factor, tiny a so 3 factors do
         z, a = 0.3, 1e-5
         expected = sum(math.log1p(-z * a ** n) for n in range(25))
+        # the default tolerance promises DEFAULT_REL_TOL, a tight one more
         got = log_multibase_product(z, (a,))
-        assert got == pytest.approx(expected, rel=1e-13)
+        assert got == pytest.approx(expected, rel=DEFAULT_REL_TOL, abs=0)
+        got = log_multibase_product(z, (a,), Tolerance(3e-15))
+        assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_rejects_unit_z(self):
         with pytest.raises(InvalidSpec):
@@ -119,7 +122,10 @@ class TestLogSeries:
     def test_tolerates_underflowed_base_zero(self):
         # (z; 0)_inf has the single factor (1 - z)
         got = log_multibase_product(0.25, (0.0,))
-        assert got == pytest.approx(math.log1p(-0.25), rel=1e-14)
+        assert got == pytest.approx(math.log1p(-0.25), rel=DEFAULT_REL_TOL,
+                                    abs=0)
+        got = log_multibase_product(0.25, (0.0,), Tolerance(3e-15))
+        assert got == pytest.approx(math.log1p(-0.25), rel=1e-14, abs=0)
 
     def test_nonconvergent_when_capped(self, monkeypatch):
         monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 3)
@@ -140,13 +146,13 @@ class TestDirectProduct:
         a = 0.3
         full = qproduct_direct(-1.0, (a,))
         peeled = qproduct_direct(-a, (a,))
-        assert full == pytest.approx(2.0 * peeled, rel=3e-12)
+        assert full == pytest.approx(2.0 * peeled, rel=3e-12, abs=0)
 
     def test_agrees_with_series_two_bases(self):
         args = (0.25, (0.0625, 0.0625))
         direct = qproduct_direct(*args)
         series = math.exp(log_multibase_product(*args))
-        assert direct == pytest.approx(series, rel=2e-12)
+        assert direct == pytest.approx(series, rel=2e-12, abs=0)
 
     def test_nonconvergent_when_capped(self, monkeypatch):
         monkeypatch.setattr(qseries, "DIRECT_MAX_TERMS", 10)
@@ -228,7 +234,7 @@ class TestDirectPass:
         log_acc, omitted, zero_factor, count = got
         assert count == expected[3]
         assert zero_factor == expected[2]
-        assert omitted == pytest.approx(expected[1], rel=1e-14)
+        assert omitted == pytest.approx(expected[1], rel=1e-14, abs=0)
         if not zero_factor:
             assert log_acc == pytest.approx(expected[0], rel=0.0, abs=1e-11)
 
@@ -278,7 +284,7 @@ class TestPathAgreement:
         # direct certifies rel_tol on the value; the series certifies
         # rel_tol on the log, i.e. rel_tol * |log| on the value
         budget = (2.0 + 2.0 * abs(log_value)) * DEFAULT_REL_TOL
-        assert direct == pytest.approx(series, rel=budget)
+        assert direct == pytest.approx(series, rel=budget, abs=0)
 
     @settings(max_examples=30, deadline=None)
     @given(z=st.floats(min_value=-0.9, max_value=0.9).filter(lambda v: abs(v) > 1e-6),

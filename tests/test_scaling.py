@@ -20,9 +20,9 @@ class TestReferenceFormulas:
     def test_substitution_points(self):
         # eps chosen so the 1/eps term contributes exactly 1
         assert ln_xi_reference(math.pi ** 2 / 2.0) == pytest.approx(
-            1.0 - math.log(4.0), rel=1e-15)
+            1.0 - math.log(4.0), rel=1e-15, abs=0)
         assert minus_ln_f_reference(math.pi ** 2 / 16.0) == pytest.approx(
-            1.0 - 0.25 * math.log(2.0), rel=1e-15)
+            1.0 - 0.25 * math.log(2.0), rel=1e-15, abs=0)
 
     def test_leading_coefficient_ratio(self):
         # the 1/eps coefficients are in the exact ratio c/8
@@ -47,7 +47,8 @@ class TestFitAsymptote:
         assert fit.C == pytest.approx(5.0, abs=1e-12)
         assert fit.max_residual < 1e-10
         assert fit.sample_count == 4
-        assert fit.model(0.3) == pytest.approx(2.0 / 0.3 + 3.0 + 1.5, rel=1e-13)
+        assert fit.model(0.3) == pytest.approx(2.0 / 0.3 + 3.0 + 1.5,
+                                               rel=1e-13, abs=0)
 
     def test_deterministic(self):
         samples = [(e, 1.0 / e - 0.3 + 0.01 * e) for e in (0.01, 0.03, 0.1, 0.5)]
@@ -85,7 +86,7 @@ class TestLogSpaced:
         assert all(a < b for a, b in zip(grid, grid[1:]))
         # log-spacing means constant successive ratios
         ratios = [b / a for a, b in zip(grid, grid[1:])]
-        assert max(ratios) == pytest.approx(min(ratios), rel=1e-12)
+        assert max(ratios) == pytest.approx(min(ratios), rel=1e-12, abs=0)
 
     def test_degenerate_cases(self):
         assert log_spaced(0.5, 0.5, 3) == [0.5, 0.5, 0.5]
@@ -138,12 +139,12 @@ class TestExtractedCoefficients:
     def test_fidelity_asymptote(self):
         samples = collect_minus_ln_f(log_spaced(1e-3, 1e-2, 10))
         fit = fit_asymptote(samples)
-        assert fit.A == pytest.approx(math.pi ** 2 / 16.0, rel=1e-7)
+        assert fit.A == pytest.approx(math.pi ** 2 / 16.0, rel=1e-7, abs=0)
         assert fit.B == pytest.approx(-0.25 * math.log(2.0), abs=1e-4)
 
     def test_xi_asymptote(self):
         fit = fit_asymptote(collect_ln_xi(log_spaced(1e-3, 1e-2, 10)))
-        assert fit.A == pytest.approx(math.pi ** 2 / 2.0, rel=1e-12)
+        assert fit.A == pytest.approx(math.pi ** 2 / 2.0, rel=1e-12, abs=0)
         assert fit.B == pytest.approx(-math.log(4.0), abs=1e-10)
         assert abs(fit.C) < 1e-8
 
@@ -169,7 +170,7 @@ class TestConjectureRatio:
         for eps, ref_dev in ((1e-2, -1.270125e-08), (1e-3, -1.266869e-11),
                              (1e-4, -1.265654e-14)):
             dev = evaluate_point(ModelPoint.from_eps(eps)).ratio - TARGET_RATIO
-            assert dev == pytest.approx(ref_dev, rel=0.05), eps
+            assert dev == pytest.approx(ref_dev, rel=0.05, abs=0), eps
             devs.append(abs(dev))
         assert devs[0] > devs[1] > devs[2]
 
@@ -186,7 +187,8 @@ class TestConjectureRatio:
     def test_moderate_x_is_far_from_limit(self):
         # at x = 0.5 the ratio is nowhere near c/8 yet
         ratio = evaluate_point(ModelPoint.from_x(0.5)).ratio
-        assert ratio == pytest.approx(0.68072159083 / 5.73311942821, rel=1e-9)
+        assert ratio == pytest.approx(0.68072159083 / 5.73311942821,
+                                      rel=1e-9, abs=0)
 
     def test_ratio_is_inf_where_xi_is_one(self):
         # ln xi rounds to zero at this x, so the ratio has no finite value
