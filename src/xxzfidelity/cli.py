@@ -11,8 +11,10 @@ Point rows always carry the same columns:
 x, eps, delta, xi, ln_xi, f, ln_f, ratio, path, est_rel_error
 (xi is inf once it exceeds the double range; ln_xi is always finite).
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure.  Errors are
-reported on stderr as one JSON object {"error": <class>, "message": ...}.
+Exit codes: 0 success, 1 validation error, 2 numerical failure.  A usage
+error (an unknown flag, a missing or malformed value) is a validation error
+too.  Errors are reported on stderr as one JSON object
+{"error": <class>, "message": ...}.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from .errors import InvalidSpec, XXZFidelityError
 # fidelity and fidelity_modular are unused here and stay bound only because
 # perfbench/test_perfbench.py checks that its tracer wraps both bindings
 from .fidelity import fidelity, fidelity_modular, identity_report  # noqa: F401
-from .qseries import Tolerance
 from .scaling import (LN_XI_COEFFS, MINUS_LN_F_COEFFS, _check_grid_count,
                       collect_ln_xi, collect_minus_ln_f, evaluate_point,
                       fit_asymptote, log_spaced)
@@ -58,7 +59,6 @@ class RunConfig:
     grid_max: float | None = None
     count: int = 10
     spacing: str = "linear"
-    rel_tol: float = 1e-12
     fmt: str = "json"
     output: str | None = None
     Ls: tuple[int, ...] = ()
@@ -93,13 +93,9 @@ class RunConfig:
         if self.command == "ed" and self.x is None:
             raise InvalidSpec("ed needs --x")
 
-    @property
-    def tolerance(self) -> Tolerance:
-        return Tolerance(rel_tol=self.rel_tol)
 
-
-def _point_row(p: ModelPoint, tol: Tolerance) -> dict:
-    point = evaluate_point(p, tol)
+def _point_row(p: ModelPoint) -> dict:
+    point = evaluate_point(p)
     result = point.fidelity
     return {
         "x": p.x, "eps": p.eps, "delta": p.delta,
@@ -123,13 +119,12 @@ def _grid(config: RunConfig) -> list[float]:
 def _run_eval(config: RunConfig):
     p = (ModelPoint.from_x(config.x) if config.x is not None
          else ModelPoint.from_eps(config.eps))
-    return _point_row(p, config.tolerance), POINT_COLUMNS
+    return _point_row(p), POINT_COLUMNS
 
 
 def _run_scan(config: RunConfig):
-    tol = config.tolerance
     point = ModelPoint.from_x if config.grid_var == "x" else ModelPoint.from_eps
-    return [_point_row(point(v), tol) for v in _grid(config)], POINT_COLUMNS
+    return [_point_row(point(v)) for v in _grid(config)], POINT_COLUMNS
 
 
 _FIT_COLUMNS = ("quantity", "A", "B", "C", "max_residual", "sample_count",
@@ -137,11 +132,10 @@ _FIT_COLUMNS = ("quantity", "A", "B", "C", "max_residual", "sample_count",
 
 
 def _run_fit(config: RunConfig):
-    tol = config.tolerance
     eps_grid = _grid(config)
     targets = [
-        ("minus_ln_f", collect_minus_ln_f(eps_grid, tol), MINUS_LN_F_COEFFS),
-        ("ln_xi", collect_ln_xi(eps_grid, tol), LN_XI_COEFFS),
+        ("minus_ln_f", collect_minus_ln_f(eps_grid), MINUS_LN_F_COEFFS),
+        ("ln_xi", collect_ln_xi(eps_grid), LN_XI_COEFFS),
     ]
     rows = []
     for name, samples, (a_ref, b_ref) in targets:
@@ -164,14 +158,14 @@ _IDENTITY_COLUMNS = ("check", "max_residual")
 
 def _run_identities(config: RunConfig):
     return [{"check": name, "max_residual": value}
-            for name, value in identity_report(config.tolerance)], _IDENTITY_COLUMNS
+            for name, value in identity_report()], _IDENTITY_COLUMNS
 
 
 _ED_COLUMNS = ("L", "f_finite", "f_exact", "abs_error")
 
 
 def _run_ed(config: RunConfig):
-    rows = convergence_study(config.Ls, config.x, config.tolerance)
+    rows = convergence_study(config.Ls, config.x)
     return [{"L": r.L, "f_finite": r.f_finite, "f_exact": r.f_exact,
              "abs_error": r.abs_error} for r in rows], _ED_COLUMNS
 
@@ -231,16 +225,14 @@ def _emit_error(exc: Exception) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse front end that exits 1 (not 2) on usage errors."""
+    """argparse front end: a usage error is an InvalidSpec, exit code 1."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+        _emit_error(InvalidSpec(f"{self.prog}: {message}"))
+        self.exit(EXIT_VALIDATION)
 
 
 def _add_common(sub):
-    sub.add_argument("--rel-tol", type=float, default=1e-12,
-                     help="relative tolerance of every truncated evaluation")
     sub.add_argument("--format", dest="fmt", default="json", help="json or csv")
     sub.add_argument("--output", default=None, help="file path (default stdout)")
 

@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING
 from .elliptic import ModelPoint
 from .errors import InvalidSpec, NonConvergent, Overflow, SizeLimit
 from .fidelity import fidelity as _exact_fidelity
-from .qseries import DEFAULT_TOL, _HUGE, Tolerance, _brief
+from .qseries import _HUGE, _brief
 
 if TYPE_CHECKING:
     import numpy as np
@@ -502,15 +502,14 @@ class ConvergenceRow:
         return abs(self.f_finite - self.f_exact)
 
 
-def convergence_study(Ls, x: float,
-                      tol: Tolerance = DEFAULT_TOL) -> list[ConvergenceRow]:
-    """Néel-pinned f_L against the exact infinite-chain f(x), computed once
-    at tol.  Every length and x are checked before any chain is solved, x
-    also when there is no length."""
+def convergence_study(Ls, x: float) -> list[ConvergenceRow]:
+    """Néel-pinned f_L against the exact infinite-chain f(x), computed once.
+    Every length and x are checked before any chain is solved, x also when
+    there is no length."""
     specs = [SpinChainSpec(L, x) for L in Ls]
     p = ModelPoint.from_x(x)
     if not specs:
         return []
-    f_exact = _exact_fidelity(p, tol).f
+    f_exact = _exact_fidelity(p).f
     return [ConvergenceRow(spec.L, bipartite_fidelity_finite(spec.L, x),
                            f_exact) for spec in specs]

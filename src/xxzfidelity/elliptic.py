@@ -24,8 +24,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
-from .qseries import (DEFAULT_TOL, _HUGE, Tolerance, _brief,
-                      log_multibase_product)
+from .qseries import _HUGE, _brief, log_multibase_product
 
 
 @dataclass(frozen=True)
@@ -90,24 +89,24 @@ class ModelPoint:
         return -math.pi ** 2 / self.eps
 
 
-def _log_modulus_k(ln_z: float, tol: Tolerance):
+def _log_modulus_k(ln_z: float):
     """ln k at nome z given ln z; tolerates z underflowed to 0.0."""
     z = math.exp(ln_z)
     z2 = z * z
     return (math.log(4.0) + 0.5 * ln_z
-            + 4.0 * log_multibase_product(-z2, (z2,), tol)
-            - 4.0 * log_multibase_product(-z, (z2,), tol))
+            + 4.0 * log_multibase_product(-z2, (z2,))
+            - 4.0 * log_multibase_product(-z, (z2,)))
 
 
-def _log_modulus_kprime(ln_z: float, tol: Tolerance):
+def _log_modulus_kprime(ln_z: float):
     """ln k' at nome z given ln z."""
     z = math.exp(ln_z)
     z2 = z * z
-    return (4.0 * log_multibase_product(z, (z2,), tol)
-            - 4.0 * log_multibase_product(-z, (z2,), tol))
+    return (4.0 * log_multibase_product(z, (z2,))
+            - 4.0 * log_multibase_product(-z, (z2,)))
 
 
-def modulus_k(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def modulus_k(z: float) -> float:
     """k(z) = 4 z^{1/2} (-z^2;z^2)_inf^4 / (-z;z^2)_inf^4 for z in (0,1).
 
     Assembled in log space and exponentiated once, so the fourth powers
@@ -115,17 +114,17 @@ def modulus_k(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
     """
     if not (0.0 < z < 1.0):
         raise InvalidSpec(f"nome must lie in (0,1), got {_brief(z)}")
-    return math.exp(_log_modulus_k(math.log(z), tol))
+    return math.exp(_log_modulus_k(math.log(z)))
 
 
-def modulus_kprime(z: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def modulus_kprime(z: float) -> float:
     """k'(z) = (z;z^2)_inf^4 / (-z;z^2)_inf^4 for z in (0,1)."""
     if not (0.0 < z < 1.0):
         raise InvalidSpec(f"nome must lie in (0,1), got {_brief(z)}")
-    return math.exp(_log_modulus_kprime(math.log(z), tol))
+    return math.exp(_log_modulus_kprime(math.log(z)))
 
 
-def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
+def log_correlation_length(p: ModelPoint) -> float:
     """ln xi, assembled fully in log space so it exists for every valid point.
 
     The two equal forms 1/xi = -1/2 ln k(x^2) = atanh(k(x~)) evaluate ln k
@@ -139,8 +138,8 @@ def log_correlation_length(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float
     """
     # in the smaller nome k <= sqrt(2) - 1, so |ln k| >= 0.88 and nothing cancels
     if 2.0 * p.eps * p.eps > math.pi ** 2:
-        return -math.log(-0.5 * _log_modulus_k(-2.0 * p.eps, tol))
-    ln_kp = _log_modulus_k(p.ln_x_dual, tol)
+        return -math.log(-0.5 * _log_modulus_k(-2.0 * p.eps))
+    ln_kp = _log_modulus_k(p.ln_x_dual)
     if ln_kp <= 0.5 * math.log(3.0 * sys.float_info.epsilon):
         return -float(ln_kp)
     return -math.log(math.atanh(math.exp(ln_kp)))

@@ -30,19 +30,19 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
+from . import qseries
 from .elliptic import ModelPoint, modulus_k, modulus_kprime
 from .errors import InvalidSpec
-from .qseries import (DEFAULT_TOL, _HUGE, Tolerance, _brief,
-                      log_multibase_product, minus_one_peel_residual,
-                      verify_qcalc_identities)
+from .qseries import (_HUGE, _brief, log_multibase_product,
+                      minus_one_peel_residual, verify_qcalc_identities)
 
 #: nome above which the path selector switches from Simplified to Modular
 PATH_SWITCH_X = 0.7
 #: window where fidelity() cross-checks the two applicable routes
 CROSS_CHECK_WINDOW = (0.6, 0.9)
 #: ln g from its order-30 expansion up to here, where its bound B_15 eps^31
-#: is at most _MIN_REL_TOL (ln 2)/4, the tightest rel_tol admitted; the
-#: series above
+#: is at most 10 eps_mach (ln 2)/4, far below qseries.REL_TOL; the series
+#: above
 LN_G_SWITCH_EPS = 0.125
 #: the self-dual nome x = e^{-pi} (eps = pi), fixed point of x -> x~
 _SELF_DUAL_X = math.exp(-math.pi)
@@ -69,11 +69,11 @@ class Path(enum.Enum):
 class FidelityResult:
     """Log-value of f, the route used, and an error estimate.
 
-    est_rel_error accumulates the loosest relative tolerance over every
-    constituent product (scaled by the magnitude of its log contribution),
-    so it is a bound-flavored estimate of the relative error of f.  The
-    property f = e^{ln_f} underflows to 0.0 for ln_f < -745; ln_f is the
-    authoritative field.
+    est_rel_error accumulates the relative-error target qseries.REL_TOL of
+    every constituent product (scaled by the magnitude of its log
+    contribution), so it is a bound-flavored estimate of the relative error
+    of f.  The property f = e^{ln_f} underflows to 0.0 for ln_f < -745;
+    ln_f is the authoritative field.
     """
 
     ln_f: float
@@ -85,14 +85,16 @@ class FidelityResult:
         return math.exp(self.ln_f)
 
 
-def _combine(parts, rel_tol):
-    """Sum coef*log-term contributions; returns (ln_f, est_rel_error)."""
+def _combine(parts):
+    """Sum coef*log-term contributions; returns (ln_f, est_rel_error), the
+    estimate at the target qseries.REL_TOL the series met, read at call time."""
     ln_f = 0.0
     magnitude = 0.0
     for coef, term in parts:
         ln_f = ln_f + coef * term
         magnitude += abs(coef) * abs(term)
-    est = magnitude * (rel_tol + sys.float_info.epsilon) + sys.float_info.epsilon
+    est = (magnitude * (qseries.REL_TOL + sys.float_info.epsilon)
+           + sys.float_info.epsilon)
     return ln_f, est
 
 
@@ -100,11 +102,12 @@ def _result(ln_f, est, path):
     return FidelityResult(ln_f=float(ln_f), path=path, est_rel_error=float(est))
 
 
-def fidelity_raw(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
+def fidelity_raw(p: ModelPoint) -> FidelityResult:
     """f by the unsimplified seven-product form (direct-evaluation regime).
 
     Intended for x <= 0.9; closer to 1 the constituent series need ever
-    more terms and eventually raise NonConvergent against SERIES_MAX_TERMS.
+    more terms, and below eps ~ 7.0e-6 (x ~ 0.999993) they raise
+    NonConvergent against SERIES_MAX_TERMS.  fidelity() never calls it.
     """
     x = p.x
     x2 = x * x
@@ -113,38 +116,35 @@ def fidelity_raw(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
     x8 = x4 * x4
     x10 = x8 * x2
     x12 = x8 * x4
-
-    def L(z, bases):
-        return log_multibase_product(z, bases, tol)
-
     parts = [
-        (1.0, L(x2, (x4,))),
-        (2.0, L(x6, (x8, x8))),
-        (2.0, L(x10, (x8, x8))),
-        (-2.0, L(x4, (x8, x8))),
-        (-2.0, L(x12, (x8, x8))),
-        (2.0, L(x2, (x4, x8))),
-        (-2.0, L(x4, (x4, x8))),
+        (1.0, log_multibase_product(x2, (x4,))),
+        (2.0, log_multibase_product(x6, (x8, x8))),
+        (2.0, log_multibase_product(x10, (x8, x8))),
+        (-2.0, log_multibase_product(x4, (x8, x8))),
+        (-2.0, log_multibase_product(x12, (x8, x8))),
+        (2.0, log_multibase_product(x2, (x4, x8))),
+        (-2.0, log_multibase_product(x4, (x4, x8))),
     ]
-    ln_f, est = _combine(parts, tol.rel_tol)
+    ln_f, est = _combine(parts)
     return _result(ln_f, est, Path.RAW)
 
 
-def fidelity_simplified(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
-    """f = (x^2;x^4) (-x^4;x^4,x^4)^2 / (-x^2;x^4,x^4)^2."""
+def fidelity_simplified(p: ModelPoint) -> FidelityResult:
+    """f = (x^2;x^4) (-x^4;x^4,x^4)^2 / (-x^2;x^4,x^4)^2.
+
+    Its log series need more than SERIES_MAX_TERMS terms below eps ~ 7.0e-6
+    (x ~ 0.999993), where it raises NonConvergent; fidelity() sends only
+    x <= 0.9 here.
+    """
     x = p.x
     x2 = x * x
     x4 = x2 * x2
-
-    def L(z, bases):
-        return log_multibase_product(z, bases, tol)
-
     parts = [
-        (1.0, L(x2, (x4,))),
-        (2.0, L(-x4, (x4, x4))),
-        (-2.0, L(-x2, (x4, x4))),
+        (1.0, log_multibase_product(x2, (x4,))),
+        (2.0, log_multibase_product(-x4, (x4, x4))),
+        (-2.0, log_multibase_product(-x2, (x4, x4))),
     ]
-    ln_f, est = _combine(parts, tol.rel_tol)
+    ln_f, est = _combine(parts)
     return _result(ln_f, est, Path.SIMPLIFIED)
 
 
@@ -203,15 +203,15 @@ def ln_g_series(p: ModelPoint) -> float:
     ln g runs from ln 2 (x -> 0) down to (ln 2)/4 (x -> 1), the approach to
     the limit being O(eps).  For eps <= LN_G_SWITCH_EPS it comes from the
     small-eps expansion, else from the accelerated series summed to double
-    precision; neither costs more as eps -> 0, and neither takes a
-    tolerance: both are within ~1e-14 of ln g at every eps.
+    precision; neither costs more as eps -> 0, and neither reads
+    qseries.REL_TOL: both are within ~1e-14 of ln g at every eps.
     """
     if p.eps <= LN_G_SWITCH_EPS:
         return float(_ln_g_expansion(p.eps))
     return float(_ln_g_sum(p.eps))
 
 
-def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
+def g_product(p: ModelPoint) -> float:
     """ln g by its product form (-1;x^4,x^4)(-x^4;x^4,x^4)/(-x^2;x^4,x^4)^2.
 
     The |z| = 1 factor is rewritten through the peel identity
@@ -220,15 +220,12 @@ def g_product(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> float:
     x = p.x
     x2 = x * x
     x4 = x2 * x2
-
-    def L(z, bases):
-        return log_multibase_product(z, bases, tol)
-
-    return float(math.log(2.0) + L(-x4, (x4,))
-                 + 2.0 * L(-x4, (x4, x4)) - 2.0 * L(-x2, (x4, x4)))
+    return float(math.log(2.0) + log_multibase_product(-x4, (x4,))
+                 + 2.0 * log_multibase_product(-x4, (x4, x4))
+                 - 2.0 * log_multibase_product(-x2, (x4, x4)))
 
 
-def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
+def fidelity_modular(p: ModelPoint) -> FidelityResult:
     """f = x^{1/4} x~^{1/16} (-x~;x~)/(x~^{1/2};x~) * g, in log space.
 
     The dual nome x~ = e^{-pi^2/eps} makes this the fast route near x -> 1
@@ -241,23 +238,18 @@ def fidelity_modular(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityRes
     xt = math.exp(ln_xt)
     xt_half = math.exp(0.5 * ln_xt)
     ln_g = ln_g_series(p)
-
-    def L(z, bases):
-        return log_multibase_product(z, bases, tol)
-
     parts = [
         (0.25, -p.eps),
         (0.0625, ln_xt),
-        (1.0, L(-xt, (xt,))),
-        (-1.0, L(xt_half, (xt,))),
+        (1.0, log_multibase_product(-xt, (xt,))),
+        (-1.0, log_multibase_product(xt_half, (xt,))),
         (1.0, ln_g),
     ]
-    ln_f, est = _combine(parts, tol.rel_tol)
+    ln_f, est = _combine(parts)
     return _result(ln_f, est, Path.MODULAR)
 
 
-def short_theta_identity_residual(b: float, p: ModelPoint,
-                                  tol: Tolerance = DEFAULT_TOL) -> float:
+def short_theta_identity_residual(b: float, p: ModelPoint) -> float:
     """Relative residual of the single-product modular identity
 
         x^{-b/48} (x^{b/2}; x^b)_inf = sqrt(2) x~^{1/(6b)} (-x~^{4/b}; x~^{4/b})_inf
@@ -274,13 +266,13 @@ def short_theta_identity_residual(b: float, p: ModelPoint,
         raise InvalidSpec(f"x^b rounds to 1 for b={b!r}, eps={eps!r}")
     xt4b = math.exp(4.0 / b * p.ln_x_dual)
 
-    lhs = b / 48.0 * eps + log_multibase_product(xb_half, (xb,), tol)
+    lhs = b / 48.0 * eps + log_multibase_product(xb_half, (xb,))
     rhs = (0.5 * math.log(2.0) + p.ln_x_dual / (6.0 * b)
-           + log_multibase_product(-xt4b, (xt4b,), tol))
+           + log_multibase_product(-xt4b, (xt4b,)))
     return abs(math.expm1(lhs - rhs))
 
 
-def fidelity(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
+def fidelity(p: ModelPoint) -> FidelityResult:
     """Route selector: Simplified for x <= 0.7, Modular above.
 
     Inside the overlap window [0.6, 0.9] the other route is evaluated too
@@ -288,17 +280,17 @@ def fidelity(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> FidelityResult:
     divergence of the two representations cannot pass unnoticed.
     """
     use_modular = p.x > PATH_SWITCH_X
-    primary = (fidelity_modular if use_modular else fidelity_simplified)(p, tol)
+    primary = (fidelity_modular if use_modular else fidelity_simplified)(p)
     lo, hi = CROSS_CHECK_WINDOW
     if lo <= p.x <= hi:
-        other = (fidelity_simplified if use_modular else fidelity_modular)(p, tol)
+        other = (fidelity_simplified if use_modular else fidelity_modular)(p)
         discrepancy = abs(math.expm1(primary.ln_f - other.ln_f))
         return replace(primary,
                        est_rel_error=max(primary.est_rel_error, discrepancy))
     return primary
 
 
-def identity_report(tol: Tolerance = DEFAULT_TOL) -> list[tuple[str, float]]:
+def identity_report() -> list[tuple[str, float]]:
     """(check, max_residual) of each of the eight identity suites, in order.
 
     Every suite runs on its own fixed grid: the base-splitting (qcalc_r1)
@@ -308,37 +300,37 @@ def identity_report(tol: Tolerance = DEFAULT_TOL) -> list[tuple[str, float]]:
     k'(x) = k(x~), and ln g by series against product.
     """
     x_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
-    qcalc = [verify_qcalc_identities(x, z, b, c, tol)
+    qcalc = [verify_qcalc_identities(x, z, b, c)
              for x in (0.1, 0.5, 0.9) for z in (0.6, -0.6)
              for b, c in ((1, 2), (2, 3))]
 
     def route_spread(x):
         p = ModelPoint.from_x(x)
-        lns = [route(p, tol).ln_f for route in
+        lns = [route(p).ln_f for route in
                (fidelity_raw, fidelity_simplified, fidelity_modular)]
         return abs(math.expm1(max(lns) - min(lns)))
 
     def duality(x):
-        kp = modulus_kprime(x, tol)
-        return abs(modulus_k(ModelPoint.from_x(x).x_dual, tol) - kp) / kp
+        kp = modulus_kprime(x)
+        return abs(modulus_k(ModelPoint.from_x(x).x_dual) - kp) / kp
 
     def g_routes(x):
         p = ModelPoint.from_x(x)
-        return abs(math.expm1(ln_g_series(p) - g_product(p, tol)))
+        return abs(math.expm1(ln_g_series(p) - g_product(p)))
 
     return [
         ("qcalc_r1", max(r1 for r1, _ in qcalc)),
         ("qcalc_r2", max(r2 for _, r2 in qcalc)),
-        ("minus_one_peel", max(minus_one_peel_residual(x ** 4, tol)
+        ("minus_one_peel", max(minus_one_peel_residual(x ** 4)
                                for x in x_grid)),
         ("short_theta", max(
-            short_theta_identity_residual(b, ModelPoint.from_x(x), tol)
+            short_theta_identity_residual(b, ModelPoint.from_x(x))
             for b, x in ((4.0, 0.5), (2.0, 0.7), (4.0, _SELF_DUAL_X),
                          (1.0, 0.4), (8.0, 0.6)))),
         ("three_path_fidelity", max(route_spread(x)
                                     for x in (0.3, 0.45, 0.6, 0.75, 0.9))),
         ("moduli_complementary", max(
-            abs(modulus_k(z, tol) ** 2 + modulus_kprime(z, tol) ** 2 - 1.0)
+            abs(modulus_k(z) ** 2 + modulus_kprime(z) ** 2 - 1.0)
             for z in (0.05, 0.25, 0.5, 0.7, 0.9))),
         ("moduli_duality", max(duality(x) for x in (0.3, 0.5, 0.7, 0.85, 0.95))),
         ("g_series_vs_product", max(g_routes(x) for x in x_grid)),

@@ -4,9 +4,10 @@ The central object is
 
     (z; a_1, ..., a_N)_inf = prod_{n_1,...,n_N >= 0} (1 - z a_1^{n_1} ... a_N^{n_N})
 
-Both evaluation strategies take the same arguments (z, bases, tol), checked
+Both evaluation strategies take the same arguments (z, bases), checked
 against one shared domain, |z| <= 1 and a nonempty sequence of bases in
-[0, 1); each adds the one condition its own maths needs:
+[0, 1), and both stop at the same relative-error target REL_TOL; each adds
+the one condition its own maths needs:
 
 * ``qproduct_direct`` multiplies the lattice factors themselves, truncating
   the multi-index lattice by total weight w = a_1^{n_1}...a_N^{n_N}; it
@@ -28,21 +29,18 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidSpec, NonConvergent, Overflow
 
-#: default relative-error target of every truncated evaluation
-DEFAULT_REL_TOL = 1e-12
-#: term caps: retained lattice factors of the direct product, terms of the
-#: log series; read at call time, past either the product raises NonConvergent
+#: relative-error target of every truncated evaluation, and the term caps:
+#: retained lattice factors of the direct product, terms of the log series;
+#: all read at call time, and past either cap the product raises NonConvergent
+REL_TOL = 1e-12
 DIRECT_MAX_TERMS = 10_000_000
 SERIES_MAX_TERMS = 1_000_000
 #: points of the last direction expanded at once by the direct product
 _SLAB = 1 << 18
-
-_MIN_REL_TOL = 10.0 * sys.float_info.epsilon
 #: the largest finite double, and its log
 _HUGE = sys.float_info.max
 _LN_HUGE = math.log(_HUGE)
@@ -53,27 +51,6 @@ def _brief(value) -> str:
     if isinstance(value, numbers.Integral) and int(value).bit_length() > 1024:
         return f"<an integer of {int(value).bit_length()} bits>"
     return repr(value)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Relative-error target of every truncated evaluation.
-
-    How many terms an evaluation may take is not part of it: the two
-    product strategies stop at the fixed caps DIRECT_MAX_TERMS and
-    SERIES_MAX_TERMS.
-    """
-
-    rel_tol: float = DEFAULT_REL_TOL
-
-    def __post_init__(self):
-        if not (_MIN_REL_TOL <= self.rel_tol < 1.0):
-            raise InvalidSpec(
-                f"rel_tol must lie in [{_MIN_REL_TOL:.2e}, 1) (10 x machine "
-                f"epsilon up to 1), got {_brief(self.rel_tol)}")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def _check_product(z, bases) -> None:
@@ -92,8 +69,7 @@ def _check_product(z, bases) -> None:
             raise InvalidSpec(f"every base must lie in [0,1), got {_brief(b)}")
 
 
-def log_multibase_product(z: float, bases: Sequence[float],
-                          tol: Tolerance = DEFAULT_TOL) -> float:
+def log_multibase_product(z: float, bases: Sequence[float]) -> float:
     """ln (z; a_1,...,a_N)_inf via the logarithmic series.
 
     On top of the shared domain the series requires |z| < 1 strictly.  A
@@ -103,7 +79,7 @@ def log_multibase_product(z: float, bases: Sequence[float],
 
     Stopping rule: the geometric tail bound |term_m| * |z| / (1 - |z|)
     (valid because successive terms shrink at least by |z|) must drop below
-    rel_tol times the accumulated sum.  The sum's scale is set by its first
+    REL_TOL times the accumulated sum.  The sum's scale is set by its first
     term and never cancels away, so the relative test needs no absolute
     floor beyond the z = 0 short-circuit.  A sum past the float range raises
     Overflow (bases so close to 1 that the denominators underflow).
@@ -114,7 +90,7 @@ def log_multibase_product(z: float, bases: Sequence[float],
     if z == 0.0:
         return 0.0
 
-    rel_tol = tol.rel_tol
+    rel_tol = REL_TOL
     az = abs(z)
     tail_factor = az / (1.0 - az)
 
@@ -220,19 +196,18 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
     return log_acc, omitted, False, count
 
 
-def qproduct_direct(z: float, bases: Sequence[float],
-                    tol: Tolerance = DEFAULT_TOL) -> float:
+def qproduct_direct(z: float, bases: Sequence[float]) -> float:
     """(z; a_1,...,a_N)_inf by direct factor multiplication.
 
     On top of the shared domain every base must be > 0, since the lattice
     counts take ln a_i.
 
     Lattice points are retained while their weight exceeds a cutoff that
-    starts at rel_tol/10 and is tightened until the omitted log-mass bound
+    starts at REL_TOL/10 and is tightened until the omitted log-mass bound
 
         |z| * (omitted weight) / (1 - |z| cutoff)
 
-    drops below rel_tol (each omitted factor satisfies
+    drops below REL_TOL (each omitted factor satisfies
     |ln(1 - z w)| <= |z| w / (1 - |z| cutoff) since w <= cutoff).
     Accumulation happens on ln(1 - z w) so tiny products cannot underflow
     prematurely.  z = +-1 is legal here: a factor that is exactly zero
@@ -241,7 +216,7 @@ def qproduct_direct(z: float, bases: Sequence[float],
 
     The certificate covers truncation only, not the rounding of the sum of
     up to DIRECT_MAX_TERMS logarithms.  Summed pairwise, that rounding stays below
-    rel_tol: (0.5; 0.8, 0.8, 0.8), about a million factors, misses 30-digit
+    REL_TOL: (0.5; 0.8, 0.8, 0.8), about a million factors, misses 30-digit
     mpmath by 8e-13 in ln, where a sequential sum missed by 5e-11.
     """
     _check_product(z, bases)
@@ -249,7 +224,7 @@ def qproduct_direct(z: float, bases: Sequence[float],
         raise InvalidSpec(f"the direct product needs every base > 0, got {bases!r}")
     if z == 0.0:
         return 1.0
-    rel_tol = tol.rel_tol
+    rel_tol = REL_TOL
     n_dim = len(bases)
 
     # suffix_mass[i] = total weight of the sub-lattice over directions j >= i
@@ -271,8 +246,8 @@ def qproduct_direct(z: float, bases: Sequence[float],
         f"direct product ({z}; {bases})_inf could not certify rel_tol={rel_tol}")
 
 
-def verify_qcalc_identities(x: float, z: float, b: int, c: int,
-                            tol: Tolerance = DEFAULT_TOL) -> tuple[float, float]:
+def verify_qcalc_identities(x: float, z: float, b: int,
+                            c: int) -> tuple[float, float]:
     """Residuals of the two base-splitting product identities.
 
     r1:  (z; x^{2b}, x^c) (z x^b; x^{2b}, x^c)  =  (z; x^b, x^c)
@@ -305,15 +280,14 @@ def verify_qcalc_identities(x: float, z: float, b: int, c: int,
         return (abs((even * odd - whole) / whole),
                 abs((whole * negated - squared) / squared))
 
-    d1, d2 = residuals(*[qproduct_direct(zz, bases, tol)
-                         for zz, bases in products])
-    s1, s2 = residuals(*[_exp(log_multibase_product(zz, bases, tol),
+    d1, d2 = residuals(*[qproduct_direct(zz, bases) for zz, bases in products])
+    s1, s2 = residuals(*[_exp(log_multibase_product(zz, bases),
                               f"({zz}; {bases})_inf")
                          for zz, bases in products])
     return (max(d1, s1), max(d2, s2))
 
 
-def minus_one_peel_residual(a: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def minus_one_peel_residual(a: float) -> float:
     """Residual of peeling the n_1 = 0 slice off the z = -1 two-base product:
 
         (-a; a, a)_inf = (-1; a, a)_inf / (2 (-a; a)_inf).
@@ -321,8 +295,8 @@ def minus_one_peel_residual(a: float, tol: Tolerance = DEFAULT_TOL) -> float:
     The left side uses the log series, the right side the direct product
     (the only strategy defined at z = -1), so the check is two-strategy.
     """
-    lhs = _exp(log_multibase_product(-a, (a, a), tol), f"(-a; a, a) at a={a}")
-    minus_one = qproduct_direct(-1.0, (a, a), tol)
-    single = _exp(log_multibase_product(-a, (a,), tol), f"(-a; a) at a={a}")
+    lhs = _exp(log_multibase_product(-a, (a, a)), f"(-a; a, a) at a={a}")
+    minus_one = qproduct_direct(-1.0, (a, a))
+    single = _exp(log_multibase_product(-a, (a,)), f"(-a; a) at a={a}")
     rhs = minus_one / (2.0 * single)
     return abs((lhs - rhs) / rhs)

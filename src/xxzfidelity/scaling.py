@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 from .elliptic import ModelPoint, log_correlation_length
 from .errors import InvalidSpec, Overflow
 from .fidelity import _QUARTER_LN2, FidelityResult, fidelity
-from .qseries import DEFAULT_TOL, _HUGE, _LN_HUGE, Tolerance, _brief
+from .qseries import _HUGE, _LN_HUGE, _brief
 
 #: (A, B) of the leading asymptotes A/eps + B of ln xi and of -ln f
 LN_XI_COEFFS = (math.pi ** 2 / 2.0, -math.log(4.0))
@@ -135,17 +135,14 @@ def log_spaced(lo: float, hi: float, count: int) -> list[float]:
     return [float(v) for v in np.geomspace(lo, hi, count)]
 
 
-def collect_minus_ln_f(eps_values: Iterable[float],
-                       tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
+def collect_minus_ln_f(eps_values: Iterable[float]) -> list[tuple[float, float]]:
     """(eps, -ln f) samples for asymptotic fits."""
-    return [(e, -fidelity(ModelPoint.from_eps(e), tol).ln_f)
-            for e in eps_values]
+    return [(e, -fidelity(ModelPoint.from_eps(e)).ln_f) for e in eps_values]
 
 
-def collect_ln_xi(eps_values: Iterable[float],
-                  tol: Tolerance = DEFAULT_TOL) -> list[tuple[float, float]]:
+def collect_ln_xi(eps_values: Iterable[float]) -> list[tuple[float, float]]:
     """(eps, ln xi) samples for asymptotic fits."""
-    return [(e, log_correlation_length(ModelPoint.from_eps(e), tol))
+    return [(e, log_correlation_length(ModelPoint.from_eps(e)))
             for e in eps_values]
 
 
@@ -177,6 +174,6 @@ class PointResult:
         return -self.fidelity.ln_f / self.ln_xi
 
 
-def evaluate_point(p: ModelPoint, tol: Tolerance = DEFAULT_TOL) -> PointResult:
+def evaluate_point(p: ModelPoint) -> PointResult:
     """f and xi at p, each from the library's route selector."""
-    return PointResult(fidelity(p, tol), log_correlation_length(p, tol))
+    return PointResult(fidelity(p), log_correlation_length(p))

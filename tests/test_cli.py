@@ -8,9 +8,8 @@ import math
 
 import pytest
 
-from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, evaluate_point,
-                         fidelity, identity_report, log_correlation_length,
-                         qseries)
+from xxzfidelity import (InvalidSpec, ModelPoint, evaluate_point, fidelity,
+                         identity_report, log_correlation_length, qseries)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              POINT_COLUMNS, RunConfig, build_parser, main,
                              run)
@@ -89,6 +88,7 @@ class TestEval:
             assert json.loads(err)["error"] == "InvalidSpec"
 
     def test_invalid_rel_tol_exits_1_with_stderr_json(self, capsys):
+        # the error target is a module constant; the parser refuses the flag
         code, out, err = _invoke(capsys, ["eval", "--x", "0.5", "--rel-tol", "inf"])
         assert code == EXIT_VALIDATION
         assert out == ""
@@ -241,11 +241,12 @@ class TestEd:
             assert r["abs_error"] == pytest.approx(
                 abs(r["f_finite"] - r["f_exact"]), abs=1e-12)
 
-    def test_one_exact_value_at_the_requested_tolerance(self, capsys):
-        code, out, _ = _invoke(
-            capsys, ["ed", "--x", "0.6", "--Ls", "4,6", "--rel-tol", "1e-6"])
+    def test_one_exact_value_at_the_requested_tolerance(self, capsys,
+                                                         monkeypatch):
+        monkeypatch.setattr(qseries, "REL_TOL", 1e-6)
+        code, out, _ = _invoke(capsys, ["ed", "--x", "0.6", "--Ls", "4,6"])
         assert code == EXIT_OK
-        f_exact = fidelity(ModelPoint.from_x(0.6), Tolerance(1e-6)).f
+        f_exact = fidelity(ModelPoint.from_x(0.6)).f
         for r in json.loads(out):
             assert r["f_exact"] == f_exact
             assert r["abs_error"] == abs(r["f_finite"] - f_exact)
@@ -300,11 +301,23 @@ class TestOutputFile:
 
 class TestParser:
     def test_usage_errors_exit_1(self, capsys):
-        # the term caps are module constants, not flags
+        # the term caps and the error target are module constants, not flags
         for argv in ([], ["eval", "--bogus", "1"], ["frobnicate"],
-                     ["eval", "--x", "0.5", "--max-terms", "3"]):
-            assert main(argv) == EXIT_VALIDATION
-            capsys.readouterr()
+                     ["eval", "--x", "0.5", "--max-terms", "3"],
+                     ["eval", "--x", "0.5", "--rel-tol", "1e-10"],
+                     ["eval", "--x", "abc"], ["scan", "--min", "0.1"]):
+            code, out, err = _invoke(capsys, argv)
+            assert code == EXIT_VALIDATION, argv
+            assert out == ""
+            report = json.loads(err)
+            assert report["error"] == "InvalidSpec", argv
+            assert report["message"].startswith("xxzfid")
+
+    def test_help_exits_0(self, capsys):
+        for argv in (["--help"], ["scan", "--help"]):
+            code, out, err = _invoke(capsys, argv)
+            assert code == EXIT_OK
+            assert out.startswith("usage: xxzfid") and err == ""
 
     def test_flags_set_exactly_the_run_config_fields(self):
         # main passes the parsed namespace to RunConfig whole: a flag with no
@@ -320,10 +333,6 @@ class TestParser:
 
 
 class TestRunConfig:
-    def test_tolerance_property(self):
-        config = RunConfig(command="identities", rel_tol=1e-10)
-        assert config.tolerance == Tolerance(rel_tol=1e-10)
-
     def test_validation(self):
         with pytest.raises(InvalidSpec):
             RunConfig(command="frobnicate")

@@ -10,9 +10,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from xxzfidelity import (ConvergenceRow, InvalidSpec, NonConvergent,
-                         Overflow, SizeLimit, SpinChainSpec, Tolerance,
+                         Overflow, SizeLimit, SpinChainSpec,
                          bipartite_fidelity_finite, convergence_study,
-                         fidelity)
+                         fidelity, qseries)
 from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
 from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, GroundState,
@@ -592,10 +592,10 @@ class TestConvergenceStudy:
             assert row.abs_error == abs(row.f_finite - f_exact)
         assert rows[0].abs_error > rows[1].abs_error
 
-    def test_exact_value_uses_the_given_tolerance(self):
-        tol = Tolerance(1e-6)
-        rows = convergence_study([4, 6], 0.6, tol=tol)
-        f_exact = fidelity(ModelPoint.from_x(0.6), tol).f
+    def test_exact_value_uses_the_given_tolerance(self, monkeypatch):
+        monkeypatch.setattr(qseries, "REL_TOL", 1e-6)
+        rows = convergence_study([4, 6], 0.6)
+        f_exact = fidelity(ModelPoint.from_x(0.6)).f
         for row in rows:
             assert row.f_exact == f_exact
             assert row.abs_error == abs(row.f_finite - f_exact)

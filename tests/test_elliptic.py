@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from xxzfidelity import (InvalidSpec, ModelPoint, Tolerance, evaluate_point,
-                         log_correlation_length)
+from xxzfidelity import (InvalidSpec, ModelPoint, evaluate_point,
+                         log_correlation_length, qseries)
 from xxzfidelity.elliptic import modulus_k, modulus_kprime
 
 # 50-digit reference values (independent high-precision evaluation)
@@ -146,7 +146,7 @@ class TestCorrelationLength:
         assert evaluate_point(ModelPoint.from_x(0.5)).xi == pytest.approx(
             XI_05, rel=1e-10, abs=0)
 
-    def test_matches_mpmath_across_the_range(self):
+    def test_matches_mpmath_across_the_range(self, monkeypatch):
         # 64 log-spaced eps over the whole range, and pairs of points on
         # either side of the crossover, where the route changes
         lo, hi = math.log(1.2e-16), math.log(EPS_X_UNDERFLOW)
@@ -156,9 +156,9 @@ class TestCorrelationLength:
                                      for d in (1e-12, 1e-6, 1e-3, 1e-1)]
         refs = [_mp_ln_xi(eps) for eps in grid]
         for rel_tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 2.3e-15):
-            tol = Tolerance(rel_tol)
+            monkeypatch.setattr(qseries, "REL_TOL", rel_tol)
             for eps, ref in zip(grid, refs):
-                got = log_correlation_length(ModelPoint.from_eps(eps), tol)
+                got = log_correlation_length(ModelPoint.from_eps(eps))
                 assert abs(got - ref) <= rel_tol * abs(ref), (eps, rel_tol)
 
     def test_strictly_increasing_in_x(self):
@@ -192,8 +192,10 @@ class TestCorrelationLength:
         assert log_correlation_length(p) == pytest.approx(
             _mp_ln_xi(p.eps), rel=1e-12, abs=0)
 
-    def test_tolerance_is_honored(self):
+    def test_tolerance_is_honored(self, monkeypatch):
         p = ModelPoint.from_x(0.5)
-        loose = log_correlation_length(p, Tolerance(rel_tol=1e-8))
-        tight = log_correlation_length(p, Tolerance(rel_tol=1e-13))
+        monkeypatch.setattr(qseries, "REL_TOL", 1e-8)
+        loose = log_correlation_length(p)
+        monkeypatch.setattr(qseries, "REL_TOL", 1e-13)
+        tight = log_correlation_length(p)
         assert loose == pytest.approx(tight, rel=1e-7, abs=0)

@@ -88,6 +88,24 @@ class TestRouteAgreement:
         with pytest.raises(NonConvergent):
             fidelity_raw(ModelPoint.from_x(0.5))
 
+    def test_simplified_route_stops_where_the_selector_goes_on(self):
+        # below eps ~ 7.0e-6 its log series needs more than SERIES_MAX_TERMS
+        p = ModelPoint.from_eps(1e-6)
+        with pytest.raises(NonConvergent):
+            fidelity_simplified(p)
+        got = fidelity(p)
+        assert math.isfinite(got.ln_f) and math.isfinite(got.est_rel_error)
+
+    def test_estimate_follows_the_target(self, monkeypatch):
+        # _combine reads qseries.REL_TOL when called, so the target that
+        # loosens the series widens est_rel_error with it
+        p = ModelPoint.from_x(0.5)
+        tight = fidelity_simplified(p)
+        monkeypatch.setattr(qseries, "REL_TOL", 1e-6)
+        loose = fidelity_simplified(p)
+        assert loose.est_rel_error > 1e5 * tight.est_rel_error
+        assert abs(loose.ln_f - LN_F_05) <= loose.est_rel_error
+
 
 class TestPathSelector:
     def test_path_choice(self):
@@ -242,10 +260,10 @@ class TestLnGRegimes:
             assert abs(exact - _ln_g_expansion(eps)) <= slack, eps
 
     def test_switch_meets_the_tightest_tolerance(self):
-        # the order-30 truncation error at the switch is within the
-        # smallest rel_tol a Tolerance admits, so no caller needs the series
+        # the order-30 truncation error at the switch is within 10 machine
+        # epsilons, so even a far tighter target than REL_TOL needs no series
         assert (_LN_G_REMAINDER * LN_G_SWITCH_EPS ** 31
-                <= qseries._MIN_REL_TOL * _QUARTER_LN2)
+                <= 10 * sys.float_info.epsilon * _QUARTER_LN2)
 
     # pytest.approx would add its default abs=1e-12, so these compare bare
     def test_regimes_agree_across_the_switch(self):

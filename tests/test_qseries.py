@@ -1,5 +1,4 @@
-"""Multi-base product evaluation: both strategies, tolerances, identities."""
-import dataclasses
+"""Multi-base product evaluation: both strategies, the target, identities."""
 import math
 import tracemalloc
 from unittest import mock
@@ -7,30 +6,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xxzfidelity import (InvalidSpec, NonConvergent, Overflow, Tolerance,
+from xxzfidelity import (InvalidSpec, NonConvergent, Overflow,
                          log_multibase_product, qproduct_direct)
 from xxzfidelity import qseries
-from xxzfidelity.qseries import (DEFAULT_REL_TOL, minus_one_peel_residual,
+from xxzfidelity.qseries import (REL_TOL, minus_one_peel_residual,
                                  verify_qcalc_identities)
-
-
-class TestTolerance:
-    def test_defaults(self):
-        assert Tolerance().rel_tol == DEFAULT_REL_TOL
-        assert [f.name for f in dataclasses.fields(Tolerance)] == ["rel_tol"]
-
-    def test_rejects_sub_epsilon_rel_tol(self):
-        with pytest.raises(InvalidSpec):
-            Tolerance(rel_tol=1e-16)
-
-    def test_rejects_rel_tol_not_below_one(self):
-        for bad in (1.0, 2.0, math.inf, math.nan):
-            with pytest.raises(InvalidSpec):
-                Tolerance(rel_tol=bad)
-        assert Tolerance(rel_tol=0.5).rel_tol == 0.5
-
-    def test_allows_tight_but_legal_rel_tol(self):
-        assert Tolerance(rel_tol=1e-14).rel_tol == 1e-14
 
 
 # outside the domain both strategies share: |z| <= 1, a nonempty sequence
@@ -88,14 +68,15 @@ class TestLogSeries:
     def test_zero_z(self):
         assert log_multibase_product(0.0, (0.5,)) == 0.0
 
-    def test_single_base_matches_factor_expansion(self):
+    def test_single_base_matches_factor_expansion(self, monkeypatch):
         # ln prod (1 - z a^n) summed factor by factor, tiny a so 3 factors do
         z, a = 0.3, 1e-5
         expected = sum(math.log1p(-z * a ** n) for n in range(25))
-        # the default tolerance promises DEFAULT_REL_TOL, a tight one more
+        # the target REL_TOL is met, and a tighter one is met more closely
         got = log_multibase_product(z, (a,))
-        assert got == pytest.approx(expected, rel=DEFAULT_REL_TOL, abs=0)
-        got = log_multibase_product(z, (a,), Tolerance(3e-15))
+        assert got == pytest.approx(expected, rel=REL_TOL, abs=0)
+        monkeypatch.setattr(qseries, "REL_TOL", 3e-15)
+        got = log_multibase_product(z, (a,))
         assert got == pytest.approx(expected, rel=1e-13, abs=0)
 
     def test_rejects_unit_z(self):
@@ -119,12 +100,12 @@ class TestLogSeries:
         with pytest.raises(Overflow):
             log_multibase_product(-0.5, (base,) * 20)
 
-    def test_tolerates_underflowed_base_zero(self):
+    def test_tolerates_underflowed_base_zero(self, monkeypatch):
         # (z; 0)_inf has the single factor (1 - z)
         got = log_multibase_product(0.25, (0.0,))
-        assert got == pytest.approx(math.log1p(-0.25), rel=DEFAULT_REL_TOL,
-                                    abs=0)
-        got = log_multibase_product(0.25, (0.0,), Tolerance(3e-15))
+        assert got == pytest.approx(math.log1p(-0.25), rel=REL_TOL, abs=0)
+        monkeypatch.setattr(qseries, "REL_TOL", 3e-15)
+        got = log_multibase_product(0.25, (0.0,))
         assert got == pytest.approx(math.log1p(-0.25), rel=1e-14, abs=0)
 
     def test_nonconvergent_when_capped(self, monkeypatch):
@@ -281,21 +262,24 @@ class TestPathAgreement:
         direct = qproduct_direct(z, bases)
         log_value = log_multibase_product(z, bases)
         series = math.exp(log_value)
-        # direct certifies rel_tol on the value; the series certifies
-        # rel_tol on the log, i.e. rel_tol * |log| on the value
-        budget = (2.0 + 2.0 * abs(log_value)) * DEFAULT_REL_TOL
+        # direct certifies REL_TOL on the value; the series certifies
+        # REL_TOL on the log, i.e. REL_TOL * |log| on the value
+        budget = (2.0 + 2.0 * abs(log_value)) * REL_TOL
         assert direct == pytest.approx(series, rel=budget, abs=0)
 
     @settings(max_examples=30, deadline=None)
     @given(z=st.floats(min_value=-0.9, max_value=0.9).filter(lambda v: abs(v) > 1e-6),
            base=st.floats(min_value=0.05, max_value=0.9))
     def test_monotone_truncation(self, z, base):
-        # tightening rel_tol moves the result by less than the looser tolerance
-        loose = qproduct_direct(z, (base,), Tolerance(rel_tol=1e-8))
-        tight = qproduct_direct(z, (base,), Tolerance(rel_tol=1e-13))
+        # tightening REL_TOL moves the result by less than the looser target
+        def at(rel_tol):
+            with mock.patch.object(qseries, "REL_TOL", rel_tol):
+                return (qproduct_direct(z, (base,)),
+                        log_multibase_product(z, (base,)))
+
+        loose, loose_log = at(1e-8)
+        tight, tight_log = at(1e-13)
         assert abs(loose - tight) <= 1e-8 * abs(tight)
-        loose_log = log_multibase_product(z, (base,), Tolerance(rel_tol=1e-8))
-        tight_log = log_multibase_product(z, (base,), Tolerance(rel_tol=1e-13))
         assert abs(loose_log - tight_log) <= 1.5e-8 * abs(tight_log) + 1e-15
 
 

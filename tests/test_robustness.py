@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from xxzfidelity import (InvalidSpec, ModelPoint, SpinChainSpec,
-                         Tolerance, XXZFidelityError, qseries,
+                         XXZFidelityError, qseries,
                          bipartite_fidelity_finite, fidelity_modular,
                          fidelity_raw, fidelity_simplified, fit_asymptote,
                          ln_xi_reference, log_multibase_product,
@@ -154,16 +154,6 @@ def test_minus_one_peel_residual(a):
        b=st.integers(-1, 8) | ANY, c=st.integers(-1, 8) | ANY)
 def test_verify_qcalc_identities(x, z, b, c):
     _finite_or_documented(lambda: verify_qcalc_identities(x, z, b, c))
-
-
-@SWEEP
-@given(rel_tol=st.just(1e-12) | ANY | HUGE_INT)
-def test_tolerance(rel_tol):
-    try:
-        tol = Tolerance(rel_tol)
-    except XXZFidelityError:
-        return
-    assert 0.0 < tol.rel_tol < 1.0
 
 
 @SWEEP

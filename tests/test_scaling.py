@@ -5,9 +5,10 @@ import tracemalloc
 import pytest
 
 from xxzfidelity import (AsymptoticFit, InvalidSpec, ModelPoint, PointResult,
-                         Tolerance, evaluate_point, fidelity,
-                         fidelity_modular, fit_asymptote, ln_xi_reference,
-                         log_correlation_length, minus_ln_f_reference)
+                         evaluate_point, fidelity, fidelity_modular,
+                         fit_asymptote, ln_xi_reference,
+                         log_correlation_length, minus_ln_f_reference,
+                         qseries)
 from xxzfidelity.scaling import (MAX_GRID_COUNT, collect_ln_xi,
                                  collect_minus_ln_f, log_spaced)
 
@@ -176,7 +177,7 @@ class TestConjectureRatio:
 
     def test_extreme_scaling_regime(self):
         # xi ~ 10^{2e6} here; everything must survive in log space
-        point = evaluate_point(ModelPoint.from_eps(1e-6), Tolerance())
+        point = evaluate_point(ModelPoint.from_eps(1e-6))
         assert abs(point.ratio - TARGET_RATIO) < 1e-12
         assert point.xi == math.inf
 
@@ -200,12 +201,11 @@ class TestConjectureRatio:
 
 
 class TestPointResult:
-    def test_one_call_each(self):
+    def test_one_call_each(self, monkeypatch):
+        monkeypatch.setattr(qseries, "REL_TOL", 1e-10)
         p = ModelPoint.from_x(0.3)
-        tol = Tolerance(rel_tol=1e-10)
-        point = evaluate_point(p, tol)
-        assert point == PointResult(fidelity(p, tol),
-                                    log_correlation_length(p, tol))
+        point = evaluate_point(p)
+        assert point == PointResult(fidelity(p), log_correlation_length(p))
         assert point.xi == math.exp(point.ln_xi)
         assert point.ratio == -point.fidelity.ln_f / point.ln_xi
         with pytest.raises(AttributeError):
