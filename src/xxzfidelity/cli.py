@@ -47,8 +47,9 @@ POINT_COLUMNS = ("x", "eps", "delta", "xi", "ln_xi", "f", "ln_f", "ratio",
 class RunConfig:
     """Validated description of one CLI invocation.
 
-    ``grid_var`` names the grid coordinate: ``scan`` takes x (the default)
-    or eps; ``fit`` samples eps and accepts nothing else.
+    Every default lives here, not in the parser.  ``grid_var`` names the
+    grid coordinate: ``scan`` takes x (the default) or eps; ``fit`` samples
+    eps, by default log-spaced, and accepts nothing else.
     """
 
     command: str
@@ -58,24 +59,26 @@ class RunConfig:
     grid_min: float | None = None
     grid_max: float | None = None
     count: int = 10
-    spacing: str = "linear"
+    spacing: str | None = None
     fmt: str = "json"
     output: str | None = None
-    Ls: tuple[int, ...] = ()
+    Ls: tuple[int, ...] = (8, 12)
 
     def __post_init__(self):
         if self.command not in ("eval", "scan", "fit", "identities", "ed"):
             raise InvalidSpec(f"unknown command {self.command!r}")
+        fit = self.command == "fit"
         if self.grid_var is None:
-            object.__setattr__(self, "grid_var",
-                               "eps" if self.command == "fit" else "x")
+            object.__setattr__(self, "grid_var", "eps" if fit else "x")
+        if self.spacing is None:
+            object.__setattr__(self, "spacing", "log" if fit else "linear")
         if self.fmt not in ("json", "csv"):
             raise InvalidSpec(f"format must be json or csv, got {self.fmt!r}")
         if self.spacing not in ("linear", "log"):
             raise InvalidSpec(f"spacing must be linear or log, got {self.spacing!r}")
         if self.grid_var not in ("x", "eps"):
             raise InvalidSpec(f"var must be x or eps, got {self.grid_var!r}")
-        if self.command == "fit" and self.grid_var != "eps":
+        if fit and self.grid_var != "eps":
             raise InvalidSpec(f"fit samples eps, got var {self.grid_var!r}")
         if self.command == "eval":
             if (self.x is None) == (self.eps is None):
@@ -201,12 +204,10 @@ def run(config: RunConfig) -> int:
             _write(config.output, text)
         else:
             sys.stdout.write(text)
-    except InvalidSpec as exc:
-        _emit_error(exc)
-        return EXIT_VALIDATION
     except XXZFidelityError as exc:
         _emit_error(exc)
-        return EXIT_NUMERICAL
+        return (EXIT_VALIDATION if isinstance(exc, InvalidSpec)
+                else EXIT_NUMERICAL)
     return EXIT_OK
 
 
@@ -225,16 +226,24 @@ def _emit_error(exc: Exception) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse front end: a usage error is an InvalidSpec, exit code 1."""
+    """argparse front end: a usage error is an InvalidSpec, exit code 1, and
+    an absent flag sets nothing, so its RunConfig default applies."""
+
+    def __init__(self, **kwargs):
+        super().__init__(argument_default=argparse.SUPPRESS, **kwargs)
 
     def error(self, message):
         _emit_error(InvalidSpec(f"{self.prog}: {message}"))
         self.exit(EXIT_VALIDATION)
 
 
-def _add_common(sub):
-    sub.add_argument("--format", dest="fmt", default="json", help="json or csv")
-    sub.add_argument("--output", default=None, help="file path (default stdout)")
+def _lengths(text: str) -> tuple[int, ...]:
+    """The integers of --Ls; main reports a malformed list as a usage error."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError:
+        raise InvalidSpec(f"xxzfid ed: argument --Ls: takes comma-separated "
+                          f"even integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,44 +253,40 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_eval = commands.add_parser("eval", help="evaluate one anisotropy point")
-    p_eval.add_argument("--x", type=float, default=None)
-    p_eval.add_argument("--eps", type=float, default=None)
-    _add_common(p_eval)
+    p_eval.add_argument("--x", type=float)
+    p_eval.add_argument("--eps", type=float)
 
     p_scan = commands.add_parser("scan", help="evaluate a grid of points")
-    p_scan.add_argument("--var", dest="grid_var", default="x", help="x or eps")
+    p_scan.add_argument("--var", dest="grid_var", help="x (default) or eps")
     p_scan.add_argument("--min", dest="grid_min", type=float, required=True)
     p_scan.add_argument("--max", dest="grid_max", type=float, required=True)
-    p_scan.add_argument("--count", type=int, default=10)
-    p_scan.add_argument("--spacing", default="linear", help="linear or log")
-    _add_common(p_scan)
+    p_scan.add_argument("--count", type=int)
+    p_scan.add_argument("--spacing", help="linear (default) or log")
 
     p_fit = commands.add_parser("fit", help="asymptotic coefficient extraction")
     p_fit.add_argument("--eps-min", dest="grid_min", type=float, required=True)
     p_fit.add_argument("--eps-max", dest="grid_max", type=float, required=True)
-    p_fit.add_argument("--count", type=int, default=10)
-    p_fit.add_argument("--spacing", default="log", help="linear or log")
-    _add_common(p_fit)
+    p_fit.add_argument("--count", type=int)
+    p_fit.add_argument("--spacing", help="log (default) or linear")
 
-    p_id = commands.add_parser("identities", help="run all residual suites")
-    _add_common(p_id)
+    commands.add_parser("identities", help="run all residual suites")
 
     p_ed = commands.add_parser("ed", help="finite-chain convergence study")
     p_ed.add_argument("--x", type=float, required=True)
-    p_ed.add_argument("--Ls", type=lambda s: tuple(int(t) for t in s.split(",")),
-                      default=(8, 12), help="comma-separated even lengths")
-    _add_common(p_ed)
+    p_ed.add_argument("--Ls", type=_lengths,
+                      help="comma-separated even lengths (default 8,12)")
 
+    for sub in commands.choices.values():
+        sub.add_argument("--format", dest="fmt", help="json or csv")
+        sub.add_argument("--output", help="file path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        config = RunConfig(**vars(build_parser().parse_args(argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
-    try:
-        config = RunConfig(**vars(args))
     except InvalidSpec as exc:
         _emit_error(exc)
         return EXIT_VALIDATION

@@ -67,9 +67,9 @@ from .qseries import _HUGE, _brief
 if TYPE_CHECKING:
     import numpy as np
 
-#: refuse to build an even block beyond this dimension (L = 24 has 1,354,126
-#: states, L = 26 has 5,204,396)
-SECTOR_DIM_CAP = 1_400_000
+#: the longest chain built: its even block has 1,354,126 states, and that
+#: of L = 26 has 5,204,396
+MAX_LENGTH = 24
 #: below this dimension the dense eigensolver is used: the measured
 #: dense-eigh / Lanczos crossover with one BLAS thread, on half-chain
 #: sectors at x = 0.3 and 0.9.  Dense eigh takes 0.55-0.8 times the
@@ -117,14 +117,11 @@ class SpinChainSpec:
 def _check_length(L) -> None:
     """The one rule on a chain length, shared by the spec and the product
     state: InvalidSpec unless L is an even integer >= 4, and SizeLimit
-    before any allocation if the even block would exceed SECTOR_DIM_CAP."""
+    before any allocation if L > MAX_LENGTH."""
     if not isinstance(L, numbers.Integral) or L < 4 or L % 2 != 0:
         raise InvalidSpec(f"L must be an even integer >= 4, got {_brief(L)}")
-    # the block holds the 2^(L/2) self-images, so a long chain is refused
-    # before math.comb runs on it
-    if L // 2 >= SECTOR_DIM_CAP.bit_length() or _even_dim(L) > SECTOR_DIM_CAP:
-        raise SizeLimit(f"the even block of L={_brief(L)} has more than "
-                        f"SECTOR_DIM_CAP = {SECTOR_DIM_CAP} states")
+    if L > MAX_LENGTH:
+        raise SizeLimit(f"L={_brief(L)} is longer than MAX_LENGTH = {MAX_LENGTH}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +222,7 @@ def _image(masks: np.ndarray, n_sites: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _even_states(L: int):
-    """The R-even states of the zero sector: representatives and weights.
+    """The R-even block of the zero sector, as _sector_matrix takes it.
 
     R is _image on the L-site chain; it maps the zero sector onto itself.
     Each pair {m, R m} is represented by its lower mask, which has the
@@ -233,9 +230,9 @@ def _even_states(L: int):
     self-image m = R m spans |m> alone.  With n_r = 2 for a self-image and
     1 otherwise, <r|psi> = sqrt(2 / n_r) psi[m_r] for an R-even psi, and
     weight = sqrt(n_r) turns each hop into the standard sqrt(n_r'/n_r)
-    matrix element.  Returns (basis, image, rows, weight): the sector
-    basis, the image of each of its masks, the basis indices of the
-    representatives and their weights.
+    matrix element.  Returns (basis, rows, column, weight): the sector
+    basis, the basis indices of the representatives, the int32 block state
+    of every basis state (that of the lower of m and R m) and the weights.
 
     build_hamiltonian and split_product_state of one f_L share a single
     result, cached for the last L; its arrays are read-only.
@@ -243,17 +240,19 @@ def _even_states(L: int):
     import numpy as np  # loaded only where a finite chain is built
     basis = sector_basis(L, L // 2)
     image = _image(basis, L)
-    rows = np.flatnonzero(basis <= image)
+    lower = basis <= image
+    rows = np.flatnonzero(lower)
     weight = np.where(basis[rows] == image[rows], math.sqrt(2.0), 1.0)
-    for array in (basis, image, rows, weight):
+    # R permutes the sector, so sorting the images ranks them (several
+    # times faster than a searchsorted of the scattered images)
+    index = np.arange(len(basis))
+    image_rank = np.empty_like(index)
+    image_rank[np.argsort(image)] = index
+    column = (np.cumsum(lower, dtype=np.int32) - 1)[
+        np.minimum(index, image_rank)]
+    for array in (basis, rows, column, weight):
         array.flags.writeable = False
-    return basis, image, rows, weight
-
-
-def _even_dim(L: int) -> int:
-    """Dimension of the even block: each pair counts once, and the
-    2^(L/2) self-images (each site pair j, L+1-j holds one up spin) once."""
-    return (math.comb(L, L // 2) + 2 ** (L // 2)) // 2
+    return basis, rows, column, weight
 
 
 def build_hamiltonian(spec: SpinChainSpec):
@@ -266,24 +265,15 @@ def build_hamiltonian(spec: SpinChainSpec):
     so by Perron-Frobenius its ground state is unique and positive, hence
     R-even; the split ground state, a half-chain state times its mirror
     image, is R-even by construction.  So the block loses neither.  The
-    spec has already bounded the block by SECTOR_DIM_CAP.  The Néel fields
-    freeze the virtual spins to sz_0 = -1 and sz_L+1 = +1.
+    spec has already refused L > MAX_LENGTH.  The Néel fields freeze the
+    virtual spins to sz_0 = -1 and sz_L+1 = +1.
     """
-    import numpy as np  # loaded only where a finite chain is built
     L = spec.L
     bonds = [(j, j + 1) for j in range(1, L)]
     if spec.split:
         bonds.remove((L // 2, L // 2 + 1))
     fields = [(1, 0.5 * spec.delta), (L, -0.5 * spec.delta)]
-    basis, image, rows, weight = _even_states(L)
-    # R permutes the sector, so sorting the images ranks them (several
-    # times faster than a searchsorted of the scattered images)
-    index = np.arange(len(basis))
-    image_rank = np.empty_like(index)
-    image_rank[np.argsort(image)] = index
-    # basis state i lands on the block state of the lower of i and R i
-    column = (np.cumsum(basis <= image, dtype=np.int32) - 1)[
-        np.minimum(index, image_rank)]
+    basis, rows, column, weight = _even_states(L)
     return _sector_matrix(L, L // 2, bonds, fields, spec.delta,
                           block=(rows, column, weight))
 
@@ -455,7 +445,7 @@ def split_product_state(L: int, left: GroundState) -> np.ndarray:
             f"the Néel sector of a {half}-site half has dimension "
             f"{len(basis_left)}, got amplitudes of shape "
             f"{np.shape(left.amplitudes)}")
-    basis, _, rows, weight = _even_states(L)
+    basis, rows, _, weight = _even_states(L)
     states = basis[rows]
     low = states & ((1 << half) - 1)
     il = np.searchsorted(basis_left, low)

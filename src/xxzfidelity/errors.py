@@ -23,4 +23,4 @@ class Overflow(XXZFidelityError):
 
 
 class SizeLimit(XXZFidelityError):
-    """A sector dimension exceeds the configured cap."""
+    """A finite chain is longer than ed_oracle.MAX_LENGTH."""

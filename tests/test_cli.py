@@ -252,7 +252,7 @@ class TestEd:
             assert r["abs_error"] == abs(r["f_finite"] - f_exact)
 
     def test_chain_too_long_to_solve_exits_2(self, capsys):
-        # refused for its length, which is past SECTOR_DIM_CAP, not for x
+        # refused for its length, which is past MAX_LENGTH, not for x
         code, out, err = _invoke(
             capsys, ["ed", "--x", "0.2", "--Ls", "1" + "0" * 400])
         assert code == EXIT_NUMERICAL
@@ -305,19 +305,39 @@ class TestParser:
         for argv in ([], ["eval", "--bogus", "1"], ["frobnicate"],
                      ["eval", "--x", "0.5", "--max-terms", "3"],
                      ["eval", "--x", "0.5", "--rel-tol", "1e-10"],
-                     ["eval", "--x", "abc"], ["scan", "--min", "0.1"]):
+                     ["eval", "--x", "abc"], ["scan", "--min", "0.1"],
+                     ["ed", "--x", "0.3", "--Ls", "a,b"]):
             code, out, err = _invoke(capsys, argv)
             assert code == EXIT_VALIDATION, argv
             assert out == ""
+            assert err.count("\n") == 1
             report = json.loads(err)
             assert report["error"] == "InvalidSpec", argv
             assert report["message"].startswith("xxzfid")
+        # the last one names its flag and what the flag takes, not a lambda
+        assert report["message"] == ("xxzfid ed: argument --Ls: takes "
+                                     "comma-separated even integers, got 'a,b'")
 
     def test_help_exits_0(self, capsys):
         for argv in (["--help"], ["scan", "--help"]):
             code, out, err = _invoke(capsys, argv)
             assert code == EXIT_OK
             assert out.startswith("usage: xxzfid") and err == ""
+
+    def test_defaults_are_those_of_run_config(self, capsys):
+        # the parser sets no defaults of its own, so a flag left out means
+        # the same as a RunConfig field left out: log eps for fit, L = 8, 12
+        for argv, config in (
+                (["fit", "--eps-min", "1e-3", "--eps-max", "1e-2"],
+                 RunConfig(command="fit", grid_min=1e-3, grid_max=1e-2)),
+                (["ed", "--x", "0.3"], RunConfig(command="ed", x=0.3))):
+            code, out, err = _invoke(capsys, argv)
+            assert code == EXIT_OK and err == ""
+            assert run(config) == EXIT_OK
+            assert capsys.readouterr().out == out, argv
+        assert [r["L"] for r in json.loads(out)] == [8, 12]
+        assert RunConfig(command="fit", grid_min=1e-3, grid_max=1e-2).spacing == "log"
+        assert RunConfig(command="scan", grid_min=0.1, grid_max=0.5).spacing == "linear"
 
     def test_flags_set_exactly_the_run_config_fields(self):
         # main passes the parsed namespace to RunConfig whole: a flag with no

@@ -16,7 +16,7 @@ from xxzfidelity import (ConvergenceRow, InvalidSpec, NonConvergent,
 from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
 from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, GroundState,
-                                   _even_dim, _half_ground, _image,
+                                   MAX_LENGTH, _half_ground, _image,
                                    _sector_matrix, build_hamiltonian,
                                    ground_state, sector_basis,
                                    split_product_state)
@@ -68,6 +68,13 @@ def _loop_sector_matrix(n_sites, n_up, bonds, fields, delta):
 def _reflect_flip(m, n):
     """Reference reflection j -> n+1-j with every spin flipped, bit by bit."""
     return sum(1 << (n - 1 - j) for j in range(n) if not (m >> j) & 1)
+
+
+def _even_dim(L):
+    """Reference dimension of the even block: each pair {m, R m} counts
+    once, and the 2^(L/2) self-images (each site pair j, L+1-j holds one
+    up spin) once."""
+    return (math.comb(L, L // 2) + 2 ** (L // 2)) // 2
 
 
 def _loop_split_product_state(L, left):
@@ -259,11 +266,11 @@ class TestBuildHamiltonian:
         assert (full != split).nnz > 0
 
     def test_size_limit(self):
-        # L = 24 is the longest admitted chain; only its size is checked
+        # L = 24 is the longest admitted chain; only its length is checked
         # here, by the spec, so no Hamiltonian is built
-        assert _even_dim(24) <= ed_oracle.SECTOR_DIM_CAP < _even_dim(26)
+        assert SpinChainSpec(MAX_LENGTH, 0.2).L == MAX_LENGTH == 24
         for L in (26, 64, 10 ** 300):
-            with pytest.raises(SizeLimit):
+            with pytest.raises(SizeLimit, match="MAX_LENGTH = 24"):
                 SpinChainSpec(L, 0.2)
 
     def test_neel_fields_continue_the_boundary_pattern(self):
@@ -274,7 +281,7 @@ class TestBuildHamiltonian:
         for L in (4, 8, 12):
             spec = SpinChainSpec(L, 0.3)
             diag = build_hamiltonian(spec).diagonal()
-            basis, _, rows, _ = ed_oracle._even_states(L)
+            basis, rows, _, _ = ed_oracle._even_states(L)
             neel = sum(1 << (j - 1) for j in range(1, L + 1, 2))
             lowest = np.flatnonzero(diag == diag.min())
             assert basis[rows][lowest].tolist() == [neel]
@@ -292,6 +299,20 @@ class TestBuildHamiltonian:
                 _even_dim(L),) * 2
         assert [_even_dim(L) for L in (8, 12, 16, 18, 22, 24)] == [
             43, 494, 6563, 24566, 353740, 1354126]
+
+    def test_block_map(self):
+        # each representative is its own block state, and a basis state and
+        # its image land on the same one
+        for L in range(4, 15, 2):
+            basis, rows, column, weight = ed_oracle._even_states(L)
+            assert column.dtype == np.int32
+            assert np.array_equal(column[rows], np.arange(_even_dim(L)))
+            rank = {m: i for i, m in enumerate(basis.tolist())}
+            image_column = [column[rank[_reflect_flip(m, L)]]
+                            for m in basis.tolist()]
+            assert np.array_equal(column, image_column), L
+            self_image = [_reflect_flip(m, L) == m for m in basis[rows].tolist()]
+            assert np.array_equal(weight == math.sqrt(2.0), self_image)
 
     def test_even_states_built_once_per_f_L(self):
         ed_oracle._even_states.cache_clear()
