@@ -258,21 +258,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = commands.add_parser("scan", help="evaluate a grid of points")
     p_scan.add_argument("--var", dest="grid_var", help="x (default) or eps")
-    p_scan.add_argument("--min", dest="grid_min", type=float, required=True)
-    p_scan.add_argument("--max", dest="grid_max", type=float, required=True)
+    p_scan.add_argument("--min", dest="grid_min", type=float)
+    p_scan.add_argument("--max", dest="grid_max", type=float)
     p_scan.add_argument("--count", type=int)
     p_scan.add_argument("--spacing", help="linear (default) or log")
 
     p_fit = commands.add_parser("fit", help="asymptotic coefficient extraction")
-    p_fit.add_argument("--eps-min", dest="grid_min", type=float, required=True)
-    p_fit.add_argument("--eps-max", dest="grid_max", type=float, required=True)
+    p_fit.add_argument("--eps-min", dest="grid_min", type=float)
+    p_fit.add_argument("--eps-max", dest="grid_max", type=float)
     p_fit.add_argument("--count", type=int)
     p_fit.add_argument("--spacing", help="log (default) or linear")
 
     commands.add_parser("identities", help="run all residual suites")
 
     p_ed = commands.add_parser("ed", help="finite-chain convergence study")
-    p_ed.add_argument("--x", type=float, required=True)
+    p_ed.add_argument("--x", type=float)
     p_ed.add_argument("--Ls", type=_lengths,
                       help="comma-separated even lengths (default 8,12)")
 

@@ -305,7 +305,7 @@ class TestParser:
         for argv in ([], ["eval", "--bogus", "1"], ["frobnicate"],
                      ["eval", "--x", "0.5", "--max-terms", "3"],
                      ["eval", "--x", "0.5", "--rel-tol", "1e-10"],
-                     ["eval", "--x", "abc"], ["scan", "--min", "0.1"],
+                     ["eval", "--x", "abc"],
                      ["ed", "--x", "0.3", "--Ls", "a,b"]):
             code, out, err = _invoke(capsys, argv)
             assert code == EXIT_VALIDATION, argv
@@ -317,6 +317,23 @@ class TestParser:
         # the last one names its flag and what the flag takes, not a lambda
         assert report["message"] == ("xxzfid ed: argument --Ls: takes "
                                      "comma-separated even integers, got 'a,b'")
+
+    def test_missing_field_is_reported_by_run_config(self, capsys):
+        # the parser requires no flag, so a missing field gets RunConfig's
+        # one message, whichever entry point leaves it out
+        for argv, fields in ((["ed"], {}),
+                             (["ed", "--Ls", "8"], {"Ls": (8,)}),
+                             (["scan", "--min", "0.1"], {"grid_min": 0.1}),
+                             (["scan", "--max", "0.5"], {"grid_max": 0.5}),
+                             (["fit", "--eps-min", "1e-3"],
+                              {"grid_min": 1e-3}),
+                             (["fit"], {})):
+            with pytest.raises(InvalidSpec) as raised:
+                RunConfig(command=argv[0], **fields)
+            code, out, err = _invoke(capsys, argv)
+            assert (code, out) == (EXIT_VALIDATION, ""), argv
+            assert json.loads(err) == {"error": "InvalidSpec",
+                                       "message": str(raised.value)}, argv
 
     def test_help_exits_0(self, capsys):
         for argv in (["--help"], ["scan", "--help"]):

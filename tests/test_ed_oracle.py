@@ -1,6 +1,7 @@
 """Finite-chain exact diagonalization: sector algebra, splits, convergence."""
 import ast
 import math
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -338,6 +339,51 @@ class TestBuildHamiltonian:
                 case = (L, split)
                 assert nearest.max() < 1e-12, case
                 assert abs(even[0] - full[0]) < 1e-12, case
+
+    def test_block_matches_projected_loop_builder(self):
+        # the even block against P^T H P, H the loop builder's zero sector
+        # and P the orthonormal R-even basis, one column per representative
+        # m <= R m in increasing order, built from _reflect_flip.  The
+        # diagonals of m and R m add the same L + 1 terms of size |Delta|/2
+        # in different orders, so the two sides may part by a few ulps of
+        # that sum; at most 8 ulps of |Delta| were seen (L = 10, 12)
+        for L in range(4, 13, 2):
+            basis = sorted(sum(1 << p for p in positions)
+                           for positions in combinations(range(L), L // 2))
+            rank = {m: i for i, m in enumerate(basis)}
+            reps = [m for m in basis if m <= _reflect_flip(m, L)]
+            P = np.zeros((len(basis), len(reps)))
+            for r, m in enumerate(reps):
+                image = _reflect_flip(m, L)
+                P[rank[m], r] = P[rank[image], r] = (
+                    1.0 if image == m else math.sqrt(0.5))
+            for x in (0.05, 0.3, 0.7):
+                for split in (False, True):
+                    spec = SpinChainSpec(L, x, split)
+                    bonds = [(j, j + 1) for j in range(1, L)]
+                    if split:
+                        bonds.remove((L // 2, L // 2 + 1))
+                    h = -0.5 * spec.delta
+                    H = _loop_sector_matrix(L, L // 2, bonds,
+                                            [(1, -h), (L, h)],
+                                            spec.delta).toarray()
+                    block = build_hamiltonian(spec).toarray()
+                    ulps = (np.abs(block - P.T @ H @ P).max()
+                            / np.spacing(abs(spec.delta)))
+                    assert ulps <= L, (L, x, split, ulps)
+
+    def test_build_peak_memory(self):
+        # the two-pass build holds H, a few arrays of the block's dimension
+        # and the 2^L mask table (1 MB here), about 1.8 times H in all
+        ed_oracle._even_states(18)
+        tracemalloc.start()
+        try:
+            H = build_hamiltonian(SpinChainSpec(18, 0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        csr_bytes = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+        assert peak <= 2.25 * csr_bytes, peak / csr_bytes
 
 
 class TestGroundState:
