@@ -5,7 +5,8 @@ Subcommands: ``eval`` (one anisotropy point), ``scan`` (grid of points),
 expansions), ``identities`` (all residual suites), ``ed`` (finite-chain
 convergence study).  Reports are JSON (default) or CSV, written to stdout
 or ``--output``; floats use the shortest round-trip representation, so
-identical configurations yield byte-identical reports.
+identical configurations yield byte-identical reports; for ``ed`` only at
+a fixed BLAS thread count, which moves the last bits of f_L.
 
 Point rows always carry the same columns:
 x, eps, delta, xi, ln_xi, f, ln_f, ratio, path, est_rel_error

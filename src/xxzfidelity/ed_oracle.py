@@ -14,11 +14,14 @@ f_L approaches f (at x = 0.2, f_L = 0.910, 0.900 and 0.895 at L = 8, 12
 and 16, against f = 0.890), while free ends move away from it (0.805,
 0.726 and 0.656).
 
-Everything is built in a fixed-magnetization sector basis, a sorted int64
-array of bitmasks of up spins, by numpy array operations.  The Hamiltonian
-is written straight into its CSR rows, one bond or field at a time: one
-int32 table over all 2^L masks gives each hop's target state in a single
-lookup, a first pass over the bonds lays out the rows and a second fills
+Everything is built by numpy array operations on blocks of
+fixed-magnetization sectors.  A block, the whole sector or the R-even part
+below, is described once, by the triple (states, index, weight): the
+bitmasks of up spins its states are built on, an int32 table over all 2^n
+masks that gives each sector mask its block state, and the weight of each
+block state.  The Hamiltonian is written straight into its CSR rows, one
+bond or field at a time: a hop's target state is a single lookup in
+index, a first pass over the bonds lays out the rows and a second fills
 them.
 
 The map R, reflection j -> L+1-j composed with a global spin flip, commutes
@@ -32,7 +35,8 @@ half-chain ground states.  Only the left half is diagonalized, and only in
 its Néel sector, where the pinned first spin puts its ground state.  R
 maps the left half onto the right one, so the right amplitude on a mask is
 the left amplitude on its image.  The product state then starts the
-one-eigenpair Lanczos solve of the full chain.  The finite-size fidelity
+one-eigenpair Lanczos solve of the full chain, which holds no block.  The
+finite-size fidelity
 
     f_L = |<gs(H)|gs_left x gs_right>|^2
 
@@ -137,7 +141,7 @@ class GroundState:
 def sector_basis(n_sites: int, n_up: int) -> np.ndarray:
     """All n_sites-bit masks with n_up bits set (site j <-> bit j-1).
 
-    A sorted int64 array, so a state's index is its ``searchsorted`` rank.
+    A sorted int64 array; _sector numbers it through a table over all masks.
     Built site by site from basis(m, k) = basis(m-1, k) followed by
     basis(m-1, k-1) | 1 << (m-1); both parts are sorted and the second lies
     above the first, so the concatenation is sorted.  Only the counts k
@@ -158,24 +162,28 @@ def sector_basis(n_sites: int, n_up: int) -> np.ndarray:
     return levels.get(n_up, empty)
 
 
-def _sector_matrix(n_sites, n_up, bonds, fields, delta, block=None):
-    """Sparse symmetric H in the (n_sites, n_up) sector, or in a block of it.
+def _sector(n_sites: int, n_up: int):
+    """The whole (n_sites, n_up) sector as the block _sector_matrix takes:
+    each basis state is its own block state, of unit weight, and index, over
+    all 2^n_sites masks, is read only at the sector's."""
+    import numpy as np  # loaded only where a finite chain is built
+    states = sector_basis(n_sites, n_up)
+    index = np.empty(1 << n_sites, dtype=np.int32)
+    index[states] = np.arange(len(states), dtype=np.int32)
+    return states, index, np.ones(len(states))
 
+
+def _sector_matrix(block, bonds, fields, delta):
+    """Sparse symmetric H on a block of a fixed-magnetization sector.
+
+    block = (states, index, weight), as _sector or _even_states returns
+    it: block state r is built on the mask states[r], a hop onto a sector
+    mask t lands on block state index[t], and its amplitude h becomes
+    h * weight[index[t]] / weight[r].
     bonds: (a, b) 1-based site pairs carrying the exchange;
     fields: (site, h) pairs adding h * sigma^z_site.  The diagonal adds the
     bond terms, then the field terms, in the order given.
 
-    block = (basis, rows, column, weight), as _even_states returns it,
-    restricts H to symmetry-adapted states: basis is the sector basis,
-    block state r is built on the basis state rows[r], a hop onto basis
-    state t lands on block state column[t], and its amplitude h becomes
-    h * weight[column[t]] / weight[r].  The default is the whole sector:
-    every row, the identity map and unit weights.
-
-    One int32 table of 2^n_sites entries takes every mask of the sector
-    to its block state, so a hop's target is one lookup.  This function is
-    reached only for a checked chain or one of its halves, so n_sites <=
-    MAX_LENGTH and the table, freed with the call, holds at most 64 MB.
     The CSR arrays are written in two passes.  The first adds up the
     diagonal and counts each row's hops, which lays out the rows; the
     second writes each bond's hops into the next free slots of their rows,
@@ -183,17 +191,10 @@ def _sector_matrix(n_sites, n_up, bonds, fields, delta, block=None):
     sorts each row and merges the entries that share a position: at most
     two, a hop onto the row's own block state with the diagonal, or the
     hops onto m and R m, whose sum does not depend on their order.  The
-    peak is H plus a few arrays of the block's dimension and the table.
+    peak is the block, H and a few arrays of the block's dimension.
     """
     import numpy as np  # loaded only where a finite chain is built
-    if block is None:
-        basis = sector_basis(n_sites, n_up)
-        index = np.arange(len(basis), dtype=np.int32)
-        block = (basis, index, index, np.ones(len(basis)))
-    basis, rows_of, column, weight = block
-    column_of = np.empty(1 << n_sites, dtype=np.int32)
-    column_of[basis] = column
-    states = basis[rows_of]
+    states, index, weight = block
     dim = len(states)
 
     def hops(pair):
@@ -221,7 +222,7 @@ def _sector_matrix(n_sites, n_up, bonds, fields, delta, block=None):
     free = indptr[:-1].astype(np.intp)
     for pair in pairs:
         hop = np.flatnonzero(hops(pair))
-        target = column_of[states[hop] ^ pair]
+        target = index[states[hop] ^ pair]
         slot = free[hop]
         indices[slot] = target
         data[slot] = -weight[target] / weight[hop]
@@ -265,16 +266,15 @@ def _even_states(L: int):
     """The R-even block of the zero sector, as _sector_matrix takes it.
 
     R is _image on the L-site chain; it maps the zero sector onto itself.
-    Each pair {m, R m} is represented by its lower mask, which has the
-    lower rank, and spans the normalized state (|m> + |R m>) / sqrt(2); a
-    self-image m = R m spans |m> alone.  With n_r = 2 for a self-image and
-    1 otherwise, <r|psi> = sqrt(2 / n_r) psi[m_r] for an R-even psi, and
+    Each pair {m, R m} is represented by its lower mask and spans the
+    normalized state (|m> + |R m>) / sqrt(2); a self-image m = R m spans
+    |m> alone.  With n_r = 2 for a self-image and 1 otherwise,
+    <r|psi> = sqrt(2 / n_r) psi[m_r] for an R-even psi, and
     weight = sqrt(n_r) turns each hop into the standard sqrt(n_r'/n_r)
-    matrix element.  Returns (basis, rows, column, weight): the sector
-    basis, the basis indices of the representatives, the int32 block state
-    of every basis state (that of the lower of m and R m) and the weights.
-    The block states are numbered through a table over all 2^L masks, 64 MB
-    at L = MAX_LENGTH, which is freed on return.
+    matrix element.  Returns (states, index, weight): the representatives
+    in increasing order, an int32 table over all 2^L masks that holds the
+    rank of each representative at both m and R m (64 MB at L =
+    MAX_LENGTH), and the weights.
 
     build_hamiltonian and split_product_state of one f_L share a single
     result, cached for the last L; its arrays are read-only.
@@ -283,17 +283,15 @@ def _even_states(L: int):
     basis = sector_basis(L, L // 2)
     image = _image(basis, L)
     lower = basis <= image
-    rows = np.flatnonzero(lower)
-    weight = np.where(basis[rows] == image[rows], math.sqrt(2.0), 1.0)
-    # a table over all 2^L masks numbers the representatives, and every
-    # basis state reads the number of the lower of m and R m (four times
-    # faster than ranking the images by a sort)
-    block_state = np.empty(1 << L, dtype=np.int32)
-    block_state[basis[rows]] = np.arange(len(rows), dtype=np.int32)
-    column = block_state[np.minimum(basis, image)]
-    for array in (basis, rows, column, weight):
+    states, images = basis[lower], image[lower]
+    rank = np.arange(len(states), dtype=np.int32)
+    index = np.empty(1 << L, dtype=np.int32)
+    index[states] = rank
+    index[images] = rank
+    weight = np.where(states == images, math.sqrt(2.0), 1.0)
+    for array in (states, index, weight):
         array.flags.writeable = False
-    return basis, rows, column, weight
+    return states, index, weight
 
 
 def build_hamiltonian(spec: SpinChainSpec):
@@ -314,8 +312,7 @@ def build_hamiltonian(spec: SpinChainSpec):
     if spec.split:
         bonds.remove((L // 2, L // 2 + 1))
     fields = [(1, 0.5 * spec.delta), (L, -0.5 * spec.delta)]
-    return _sector_matrix(L, L // 2, bonds, fields, spec.delta,
-                          block=_even_states(L))
+    return _sector_matrix(_even_states(L), bonds, fields, spec.delta)
 
 
 def ground_state(H, start=None) -> GroundState:
@@ -469,41 +466,36 @@ def _half_ground(n_sites: int, delta: float) -> GroundState:
     """
     bonds = [(j, j + 1) for j in range(1, n_sites)]
     fields = [(1, 0.5 * delta)]
-    return ground_state(_sector_matrix(n_sites, (n_sites + 1) // 2, bonds,
-                                       fields, delta))
+    return ground_state(_sector_matrix(_sector(n_sites, (n_sites + 1) // 2),
+                                       bonds, fields, delta))
 
 
 def split_product_state(L: int, left: GroundState) -> np.ndarray:
     """left x mirror(left) in the even-block coordinates of build_hamiltonian.
 
     left is a Néel-sector state of the L/2-site left half, as _half_ground
-    returns it.  Its mirror, the right half, has on mask h the amplitude
-    left[_image(h)], so the product is R-even by construction; its
-    coordinate on block state r is
-    sqrt(2 / n_r) left[m_r & low] left[_image(m_r >> L/2)].  Raises
-    InvalidSpec unless L is an even integer >= 4 and left's amplitudes span
+    returns it; its mirror, the right half, has on mask h the amplitude
+    left[_image(h)].  A left mask i next to a mirrored left mask j is a
+    zero-sector mask, whose block state r gets sqrt(2 / n_r) left[i]
+    left[j]; its image, the pair (j, i), writes the same bits to the same
+    r.  Other block states stay 0.  Raises InvalidSpec unless L is an even
+    integer >= 4 and left's amplitudes are finite real numbers that span
     the Néel sector.
     """
     import numpy as np  # loaded only where a finite chain is built
     _check_length(L)
     half = L // 2
-    basis_left = sector_basis(half, (half + 1) // 2)
-    if np.shape(left.amplitudes) != basis_left.shape:
+    masks = sector_basis(half, (half + 1) // 2)
+    amplitudes = _floats(left.amplitudes, "amplitudes")
+    if amplitudes.shape != masks.shape or not np.isfinite(amplitudes).all():
         raise InvalidSpec(
-            f"the Néel sector of a {half}-site half has dimension "
-            f"{len(basis_left)}, got amplitudes of shape "
-            f"{np.shape(left.amplitudes)}")
-    basis, rows, _, weight = _even_states(L)
-    states = basis[rows]
-    low = states & ((1 << half) - 1)
-    il = np.searchsorted(basis_left, low)
-    keep = np.flatnonzero(np.append(basis_left, -1)[il] == low)
-    # the upper half of a kept state holds the rest of the zero sector's up
-    # spins, so its image has as many as the left half and lies in its basis
-    ir = np.searchsorted(basis_left, _image(states[keep] >> half, half))
+            f"the Néel sector of a {half}-site half needs {len(masks)} finite "
+            f"amplitudes, got shape {amplitudes.shape}")
+    states, index, weight = _even_states(L)
+    block = index[(masks[:, None] | _image(masks, half) << half).ravel()]
     product = np.zeros(len(states))
-    product[keep] = (left.amplitudes[il[keep]] * left.amplitudes[ir]
-                     * (math.sqrt(2.0) / weight[keep]))
+    product[block] = (np.multiply.outer(amplitudes, amplitudes).ravel()
+                      * (math.sqrt(2.0) / weight[block]))
     return product
 
 
@@ -515,13 +507,15 @@ def bipartite_fidelity_finite(L: int, x: float) -> float:
     halves); the right half is the mirror image of the left one.  The
     product state then starts the full-chain solve.  Both vectors are in
     the orthonormal coordinates of the even block of build_hamiltonian, so
-    the overlap is a plain dot product.  The spec is checked first, so an
-    oversized L raises SizeLimit before any solve.
+    the overlap is a plain dot product.  The block is built once and
+    dropped before the full-chain solve, which never reads it.  The spec is
+    checked first, so an oversized L raises SizeLimit before any solve.
     """
     spec = SpinChainSpec(L, x)
-    H = build_hamiltonian(spec)
     left = _half_ground(L // 2, spec.delta)
+    H = build_hamiltonian(spec)
     product = split_product_state(L, left)
+    _even_states.cache_clear()
     full = ground_state(H, start=product)
     overlap = float(full.amplitudes @ product)
     return overlap * overlap

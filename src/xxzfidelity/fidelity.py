@@ -85,9 +85,10 @@ class FidelityResult:
         return math.exp(self.ln_f)
 
 
-def _combine(parts):
-    """Sum coef*log-term contributions; returns (ln_f, est_rel_error), the
-    estimate at the target qseries.REL_TOL the series met, read at call time."""
+def _combine(parts, path) -> FidelityResult:
+    """Sum coef*log-term contributions into the FidelityResult of a route;
+    est_rel_error is the estimate at the target qseries.REL_TOL the series
+    met, read at call time."""
     ln_f = 0.0
     magnitude = 0.0
     for coef, term in parts:
@@ -95,10 +96,6 @@ def _combine(parts):
         magnitude += abs(coef) * abs(term)
     est = (magnitude * (qseries.REL_TOL + sys.float_info.epsilon)
            + sys.float_info.epsilon)
-    return ln_f, est
-
-
-def _result(ln_f, est, path):
     return FidelityResult(ln_f=float(ln_f), path=path, est_rel_error=float(est))
 
 
@@ -125,8 +122,7 @@ def fidelity_raw(p: ModelPoint) -> FidelityResult:
         (2.0, log_multibase_product(x2, (x4, x8))),
         (-2.0, log_multibase_product(x4, (x4, x8))),
     ]
-    ln_f, est = _combine(parts)
-    return _result(ln_f, est, Path.RAW)
+    return _combine(parts, Path.RAW)
 
 
 def fidelity_simplified(p: ModelPoint) -> FidelityResult:
@@ -144,8 +140,7 @@ def fidelity_simplified(p: ModelPoint) -> FidelityResult:
         (2.0, log_multibase_product(-x4, (x4, x4))),
         (-2.0, log_multibase_product(-x2, (x4, x4))),
     ]
-    ln_f, est = _combine(parts)
-    return _result(ln_f, est, Path.SIMPLIFIED)
+    return _combine(parts, Path.SIMPLIFIED)
 
 
 def _ln_g_expansion(eps: float) -> float:
@@ -245,8 +240,7 @@ def fidelity_modular(p: ModelPoint) -> FidelityResult:
         (-1.0, log_multibase_product(xt_half, (xt,))),
         (1.0, ln_g),
     ]
-    ln_f, est = _combine(parts)
-    return _result(ln_f, est, Path.MODULAR)
+    return _combine(parts, Path.MODULAR)
 
 
 def short_theta_identity_residual(b: float, p: ModelPoint) -> float:

@@ -1,5 +1,6 @@
 """Finite-chain exact diagonalization: sector algebra, splits, convergence."""
 import ast
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -18,10 +19,13 @@ from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
 from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, GroundState,
                                    MAX_LENGTH, _half_ground, _image,
-                                   _sector_matrix, build_hamiltonian,
+                                   _sector, _sector_matrix, build_hamiltonian,
                                    ground_state, sector_basis,
                                    split_product_state)
 
+#: SHA-256 of the CSR arrays of build_hamiltonian, frozen: see
+#: TestBuildHamiltonian.test_bits_are_pinned
+H_DIGEST = "8cfcd1495800676b1225b9d7d426f7a7f7cf9da110a6bb65e43c00777251bd0d"
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
 F_12 = 0.8995519516351791
@@ -98,7 +102,8 @@ def _half_by_n_up(n, delta, field):
     """All-sector scan of a half chain with one Néel field (site, h): the
     lowest level for each number of up spins."""
     bonds = [(j, j + 1) for j in range(1, n)]
-    return {n_up: ground_state(_sector_matrix(n, n_up, bonds, [field], delta))
+    return {n_up: ground_state(_sector_matrix(_sector(n, n_up), bonds,
+                                              [field], delta))
             for n_up in range(n + 1)}
 
 
@@ -106,7 +111,7 @@ def _right_half(n, delta):
     """Independent right-half solve: the field of the up virtual spin on
     site n, in the sector that completes the left half's Néel sector."""
     bonds = [(j, j + 1) for j in range(1, n)]
-    return ground_state(_sector_matrix(n, n // 2, bonds,
+    return ground_state(_sector_matrix(_sector(n, n // 2), bonds,
                                        [(n, -0.5 * delta)], delta))
 
 
@@ -193,7 +198,7 @@ class TestSectorMatrix:
     def test_two_site_analytic(self):
         # zero-magnetization block of a single bond is [[d/2, -1], [-1, d/2]]
         delta = -2.6
-        M = _sector_matrix(2, 1, [(1, 2)], [], delta).toarray()
+        M = _sector_matrix(_sector(2, 1), [(1, 2)], [], delta).toarray()
         assert M == pytest.approx(
             np.array([[delta / 2.0, -1.0], [-1.0, delta / 2.0]]))
         gs = ground_state(M)
@@ -231,7 +236,8 @@ class TestSectorMatrix:
         bonds = [(j, j + 1) for j in range(1, L)]
         fields = [(1, -h), (L, h)]
         sector_spectrum = np.sort(np.concatenate([
-            np.linalg.eigvalsh(_sector_matrix(L, n, bonds, fields, delta).toarray())
+            np.linalg.eigvalsh(_sector_matrix(_sector(L, n), bonds, fields,
+                                              delta).toarray())
             for n in range(L + 1)]))
         assert sector_spectrum == pytest.approx(dense_spectrum, abs=1e-12)
 
@@ -246,7 +252,8 @@ class TestSectorMatrix:
                     bonds.remove((n // 2, n // 2 + 1))
                 for fields in ([], [(1, -h), (n, h * (-1) ** n)]):
                     for n_up in range(n + 1):
-                        new = _sector_matrix(n, n_up, bonds, fields, delta)
+                        new = _sector_matrix(_sector(n, n_up), bonds, fields,
+                                             delta)
                         old = _loop_sector_matrix(n, n_up, bonds, fields, delta)
                         for attr in ("indptr", "indices", "data"):
                             a, b = getattr(new, attr), getattr(old, attr)
@@ -282,10 +289,10 @@ class TestBuildHamiltonian:
         for L in (4, 8, 12):
             spec = SpinChainSpec(L, 0.3)
             diag = build_hamiltonian(spec).diagonal()
-            basis, rows, _, _ = ed_oracle._even_states(L)
+            states, _, _ = ed_oracle._even_states(L)
             neel = sum(1 << (j - 1) for j in range(1, L + 1, 2))
             lowest = np.flatnonzero(diag == diag.min())
-            assert basis[rows][lowest].tolist() == [neel]
+            assert states[lowest].tolist() == [neel]
             assert diag.min() == pytest.approx((L + 1) * 0.5 * spec.delta,
                                                rel=1e-15, abs=0)
 
@@ -302,26 +309,59 @@ class TestBuildHamiltonian:
             43, 494, 6563, 24566, 353740, 1354126]
 
     def test_block_map(self):
-        # each representative is its own block state, and a basis state and
-        # its image land on the same one
+        # the representatives are the masks m <= R m in increasing order,
+        # each is its own block state, and every mask of the zero sector
+        # and its image land on the same one
         for L in range(4, 15, 2):
-            basis, rows, column, weight = ed_oracle._even_states(L)
-            assert column.dtype == np.int32
-            assert np.array_equal(column[rows], np.arange(_even_dim(L)))
-            rank = {m: i for i, m in enumerate(basis.tolist())}
-            image_column = [column[rank[_reflect_flip(m, L)]]
-                            for m in basis.tolist()]
-            assert np.array_equal(column, image_column), L
-            self_image = [_reflect_flip(m, L) == m for m in basis[rows].tolist()]
+            states, index, weight = ed_oracle._even_states(L)
+            basis = sector_basis(L, L // 2).tolist()
+            images = [_reflect_flip(m, L) for m in basis]
+            assert states.tolist() == [m for m, image in zip(basis, images)
+                                       if m <= image]
+            assert index.dtype == np.int32 and index.shape == (1 << L,)
+            assert np.array_equal(index[states], np.arange(_even_dim(L)))
+            assert np.array_equal(index[basis], index[images]), L
+            self_image = [_reflect_flip(m, L) == m for m in states.tolist()]
             assert np.array_equal(weight == math.sqrt(2.0), self_image)
 
-    def test_even_states_built_once_per_f_L(self):
+    def test_even_states_built_once_per_f_L(self, monkeypatch):
+        # one block per f_L, shared by H and the product state, and none
+        # held while a ground state is solved
+        basis, solve = ed_oracle.sector_basis, ed_oracle.ground_state
+        blocks, cached = [], []
+
+        def counting_basis(n_sites, n_up):
+            if n_sites == 8:
+                blocks.append(n_up)
+            return basis(n_sites, n_up)
+
+        def watched_solve(*args, **kwargs):
+            cached.append(ed_oracle._even_states.cache_info().currsize)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ed_oracle, "sector_basis", counting_basis)
+        monkeypatch.setattr(ed_oracle, "ground_state", watched_solve)
         ed_oracle._even_states.cache_clear()
         bipartite_fidelity_finite(8, 0.3)
-        info = ed_oracle._even_states.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert blocks == [4]
+        assert cached == [0, 0]
         # the shared arrays cannot be changed under another caller
         assert not any(a.flags.writeable for a in ed_oracle._even_states(8))
+
+    def test_bits_are_pinned(self):
+        # SHA-256 of every CSR array with its dtype, L = 4-16, x = 0.05,
+        # 0.3 and 0.7, split or not: a change to any bit of any H fails
+        # here.  The build calls no BLAS, so the digest holds at any BLAS
+        # thread count
+        digest = hashlib.sha256()
+        for L in range(4, 17, 2):
+            for x in (0.05, 0.3, 0.7):
+                for split in (False, True):
+                    H = build_hamiltonian(SpinChainSpec(L, x, split))
+                    for a in (H.indptr, H.indices, H.data):
+                        digest.update(str(a.dtype).encode())
+                        digest.update(a.tobytes())
+        assert digest.hexdigest() == H_DIGEST
 
     def test_even_block_spectrum_lies_in_the_zero_sector(self):
         # R-even levels are zero-sector levels, and the lowest one is shared
@@ -423,7 +463,7 @@ class TestGroundState:
             ground_state(H)
 
     def test_one_dimensional_sector(self):
-        H = _sector_matrix(2, 0, [(1, 2)], [], -2.6)
+        H = _sector_matrix(_sector(2, 0), [(1, 2)], [], -2.6)
         gs = ground_state(H)
         assert gs.amplitudes.tolist() == [1.0]
         assert gs.energy == pytest.approx(-0.5 * (-2.6), rel=1e-15, abs=0)
@@ -432,7 +472,7 @@ class TestGroundState:
         # free ends and nearly classical: the two Néel states barely split
         delta = SpinChainSpec(8, 1e-4).delta
         bonds = [(j, j + 1) for j in range(1, 8)]
-        H = _sector_matrix(8, 4, bonds, [], delta)
+        H = _sector_matrix(_sector(8, 4), bonds, [], delta)
         lowest = sla.eigh(H.toarray(), eigvals_only=True)[0]
         assert ground_state(H).energy == pytest.approx(lowest, rel=1e-14,
                                                        abs=0)
@@ -569,17 +609,24 @@ class TestSplitStructure:
             for left in lefts:
                 full = _loop_split_product_state(L, left)
                 assert np.array_equal(full[np.searchsorted(basis, image)], full)
-                assert np.allclose(split_product_state(L, left),
-                                   scale * full[represents],
-                                   rtol=1e-15, atol=0.0)
+                assert np.array_equal(split_product_state(L, left),
+                                      scale * full[represents])
 
     def test_rejects_amplitudes_that_miss_their_sector(self):
         # the Néel sector of a 4-site half has 6 states; 4 and 1 are the
-        # sizes of other sectors, 10 that of a 5-site half's Néel sector
+        # sizes of other sectors, 10 that of a 5-site half's Néel sector.
+        # Its amplitudes must be finite real numbers; a list of them is
+        # taken as their array
         for amplitudes in (np.ones(3), np.ones((6, 1)), np.ones(4),
-                           np.ones(1), np.ones(10), np.ones(0)):
+                           np.ones(1), np.ones(10), np.ones(0),
+                           np.full(6, 1.0 + 1.0j), np.ones(6, dtype=complex),
+                           np.full(6, np.nan), np.full(6, np.inf),
+                           [0.1] * 5 + [np.nan], ["a"] * 6, [10 ** 400] * 6):
             with pytest.raises(InvalidSpec):
                 split_product_state(8, GroundState(0.0, amplitudes))
+        assert np.array_equal(
+            split_product_state(8, GroundState(0.0, [0.1] * 6)),
+            split_product_state(8, GroundState(0.0, np.full(6, 0.1))))
 
     def test_rejects_a_length_that_is_not_an_even_integer(self):
         left = _half_ground(4, -2.6)
