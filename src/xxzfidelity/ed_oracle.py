@@ -34,9 +34,7 @@ ground state is assembled exactly as the tensor product of the two
 half-chain ground states.  Only the left half is diagonalized, and only in
 its Néel sector, where the pinned first spin puts its ground state.  R
 maps the left half onto the right one, so the right amplitude on a mask is
-the left amplitude on its image.  The product state then starts the
-one-eigenpair Lanczos solve of the full chain, which holds no block.  The
-finite-size fidelity
+the left amplitude on its image.  The finite-size fidelity
 
     f_L = |<gs(H)|gs_left x gs_right>|^2
 
@@ -44,13 +42,20 @@ converges toward the infinite-chain f(x) as L grows; this module is a
 verification harness with loose tolerances, not a second route to the
 exact result.
 
-Ground states come from a dense ``scipy.linalg.eigh`` of the lowest level
-below DENSE_DIM_LIMIT and otherwise from a restarted Lanczos solve in
-numpy (_lanczos).  It runs on H scaled by its largest |entry|, so no norm
-overflows even at |Delta| ~ 1e188 (x ~ 1e-188), stores at most 20 Lanczos
-vectors, restarts from its Ritz vector, and accepts an eigenpair only
-once the explicit residual ||Hy - ey|| is at most about
-1e-12 max(1, |e|).
+f_L needs no full-chain ground-state vector.  A Lanczos recurrence
+started from the unit product state q (_ground_weight) makes f_L the
+Gauss-quadrature weight of the lowest Ritz value of its tridiagonal
+matrix, which converges like the eigenvalue; the solve keeps its last two
+vectors and stops once its error estimate reaches f_L's rounding floor,
+holding no block.  ground_state, which solves the half chains, takes a
+dense ``scipy.linalg.eigh`` of the lowest level below DENSE_DIM_LIMIT
+(every half up to L = 18) and otherwise a restarted Lanczos solve in
+numpy (_lanczos).  That solve stores at most 20 Lanczos vectors, restarts
+from its Ritz vector, and accepts an eigenpair only once the explicit
+residual ||Hy - ey|| is at most about 1e-12 max(1, |e|).  Both Lanczos
+solves run on H scaled by its largest |entry|, so no norm overflows even
+at |Delta| ~ 1e188 (x ~ 1e-188), and share one three-term step
+(_lanczos_step).
 
 numpy and scipy are imported only inside the functions that specify, build
 or solve a chain, on their first call, so importing the package and
@@ -87,12 +92,19 @@ DENSE_DIM_LIMIT = 165
 _LANCZOS_VECTORS = 20
 #: restarts before NonConvergent.  An all-sector scan of the half chains
 #: of n <= 12 sites, x from 1e-300 to 1 - 1e-12, needs at most 20, at
-#: x ~ 1e-3 in sectors off the Néel one (near-degenerate domain walls); the
-#: even blocks of L = 12-16 need at most 16, the gapless end 3
+#: x ~ 1e-3 in sectors off the Néel one (near-degenerate domain walls)
 _LANCZOS_RESTARTS = 400
 #: accepted residual ||A v - e v|| of the scaled operator, relative to
 #: max(1, |e|)
 _LANCZOS_RTOL = 1e-12
+#: error estimate at which _ground_weight stops: f_L's rounding floor.
+#: Dense eigh's f_L at L = 12 and 14 (x = 1e-100 to 0.9999) is itself off
+#: the stopped weight by up to 2e-15, i.e. a few ulps of a weight in [0.5, 1)
+_WEIGHT_TOL = 1e-15
+#: products before _ground_weight raises NonConvergent: about six times the
+#: longest solve seen, 48 at L = MAX_LENGTH and x = 1 - 1e-6 (40 at
+#: L = 20); the count falls with x, to 2 at x = 1e-6
+_WEIGHT_STEPS = 300
 
 
 @dataclass(frozen=True)
@@ -331,11 +343,10 @@ def ground_state(H, start=None) -> GroundState:
     largest entry positive.  H (dense or sparse) and start must hold finite
     real numbers; anything else, complex entries included, is InvalidSpec.
 
-    A start vector needs only overlap with the ground state.  The split
-    product state that bipartite_fidelity_finite passes overlaps it by
-    sqrt(f_L), about 0.9.  Both lie in the even block of build_hamiltonian,
-    which holds no other symmetry sector, so no symmetry can make the start
-    orthogonal to the ground state.
+    A start vector needs only overlap with the ground state.  The all-ones
+    default has it in every block matrix of this module: all their
+    off-diagonal entries are negative and the hops connect the block, so
+    the ground state is positive (Perron-Frobenius).
     """
     import numpy as np  # loaded only where a ground state is solved
     import scipy.sparse as sp
@@ -376,47 +387,29 @@ def ground_state(H, start=None) -> GroundState:
 def _lanczos(H, start):
     """Lowest eigenpair of H by restarted Lanczos: (energy, vector).
 
-    The recurrence runs on A = H / s, s the largest |entry| of H, so no
-    norm or Rayleigh quotient leaves the float range however large or small
-    the entries are.  Each product H v is divided by s, so H is never
-    copied, and only a row whose |entries| add up past the float range can
-    overflow.  A cycle runs the three-term recurrence from its start
-    vector for at most _LANCZOS_VECTORS steps, storing those vectors and
-    nothing else, and the next cycle starts from the lowest Ritz vector of
-    its tridiagonal matrix.  Each step subtracts its recurrence terms in
-    place through one scratch vector, so it allocates only the product
-    H v.  The first step of every cycle is the explicit
-    residual test of its start v: with e = v.A v, the pair is accepted once
+    The recurrence runs on A = H / s (_scaled), so no norm or Rayleigh
+    quotient leaves the float range however large or small the entries
+    are.  A cycle runs _lanczos_step from its start vector for at most
+    _LANCZOS_VECTORS steps, storing those vectors and nothing else, and
+    the next cycle starts from the lowest Ritz vector of its tridiagonal
+    matrix.  The first step of every cycle is the explicit residual test
+    of its start v: with e = v.A v, the pair is accepted once
     ||A v - e v|| <= _LANCZOS_RTOL max(1, |e|), i.e.
     ||H v - s e v|| <= 1e-12 max(s, |s e|).  NonConvergent after
     _LANCZOS_RESTARTS restarts.
     """
     import numpy as np  # loaded only where a ground state is solved
     import scipy.linalg as sla
-    import scipy.sparse as sp
-    scale = float(np.abs(H.data if sp.issparse(H) else H).max(initial=0.0))
-    scale = scale or 1.0
-
-    def product(v):
-        w = H @ v
-        w /= scale
-        return w
-
-    def norm(u):
-        return math.sqrt(u @ u)  # np.linalg.norm of a real vector
-
+    product, scale = _scaled(H)
     basis = np.empty((_LANCZOS_VECTORS, len(start)))
     # the terms the recurrence subtracts, written in place
     scratch = np.empty(len(start))
     alpha = np.empty(_LANCZOS_VECTORS)
     beta = np.empty(_LANCZOS_VECTORS)
-    v = start / norm(start)
+    v = start / _norm(start)
     for cycle in range(_LANCZOS_RESTARTS + 2):
         basis[0] = v
-        w = product(v)
-        alpha[0] = v @ w
-        w -= np.multiply(v, alpha[0], out=scratch)
-        beta[0] = norm(w)
+        w, alpha[0], beta[0] = _lanczos_step(product, v, None, 0.0, scratch)
         bound = _LANCZOS_RTOL * max(1.0, abs(alpha[0]))
         if beta[0] <= bound:
             return float(alpha[0]) * scale, v
@@ -426,20 +419,109 @@ def _lanczos(H, start):
         n = 1
         while n < _LANCZOS_VECTORS and beta[n - 1] > bound:
             np.multiply(w, 1.0 / beta[n - 1], out=basis[n])
-            w = product(basis[n])
-            w -= np.multiply(basis[n - 1], beta[n - 1], out=scratch)
-            alpha[n] = basis[n] @ w
-            w -= np.multiply(basis[n], alpha[n], out=scratch)
-            beta[n] = norm(w)
+            w, alpha[n], beta[n] = _lanczos_step(
+                product, basis[n], basis[n - 1], beta[n - 1], scratch)
             n += 1
         _, ritz = sla.eigh_tridiagonal(alpha[:n], beta[:n - 1], select="i",
                                        select_range=(0, 0))
         v = ritz[:, 0] @ basis[:n]
-        v /= norm(v)
+        v /= _norm(v)
     raise NonConvergent(
         f"Lanczos failed to converge in {_LANCZOS_RESTARTS} restarts: the "
         f"residual is {float(beta[0]) * scale:.3g} at energy "
         f"{float(alpha[0]) * scale:.17g}")
+
+
+def _ground_weight(H, start):
+    """Weight of H's ground state in start, |<gs|start>|^2 / |start|^2, read
+    off the Lanczos tridiagonal: (weight, estimate).
+
+    One unrestarted recurrence (_lanczos_step on A = H / s) runs from the
+    unit start q and keeps only its current and previous vectors, the
+    alphas and the betas.  After step n, T_n's two lowest eigenpairs
+    (theta_0, s), (theta_1, .) give the Gauss-quadrature weight s_0^2 of
+    the lowest Ritz value in q, which converges to |<gs|q>|^2 quadratically
+    in the Ritz residual r = beta_n |s_(n-1)|, like the eigenvalue and
+    unlike the vector (Golub and Meurant, Matrices, Moments and Quadrature
+    with Applications, 2010, ch. 6).  estimate = 10 (r / delta)^2, delta =
+    theta_1 - theta_0: (r / delta)^2 alone was seen up to 9 times below
+    the error (L = 4-14, x = 1e-100 to 0.9999, stops forced at estimates
+    of 1e-4 to 1e-12, errors against dense eigh).  The weight is returned
+    once estimate <= _WEIGHT_TOL, long before the recurrence loses the
+    orthogonality it never restores (Paige, IMA J. Appl. Math. 18 (1976)
+    373).  NonConvergent after _WEIGHT_STEPS products.  start is a finite
+    nonzero vector, H a finite symmetric operator whose ground state is
+    the lowest level start overlaps.
+    """
+    import numpy as np  # loaded only where a ground state is solved
+    import scipy.linalg as sla
+    product, _ = _scaled(H)
+    v = start / _norm(start)
+    # the previous vector, spent by each step as its scratch; zero before
+    # the first, so that step subtracts nothing
+    previous, b = np.zeros(len(v)), 0.0
+    alpha, beta = [], []
+    for _ in range(_WEIGHT_STEPS):
+        w, a, b = _lanczos_step(product, v, previous, b, previous)
+        alpha.append(a)
+        beta.append(b)
+        if len(alpha) == 1:  # T_1 = (alpha_0): one Ritz value, no gap yet
+            weight, residual, gap = 1.0, b, 0.0
+        else:
+            theta, s = sla.eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                            select_range=(0, 1))
+            weight = float(s[0, 0]) ** 2
+            residual = b * abs(float(s[-1, 0]))
+            gap = float(theta[1] - theta[0])
+        # a zero residual closes an invariant subspace: the weight is exact
+        ratio = residual / gap if gap > 0.0 else math.inf if residual else 0.0
+        estimate = 10.0 * ratio * ratio
+        if estimate <= _WEIGHT_TOL:
+            return weight, estimate
+        w *= 1.0 / b
+        previous, v = v, w
+    raise NonConvergent(
+        f"the ground-state weight did not settle after {_WEIGHT_STEPS} Lanczos "
+        f"steps: the Ritz residual is {residual:.3g} of the scaled operator "
+        f"and the error estimate {estimate:.3g}")
+
+
+def _scaled(H):
+    """The operator of both Lanczos solves, A = H / s with s the largest
+    |entry| of H (1 for a zero H): (v -> A v, s).  Neither s nor a product
+    copies H: each H v is divided by s in place, and only a row whose
+    |entries| add up past the float range can overflow."""
+    import scipy.sparse as sp  # loaded only where a ground state is solved
+    entries = H.data if sp.issparse(H) else H
+    scale = max(float(entries.max(initial=0.0)),
+                -float(entries.min(initial=0.0))) or 1.0
+
+    def product(v):
+        w = H @ v
+        w /= scale
+        return w
+
+    return product, scale
+
+
+def _lanczos_step(product, v, previous, beta, scratch):
+    """One step of the three-term recurrence from the unit vector v:
+    (w, alpha, ||w||) with alpha = v.A v and w = A v - beta previous -
+    alpha v, previous the vector before v and beta its norm term (None and
+    0 on a first step).  Both terms are subtracted in place through
+    scratch, which may be previous itself, so the step allocates only the
+    product A v."""
+    import numpy as np  # loaded only where a ground state is solved
+    w = product(v)
+    if previous is not None:
+        w -= np.multiply(previous, beta, out=scratch)
+    alpha = v @ w
+    w -= np.multiply(v, alpha, out=scratch)
+    return w, alpha, _norm(w)
+
+
+def _norm(u) -> float:
+    return math.sqrt(u @ u)  # np.linalg.norm of a real vector
 
 
 def _floats(values, name: str) -> np.ndarray:
@@ -504,10 +586,14 @@ def bipartite_fidelity_finite(L: int, x: float) -> float:
 
     The split ground state is assembled from the half-chain ground states,
     which is both cheaper and exact (the removed bond decouples the
-    halves); the right half is the mirror image of the left one.  The
-    product state then starts the full-chain solve.  Both vectors are in
-    the orthonormal coordinates of the even block of build_hamiltonian, so
-    the overlap is a plain dot product.  The block is built once and
+    halves); the right half is the mirror image of the left one.  f_L is
+    then the weight of the full chain's ground state in that product
+    state, read off the Lanczos recurrence started from it
+    (_ground_weight), within about 1e-15; no full-chain vector is formed.
+    Both the product state and H are in the orthonormal coordinates of the
+    even block of build_hamiltonian, whose ground state is the full
+    chain's and which holds no other symmetry sector, so the product state
+    overlaps it by sqrt(f_L), about 0.9.  The block is built once and
     dropped before the full-chain solve, which never reads it.  The spec is
     checked first, so an oversized L raises SizeLimit before any solve.
     """
@@ -516,9 +602,7 @@ def bipartite_fidelity_finite(L: int, x: float) -> float:
     H = build_hamiltonian(spec)
     product = split_product_state(L, left)
     _even_states.cache_clear()
-    full = ground_state(H, start=product)
-    overlap = float(full.amplitudes @ product)
-    return overlap * overlap
+    return _ground_weight(H, product)[0]
 
 
 @dataclass(frozen=True)

@@ -326,8 +326,8 @@ class TestBuildHamiltonian:
 
     def test_even_states_built_once_per_f_L(self, monkeypatch):
         # one block per f_L, shared by H and the product state, and none
-        # held while a ground state is solved
-        basis, solve = ed_oracle.sector_basis, ed_oracle.ground_state
+        # held while the half chain or the full chain is solved
+        basis = ed_oracle.sector_basis
         blocks, cached = [], []
 
         def counting_basis(n_sites, n_up):
@@ -335,16 +335,22 @@ class TestBuildHamiltonian:
                 blocks.append(n_up)
             return basis(n_sites, n_up)
 
-        def watched_solve(*args, **kwargs):
-            cached.append(ed_oracle._even_states.cache_info().currsize)
-            return solve(*args, **kwargs)
+        def watched(name):
+            solve = getattr(ed_oracle, name)
+
+            def watched_solve(*args, **kwargs):
+                cached.append(
+                    (name, ed_oracle._even_states.cache_info().currsize))
+                return solve(*args, **kwargs)
+            monkeypatch.setattr(ed_oracle, name, watched_solve)
 
         monkeypatch.setattr(ed_oracle, "sector_basis", counting_basis)
-        monkeypatch.setattr(ed_oracle, "ground_state", watched_solve)
+        watched("ground_state")
+        watched("_ground_weight")
         ed_oracle._even_states.cache_clear()
         bipartite_fidelity_finite(8, 0.3)
         assert blocks == [4]
-        assert cached == [0, 0]
+        assert cached == [("ground_state", 0), ("_ground_weight", 0)]
         # the shared arrays cannot be changed under another caller
         assert not any(a.flags.writeable for a in ed_oracle._even_states(8))
 
@@ -676,6 +682,102 @@ class TestFiniteFidelity:
         for L in (26, 64):
             with pytest.raises(SizeLimit):
                 bipartite_fidelity_finite(L, 0.3)
+
+
+#: the x grid of the full-chain weight tests, deep Ising to near gapless
+WEIGHT_XS = (1e-100, 1e-3, 0.05, 0.3, 0.7, 0.9, 0.999)
+#: rounding of f_L in either solve: up to 2e-15 was seen between the
+#: stopped weight and dense eigh at L = 12 and 14
+F_ROUNDING = 4e-15
+
+
+def _full_chain(L, x):
+    """H and the split product state of an f_L, and f_L by dense eigh."""
+    spec = SpinChainSpec(L, x)
+    product = split_product_state(L, _half_ground(L // 2, spec.delta))
+    H = build_hamiltonian(spec)
+    _, v = sla.eigh(H.toarray(), subset_by_index=[0, 0])
+    return H, product, float(v[:, 0] @ product) ** 2 / float(product @ product)
+
+
+def _count_products(monkeypatch):
+    """Count the CSR operator's `@`, the solvers' matrix-vector products."""
+    matmul, counts = sp.csr_matrix.__matmul__, [0]
+
+    def counting(A, v):
+        counts[0] += 1
+        return matmul(A, v)
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
+    return counts
+
+
+class TestGroundWeight:
+    """f_L read off the Lanczos tridiagonal, against dense eigh."""
+
+    @pytest.mark.parametrize("L", [12, 14])
+    @pytest.mark.parametrize("x", WEIGHT_XS)
+    def test_matches_dense_eigh(self, L, x):
+        H, product, f_dense = _full_chain(L, x)
+        f, estimate = ed_oracle._ground_weight(H, product)
+        assert abs(f - f_dense) <= 1e-14
+        assert estimate <= ed_oracle._WEIGHT_TOL
+        # the estimate covers the error at the stop, up to rounding
+        assert abs(f - f_dense) <= estimate + F_ROUNDING
+        assert bipartite_fidelity_finite(L, x) == f
+
+    @pytest.mark.parametrize("L", [12, 14])
+    def test_estimate_covers_the_error_of_an_early_stop(self, L, monkeypatch):
+        # (r / delta)^2 alone reads up to 9 times low, hence the factor 10
+        monkeypatch.setattr(ed_oracle, "_WEIGHT_TOL", 1e-8)
+        errors = []
+        for x in WEIGHT_XS:
+            H, product, f_dense = _full_chain(L, x)
+            f, estimate = ed_oracle._ground_weight(H, product)
+            errors.append(abs(f - f_dense))
+            assert estimate <= 1e-8, x
+            assert errors[-1] <= estimate + F_ROUNDING, x
+        # the stops came early enough to leave errors far above rounding
+        assert max(errors) > 1e-10
+
+    def test_product_counts(self, monkeypatch):
+        # ground_state from the same start takes 61 and 41 products
+        counts = _count_products(monkeypatch)
+        for x, most in ((0.5, 34), (0.1, 16)):
+            counts[0] = 0
+            bipartite_fidelity_finite(18, x)
+            assert 0 < counts[0] <= most, (x, counts[0])
+
+    def test_step_cap_raises_nonconvergent(self, monkeypatch):
+        monkeypatch.setattr(ed_oracle, "_WEIGHT_STEPS", 1)
+        with pytest.raises(NonConvergent,
+                           match=r"after 1 Lanczos steps.*residual.*estimate inf"):
+            bipartite_fidelity_finite(12, 0.3)
+
+    def test_invariant_subspace_gives_the_exact_weight(self, monkeypatch):
+        # the start spans two eigenvectors: the second step closes the
+        # Krylov space, and a 1 x 1 operator is done after one product
+        counts = _count_products(monkeypatch)
+        H = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+        f, estimate = ed_oracle._ground_weight(H, np.array([1.0, 1.0, 0.0]))
+        assert f == pytest.approx(0.5, rel=1e-15, abs=0)
+        assert estimate <= ed_oracle._WEIGHT_TOL and counts[0] == 2
+        assert ed_oracle._ground_weight(sp.csr_matrix([[-2.0]]),
+                                        np.array([3.0])) == (1.0, 0.0)
+
+    def test_peak_memory(self):
+        # the current and previous vectors and the product A v, against
+        # the 20 vectors of the restarted solve
+        spec = SpinChainSpec(16, 0.3)
+        product = split_product_state(16, _half_ground(8, spec.delta))
+        H = build_hamiltonian(spec)
+        tracemalloc.start()
+        try:
+            ed_oracle._ground_weight(H, product)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * product.nbytes, peak / product.nbytes
 
 
 class TestConvergenceStudy:
