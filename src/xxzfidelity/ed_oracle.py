@@ -47,15 +47,11 @@ started from the unit product state q (_ground_weight) makes f_L the
 Gauss-quadrature weight of the lowest Ritz value of its tridiagonal
 matrix, which converges like the eigenvalue; the solve keeps its last two
 vectors and stops once its error estimate reaches f_L's rounding floor,
-holding no block.  ground_state, which solves the half chains, takes a
-dense ``scipy.linalg.eigh`` of the lowest level below DENSE_DIM_LIMIT
-(every half up to L = 18) and otherwise a restarted Lanczos solve in
-numpy (_lanczos).  That solve stores at most 20 Lanczos vectors, restarts
-from its Ritz vector, and accepts an eigenpair only once the explicit
-residual ||Hy - ey|| is at most about 1e-12 max(1, |e|).  Both Lanczos
-solves run on H scaled by its largest |entry|, so no norm overflows even
-at |Delta| ~ 1e188 (x ~ 1e-188), and share one three-term step
-(_lanczos_step).
+holding no block.  It runs on H scaled by its largest |entry|, so no norm
+overflows even at |Delta| ~ 1e188 (x ~ 1e-188).  ground_state, which
+solves the half chains, takes a dense ``scipy.linalg.eigh`` of the lowest
+level; the largest half, the Néel sector of 12 sites at L = MAX_LENGTH,
+has 924 states.
 
 numpy and scipy are imported only inside the functions that specify, build
 or solve a chain, on their first call, so importing the package and
@@ -81,22 +77,9 @@ if TYPE_CHECKING:
 #: the longest chain built: its even block has 1,354,126 states, and that
 #: of L = 26 has 5,204,396
 MAX_LENGTH = 24
-#: below this dimension the dense eigensolver is used: the measured
-#: dense-eigh / Lanczos crossover with one BLAS thread, on half-chain
-#: sectors at x = 0.3 and 0.9.  Dense eigh takes 0.55-0.8 times the
-#: Lanczos time at dimension 126, 0.95-1.0 times at 165 (about 1 ms) and
-#: 1.5-1.9 times at 210
-DENSE_DIM_LIMIT = 165
-#: Lanczos vectors stored per cycle, ARPACK's default ncv: the iterative
-#: solve holds this many vectors of the block's dimension and no more
-_LANCZOS_VECTORS = 20
-#: restarts before NonConvergent.  An all-sector scan of the half chains
-#: of n <= 12 sites, x from 1e-300 to 1 - 1e-12, needs at most 20, at
-#: x ~ 1e-3 in sectors off the Néel one (near-degenerate domain walls)
-_LANCZOS_RESTARTS = 400
-#: accepted residual ||A v - e v|| of the scaled operator, relative to
-#: max(1, |e|)
-_LANCZOS_RTOL = 1e-12
+#: ground_state refuses an operator of this dimension or more, one above
+#: the largest half chain: the Néel sector of MAX_LENGTH / 2 sites
+DENSE_DIM_LIMIT = math.comb(MAX_LENGTH // 2, (MAX_LENGTH // 2 + 1) // 2) + 1
 #: error estimate at which _ground_weight stops: f_L's rounding floor.
 #: Dense eigh's f_L at L = 12 and 14 (x = 1e-100 to 0.9999) is itself off
 #: the stopped weight by up to 2e-15, i.e. a few ulps of a weight in [0.5, 1)
@@ -327,54 +310,45 @@ def build_hamiltonian(spec: SpinChainSpec):
     return _sector_matrix(_even_states(L), bonds, fields, spec.delta)
 
 
-def ground_state(H, start=None) -> GroundState:
+def ground_state(H) -> GroundState:
     """Lowest eigenpair of a real symmetric operator; deterministic.
 
-    Dense diagonalization of the lowest level only below DENSE_DIM_LIMIT,
-    otherwise a restarted Lanczos solve started from ``start`` (the
-    all-ones vector when None; the dense path ignores it).  The Lanczos
-    solve holds at most 20 vectors of H's dimension, works on H scaled by
-    its largest |entry|, and returns only an eigenpair whose explicit
-    residual ||Hy - ey|| is at most 1e-12 max(s, |e|), s that entry; it
-    raises NonConvergent after 400 restarts from its Ritz vector.  Any
-    finite vector with a nonzero entry is a valid start: it is scaled by
-    its largest magnitude first, so neither its norm nor its square can
-    leave the float range.  The returned vector is normalized, with its
-    largest entry positive.  H (dense or sparse) and start must hold finite
-    real numbers; anything else, complex entries included, is InvalidSpec.
-
-    A start vector needs only overlap with the ground state.  The all-ones
-    default has it in every block matrix of this module: all their
-    off-diagonal entries are negative and the hops connect the block, so
-    the ground state is positive (Perron-Frobenius).
+    A dense ``scipy.linalg.eigh`` of the lowest level only.  H, dense or
+    sparse, must be a non-empty square matrix of finite real numbers that
+    is symmetric to rounding, max|H - H^T| <= 4 eps max|H| with eps the
+    float epsilon: the even blocks of build_hamiltonian miss symmetry by at
+    most about 0.14 eps max|H|, and the half-chain sectors are exactly
+    symmetric.  Anything else, complex entries included, is InvalidSpec.
+    A dimension of DENSE_DIM_LIMIT or more is SizeLimit, raised before a
+    sparse H is densified.  The returned vector is normalized, with its
+    largest entry positive.
     """
     import numpy as np  # loaded only where a ground state is solved
     import scipy.sparse as sp
     dense = not sp.issparse(H)
     if dense:
-        H = _floats(H, "H")
+        H = entries = _floats(H, "H")
     else:
         H = H.tocsr()
-        H = sp.csr_matrix((_floats(H.data, "H"), H.indices, H.indptr),
-                          shape=H.shape)
+        entries = _floats(H.data, "H")
     if (H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0
-            or not np.isfinite(H if dense else H.data).all()):
+            or not np.isfinite(entries).all()):
         raise InvalidSpec(
             f"H must be a non-empty, square, finite matrix, got shape {H.shape}")
-    dim = H.shape[0]
-    if start is not None:
-        start = _floats(start, "start")
-        if (start.shape != (dim,) or not np.isfinite(start).all()
-                or not start.any()):
-            raise InvalidSpec(
-                f"start must be a finite nonzero vector of length {dim}")
-        start = start / np.abs(start).max()
-    if dim < DENSE_DIM_LIMIT:
-        import scipy.linalg as sla  # loaded only where a dense solve runs
-        w, v = sla.eigh(H if dense else H.toarray(), subset_by_index=[0, 0])
-        energy, vec = w[0], v[:, 0]
-    else:
-        energy, vec = _lanczos(H, np.ones(dim) if start is None else start)
+    if H.shape[0] >= DENSE_DIM_LIMIT:
+        raise SizeLimit(f"H has dimension {H.shape[0]}; the dense solve takes "
+                        f"less than DENSE_DIM_LIMIT = {DENSE_DIM_LIMIT}")
+    if not dense:
+        H = sp.csr_matrix((entries, H.indices, H.indptr),
+                          shape=H.shape).toarray()
+    with np.errstate(over="ignore"):  # an infinite difference is asymmetric
+        asymmetry = np.abs(H - H.T).max()
+    if asymmetry > 4.0 * np.finfo(float).eps * np.abs(H).max():
+        raise InvalidSpec(
+            f"H must be symmetric, but max|H - H^T| = {asymmetry:.3g}")
+    import scipy.linalg as sla  # loaded only where a dense solve runs
+    w, v = sla.eigh(H, subset_by_index=[0, 0])
+    energy, vec = w[0], v[:, 0]
     if not (np.isfinite(energy) and np.isfinite(vec).all()):
         raise Overflow(f"the lowest eigenpair of H leaves the float range: {energy}")
     vec = vec / np.linalg.norm(vec)
@@ -384,61 +358,16 @@ def ground_state(H, start=None) -> GroundState:
     return GroundState(energy=float(energy), amplitudes=vec)
 
 
-def _lanczos(H, start):
-    """Lowest eigenpair of H by restarted Lanczos: (energy, vector).
-
-    The recurrence runs on A = H / s (_scaled), so no norm or Rayleigh
-    quotient leaves the float range however large or small the entries
-    are.  A cycle runs _lanczos_step from its start vector for at most
-    _LANCZOS_VECTORS steps, storing those vectors and nothing else, and
-    the next cycle starts from the lowest Ritz vector of its tridiagonal
-    matrix.  The first step of every cycle is the explicit residual test
-    of its start v: with e = v.A v, the pair is accepted once
-    ||A v - e v|| <= _LANCZOS_RTOL max(1, |e|), i.e.
-    ||H v - s e v|| <= 1e-12 max(s, |s e|).  NonConvergent after
-    _LANCZOS_RESTARTS restarts.
-    """
-    import numpy as np  # loaded only where a ground state is solved
-    import scipy.linalg as sla
-    product, scale = _scaled(H)
-    basis = np.empty((_LANCZOS_VECTORS, len(start)))
-    # the terms the recurrence subtracts, written in place
-    scratch = np.empty(len(start))
-    alpha = np.empty(_LANCZOS_VECTORS)
-    beta = np.empty(_LANCZOS_VECTORS)
-    v = start / _norm(start)
-    for cycle in range(_LANCZOS_RESTARTS + 2):
-        basis[0] = v
-        w, alpha[0], beta[0] = _lanczos_step(product, v, None, 0.0, scratch)
-        bound = _LANCZOS_RTOL * max(1.0, abs(alpha[0]))
-        if beta[0] <= bound:
-            return float(alpha[0]) * scale, v
-        if cycle > _LANCZOS_RESTARTS:  # this pass only tested the last one
-            break
-        # a step whose beta is within the bound closes an invariant subspace
-        n = 1
-        while n < _LANCZOS_VECTORS and beta[n - 1] > bound:
-            np.multiply(w, 1.0 / beta[n - 1], out=basis[n])
-            w, alpha[n], beta[n] = _lanczos_step(
-                product, basis[n], basis[n - 1], beta[n - 1], scratch)
-            n += 1
-        _, ritz = sla.eigh_tridiagonal(alpha[:n], beta[:n - 1], select="i",
-                                       select_range=(0, 0))
-        v = ritz[:, 0] @ basis[:n]
-        v /= _norm(v)
-    raise NonConvergent(
-        f"Lanczos failed to converge in {_LANCZOS_RESTARTS} restarts: the "
-        f"residual is {float(beta[0]) * scale:.3g} at energy "
-        f"{float(alpha[0]) * scale:.17g}")
-
-
 def _ground_weight(H, start):
     """Weight of H's ground state in start, |<gs|start>|^2 / |start|^2, read
     off the Lanczos tridiagonal: (weight, estimate).
 
-    One unrestarted recurrence (_lanczos_step on A = H / s) runs from the
-    unit start q and keeps only its current and previous vectors, the
-    alphas and the betas.  After step n, T_n's two lowest eigenpairs
+    One unrestarted three-term recurrence runs on A = H / s, s the largest
+    |entry| of H (1 for a zero H), so no norm or Rayleigh quotient leaves
+    the float range however large or small the entries are; each H v is
+    divided by s in place, and H is never copied.  It runs from the unit
+    start q and keeps only its current and previous vectors, the alphas
+    and the betas.  After step n, T_n's two lowest eigenpairs
     (theta_0, s), (theta_1, .) give the Gauss-quadrature weight s_0^2 of
     the lowest Ritz value in q, which converges to |<gs|q>|^2 quadratically
     in the Ritz residual r = beta_n |s_(n-1)|, like the eigenvalue and
@@ -450,19 +379,27 @@ def _ground_weight(H, start):
     once estimate <= _WEIGHT_TOL, long before the recurrence loses the
     orthogonality it never restores (Paige, IMA J. Appl. Math. 18 (1976)
     373).  NonConvergent after _WEIGHT_STEPS products.  start is a finite
-    nonzero vector, H a finite symmetric operator whose ground state is
+    nonzero vector, H a finite symmetric CSR matrix whose ground state is
     the lowest level start overlaps.
     """
     import numpy as np  # loaded only where a ground state is solved
     import scipy.linalg as sla
-    product, _ = _scaled(H)
-    v = start / _norm(start)
+    scale = max(float(H.data.max(initial=0.0)),
+                -float(H.data.min(initial=0.0))) or 1.0
+    v = start / math.sqrt(start @ start)
     # the previous vector, spent by each step as its scratch; zero before
     # the first, so that step subtracts nothing
     previous, b = np.zeros(len(v)), 0.0
     alpha, beta = [], []
     for _ in range(_WEIGHT_STEPS):
-        w, a, b = _lanczos_step(product, v, previous, b, previous)
+        # w = A v - b previous - a v, both terms subtracted in place through
+        # the scratch, so a step allocates only the product
+        w = H @ v
+        w /= scale
+        w -= np.multiply(previous, b, out=previous)
+        a = v @ w
+        w -= np.multiply(v, a, out=previous)
+        b = math.sqrt(w @ w)
         alpha.append(a)
         beta.append(b)
         if len(alpha) == 1:  # T_1 = (alpha_0): one Ritz value, no gap yet
@@ -484,44 +421,6 @@ def _ground_weight(H, start):
         f"the ground-state weight did not settle after {_WEIGHT_STEPS} Lanczos "
         f"steps: the Ritz residual is {residual:.3g} of the scaled operator "
         f"and the error estimate {estimate:.3g}")
-
-
-def _scaled(H):
-    """The operator of both Lanczos solves, A = H / s with s the largest
-    |entry| of H (1 for a zero H): (v -> A v, s).  Neither s nor a product
-    copies H: each H v is divided by s in place, and only a row whose
-    |entries| add up past the float range can overflow."""
-    import scipy.sparse as sp  # loaded only where a ground state is solved
-    entries = H.data if sp.issparse(H) else H
-    scale = max(float(entries.max(initial=0.0)),
-                -float(entries.min(initial=0.0))) or 1.0
-
-    def product(v):
-        w = H @ v
-        w /= scale
-        return w
-
-    return product, scale
-
-
-def _lanczos_step(product, v, previous, beta, scratch):
-    """One step of the three-term recurrence from the unit vector v:
-    (w, alpha, ||w||) with alpha = v.A v and w = A v - beta previous -
-    alpha v, previous the vector before v and beta its norm term (None and
-    0 on a first step).  Both terms are subtracted in place through
-    scratch, which may be previous itself, so the step allocates only the
-    product A v."""
-    import numpy as np  # loaded only where a ground state is solved
-    w = product(v)
-    if previous is not None:
-        w -= np.multiply(previous, beta, out=scratch)
-    alpha = v @ w
-    w -= np.multiply(v, alpha, out=scratch)
-    return w, alpha, _norm(w)
-
-
-def _norm(u) -> float:
-    return math.sqrt(u @ u)  # np.linalg.norm of a real vector
 
 
 def _floats(values, name: str) -> np.ndarray:

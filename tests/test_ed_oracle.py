@@ -434,7 +434,7 @@ class TestBuildHamiltonian:
 
 class TestGroundState:
     def test_normalized_pivot_positive_deterministic(self):
-        for L in (8, 12):  # dense and Lanczos paths
+        for L in (8, 12):
             H = build_hamiltonian(SpinChainSpec(L, 0.2))
             a = ground_state(H)
             b = ground_state(H)
@@ -444,29 +444,41 @@ class TestGroundState:
             assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_dense_iterative_parity(self):
-        # dim 494 > DENSE_DIM_LIMIT: the Lanczos route against a full eigh
+        # the lowest-level solve against a full eigh, on the 494-state even
+        # block of L = 12
         H = build_hamiltonian(SpinChainSpec(12, 0.2))
-        assert H.shape[0] >= DENSE_DIM_LIMIT
-        iterative = ground_state(H)
+        gs = ground_state(H)
         w, v = sla.eigh(H.toarray())
         vec = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
-        assert abs(w[0] - iterative.energy) < 1e-10
-        assert np.max(np.abs(vec - iterative.amplitudes)) < 1e-10
+        assert abs(w[0] - gs.energy) < 1e-10
+        assert np.max(np.abs(vec - gs.amplitudes)) < 1e-10
 
     def test_iterative_residual(self):
-        # dim 1780 > DENSE_DIM_LIMIT, so the Lanczos route
-        H = build_hamiltonian(SpinChainSpec(14, 0.2))
+        # the largest half chain, the Néel sector of L = MAX_LENGTH
+        n = MAX_LENGTH // 2
+        delta = SpinChainSpec(MAX_LENGTH, 0.2).delta
+        H = _sector_matrix(_sector(n, (n + 1) // 2),
+                           [(j, j + 1) for j in range(1, n)],
+                           [(1, 0.5 * delta)], delta)
+        assert H.shape[0] == DENSE_DIM_LIMIT - 1
         gs = ground_state(H)
         residual = H @ gs.amplitudes - gs.energy * gs.amplitudes
         assert np.linalg.norm(residual) < 1e-10
 
-    def test_lanczos_failure_raises_nonconvergent(self, monkeypatch):
-        # with no restart the one cycle from the start vector is too short
-        monkeypatch.setattr(ed_oracle, "_LANCZOS_RESTARTS", 0)
-        H = build_hamiltonian(SpinChainSpec(12, 0.2))
-        assert H.shape[0] >= DENSE_DIM_LIMIT
-        with pytest.raises(NonConvergent, match="Lanczos"):
-            ground_state(H)
+    def test_every_admitted_half_chain_is_below_the_limit(self):
+        for L in range(4, MAX_LENGTH + 1, 2):
+            n = L // 2
+            assert len(sector_basis(n, (n + 1) // 2)) < DENSE_DIM_LIMIT, L
+
+    def test_refuses_an_oversized_operator_before_densifying(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("densified an oversized operator")
+
+        monkeypatch.setattr(sp.csr_matrix, "toarray", never)
+        with pytest.raises(SizeLimit, match="DENSE_DIM_LIMIT"):
+            ground_state(sp.identity(10 ** 6, format="csr"))
+        with pytest.raises(SizeLimit):
+            ground_state(np.eye(DENSE_DIM_LIMIT))
 
     def test_one_dimensional_sector(self):
         H = _sector_matrix(_sector(2, 0), [(1, 2)], [], -2.6)
@@ -483,41 +495,13 @@ class TestGroundState:
         assert ground_state(H).energy == pytest.approx(lowest, rel=1e-14,
                                                        abs=0)
 
-    def test_product_state_start_saves_matvecs(self, monkeypatch):
-        # the solver's matrix-vector products are the CSR operator's `@`
-        matmul, counts = sp.csr_matrix.__matmul__, []
-
-        def counting(A, v):
-            counts[-1] += 1
-            return matmul(A, v)
-
-        spec = SpinChainSpec(16, 0.3)
-        left = _half_ground(8, spec.delta)
-        product = split_product_state(16, left)
-        H = build_hamiltonian(spec)
-        monkeypatch.setattr(sp.csr_matrix, "__matmul__", counting)
-        counts.append(0)
-        warm = ground_state(H, start=product)
-        counts.append(0)
-        cold = ground_state(H)
-        assert 0 < counts[0] < counts[1]
-        assert abs(warm.energy - cold.energy) < 1e-10
-        assert abs(abs(np.dot(warm.amplitudes, cold.amplitudes)) - 1.0) < 1e-10
-
     @pytest.mark.parametrize("L", [12, 14])
     @pytest.mark.parametrize("x", [0.1, 0.5, 0.99])
     def test_lanczos_matches_dense_eigh(self, L, x):
-        # from the all-ones and from the split product start
-        spec = SpinChainSpec(L, x)
-        H = build_hamiltonian(spec)
-        assert H.shape[0] >= DENSE_DIM_LIMIT
-        w, v = sla.eigh(H.toarray(), subset_by_index=[0, 0])
-        vec = v[:, 0] * np.sign(v[np.argmax(np.abs(v[:, 0])), 0])
-        product = split_product_state(L, _half_ground(L // 2, spec.delta))
-        for start in (None, product):
-            gs = ground_state(H, start=start)
-            assert abs(gs.energy - w[0]) <= 1e-12 * abs(w[0])
-            assert np.max(np.abs(gs.amplitudes - vec)) < 1e-10
+        # the package's one Lanczos, the full-chain weight read from the
+        # split product state, against the dense ground state
+        H, product, f_dense = _full_chain(L, x)
+        assert abs(ed_oracle._ground_weight(H, product)[0] - f_dense) <= 1e-14
 
     def test_rejects_bad_operators(self):
         nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
@@ -537,27 +521,18 @@ class TestGroundState:
         with pytest.raises(Overflow):
             ground_state(np.array([[0.0, big], [big, 0.0]]))
 
-    def test_rejects_bad_start_vectors(self):
-        for L in (8, 12):  # dense and Lanczos paths
-            H = build_hamiltonian(SpinChainSpec(L, 0.2))
-            dim = H.shape[0]
-            for bad in (np.ones(dim - 1), np.ones((dim, 1)), np.zeros(dim),
-                        np.full(dim, -0.0), np.full(dim, np.nan),
-                        np.full(dim, np.inf), [10 ** 400] * dim, ["a"] * dim,
-                        np.full(dim, 1j), np.full(dim, 1.0 + 1e-3j)):
-                with pytest.raises(InvalidSpec):
-                    ground_state(H, start=bad)
-
-    def test_start_vectors_of_any_finite_scale(self):
-        # neither the norm of 1e308s nor that of subnormals is representable
-        for L in (8, 12):  # dense and Lanczos paths
-            H = build_hamiltonian(SpinChainSpec(L, 0.2))
-            dim = H.shape[0]
-            plain = ground_state(H)
-            for scale in (1e308, -1e308, 1e-320, 5e-324):
-                gs = ground_state(H, start=np.full(dim, scale))
-                assert abs(gs.energy - plain.energy) < 1e-12
-                assert np.max(np.abs(gs.amplitudes - plain.amplitudes)) < 1e-10
+    def test_rejects_an_asymmetric_operator(self):
+        # only H's lower triangle reaches the solver, so H must be symmetric
+        # to within 4 eps max|H|: 2 ulps of 1 pass, 6 do not
+        ulp = np.spacing(1.0)
+        for to in (np.asarray, sp.csr_matrix):
+            for bad in ([[0.0, 1.0], [0.0, 0.0]],
+                        [[1.0, 1.0], [1.0 + 6 * ulp, 1.0]],
+                        [[0.0, -1e308], [1e308, 0.0]]):
+                with pytest.raises(InvalidSpec, match="symmetric"):
+                    ground_state(to(bad))
+            gs = ground_state(to([[1.0, 1.0], [1.0 + 2 * ulp, 1.0]]))
+            assert gs.energy == pytest.approx(0.0, abs=1e-15)
 
 
 class TestSplitStructure:
@@ -741,7 +716,7 @@ class TestGroundWeight:
         assert max(errors) > 1e-10
 
     def test_product_counts(self, monkeypatch):
-        # ground_state from the same start takes 61 and 41 products
+        # the full-chain products alone: the half chains are solved densely
         counts = _count_products(monkeypatch)
         for x, most in ((0.5, 34), (0.1, 16)):
             counts[0] = 0
@@ -766,8 +741,7 @@ class TestGroundWeight:
                                         np.array([3.0])) == (1.0, 0.0)
 
     def test_peak_memory(self):
-        # the current and previous vectors and the product A v, against
-        # the 20 vectors of the restarted solve
+        # the current and previous vectors and the product A v
         spec = SpinChainSpec(16, 0.3)
         product = split_product_state(16, _half_ground(8, spec.delta))
         H = build_hamiltonian(spec)

@@ -4,8 +4,8 @@ ZeroDivisionError.
 
 The strategies cover each documented domain, its edges (0, 1, subnormals,
 the last doubles below 1) and arbitrary floats beyond it, nan and inf
-included, integers up to 10^5000 in magnitude (past the digit limit of
-str()), and eigensolver start vectors scaled by 10^-300 to 10^300.
+included, and integers up to 10^5000 in magnitude (past the digit limit
+of str()).
 
 The module runs with both term caps of qseries lowered to 20 000, which
 keeps each property to about a second: near x = 1 the caps turn slow
@@ -25,7 +25,7 @@ from xxzfidelity import (InvalidSpec, ModelPoint, SpinChainSpec,
                          fidelity_raw, fidelity_simplified, fit_asymptote,
                          ln_xi_reference, log_multibase_product,
                          minus_ln_f_reference, qproduct_direct)
-from xxzfidelity.ed_oracle import build_hamiltonian, ground_state
+from xxzfidelity.ed_oracle import ground_state
 from xxzfidelity.elliptic import modulus_k, modulus_kprime
 from xxzfidelity.fidelity import g_product, short_theta_identity_residual
 from xxzfidelity.qseries import minus_one_peel_residual, verify_qcalc_identities
@@ -178,51 +178,23 @@ def test_bipartite_fidelity_finite(L, x):
     assert 0.0 <= f_L <= 1.0, f_L
 
 
-# a start vector: None, or unit-range entries (zeros included) times 10^±300
-START_SCALE = st.none() | st.integers(-300, 300).map(lambda e: 10.0 ** e)
-
-
-def _start(data, n, scale):
-    if scale is None:
-        return None
-    entries = data.draw(st.lists(st.floats(-1.0, 1.0) | st.just(0.0),
-                                 min_size=n, max_size=n))
-    return np.array(entries) * scale
-
-
-def _check_ground_state(H, start):
+@SWEEP
+@given(data=st.data(), n=st.integers(1, 6), sparse=st.booleans(),
+       symmetric=st.booleans())
+def test_ground_state(data, n, sparse, symmetric):
+    # an asymmetric draw is a full matrix, refused unless it is symmetric
+    size = n * (n + 1) // 2 if symmetric else n * n
+    entries = data.draw(st.lists(st.floats(-1e3, 1e3) | ANY,
+                                 min_size=size, max_size=size))
+    if symmetric:
+        H = np.zeros((n, n))
+        H[np.triu_indices(n)] = entries
+        H = H + np.triu(H, 1).T
+    else:
+        H = np.array(entries).reshape(n, n)
     try:
-        gs = ground_state(H, start=start)
+        gs = ground_state(sp.csr_matrix(H) if sparse else H)
     except XXZFidelityError:
         return
     assert math.isfinite(gs.energy) and np.isfinite(gs.amplitudes).all()
     assert abs(np.linalg.norm(gs.amplitudes) - 1.0) < 1e-12
-
-
-@SWEEP
-@given(data=st.data(), n=st.integers(1, 6), sparse=st.booleans(),
-       scale=START_SCALE)
-def test_ground_state(data, n, sparse, scale):
-    upper = data.draw(st.lists(st.floats(-1e3, 1e3) | ANY,
-                               min_size=n * (n + 1) // 2,
-                               max_size=n * (n + 1) // 2))
-    H = np.zeros((n, n))
-    H[np.triu_indices(n)] = upper
-    H = H + np.triu(H, 1).T
-    _check_ground_state(sp.csr_matrix(H) if sparse else H,
-                        _start(data, n, scale))
-
-
-# dimension 494 >= DENSE_DIM_LIMIT: the start vector reaches Lanczos
-LANCZOS_H = build_hamiltonian(SpinChainSpec(12, 0.3))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), exponent=st.integers(-300, 300),
-       zero_frac=st.sampled_from([0.0, 0.5, 0.99, 1.0]))
-def test_ground_state_lanczos_start(seed, exponent, zero_frac):
-    rng = np.random.default_rng(seed)
-    dim = LANCZOS_H.shape[0]
-    start = rng.uniform(-1.0, 1.0, dim) * 10.0 ** exponent
-    start[rng.random(dim) < zero_frac] = 0.0
-    _check_ground_state(LANCZOS_H, start)
