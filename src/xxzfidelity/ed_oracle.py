@@ -368,7 +368,9 @@ def _ground_weight(H, start):
     divided by s in place, and H is never copied.  It runs from the unit
     start q and keeps only its current and previous vectors, the alphas
     and the betas.  After step n, T_n's two lowest eigenpairs
-    (theta_0, s), (theta_1, .) give the Gauss-quadrature weight s_0^2 of
+    (theta_0, s), (theta_1, .), solved by LAPACK's dstebz and dstein, the
+    two routines scipy.linalg.eigh_tridiagonal would call, on views of the
+    alpha and beta arrays, give the Gauss-quadrature weight s_0^2 of
     the lowest Ritz value in q, which converges to |<gs|q>|^2 quadratically
     in the Ritz residual r = beta_n |s_(n-1)|, like the eigenvalue and
     unlike the vector (Golub and Meurant, Matrices, Moments and Quadrature
@@ -378,7 +380,8 @@ def _ground_weight(H, start):
     of 1e-4 to 1e-12, errors against dense eigh).  The weight is returned
     once estimate <= _WEIGHT_TOL, long before the recurrence loses the
     orthogonality it never restores (Paige, IMA J. Appl. Math. 18 (1976)
-    373).  NonConvergent after _WEIGHT_STEPS products.  start is a finite
+    373).  NonConvergent after _WEIGHT_STEPS products, at a step that
+    leaves the float range, or when either routine fails.  start is a finite
     nonzero vector, H a finite symmetric CSR matrix whose ground state is
     the lowest level start overlaps.
     """
@@ -390,8 +393,9 @@ def _ground_weight(H, start):
     # the previous vector, spent by each step as its scratch; zero before
     # the first, so that step subtracts nothing
     previous, b = np.zeros(len(v)), 0.0
-    alpha, beta = [], []
-    for _ in range(_WEIGHT_STEPS):
+    alpha, beta = np.empty(_WEIGHT_STEPS), np.empty(_WEIGHT_STEPS)
+    stebz, stein = sla.lapack.dstebz, sla.lapack.dstein
+    for n in range(1, _WEIGHT_STEPS + 1):
         # w = A v - b previous - a v, both terms subtracted in place through
         # the scratch, so a step allocates only the product
         w = H @ v
@@ -400,16 +404,27 @@ def _ground_weight(H, start):
         a = v @ w
         w -= np.multiply(v, a, out=previous)
         b = math.sqrt(w @ w)
-        alpha.append(a)
-        beta.append(b)
-        if len(alpha) == 1:  # T_1 = (alpha_0): one Ritz value, no gap yet
+        alpha[n - 1], beta[n - 1] = a, b
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise NonConvergent(f"Lanczos step {n} gave alpha {a:.3g} and beta "
+                                f"{b:.3g}, a T_{n} that dstebz cannot take")
+        if n == 1:  # T_1 = (alpha_0): one Ritz value, no gap yet
             weight, residual, gap = 1.0, b, 0.0
         else:
-            theta, s = sla.eigh_tridiagonal(alpha, beta[:-1], select="i",
-                                            select_range=(0, 1))
-            weight = float(s[0, 0]) ** 2
-            residual = b * abs(float(s[-1, 0]))
-            gap = float(theta[1] - theta[0])
+            d, e = alpha[:n], beta[:n - 1]
+            m, theta, iblock, isplit, info = stebz(d, e, 2, 0.0, 0.0, 1, 2,
+                                                   0.0, "B")
+            routine = "dstebz"
+            if not info:
+                s, info = stein(d, e, theta[:m], iblock, isplit)
+                routine = "dstein"
+            if info:
+                raise NonConvergent(f"{routine} failed on T_{n} of the "
+                                    f"Lanczos recurrence: info {info}")
+            low, high = np.argsort(theta[:m])
+            weight = float(s[0, low]) ** 2
+            residual = b * abs(float(s[-1, low]))
+            gap = float(theta[high] - theta[low])
         # a zero residual closes an invariant subspace: the weight is exact
         ratio = residual / gap if gap > 0.0 else math.inf if residual else 0.0
         estimate = 10.0 * ratio * ratio

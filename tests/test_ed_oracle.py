@@ -687,6 +687,41 @@ def _count_products(monkeypatch):
     return counts
 
 
+def _eigh_tridiagonal_weight(H, start):
+    """Reference _ground_weight that solves each T_n through
+    scipy.linalg.eigh_tridiagonal, which calls the same dstebz and dstein
+    with its own argument checks around them."""
+    scale = max(float(H.data.max(initial=0.0)),
+                -float(H.data.min(initial=0.0))) or 1.0
+    v = start / math.sqrt(start @ start)
+    previous, b = np.zeros(len(v)), 0.0
+    alpha, beta = [], []
+    for _ in range(ed_oracle._WEIGHT_STEPS):
+        w = H @ v
+        w /= scale
+        w -= np.multiply(previous, b, out=previous)
+        a = v @ w
+        w -= np.multiply(v, a, out=previous)
+        b = math.sqrt(w @ w)
+        alpha.append(a)
+        beta.append(b)
+        if len(alpha) == 1:
+            weight, residual, gap = 1.0, b, 0.0
+        else:
+            theta, s = sla.eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                            select_range=(0, 1))
+            weight = float(s[0, 0]) ** 2
+            residual = b * abs(float(s[-1, 0]))
+            gap = float(theta[1] - theta[0])
+        ratio = residual / gap if gap > 0.0 else math.inf if residual else 0.0
+        estimate = 10.0 * ratio * ratio
+        if estimate <= ed_oracle._WEIGHT_TOL:
+            return weight, estimate
+        w *= 1.0 / b
+        previous, v = v, w
+    raise AssertionError("the reference weight did not settle")
+
+
 class TestGroundWeight:
     """f_L read off the Lanczos tridiagonal, against dense eigh."""
 
@@ -739,6 +774,54 @@ class TestGroundWeight:
         assert estimate <= ed_oracle._WEIGHT_TOL and counts[0] == 2
         assert ed_oracle._ground_weight(sp.csr_matrix([[-2.0]]),
                                         np.array([3.0])) == (1.0, 0.0)
+
+    @pytest.mark.parametrize("L", range(4, 17, 2))
+    def test_bits_match_the_eigh_tridiagonal_loop(self, L):
+        for x in WEIGHT_XS:
+            spec = SpinChainSpec(L, x)
+            product = split_product_state(L, _half_ground(L // 2, spec.delta))
+            H = build_hamiltonian(spec)
+            assert (ed_oracle._ground_weight(H, product)
+                    == _eigh_tridiagonal_weight(H, product)), x
+
+    def test_small_operators_match_the_eigh_tridiagonal_loop(self):
+        for H, start in ((np.diag([1.0, 2.0, 3.0]), [1.0, 1.0, 0.0]),
+                         ([[-2.0]], [3.0])):
+            H, start = sp.csr_matrix(H), np.array(start)
+            assert (ed_oracle._ground_weight(H, start)
+                    == _eigh_tridiagonal_weight(H, start))
+
+    def test_split_tridiagonal_matches_the_eigh_tridiagonal_loop(
+            self, monkeypatch):
+        # a start that is an eigenvector to rounding: T_1 has no gap, so
+        # the tiny beta_0 does not stop it, and T_2 splits into two 1 x 1
+        # blocks whose block order puts the lowest Ritz value second
+        H = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+        start = np.array([1e-17, 1.0, 0.0])
+        stebz, orders = sla.lapack.dstebz, []
+
+        def recording(*args):
+            m, w, iblock, isplit, info = result = stebz(*args)
+            orders.append((iblock[:m].tolist(), np.argsort(w[:m]).tolist()))
+            return result
+
+        monkeypatch.setattr(sla.lapack, "dstebz", recording)
+        assert (ed_oracle._ground_weight(H, start)
+                == _eigh_tridiagonal_weight(H, start))
+        assert orders[0] == ([1, 2], [1, 0])
+
+    def test_lapack_failure_raises_nonconvergent(self, monkeypatch):
+        # T_1 has no gap, so the second step solves T_2
+        monkeypatch.setattr(sla.lapack, "dstein",
+                            lambda d, e, w, *blocks: (np.zeros((len(d), 2)), 1))
+        with pytest.raises(NonConvergent, match="dstein failed on T_2"):
+            ed_oracle._ground_weight(sp.csr_matrix(np.diag([1.0, 2.0, 3.0])),
+                                     np.ones(3))
+
+    def test_step_outside_the_float_range_raises_nonconvergent(self):
+        with pytest.raises(NonConvergent, match="step 1 gave alpha nan"):
+            ed_oracle._ground_weight(sp.csr_matrix([[math.nan]]),
+                                     np.array([1.0]))
 
     def test_peak_memory(self):
         # the current and previous vectors and the product A v
