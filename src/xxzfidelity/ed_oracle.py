@@ -24,6 +24,23 @@ bond or field at a time: a hop's target state is a single lookup in
 index, a first pass over the bonds lays out the rows and a second fills
 them.
 
+Every diagonal term, bond or Néel field, is +-Delta/2, so on a block
+
+    H = K + (Delta/2) diag(k),
+
+where K, the hops -weight[t]/weight[r], and k, one integer per state
+with |k| <= L + 1, do not depend on x.  Their structure is built once
+per chain shape, (L, split) for a full chain and n for a half chain, and
+cached (_even_block, _half_pattern): K's CSR indptr and indices, its
+entries as int8 codes of their few values, the diagonal slots, and k as
+int8; for the full chain also the positions and factors of the split
+product state.  A call decodes K's entries into a fresh data array and
+writes the correctly rounded (Delta/2) k on its diagonal, so H's
+sparsity pattern is the same at every x.  A shape holds 5 bytes per
+entry of K and 13 per block state, with every array read-only: 1.7 MB at
+L = 18 and 116 MB at L = MAX_LENGTH, where building it takes the 2^L
+mask table (64 MB) only while it runs.
+
 The map R, reflection j -> L+1-j composed with a global spin flip, commutes
 with the full, split and half-chain Hamiltonians, Néel fields included.
 The full and split ground states live in the zero sector for even L, and
@@ -47,8 +64,8 @@ started from the unit product state q (_ground_weight) makes f_L the
 Gauss-quadrature weight of the lowest Ritz value of its tridiagonal
 matrix, which converges like the eigenvalue; the solve keeps its last two
 vectors and stops once its error estimate reaches f_L's rounding floor,
-holding no block.  It runs on H scaled by its largest |entry|, so no norm
-overflows even at |Delta| ~ 1e188 (x ~ 1e-188).  ground_state, which
+holding no mask table.  It runs on H scaled by its largest |entry|, so no
+norm overflows even at |Delta| ~ 1e188 (x ~ 1e-188).  ground_state, which
 solves the half chains, takes a dense ``scipy.linalg.eigh`` of the lowest
 level; the largest half, the Néel sector of 12 sites at L = MAX_LENGTH,
 has 924 states.
@@ -64,7 +81,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .elliptic import ModelPoint
 from .errors import InvalidSpec, NonConvergent, Overflow, SizeLimit
@@ -158,7 +175,7 @@ def sector_basis(n_sites: int, n_up: int) -> np.ndarray:
 
 
 def _sector(n_sites: int, n_up: int):
-    """The whole (n_sites, n_up) sector as the block _sector_matrix takes:
+    """The whole (n_sites, n_up) sector as the block _pattern takes:
     each basis state is its own block state, of unit weight, and index, over
     all 2^n_sites masks, is read only at the sector's."""
     import numpy as np  # loaded only where a finite chain is built
@@ -168,25 +185,74 @@ def _sector(n_sites: int, n_up: int):
     return states, index, np.ones(len(states))
 
 
-def _sector_matrix(block, bonds, fields, delta):
-    """Sparse symmetric H on a block of a fixed-magnetization sector.
+class _Pattern(NamedTuple):
+    """The x-independent part of H = K + (Delta/2) diag(k) on a block.
+
+    indptr, indices and codes are K in canonical CSR form (rows sorted, no
+    duplicates), each entry stored as an int8 code of its value (see
+    _hop_values), with code 0 on the diagonal of every row whose k is
+    nonzero; slots are the positions of those zeros, and k (int8) the
+    count of each, |k| <= L + 1.  Every array is read-only.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    codes: np.ndarray
+    slots: np.ndarray
+    k: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _hop_values() -> np.ndarray:
+    """K's entry for each code of a _Pattern; read-only.
+
+    A hop from block state r to t is -weight[t] / weight[r], with weights
+    1 and sqrt(2) (self-images, flag s = 1): _pattern codes it as
+    1 + 2 s_t + 8 s_r, and two hops merged on one entry, which share t and
+    r, as twice that.  The eight codes of hops are distinct, and none is
+    0, the diagonal slot's.  Each value takes the arithmetic of a float
+    build of K, one division and one addition for a merged pair, so the
+    decoded entries are that build's bits; int8 codes hold K in an eighth
+    of its float size, which keeps a fresh L = MAX_LENGTH call below the
+    memory of building the block.
+    """
+    import numpy as np  # loaded only where a finite chain is built
+    values = np.zeros(23)
+    weights = (1.0, math.sqrt(2.0))
+    for s_t, s_r in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        code = 1 + 2 * s_t + 8 * s_r
+        values[code] = -weights[s_t] / weights[s_r]
+        values[2 * code] = values[code] + values[code]
+    values.flags.writeable = False
+    return values
+
+
+def _pattern(block, bonds, fields) -> _Pattern:
+    """The _Pattern of H on a block of a fixed-magnetization sector.
 
     block = (states, index, weight), as _sector or _even_states returns
     it: block state r is built on the mask states[r], a hop onto a sector
     mask t lands on block state index[t], and its amplitude h becomes
-    h * weight[index[t]] / weight[r].
+    h * weight[index[t]] / weight[r], with weights 1 or sqrt(2).
     bonds: (a, b) 1-based site pairs carrying the exchange;
-    fields: (site, h) pairs adding h * sigma^z_site.  The diagonal adds the
-    bond terms, then the field terms, in the order given.
+    fields: (site, sign) pairs adding sign * Delta/2 * sigma^z_site, sign
+    +1 or -1.  Every diagonal term is +-Delta/2, so the diagonal is
+    Delta/2 times the integer k of each row.
 
-    The CSR arrays are written in two passes.  The first adds up the
-    diagonal and counts each row's hops, which lays out the rows; the
-    second writes each bond's hops into the next free slots of their rows,
-    then the nonzero diagonal.  sum_duplicates then
-    sorts each row and merges the entries that share a position: at most
-    two, a hop onto the row's own block state with the diagonal, or the
-    hops onto m and R m, whose sum does not depend on their order.  The
-    peak is the block, H and a few arrays of the block's dimension.
+    The CSR arrays are written in two passes.  The first counts each row's
+    hops, which lays out the rows and gives k: a bond adds +1 where it
+    hops and -1 elsewhere, so k = 2 count - len(bonds) before the fields.
+    The second writes each bond's hops into the next free slots of their
+    rows, then code 0 on the diagonal of each row with k != 0.
+    sum_duplicates then sorts each row, once per pattern, and merges the
+    hops onto m and R m that land on one block state; both have the same
+    code, so the merged code is its double.  No hop lands on its own block
+    state: within a sector the index is one-to-one, and in the R-even
+    block m ^ pair = R m would need the two flipped sites to be mirror
+    images, which only the central bond's are, and R flips the spins it
+    mirrors, so m and R m agree there.  So the zero codes are exactly the
+    diagonal slots.  The peak is the block, the pattern and a few arrays
+    of the block's dimension.
     """
     import numpy as np  # loaded only where a finite chain is built
     states, index, weight = block
@@ -198,21 +264,24 @@ def _sector_matrix(block, bonds, fields, delta):
         return (spins != 0) & (spins != pair)
 
     pairs = [(1 << (a - 1)) | (1 << (b - 1)) for a, b in bonds]
-    diag = np.zeros(dim)
     count = np.zeros(dim, dtype=np.int32)
     for pair in pairs:
-        hop = hops(pair)
-        diag += np.where(hop, 0.5 * delta, -0.5 * delta)
-        count += hop
-    for site, h in fields:
-        diag += np.where((states >> (site - 1)) & 1, h, -h)
-    nonzero = np.flatnonzero(diag)
+        count += hops(pair)
+    k = count.astype(np.int8)
+    k *= 2
+    k -= len(pairs)
+    for site, sign in fields:
+        k += np.where((states >> (site - 1)) & 1, sign, -sign)
+    nonzero = np.flatnonzero(k)
     count[nonzero] += 1
     # int32 indices, the CSR index type, halve the memory of the entries
     indptr = np.zeros(dim + 1, dtype=np.int32)
     np.cumsum(count, out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1])
+    codes = np.empty(indptr[-1], dtype=np.int8)
+    # the code of each state as a hop's target and as its row
+    self_image = (weight != 1.0).astype(np.int8)
+    as_target, as_row = 1 + 2 * self_image, 8 * self_image
     # the next free slot of each row; intp indices scatter fastest
     free = indptr[:-1].astype(np.intp)
     for pair in pairs:
@@ -220,15 +289,41 @@ def _sector_matrix(block, bonds, fields, delta):
         target = index[states[hop] ^ pair]
         slot = free[hop]
         indices[slot] = target
-        data[slot] = -weight[target] / weight[hop]
+        codes[slot] = as_target[target] + as_row[hop]
         free[hop] = slot + 1
     slot = free[nonzero]
     indices[slot] = nonzero
-    data[slot] = diag[nonzero]
+    codes[slot] = 0
     import scipy.sparse as sp  # loaded only where a finite chain is built
-    H = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    H.sum_duplicates()
-    return H
+    K = sp.csr_matrix((codes, indices, indptr), shape=(dim, dim))
+    K.sum_duplicates()
+    pattern = _Pattern(K.indptr, K.indices, K.data,
+                       np.flatnonzero(K.data == 0), k[nonzero])
+    for array in pattern:
+        array.flags.writeable = False
+    return pattern
+
+
+def _hamiltonian(pattern: _Pattern, delta: float):
+    """H = K + (Delta/2) diag(k) as a CSR matrix: fresh data decoded from
+    the pattern's codes, whose diagonal slots get (0.5 * delta) * k, one
+    rounding each, and the pattern's read-only indptr and indices."""
+    import scipy.sparse as sp  # loaded only where a finite chain is built
+    data = _hop_values()[pattern.codes]
+    data[pattern.slots] = (0.5 * delta) * pattern.k
+    dim = len(pattern.indptr) - 1
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(dim, dim))
+
+
+def _sector_matrix(block, bonds, fields, delta):
+    """Sparse symmetric H on a block, built and scaled in one call, for a
+    block that no cache holds: _pattern, then _hamiltonian.  fields are
+    (site, h) pairs adding h * sigma^z_site, each h = +-Delta/2."""
+    sign = {0.5 * delta: 1, -0.5 * delta: -1}
+    return _hamiltonian(_pattern(block, bonds,
+                                 [(site, sign[h]) for site, h in fields]),
+                        delta)
 
 
 def _image(masks: np.ndarray, n_sites: int) -> np.ndarray:
@@ -256,9 +351,8 @@ def _half_image(width: int) -> np.ndarray:
     return image
 
 
-@functools.lru_cache(maxsize=1)
 def _even_states(L: int):
-    """The R-even block of the zero sector, as _sector_matrix takes it.
+    """The R-even block of the zero sector, as _pattern takes it.
 
     R is _image on the L-site chain; it maps the zero sector onto itself.
     Each pair {m, R m} is represented by its lower mask and spans the
@@ -269,10 +363,8 @@ def _even_states(L: int):
     matrix element.  Returns (states, index, weight): the representatives
     in increasing order, an int32 table over all 2^L masks that holds the
     rank of each representative at both m and R m (64 MB at L =
-    MAX_LENGTH), and the weights.
-
-    build_hamiltonian and split_product_state of one f_L share a single
-    result, cached for the last L; its arrays are read-only.
+    MAX_LENGTH), and the weights.  Only _even_block calls it, and drops
+    the table before it returns.
     """
     import numpy as np  # loaded only where a finite chain is built
     basis = sector_basis(L, L // 2)
@@ -284,9 +376,38 @@ def _even_states(L: int):
     index[states] = rank
     index[images] = rank
     weight = np.where(states == images, math.sqrt(2.0), 1.0)
-    for array in (states, index, weight):
-        array.flags.writeable = False
     return states, index, weight
+
+
+@functools.lru_cache(maxsize=None)
+def _even_block(L: int, split: bool):
+    """Everything of the (possibly split) L-site chain's even block that
+    does not depend on x, built once per shape: (pattern, gather, factor).
+
+    pattern is the _Pattern of H; the Néel fields freeze the virtual spins
+    to sz_0 = -1 and sz_L+1 = +1, so site 1 carries the sign +1 and site L
+    the sign -1.  gather[i, j] is the block state of the zero-sector mask
+    made of the left Néel-sector mask i and the mirror of the left mask j,
+    and factor = sqrt(2) / weight there: split_product_state writes
+    factor * left[i] left[j] at gather.  The 2^L table of _even_states
+    lives only while this runs.  The key space is at most MAX_LENGTH - 2
+    shapes; one holds 1.7 MB at L = 18 and 116 MB at L = MAX_LENGTH,
+    mostly K's 17.5 million int32 indices.  Every array is read-only.
+    """
+    import numpy as np  # loaded only where a finite chain is built
+    block = _even_states(L)
+    _, index, weight = block
+    bonds = [(j, j + 1) for j in range(1, L)]
+    if split:
+        bonds.remove((L // 2, L // 2 + 1))
+    pattern = _pattern(block, bonds, [(1, 1), (L, -1)])
+    half = L // 2
+    masks = sector_basis(half, (half + 1) // 2)
+    gather = index[masks[:, None] | _image(masks, half) << half]
+    factor = math.sqrt(2.0) / weight[gather]
+    for array in (gather, factor):
+        array.flags.writeable = False
+    return pattern, gather, factor
 
 
 def build_hamiltonian(spec: SpinChainSpec):
@@ -299,15 +420,15 @@ def build_hamiltonian(spec: SpinChainSpec):
     so by Perron-Frobenius its ground state is unique and positive, hence
     R-even; the split ground state, a half-chain state times its mirror
     image, is R-even by construction.  So the block loses neither.  The
-    spec has already refused L > MAX_LENGTH.  The Néel fields freeze the
-    virtual spins to sz_0 = -1 and sz_L+1 = +1.
+    spec has already refused L > MAX_LENGTH.  H = K + (Delta/2) diag(k):
+    the pattern of K and k is built once per (L, split) by _even_block,
+    and each call decodes K's entries into fresh data and writes the
+    correctly rounded (Delta/2) k on its diagonal (_hamiltonian).  The
+    returned H owns its data; its indptr and indices are the cache's,
+    read-only.
     """
-    L = spec.L
-    bonds = [(j, j + 1) for j in range(1, L)]
-    if spec.split:
-        bonds.remove((L // 2, L // 2 + 1))
-    fields = [(1, 0.5 * spec.delta), (L, -0.5 * spec.delta)]
-    return _sector_matrix(_even_states(L), bonds, fields, spec.delta)
+    pattern = _even_block(spec.L, bool(spec.split))[0]
+    return _hamiltonian(pattern, spec.delta)
 
 
 def ground_state(H) -> GroundState:
@@ -451,6 +572,14 @@ def _floats(values, name: str) -> np.ndarray:
     raise InvalidSpec(f"{name} must hold real numbers that convert to floats")
 
 
+@functools.lru_cache(maxsize=None)
+def _half_pattern(n_sites: int) -> _Pattern:
+    """The _Pattern of the left half-chain in its Néel sector, built once
+    per n_sites: the virtual-site-0 field gives site 1 the sign +1."""
+    bonds = [(j, j + 1) for j in range(1, n_sites)]
+    return _pattern(_sector(n_sites, (n_sites + 1) // 2), bonds, [(1, 1)])
+
+
 def _half_ground(n_sites: int, delta: float) -> GroundState:
     """Ground state of the left half-chain, solved in its Néel sector.
 
@@ -460,10 +589,7 @@ def _half_ground(n_sites: int, delta: float) -> GroundState:
     every half of an admitted chain finds it there, the next sector at
     least 0.26 higher.
     """
-    bonds = [(j, j + 1) for j in range(1, n_sites)]
-    fields = [(1, 0.5 * delta)]
-    return ground_state(_sector_matrix(_sector(n_sites, (n_sites + 1) // 2),
-                                       bonds, fields, delta))
+    return ground_state(_hamiltonian(_half_pattern(n_sites), delta))
 
 
 def split_product_state(L: int, left: GroundState) -> np.ndarray:
@@ -474,24 +600,25 @@ def split_product_state(L: int, left: GroundState) -> np.ndarray:
     left[_image(h)].  A left mask i next to a mirrored left mask j is a
     zero-sector mask, whose block state r gets sqrt(2 / n_r) left[i]
     left[j]; its image, the pair (j, i), writes the same bits to the same
-    r.  Other block states stay 0.  Raises InvalidSpec unless L is an even
-    integer >= 4 and left's amplitudes are finite real numbers that span
-    the Néel sector.
+    r.  Other block states stay 0.  The positions r and the factors
+    sqrt(2 / n_r) are read from the full chain's _even_block, so a call
+    at a length already built makes no mask table.  Raises InvalidSpec
+    unless L is an even integer >= 4 and left's amplitudes are finite real
+    numbers that span the Néel sector, both checked before any block is
+    built.
     """
     import numpy as np  # loaded only where a finite chain is built
     _check_length(L)
     half = L // 2
-    masks = sector_basis(half, (half + 1) // 2)
+    n_left = math.comb(half, (half + 1) // 2)
     amplitudes = _floats(left.amplitudes, "amplitudes")
-    if amplitudes.shape != masks.shape or not np.isfinite(amplitudes).all():
+    if amplitudes.shape != (n_left,) or not np.isfinite(amplitudes).all():
         raise InvalidSpec(
-            f"the Néel sector of a {half}-site half needs {len(masks)} finite "
+            f"the Néel sector of a {half}-site half needs {n_left} finite "
             f"amplitudes, got shape {amplitudes.shape}")
-    states, index, weight = _even_states(L)
-    block = index[(masks[:, None] | _image(masks, half) << half).ravel()]
-    product = np.zeros(len(states))
-    product[block] = (np.multiply.outer(amplitudes, amplitudes).ravel()
-                      * (math.sqrt(2.0) / weight[block]))
+    pattern, gather, factor = _even_block(L, False)
+    product = np.zeros(len(pattern.indptr) - 1)
+    product[gather] = np.multiply.outer(amplitudes, amplitudes) * factor
     return product
 
 
@@ -507,16 +634,16 @@ def bipartite_fidelity_finite(L: int, x: float) -> float:
     Both the product state and H are in the orthonormal coordinates of the
     even block of build_hamiltonian, whose ground state is the full
     chain's and which holds no other symmetry sector, so the product state
-    overlaps it by sqrt(f_L), about 0.9.  The block is built once and
-    dropped before the full-chain solve, which never reads it.  The spec is
-    checked first, so an oversized L raises SizeLimit before any solve.
+    overlaps it by sqrt(f_L), about 0.9.  The x-independent structure of
+    the half chain and of the full chain is built on the first call at a
+    length and cached: a later call at that length, whatever its x, only
+    writes two diagonals and solves.  The spec is checked first, so an
+    oversized L raises SizeLimit before any solve.
     """
     spec = SpinChainSpec(L, x)
     left = _half_ground(L // 2, spec.delta)
     H = build_hamiltonian(spec)
-    product = split_product_state(L, left)
-    _even_states.cache_clear()
-    return _ground_weight(H, product)[0]
+    return _ground_weight(H, split_product_state(L, left))[0]
 
 
 @dataclass(frozen=True)

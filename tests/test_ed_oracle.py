@@ -3,6 +3,7 @@ import ast
 import hashlib
 import math
 import tracemalloc
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -24,8 +25,11 @@ from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, GroundState,
                                    split_product_state)
 
 #: SHA-256 of the CSR arrays of build_hamiltonian, frozen: see
-#: TestBuildHamiltonian.test_bits_are_pinned
-H_DIGEST = "8cfcd1495800676b1225b9d7d426f7a7f7cf9da110a6bb65e43c00777251bd0d"
+#: TestBuildHamiltonian.test_bits_are_pinned.  Re-pinned from
+#: 8cfcd1495800676b1225b9d7d426f7a7f7cf9da110a6bb65e43c00777251bd0d when
+#: the diagonal became the correctly rounded (Delta/2) k instead of a
+#: sequential sum of +-Delta/2 terms
+H_DIGEST = "a0344799bcbb1530cbdbb1008a5e9ebf937e8ce3071961ae09f9ad15269c4f23"
 # frozen finite-size values at x = 0.2, Néel pinning
 F_8 = 0.9103850129763998
 F_12 = 0.8995519516351791
@@ -44,7 +48,8 @@ def _frozen_ed_table():
 
 
 def _loop_sector_matrix(n_sites, n_up, bonds, fields, delta):
-    """Reference builder: one Python pass per basis state, dict ranking."""
+    """Reference builder: one Python pass per basis state, dict ranking.
+    Each diagonal entry is the correctly rounded sum of its terms (fsum)."""
     basis = sorted(sum(1 << p for p in positions)
                    for positions in combinations(range(n_sites), n_up))
     index = {m: i for i, m in enumerate(basis)}
@@ -52,11 +57,11 @@ def _loop_sector_matrix(n_sites, n_up, bonds, fields, delta):
     diag = np.zeros(dim)
     rows, cols, vals = [], [], []
     for i, m in enumerate(basis):
-        d = 0.0
+        terms = []
         for a, b in bonds:
             sa = 1.0 if (m >> (a - 1)) & 1 else -1.0
             sb = 1.0 if (m >> (b - 1)) & 1 else -1.0
-            d += -0.5 * delta * sa * sb
+            terms.append(-0.5 * delta * sa * sb)
             if sa != sb:
                 m2 = m ^ ((1 << (a - 1)) | (1 << (b - 1)))
                 rows.append(i)
@@ -64,8 +69,8 @@ def _loop_sector_matrix(n_sites, n_up, bonds, fields, delta):
                 vals.append(-1.0)
         for site, h in fields:
             s = 1.0 if (m >> (site - 1)) & 1 else -1.0
-            d += h * s
-        diag[i] = d
+            terms.append(h * s)
+        diag[i] = math.fsum(terms)
     H = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
     return H + sp.diags(diag).tocsr()
 
@@ -113,6 +118,34 @@ def _right_half(n, delta):
     bonds = [(j, j + 1) for j in range(1, n)]
     return ground_state(_sector_matrix(_sector(n, n // 2), bonds,
                                        [(n, -0.5 * delta)], delta))
+
+
+def _clear_caches():
+    """Drop every cached pattern, so that the next build is cold."""
+    ed_oracle._even_block.cache_clear()
+    ed_oracle._half_pattern.cache_clear()
+
+
+def _csr_arrays(H):
+    """Copies of H's CSR arrays."""
+    return tuple(a.copy() for a in (H.indptr, H.indices, H.data))
+
+
+def _same_arrays(a, b):
+    """Equal CSR array tuples: the same dtypes and the same entries (==)."""
+    return all(u.dtype == v.dtype and np.array_equal(u, v)
+               for u, v in zip(a, b, strict=True))
+
+
+def _reference_k(states, bonds, fields):
+    """The diagonal of H in units of Delta/2, mask by mask in Python: -1
+    for each aligned bond, +1 for each anti-aligned one, sign * sz for
+    each field (site, sign)."""
+    def sz(m, site):
+        return 1 if (m >> (site - 1)) & 1 else -1
+    return np.array([sum(-sz(m, a) * sz(m, b) for a, b in bonds)
+                     + sum(sign * sz(m, site) for site, sign in fields)
+                     for m in states.tolist()])
 
 
 class TestSpinChainSpec:
@@ -324,35 +357,43 @@ class TestBuildHamiltonian:
             self_image = [_reflect_flip(m, L) == m for m in states.tolist()]
             assert np.array_equal(weight == math.sqrt(2.0), self_image)
 
-    def test_even_states_built_once_per_f_L(self, monkeypatch):
-        # one block per f_L, shared by H and the product state, and none
-        # held while the half chain or the full chain is solved
-        basis = ed_oracle.sector_basis
-        blocks, cached = [], []
+    def test_block_built_once_per_shape(self, monkeypatch):
+        # one pattern per shape, the half chain's and the full chain's,
+        # across f_L calls at different x, shared by H and the product
+        # state; the 2^L mask table is built once and none is alive while
+        # the half chain or the full chain is solved
+        even_states, pattern = ed_oracle._even_states, ed_oracle._pattern
+        tables, built, alive = [], [], []
 
-        def counting_basis(n_sites, n_up):
-            if n_sites == 8:
-                blocks.append(n_up)
-            return basis(n_sites, n_up)
+        def tracked_states(L):
+            block = even_states(L)
+            tables.append(weakref.ref(block[1]))
+            return block
+
+        def counting_pattern(block, bonds, fields):
+            built.append(len(block[0]))
+            return pattern(block, bonds, fields)
 
         def watched(name):
             solve = getattr(ed_oracle, name)
 
             def watched_solve(*args, **kwargs):
-                cached.append(
-                    (name, ed_oracle._even_states.cache_info().currsize))
+                alive.append((name, sum(table() is not None
+                                        for table in tables)))
                 return solve(*args, **kwargs)
             monkeypatch.setattr(ed_oracle, name, watched_solve)
 
-        monkeypatch.setattr(ed_oracle, "sector_basis", counting_basis)
+        monkeypatch.setattr(ed_oracle, "_even_states", tracked_states)
+        monkeypatch.setattr(ed_oracle, "_pattern", counting_pattern)
         watched("ground_state")
         watched("_ground_weight")
-        ed_oracle._even_states.cache_clear()
+        _clear_caches()
         bipartite_fidelity_finite(8, 0.3)
-        assert blocks == [4]
-        assert cached == [("ground_state", 0), ("_ground_weight", 0)]
-        # the shared arrays cannot be changed under another caller
-        assert not any(a.flags.writeable for a in ed_oracle._even_states(8))
+        bipartite_fidelity_finite(8, 0.7)
+        # the Néel sector of the 4-site half has 6 states, the even block 43
+        assert built == [6, 43]
+        assert len(tables) == 1
+        assert alive == [("ground_state", 0), ("_ground_weight", 0)] * 2
 
     def test_bits_are_pinned(self):
         # SHA-256 of every CSR array with its dtype, L = 4-16, x = 0.05,
@@ -419,9 +460,10 @@ class TestBuildHamiltonian:
                     assert ulps <= L, (L, x, split, ulps)
 
     def test_build_peak_memory(self):
-        # the two-pass build holds H, a few arrays of the block's dimension
-        # and the 2^L mask table (1 MB here), about 1.8 times H in all
-        ed_oracle._even_states(18)
+        # a cold build: the two-pass pattern build holds the pattern, a few
+        # arrays of the block's dimension and the 2^L mask table (1 MB
+        # here), then H's data is decoded, about 1.4 times H in all
+        _clear_caches()
         tracemalloc.start()
         try:
             H = build_hamiltonian(SpinChainSpec(18, 0.3))
@@ -430,6 +472,107 @@ class TestBuildHamiltonian:
             tracemalloc.stop()
         csr_bytes = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
         assert peak <= 2.25 * csr_bytes, peak / csr_bytes
+
+
+#: x from the deep Ising limit to next to the gapless point
+PATTERN_XS = (1e-300, 1e-8, 0.05, 0.3, 0.7, 1.0 - 1e-12)
+#: the x grid of the cache tests
+CACHE_XS = (1e-100, 0.05, 0.3, 0.7, 0.999)
+
+
+class TestStructureCache:
+    def test_pattern_and_diagonal_do_not_depend_on_x(self, monkeypatch):
+        # H = K + (Delta/2) diag(k): at every x the same CSR pattern, and
+        # the diagonal is (0.5 * delta) * k, bit for bit, with k counted
+        # mask by mask.  A sequential sum of the +-Delta/2 terms leaves a
+        # residue of a few ulps on rows whose k is 0, which stores an entry
+        # there at some x and not at others
+        for L in range(4, 17, 2):
+            states = ed_oracle._even_states(L)[0]
+            for split in (False, True):
+                bonds = [(j, j + 1) for j in range(1, L)]
+                if split:
+                    bonds.remove((L // 2, L // 2 + 1))
+                k = _reference_k(states, bonds, [(1, 1), (L, -1)])
+                first = None
+                for x in PATTERN_XS:
+                    spec = SpinChainSpec(L, x, split)
+                    H = build_hamiltonian(spec)
+                    first = first or (H.indptr.copy(), H.indices.copy())
+                    case = (L, split, x)
+                    assert np.array_equal(H.indptr, first[0]), case
+                    assert np.array_equal(H.indices, first[1]), case
+                    assert np.array_equal(H.diagonal(),
+                                          (0.5 * spec.delta) * k), case
+        # the half chains, as _half_ground hands them to ground_state
+        seen = []
+        monkeypatch.setattr(ed_oracle, "ground_state", seen.append)
+        for n in range(2, 10):
+            states = sector_basis(n, (n + 1) // 2)
+            k = _reference_k(states, [(j, j + 1) for j in range(1, n)],
+                             [(1, 1)])
+            first = None
+            for x in PATTERN_XS:
+                delta = SpinChainSpec(4, x).delta
+                _half_ground(n, delta)
+                H = seen.pop()
+                first = first or (H.indptr.copy(), H.indices.copy())
+                case = (n, x)
+                assert np.array_equal(H.indptr, first[0]), case
+                assert np.array_equal(H.indices, first[1]), case
+                assert np.array_equal(H.diagonal(), (0.5 * delta) * k), case
+
+    def test_results_do_not_depend_on_the_cache(self):
+        # f_L and every CSR array of build_hamiltonian are the same (==)
+        # from a cold cache, whichever of the two is called first, and from
+        # a cache warmed by the other x, in either order
+        for L in range(4, 19, 2):
+            specs = {x: [SpinChainSpec(L, x, split) for split in (False, True)]
+                     for x in CACHE_XS}
+
+            def arrays(x):
+                return [_csr_arrays(build_hamiltonian(s)) for s in specs[x]]
+
+            cold = {}
+            for x in CACHE_XS:
+                _clear_caches()
+                cold[x] = bipartite_fidelity_finite(L, x), arrays(x)
+                _clear_caches()
+                H_first = arrays(x)
+                assert bipartite_fidelity_finite(L, x) == cold[x][0], (L, x)
+                for a, b in zip(H_first, cold[x][1]):
+                    assert _same_arrays(a, b), (L, x)
+            for order in (CACHE_XS, CACHE_XS[::-1]):
+                _clear_caches()
+                for x in order:
+                    f = bipartite_fidelity_finite(L, x)
+                    assert f == cold[x][0], (L, x)
+                    for a, b in zip(arrays(x), cold[x][1]):
+                        assert _same_arrays(a, b), (L, x)
+
+    def test_writing_into_H_changes_no_later_result(self):
+        spec = SpinChainSpec(10, 0.3)
+        H = build_hamiltonian(spec)
+        reference = _csr_arrays(H)
+        f = bipartite_fidelity_finite(10, 0.3)
+        H.data[:] = 7.0
+        # the shared pattern arrays refuse writes
+        with pytest.raises(ValueError):
+            H.indices[0] = 1
+        with pytest.raises(ValueError):
+            H.indptr[1] = 0
+        assert _same_arrays(_csr_arrays(build_hamiltonian(spec)), reference)
+        assert bipartite_fidelity_finite(10, 0.3) == f
+
+    def test_cached_arrays_are_read_only(self):
+        bipartite_fidelity_finite(8, 0.3)
+        build_hamiltonian(SpinChainSpec(8, 0.3, split=True))
+        cached = [ed_oracle._hop_values(), *ed_oracle._half_pattern(4)]
+        for split in (False, True):
+            pattern, gather, factor = ed_oracle._even_block(8, split)
+            cached += [*pattern, gather, factor]
+        assert len(cached) == 1 + 5 + 2 * 7
+        assert not any(a.flags.writeable for a in cached)
 
 
 class TestGroundState:
