@@ -4,15 +4,15 @@ A length-L chain carries the Hamiltonian
 
     H = -1/2 sum_bonds (sx sx + sy sy + Delta sz sz),    Delta = -(x + 1/x)/2,
 
-over all L-1 nearest-neighbor bonds, or with the central bond L/2 - L/2+1
-removed for the split chain.  The alternating "+-+-" boundary conditions of
-the infinite problem are emulated by Néel pinning fields: virtual sites 0
-and L+1 frozen to the alternating pattern couple to the outer spins through
-the same -1/2 Delta sz sz exchange, selecting a unique finite-volume ground
-state in the massive regime.  The fields are the only boundary: with them
-f_L approaches f (at x = 0.2, f_L = 0.910, 0.900 and 0.895 at L = 8, 12
-and 16, against f = 0.890), while free ends move away from it (0.805,
-0.726 and 0.656).
+over all L-1 nearest-neighbor bonds; without the central bond L/2 - L/2+1
+it splits into two half chains.  The alternating "+-+-" boundary
+conditions of the infinite problem are emulated by Néel pinning fields:
+virtual sites 0 and L+1 frozen to the alternating pattern couple to the
+outer spins through the same -1/2 Delta sz sz exchange, selecting a unique
+finite-volume ground state in the massive regime.  The fields are the
+only boundary: with them f_L approaches f (at x = 0.2, f_L = 0.910, 0.900
+and 0.895 at L = 8, 12 and 16, against f = 0.890), while free ends move
+away from it (0.805, 0.726 and 0.656).
 
 Everything is built by numpy array operations on blocks of
 fixed-magnetization sectors.  A block, the whole sector or the R-even part
@@ -30,24 +30,24 @@ Every diagonal term, bond or Néel field, is +-Delta/2, so on a block
 
 where K, the hops -weight[t]/weight[r], and k, one integer per state
 with |k| <= L + 1, do not depend on x.  Their structure is built once
-per chain shape, (L, split) for a full chain and n for a half chain, and
-cached (_even_block, _half_pattern): K's CSR indptr and indices, its
-entries as int8 codes of their few values, the diagonal slots, and k as
-int8; for the full chain also the positions and factors of the split
-product state.  A call decodes K's entries into a fresh data array and
-writes the correctly rounded (Delta/2) k on its diagonal, so H's
-sparsity pattern is the same at every x.  A shape holds 5 bytes per
-entry of K and 13 per block state, with every array read-only: 1.7 MB at
-L = 18 and 116 MB at L = MAX_LENGTH, where building it takes the 2^L
-mask table (64 MB) only while it runs.
+per chain length, L for a full chain and n for a half chain, and cached
+(_even_block, _half_pattern): K's CSR indptr and indices, its entries as
+int8 codes of their few values, the diagonal slots, and k as int8; for
+the full chain also the positions and factors of the split product
+state.  A call decodes K's entries into a fresh data array and writes
+the correctly rounded (Delta/2) k on its diagonal, so H's sparsity
+pattern is the same at every x.  A length holds 5 bytes per entry of K
+and 13 per block state, with every array read-only: 1.7 MB at L = 18 and
+116 MB at L = MAX_LENGTH, where building it takes the 2^L mask table
+(64 MB) only while it runs.
 
 The map R, reflection j -> L+1-j composed with a global spin flip, commutes
-with the full, split and half-chain Hamiltonians, Néel fields included.
-The full and split ground states live in the zero sector for even L, and
-both are even under R, so the full-length chain is built and solved only
-in the R-even block of that sector, about half its dimension (the
-symmetry-adapted basis of Sandvik, arXiv:1101.3281, section 4).  The split
-ground state is assembled exactly as the tensor product of the two
+with the full-chain Hamiltonian, Néel fields included.  The full ground
+state and the split one live in the zero sector for even L, and both are
+even under R, so the full-length chain is built and solved only in the
+R-even block of that sector, about half its dimension (the
+symmetry-adapted basis of Sandvik, arXiv:1101.3281, section 4).  The
+split ground state is assembled exactly as the tensor product of the two
 half-chain ground states.  Only the left half is diagonalized, and only in
 its Néel sector, where the pinned first spin puts its ground state.  R
 maps the left half onto the right one, so the right amplitude on a mask is
@@ -70,9 +70,9 @@ solves the half chains, takes a dense ``scipy.linalg.eigh`` of the lowest
 level; the largest half, the Néel sector of 12 sites at L = MAX_LENGTH,
 has 924 states.
 
-numpy and scipy are imported only inside the functions that specify, build
-or solve a chain, on their first call, so importing the package and
-evaluating points load neither, and no command but ``ed`` loads scipy;
+numpy and scipy are imported only inside the functions that build or solve
+a chain, on their first call, so importing the package, evaluating points
+and specifying a chain load neither, and no command but ``ed`` loads scipy;
 ``ed`` loads ``scipy.sparse`` and ``scipy.linalg`` and no ARPACK.
 """
 from __future__ import annotations
@@ -84,9 +84,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .elliptic import ModelPoint
-from .errors import InvalidSpec, NonConvergent, Overflow, SizeLimit
+from .errors import (_HUGE, _brief, InvalidSpec, NonConvergent, Overflow,
+                     SizeLimit)
 from .fidelity import fidelity as _exact_fidelity
-from .qseries import _HUGE, _brief
 
 if TYPE_CHECKING:
     import numpy as np
@@ -109,12 +109,12 @@ _WEIGHT_STEPS = 300
 
 @dataclass(frozen=True)
 class SpinChainSpec:
-    """Finite-chain description: length, nome and split flag; the Néel
-    fields are always on.  L is checked before x, by _check_length."""
+    """Full-chain description: length and nome; the Néel fields are always
+    on.  L is checked before x, by _check_length, and neither check loads
+    numpy."""
 
     L: int
     x: float
-    split: bool = False
 
     def __post_init__(self):
         _check_length(self.L)
@@ -123,9 +123,6 @@ class SpinChainSpec:
         if not (self.L + 1) * 0.5 * abs(self.delta) <= _HUGE:
             raise InvalidSpec(f"at x={self.x!r} the L={self.L} Hamiltonian "
                               "overflows the float range; x is too small")
-        import numpy as np  # loaded only where a chain is specified
-        if not isinstance(self.split, (bool, np.bool_)):
-            raise InvalidSpec(f"split must be a bool, got {_brief(self.split)}")
 
     @property
     def delta(self) -> float:
@@ -316,24 +313,14 @@ def _hamiltonian(pattern: _Pattern, delta: float):
                          shape=(dim, dim))
 
 
-def _sector_matrix(block, bonds, fields, delta):
-    """Sparse symmetric H on a block, built and scaled in one call, for a
-    block that no cache holds: _pattern, then _hamiltonian.  fields are
-    (site, h) pairs adding h * sigma^z_site, each h = +-Delta/2."""
-    sign = {0.5 * delta: 1, -0.5 * delta: -1}
-    return _hamiltonian(_pattern(block, bonds,
-                                 [(site, sign[h]) for site, h in fields]),
-                        delta)
-
-
 def _image(masks: np.ndarray, n_sites: int) -> np.ndarray:
     """Reflection composed with a global spin flip, on bitmasks.
 
     Site j goes to n_sites + 1 - j and every spin flips.  The map commutes
-    with the bonds of the full, split and half chains and takes the Néel
-    field -h on site 1 to +h on site n_sites.  The low half of the bits
-    lands in the high half and the other way round, each through one
-    lookup in _half_image.
+    with the bonds of an n_sites-site chain and takes the Néel field -h on
+    site 1 to +h on site n_sites.  The low half of the bits lands in the
+    high half and the other way round, each through one lookup in
+    _half_image.
     """
     low = n_sites // 2
     return (_half_image(low)[masks & ((1 << low) - 1)] << (n_sites - low)
@@ -380,9 +367,9 @@ def _even_states(L: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _even_block(L: int, split: bool):
-    """Everything of the (possibly split) L-site chain's even block that
-    does not depend on x, built once per shape: (pattern, gather, factor).
+def _even_block(L: int):
+    """Everything of the L-site chain's even block that does not depend on
+    x, built once per length: (pattern, gather, factor).
 
     pattern is the _Pattern of H; the Néel fields freeze the virtual spins
     to sz_0 = -1 and sz_L+1 = +1, so site 1 carries the sign +1 and site L
@@ -390,16 +377,15 @@ def _even_block(L: int, split: bool):
     made of the left Néel-sector mask i and the mirror of the left mask j,
     and factor = sqrt(2) / weight there: split_product_state writes
     factor * left[i] left[j] at gather.  The 2^L table of _even_states
-    lives only while this runs.  The key space is at most MAX_LENGTH - 2
-    shapes; one holds 1.7 MB at L = 18 and 116 MB at L = MAX_LENGTH,
-    mostly K's 17.5 million int32 indices.  Every array is read-only.
+    lives only while this runs.  The key space is the MAX_LENGTH / 2 - 1
+    even lengths from 4; one holds 1.7 MB at L = 18 and 116 MB at
+    L = MAX_LENGTH, mostly K's 17.5 million int32 indices.  Every array is
+    read-only.
     """
     import numpy as np  # loaded only where a finite chain is built
     block = _even_states(L)
     _, index, weight = block
     bonds = [(j, j + 1) for j in range(1, L)]
-    if split:
-        bonds.remove((L // 2, L // 2 + 1))
     pattern = _pattern(block, bonds, [(1, 1), (L, -1)])
     half = L // 2
     masks = sector_basis(half, (half + 1) // 2)
@@ -411,23 +397,21 @@ def _even_block(L: int, split: bool):
 
 
 def build_hamiltonian(spec: SpinChainSpec):
-    """Sparse symmetric H of the (possibly split) chain in the even block.
+    """Sparse symmetric H of the full chain in the even block.
 
     The block holds the states of the zero sector that are even under
     reflection composed with a global spin flip (see _even_states).  R
-    commutes with H, Néel fields included, split or not.  In the full chain
-    every off-diagonal entry of H is -1 and hops connect the zero sector,
-    so by Perron-Frobenius its ground state is unique and positive, hence
-    R-even; the split ground state, a half-chain state times its mirror
-    image, is R-even by construction.  So the block loses neither.  The
-    spec has already refused L > MAX_LENGTH.  H = K + (Delta/2) diag(k):
-    the pattern of K and k is built once per (L, split) by _even_block,
-    and each call decodes K's entries into fresh data and writes the
-    correctly rounded (Delta/2) k on its diagonal (_hamiltonian).  The
-    returned H owns its data; its indptr and indices are the cache's,
-    read-only.
+    commutes with H, Néel fields included.  In the zero sector every
+    off-diagonal entry of H is -1 and hops connect the sector, so by
+    Perron-Frobenius its ground state is unique and positive, hence
+    R-even, and the block does not lose it.  The spec has already refused
+    L > MAX_LENGTH.  H = K + (Delta/2) diag(k): the pattern of K and k is
+    built once per L by _even_block, and each call decodes K's entries
+    into fresh data and writes the correctly rounded (Delta/2) k on its
+    diagonal (_hamiltonian).  The returned H owns its data; its indptr and
+    indices are the cache's, read-only.
     """
-    pattern = _even_block(spec.L, bool(spec.split))[0]
+    pattern = _even_block(spec.L)[0]
     return _hamiltonian(pattern, spec.delta)
 
 
@@ -600,12 +584,13 @@ def split_product_state(L: int, left: GroundState) -> np.ndarray:
     left[_image(h)].  A left mask i next to a mirrored left mask j is a
     zero-sector mask, whose block state r gets sqrt(2 / n_r) left[i]
     left[j]; its image, the pair (j, i), writes the same bits to the same
-    r.  Other block states stay 0.  The positions r and the factors
-    sqrt(2 / n_r) are read from the full chain's _even_block, so a call
-    at a length already built makes no mask table.  Raises InvalidSpec
-    unless L is an even integer >= 4 and left's amplitudes are finite real
-    numbers that span the Néel sector, both checked before any block is
-    built.
+    r, so the product is R-even by construction and the even block loses
+    none of it.  Other block states stay 0.  The positions r and the
+    factors sqrt(2 / n_r) are read from the full chain's _even_block, so a
+    call at a length already built makes no mask table.  Raises
+    InvalidSpec unless L is an even integer >= 4 and left's amplitudes are
+    finite real numbers that span the Néel sector, both checked before any
+    block is built.
     """
     import numpy as np  # loaded only where a finite chain is built
     _check_length(L)
@@ -616,7 +601,7 @@ def split_product_state(L: int, left: GroundState) -> np.ndarray:
         raise InvalidSpec(
             f"the Néel sector of a {half}-site half needs {n_left} finite "
             f"amplitudes, got shape {amplitudes.shape}")
-    pattern, gather, factor = _even_block(L, False)
+    pattern, gather, factor = _even_block(L)
     product = np.zeros(len(pattern.indptr) - 1)
     product[gather] = np.multiply.outer(amplitudes, amplitudes) * factor
     return product

@@ -23,8 +23,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import InvalidSpec
-from .qseries import _HUGE, _brief, log_multibase_product
+from .errors import _HUGE, _brief, InvalidSpec
+from .qseries import log_multibase_product
 
 
 @dataclass(frozen=True)

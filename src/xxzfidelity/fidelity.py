@@ -32,9 +32,9 @@ from dataclasses import dataclass, replace
 
 from . import qseries
 from .elliptic import ModelPoint, modulus_k, modulus_kprime
-from .errors import InvalidSpec
-from .qseries import (_HUGE, _brief, log_multibase_product,
-                      minus_one_peel_residual, verify_qcalc_identities)
+from .errors import _HUGE, _brief, InvalidSpec
+from .qseries import (log_multibase_product, minus_one_peel_residual,
+                      verify_qcalc_identities)
 
 #: nome above which the path selector switches from Simplified to Modular
 PATH_SWITCH_X = 0.7
@@ -256,9 +256,13 @@ def short_theta_identity_residual(b: float, p: ModelPoint) -> float:
     eps = p.eps
     xb = math.exp(-b * eps)
     xb_half = math.exp(-0.5 * b * eps)
-    if not xb < 1.0:
-        raise InvalidSpec(f"x^b rounds to 1 for b={b!r}, eps={eps!r}")
     xt4b = math.exp(4.0 / b * p.ln_x_dual)
+    # the left series sums at z = x^{b/2} (so x^b < 1 too), the right one
+    # in the base x~^{4/b}: both below 1, or b is out of reach at this eps
+    if not xb_half < 1.0:
+        raise InvalidSpec(f"x^(b/2) rounds to 1 for b={b!r}, eps={eps!r}")
+    if not xt4b < 1.0:
+        raise InvalidSpec(f"x~^(4/b) rounds to 1 for b={b!r}, eps={eps!r}")
 
     lhs = b / 48.0 * eps + log_multibase_product(xb_half, (xb,))
     rhs = (0.5 * math.log(2.0) + p.ln_x_dual / (6.0 * b)

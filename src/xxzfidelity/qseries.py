@@ -27,11 +27,10 @@ downstream.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from typing import Sequence
 
-from .errors import InvalidSpec, NonConvergent, Overflow
+from .errors import _LN_HUGE, _brief, InvalidSpec, NonConvergent, Overflow
 
 #: relative-error target of every truncated evaluation, and the term caps:
 #: retained lattice factors of the direct product, terms of the log series;
@@ -41,16 +40,6 @@ DIRECT_MAX_TERMS = 10_000_000
 SERIES_MAX_TERMS = 1_000_000
 #: points of the last direction expanded at once by the direct product
 _SLAB = 1 << 18
-#: the largest finite double, and its log
-_HUGE = sys.float_info.max
-_LN_HUGE = math.log(_HUGE)
-
-
-def _brief(value) -> str:
-    """repr(value), or the size of an integer too long for str() to print."""
-    if isinstance(value, numbers.Integral) and int(value).bit_length() > 1024:
-        return f"<an integer of {int(value).bit_length()} bits>"
-    return repr(value)
 
 
 def _check_product(z, bases) -> None:

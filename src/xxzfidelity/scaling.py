@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .elliptic import ModelPoint, log_correlation_length
-from .errors import InvalidSpec, Overflow
+from .errors import _HUGE, _LN_HUGE, _brief, InvalidSpec, Overflow
 from .fidelity import _QUARTER_LN2, FidelityResult, fidelity
-from .qseries import _HUGE, _LN_HUGE, _brief
 
 #: (A, B) of the leading asymptotes A/eps + B of ln xi and of -ln f
 LN_XI_COEFFS = (math.pi ** 2 / 2.0, -math.log(4.0))

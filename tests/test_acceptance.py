@@ -20,6 +20,8 @@ from xxzfidelity.fidelity import short_theta_identity_residual
 from xxzfidelity.qseries import minus_one_peel_residual, verify_qcalc_identities
 from xxzfidelity.scaling import collect_ln_xi, collect_minus_ln_f, log_spaced
 
+from ed_reference import split_hamiltonian
+
 QUARTER_LN2 = 0.25 * math.log(2.0)
 SELF_DUAL_X = math.exp(-math.pi)
 
@@ -142,8 +144,8 @@ def test_07_finite_chain_convergence():
 
     # split factorization at L=8: the tensor product of half-chain ground
     # states is the split-chain ground state
-    spec = SpinChainSpec(8, 0.2, split=True)
-    split_gs = ground_state(build_hamiltonian(spec))
+    spec = SpinChainSpec(8, 0.2)
+    split_gs = ground_state(split_hamiltonian(spec))
     left = _half_ground(4, spec.delta)
     product = split_product_state(8, left)
     full = ground_state(build_hamiltonian(SpinChainSpec(8, 0.2)))

@@ -1,5 +1,6 @@
 """Finite-chain exact diagonalization: sector algebra, splits, convergence."""
 import ast
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -20,9 +21,10 @@ from xxzfidelity.elliptic import ModelPoint
 from xxzfidelity import ed_oracle
 from xxzfidelity.ed_oracle import (DENSE_DIM_LIMIT, GroundState,
                                    MAX_LENGTH, _half_ground, _image,
-                                   _sector, _sector_matrix, build_hamiltonian,
-                                   ground_state, sector_basis,
-                                   split_product_state)
+                                   _sector, build_hamiltonian, ground_state,
+                                   sector_basis, split_product_state)
+
+from ed_reference import sector_matrix, split_hamiltonian
 
 #: SHA-256 of the CSR arrays of build_hamiltonian, frozen: see
 #: TestBuildHamiltonian.test_bits_are_pinned.  Re-pinned from
@@ -107,8 +109,8 @@ def _half_by_n_up(n, delta, field):
     """All-sector scan of a half chain with one Néel field (site, h): the
     lowest level for each number of up spins."""
     bonds = [(j, j + 1) for j in range(1, n)]
-    return {n_up: ground_state(_sector_matrix(_sector(n, n_up), bonds,
-                                              [field], delta))
+    return {n_up: ground_state(sector_matrix(_sector(n, n_up), bonds,
+                                             [field], delta))
             for n_up in range(n + 1)}
 
 
@@ -116,8 +118,8 @@ def _right_half(n, delta):
     """Independent right-half solve: the field of the up virtual spin on
     site n, in the sector that completes the left half's Néel sector."""
     bonds = [(j, j + 1) for j in range(1, n)]
-    return ground_state(_sector_matrix(_sector(n, n // 2), bonds,
-                                       [(n, -0.5 * delta)], delta))
+    return ground_state(sector_matrix(_sector(n, n // 2), bonds,
+                                      [(n, -0.5 * delta)], delta))
 
 
 def _clear_caches():
@@ -156,8 +158,13 @@ class TestSpinChainSpec:
                                                             abs=0)
 
     def test_defaults(self):
+        # a spec is its length and nome, with nothing else to set: the
+        # package builds one chain shape per length
         spec = SpinChainSpec(8, 0.5)
-        assert spec.split is False
+        assert [f.name for f in dataclasses.fields(spec)] == ["L", "x"]
+        assert spec == SpinChainSpec(L=8, x=0.5)
+        with pytest.raises(TypeError):
+            SpinChainSpec(8, 0.5, True)
 
     def test_validation(self):
         with pytest.raises(InvalidSpec):
@@ -174,11 +181,6 @@ class TestSpinChainSpec:
         for bad_x in (0.0, 1.0, -0.3, 1.7):
             with pytest.raises(InvalidSpec):
                 SpinChainSpec(8, bad_x)
-        # any truthy value used to remove the central bond
-        for bad_split in ("no", 1, None, np.array([True])):
-            with pytest.raises(InvalidSpec):
-                SpinChainSpec(8, 0.2, split=bad_split)
-        assert SpinChainSpec(8, 0.2, split=np.bool_(True)).split
 
     def test_rejects_x_whose_hamiltonian_overflows(self):
         # Delta = -5e307, so (L + 1) |Delta| / 2 leaves the float range
@@ -231,7 +233,7 @@ class TestSectorMatrix:
     def test_two_site_analytic(self):
         # zero-magnetization block of a single bond is [[d/2, -1], [-1, d/2]]
         delta = -2.6
-        M = _sector_matrix(_sector(2, 1), [(1, 2)], [], delta).toarray()
+        M = sector_matrix(_sector(2, 1), [(1, 2)], [], delta).toarray()
         assert M == pytest.approx(
             np.array([[delta / 2.0, -1.0], [-1.0, delta / 2.0]]))
         gs = ground_state(M)
@@ -269,8 +271,8 @@ class TestSectorMatrix:
         bonds = [(j, j + 1) for j in range(1, L)]
         fields = [(1, -h), (L, h)]
         sector_spectrum = np.sort(np.concatenate([
-            np.linalg.eigvalsh(_sector_matrix(_sector(L, n), bonds, fields,
-                                              delta).toarray())
+            np.linalg.eigvalsh(sector_matrix(_sector(L, n), bonds, fields,
+                                             delta).toarray())
             for n in range(L + 1)]))
         assert sector_spectrum == pytest.approx(dense_spectrum, abs=1e-12)
 
@@ -285,8 +287,8 @@ class TestSectorMatrix:
                     bonds.remove((n // 2, n // 2 + 1))
                 for fields in ([], [(1, -h), (n, h * (-1) ** n)]):
                     for n_up in range(n + 1):
-                        new = _sector_matrix(_sector(n, n_up), bonds, fields,
-                                             delta)
+                        new = sector_matrix(_sector(n, n_up), bonds, fields,
+                                            delta)
                         old = _loop_sector_matrix(n, n_up, bonds, fields, delta)
                         for attr in ("indptr", "indices", "data"):
                             a, b = getattr(new, attr), getattr(old, attr)
@@ -294,15 +296,15 @@ class TestSectorMatrix:
                             assert np.array_equal(a, b), (n, n_up, split, attr)
 
     def test_hermitian(self):
-        for split in (False, True):
-            H = build_hamiltonian(SpinChainSpec(8, 0.2, split=split))
+        spec = SpinChainSpec(8, 0.2)
+        for H in (build_hamiltonian(spec), split_hamiltonian(spec)):
             assert abs(H - H.T).max() < 1e-14
 
 
 class TestBuildHamiltonian:
     def test_split_removes_central_bond_only(self):
-        full = build_hamiltonian(SpinChainSpec(8, 0.2))
-        split = build_hamiltonian(SpinChainSpec(8, 0.2, split=True))
+        spec = SpinChainSpec(8, 0.2)
+        full, split = build_hamiltonian(spec), split_hamiltonian(spec)
         assert full.shape == split.shape == (43, 43)
         assert (full != split).nnz > 0
 
@@ -397,14 +399,14 @@ class TestBuildHamiltonian:
 
     def test_bits_are_pinned(self):
         # SHA-256 of every CSR array with its dtype, L = 4-16, x = 0.05,
-        # 0.3 and 0.7, split or not: a change to any bit of any H fails
-        # here.  The build calls no BLAS, so the digest holds at any BLAS
-        # thread count
+        # 0.3 and 0.7, full and split (the split H built by the test
+        # reference): a change to any bit of any H fails here.  The build
+        # calls no BLAS, so the digest holds at any BLAS thread count
         digest = hashlib.sha256()
         for L in range(4, 17, 2):
             for x in (0.05, 0.3, 0.7):
-                for split in (False, True):
-                    H = build_hamiltonian(SpinChainSpec(L, x, split))
+                spec = SpinChainSpec(L, x)
+                for H in (build_hamiltonian(spec), split_hamiltonian(spec)):
                     for a in (H.indptr, H.indices, H.data):
                         digest.update(str(a.dtype).encode())
                         digest.update(a.tobytes())
@@ -413,15 +415,16 @@ class TestBuildHamiltonian:
     def test_even_block_spectrum_lies_in_the_zero_sector(self):
         # R-even levels are zero-sector levels, and the lowest one is shared
         for L in range(4, 13, 2):
-            for split in (False, True):
-                spec = SpinChainSpec(L, 0.3, split)
+            spec = SpinChainSpec(L, 0.3)
+            for split, build in ((False, build_hamiltonian),
+                                 (True, split_hamiltonian)):
                 bonds = [(j, j + 1) for j in range(1, L)]
                 if split:
                     bonds.remove((L // 2, L // 2 + 1))
                 h = -0.5 * spec.delta
                 full = np.linalg.eigvalsh(_loop_sector_matrix(
                     L, L // 2, bonds, [(1, -h), (L, h)], spec.delta).toarray())
-                even = np.linalg.eigvalsh(build_hamiltonian(spec).toarray())
+                even = np.linalg.eigvalsh(build(spec).toarray())
                 nearest = np.abs(even[:, None] - full[None, :]).min(axis=1)
                 case = (L, split)
                 assert nearest.max() < 1e-12, case
@@ -445,8 +448,9 @@ class TestBuildHamiltonian:
                 P[rank[m], r] = P[rank[image], r] = (
                     1.0 if image == m else math.sqrt(0.5))
             for x in (0.05, 0.3, 0.7):
-                for split in (False, True):
-                    spec = SpinChainSpec(L, x, split)
+                spec = SpinChainSpec(L, x)
+                for split, build in ((False, build_hamiltonian),
+                                     (True, split_hamiltonian)):
                     bonds = [(j, j + 1) for j in range(1, L)]
                     if split:
                         bonds.remove((L // 2, L // 2 + 1))
@@ -454,7 +458,7 @@ class TestBuildHamiltonian:
                     H = _loop_sector_matrix(L, L // 2, bonds,
                                             [(1, -h), (L, h)],
                                             spec.delta).toarray()
-                    block = build_hamiltonian(spec).toarray()
+                    block = build(spec).toarray()
                     ulps = (np.abs(block - P.T @ H @ P).max()
                             / np.spacing(abs(spec.delta)))
                     assert ulps <= L, (L, x, split, ulps)
@@ -489,15 +493,16 @@ class TestStructureCache:
         # there at some x and not at others
         for L in range(4, 17, 2):
             states = ed_oracle._even_states(L)[0]
-            for split in (False, True):
+            for split, build in ((False, build_hamiltonian),
+                                 (True, split_hamiltonian)):
                 bonds = [(j, j + 1) for j in range(1, L)]
                 if split:
                     bonds.remove((L // 2, L // 2 + 1))
                 k = _reference_k(states, bonds, [(1, 1), (L, -1)])
                 first = None
                 for x in PATTERN_XS:
-                    spec = SpinChainSpec(L, x, split)
-                    H = build_hamiltonian(spec)
+                    spec = SpinChainSpec(L, x)
+                    H = build(spec)
                     first = first or (H.indptr.copy(), H.indices.copy())
                     case = (L, split, x)
                     assert np.array_equal(H.indptr, first[0]), case
@@ -527,11 +532,8 @@ class TestStructureCache:
         # from a cold cache, whichever of the two is called first, and from
         # a cache warmed by the other x, in either order
         for L in range(4, 19, 2):
-            specs = {x: [SpinChainSpec(L, x, split) for split in (False, True)]
-                     for x in CACHE_XS}
-
             def arrays(x):
-                return [_csr_arrays(build_hamiltonian(s)) for s in specs[x]]
+                return _csr_arrays(build_hamiltonian(SpinChainSpec(L, x)))
 
             cold = {}
             for x in CACHE_XS:
@@ -540,15 +542,13 @@ class TestStructureCache:
                 _clear_caches()
                 H_first = arrays(x)
                 assert bipartite_fidelity_finite(L, x) == cold[x][0], (L, x)
-                for a, b in zip(H_first, cold[x][1]):
-                    assert _same_arrays(a, b), (L, x)
+                assert _same_arrays(H_first, cold[x][1]), (L, x)
             for order in (CACHE_XS, CACHE_XS[::-1]):
                 _clear_caches()
                 for x in order:
                     f = bipartite_fidelity_finite(L, x)
                     assert f == cold[x][0], (L, x)
-                    for a, b in zip(arrays(x), cold[x][1]):
-                        assert _same_arrays(a, b), (L, x)
+                    assert _same_arrays(arrays(x), cold[x][1]), (L, x)
 
     def test_writing_into_H_changes_no_later_result(self):
         spec = SpinChainSpec(10, 0.3)
@@ -566,12 +566,10 @@ class TestStructureCache:
 
     def test_cached_arrays_are_read_only(self):
         bipartite_fidelity_finite(8, 0.3)
-        build_hamiltonian(SpinChainSpec(8, 0.3, split=True))
-        cached = [ed_oracle._hop_values(), *ed_oracle._half_pattern(4)]
-        for split in (False, True):
-            pattern, gather, factor = ed_oracle._even_block(8, split)
-            cached += [*pattern, gather, factor]
-        assert len(cached) == 1 + 5 + 2 * 7
+        pattern, gather, factor = ed_oracle._even_block(8)
+        cached = [ed_oracle._hop_values(), *ed_oracle._half_pattern(4),
+                  *pattern, gather, factor]
+        assert len(cached) == 1 + 5 + 7
         assert not any(a.flags.writeable for a in cached)
 
 
@@ -600,9 +598,9 @@ class TestGroundState:
         # the largest half chain, the Néel sector of L = MAX_LENGTH
         n = MAX_LENGTH // 2
         delta = SpinChainSpec(MAX_LENGTH, 0.2).delta
-        H = _sector_matrix(_sector(n, (n + 1) // 2),
-                           [(j, j + 1) for j in range(1, n)],
-                           [(1, 0.5 * delta)], delta)
+        H = sector_matrix(_sector(n, (n + 1) // 2),
+                          [(j, j + 1) for j in range(1, n)],
+                          [(1, 0.5 * delta)], delta)
         assert H.shape[0] == DENSE_DIM_LIMIT - 1
         gs = ground_state(H)
         residual = H @ gs.amplitudes - gs.energy * gs.amplitudes
@@ -624,7 +622,7 @@ class TestGroundState:
             ground_state(np.eye(DENSE_DIM_LIMIT))
 
     def test_one_dimensional_sector(self):
-        H = _sector_matrix(_sector(2, 0), [(1, 2)], [], -2.6)
+        H = sector_matrix(_sector(2, 0), [(1, 2)], [], -2.6)
         gs = ground_state(H)
         assert gs.amplitudes.tolist() == [1.0]
         assert gs.energy == pytest.approx(-0.5 * (-2.6), rel=1e-15, abs=0)
@@ -633,7 +631,7 @@ class TestGroundState:
         # free ends and nearly classical: the two Néel states barely split
         delta = SpinChainSpec(8, 1e-4).delta
         bonds = [(j, j + 1) for j in range(1, 8)]
-        H = _sector_matrix(_sector(8, 4), bonds, [], delta)
+        H = sector_matrix(_sector(8, 4), bonds, [], delta)
         lowest = sla.eigh(H.toarray(), eigvals_only=True)[0]
         assert ground_state(H).energy == pytest.approx(lowest, rel=1e-14,
                                                        abs=0)
@@ -681,15 +679,15 @@ class TestGroundState:
 class TestSplitStructure:
     def test_energy_additivity(self):
         # removed central bond decouples the halves exactly
-        spec = SpinChainSpec(8, 0.2, split=True)
-        gs = ground_state(build_hamiltonian(spec))
+        spec = SpinChainSpec(8, 0.2)
+        gs = ground_state(split_hamiltonian(spec))
         left = _half_ground(4, spec.delta)
         right = _right_half(4, spec.delta)
         assert abs(gs.energy - left.energy - right.energy) < 1e-12
 
     def test_product_state_factorizes_split_ground_state(self):
-        spec = SpinChainSpec(8, 0.2, split=True)
-        gs = ground_state(build_hamiltonian(spec))
+        spec = SpinChainSpec(8, 0.2)
+        gs = ground_state(split_hamiltonian(spec))
         left = _half_ground(4, spec.delta)
         product = split_product_state(8, left)
         assert abs(np.linalg.norm(product) - 1.0) < 1e-12

@@ -353,6 +353,16 @@ class TestIdentities:
         with pytest.raises(InvalidSpec):
             short_theta_identity_residual(1e-17, p)
 
+    def test_theta_rejects_b_whose_series_powers_round_to_one(self):
+        # x^b < 1 but x^(b/2) = 1, the left series' z; and x^b < 1 but
+        # x~^(4/b) = 1, the right series' base: both refused as a b out of
+        # reach at this eps, not by the series underneath
+        for b, p in ((0.5, ModelPoint.from_eps(1.2e-16)),
+                     (1e300, ModelPoint.from_x(0.5))):
+            with pytest.raises(InvalidSpec) as refused:
+                short_theta_identity_residual(b, p)
+            assert f"for b={b!r}, eps={p.eps!r}" in str(refused.value)
+
 
 class TestResultTypes:
     def test_frozen(self):

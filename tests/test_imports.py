@@ -76,6 +76,21 @@ def test_points_and_commands_load_no_scipy(tmp_path):
         assert loaded["scipy"] == [], name
 
 
+def test_a_chain_is_specified_without_numpy():
+    # the spec checks L and x by comparisons alone, so neither a valid
+    # chain nor an oversized one loads numpy
+    done = _fresh_python("-c", (
+        "import sys\n"
+        "from xxzfidelity import SizeLimit, SpinChainSpec\n"
+        "SpinChainSpec(8, 0.3)\n"
+        "try:\n"
+        "    SpinChainSpec(26, 0.3)\n"
+        "except SizeLimit:\n"
+        "    print('numpy' in sys.modules)\n"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 def test_ed_command_imports_scipy_where_it_solves():
     # every in-process test runs with scipy already loaded, so only a fresh
     # interpreter sees a missing local import

@@ -159,10 +159,10 @@ def test_verify_qcalc_identities(x, z, b, c):
 @SWEEP
 @given(L=(st.integers(2, 32).map(lambda n: 2 * n) | st.integers() | ANY
           | HUGE_INT),
-       x=UNIT | HUGE_INT, split=st.booleans())
-def test_spin_chain_spec(L, x, split):
+       x=UNIT | HUGE_INT)
+def test_spin_chain_spec(L, x):
     def bound():
-        spec = SpinChainSpec(L, x, split)
+        spec = SpinChainSpec(L, x)
         return spec.delta, (spec.L + 1) * 0.5 * abs(spec.delta)
     _finite_or_documented(bound)
 
