@@ -168,26 +168,48 @@ def _ln_g_expansion(eps: float) -> float:
 
 
 def _ln_g_sum(eps: float) -> float:
-    """Accelerated series ln g = ln 2 - sum (-1)^{N+1} u_N / N with
-    u_N = 1 - (1+q^N)^{-2} = q^N (2 + q^N) / (1 + q^N)^2 and q = x^2.
+    """ln g = ln 2 + sum_{k>=1} (-1)^k (k+1) ln(1 + q^k), q = x^2, summed in
+    two parts.
 
-    u_N/N decreases strictly, so the alternating tail is bounded by the next
-    term, and subtracting the x -> 0 limit ln 2 keeps the term count near
-    17 / eps.  The sum stops at the first term that no longer moves it
-    in floating point, so its length depends on eps alone: at most 136
-    terms, just above LN_G_SWITCH_EPS = 0.125, below which ln_g_series
-    never calls it.
+    The rearrangement comes from expanding (1 + q^N)^{-2} in the defining
+    series and summing over N first.  Its first K terms are summed directly;
+    the rest are the alternating series
+
+        - sum_{N>=1} (-1)^{N+1} R_K(q^N) / N,
+        R_K(y) = -sum_{k>K} (-1)^k (k+1) y^k
+               = (-1)^K y^{K+1} (K + 2 + (K + 1) y) / (1 + y)^2,
+
+    with K + 1 the least power with q^{K+1} <= qseries._PEEL_RATE, so its
+    terms fall at least at that rate.  K = 0 (eps >= 1.06) is the plain series
+    ln 2 - sum (-1)^{N+1} u_N / N, u_N = 1 - (1 + q^N)^{-2} = R_0(q^N).
+    |R_K(q^N)| / N decreases strictly in N, so the alternating tail is
+    bounded by the next term; the sum stops at the first term that no
+    longer moves it in floating point, so its length depends on eps alone:
+    at most 8 direct terms and 17 series terms, just above LN_G_SWITCH_EPS
+    = 0.125, below which ln_g_series never calls it.
     """
     q = math.exp(-2.0 * eps)
-    qa = 1.0
+    peel = max(0, math.ceil(math.log(qseries._PEEL_RATE) / (-2.0 * eps)) - 1)
+    direct = 0.0
+    qk = 1.0
+    for k in range(1, peel + 1):
+        qk = qk * q
+        t = (k + 1) * math.log1p(qk)
+        direct = direct - t if k % 2 else direct + t
+    q_rest = qk * q
+    c2 = peel + 2.0
+    c1 = peel + 1.0
+    y = 1.0
+    y_rest = 1.0
     acc = 0.0
     sign = 1.0
     for n in itertools.count(1):
-        qa = qa * q
-        t = qa * (2.0 + qa) / ((1.0 + qa) * (1.0 + qa) * n)
+        y = y * q
+        y_rest = y_rest * q_rest
+        t = y_rest * (c2 + c1 * y) / ((1.0 + y) * (1.0 + y) * n)
         moved = acc + sign * t
         if moved == acc:
-            return math.log(2.0) - acc
+            return (math.log(2.0) + direct) - (-acc if peel % 2 else acc)
         acc = moved
         sign = -sign
 
@@ -197,9 +219,10 @@ def ln_g_series(p: ModelPoint) -> float:
 
     ln g runs from ln 2 (x -> 0) down to (ln 2)/4 (x -> 1), the approach to
     the limit being O(eps).  For eps <= LN_G_SWITCH_EPS it comes from the
-    small-eps expansion, else from the accelerated series summed to double
-    precision; neither costs more as eps -> 0, and neither reads
-    qseries.REL_TOL: both are within ~1e-14 of ln g at every eps.
+    small-eps expansion, else from the rearranged series of _ln_g_sum
+    summed to double precision (at most 25 terms); neither costs more as
+    eps -> 0, and neither reads qseries.REL_TOL: both are within ~1e-14 of
+    ln g at every eps.
     """
     if p.eps <= LN_G_SWITCH_EPS:
         return float(_ln_g_expansion(p.eps))

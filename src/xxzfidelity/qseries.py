@@ -19,7 +19,10 @@ the one condition its own maths needs:
       ln (z; a_1,...,a_N)_inf = -sum_{m>=1} z^m / (m prod_i (1 - a_i^m)),
 
   valid for |z| < 1 (expand ln(1 - z w) per factor and sum the geometric
-  series over each index).  It returns the log of the product.
+  series over each index).  Its terms shrink by |z|, so where |z| exceeds
+  _PEEL_RATE it first takes a small box of the largest factors one by one
+  and sums the rest of the lattice by the same series with terms that
+  shrink at least by _PEEL_RATE.  It returns the log of the product.
 
 Their agreement is the workhorse cross-check for every identity used
 downstream.
@@ -40,6 +43,11 @@ DIRECT_MAX_TERMS = 10_000_000
 SERIES_MAX_TERMS = 1_000_000
 #: points of the last direction expanded at once by the direct product
 _SLAB = 1 << 18
+#: where |z| > _PEEL_RATE the log series takes the box of lattice factors
+#: n_i < k_i one by one, k_i the least with |z| a_i^{k_i} <= _PEEL_RATE, if
+#: it holds at most _PEEL_BOX of them, and sums the rest at that rate
+_PEEL_RATE = 0.12
+_PEEL_BOX = 36
 
 
 def _check_product(z, bases) -> None:
@@ -58,6 +66,65 @@ def _check_product(z, bases) -> None:
             raise InvalidSpec(f"every base must lie in [0,1), got {_brief(b)}")
 
 
+def _peeled_log_series(z, bases):
+    """ln (z; a_1,...,a_N)_inf with the box n_i < k_i of factors taken one by
+    one, k_i the least with |z| a_i^{k_i} <= _PEEL_RATE; None where the box
+    would hold more than _PEEL_BOX factors.
+
+    The rest of the lattice has weight sum^m  E_m / prod_i (1 - a_i^m), with
+    E_m = 1 - prod_i (1 - y_i^m) and y_i = a_i^{k_i}, so its log is the
+    series -sum_m z^m E_m / (m prod_i (1 - a_i^m)).  E_m is built as
+    E <- y_i^m + (1 - y_i^m) E from positive terms, so nothing cancels.
+    Since max_i y_i^m <= E_m <= sum_i y_i^m and the denominators grow with
+    m, every later term j is at most N r^{j-m} times term m, with
+    r = |z| max_i y_i, which gives the tail bound N r / (1 - r).
+    """
+    ln_gap = math.log(_PEEL_RATE / abs(z))
+    size = 1
+    weights = [1.0]
+    ys = []
+    for b in bases:
+        k = math.ceil(ln_gap / math.log(b)) if b > 0.0 else 1
+        size *= k
+        if size > _PEEL_BOX:
+            return None
+        if k > 1:
+            weights = [w * b ** j for w in weights for j in range(k)]
+        ys.append(b ** k)
+    acc = 0.0
+    for w in weights:
+        acc = acc + math.log1p(-z * w)
+
+    rel_tol = REL_TOL
+    rate = abs(z) * max(ys)
+    tail_factor = len(bases) * rate / (1.0 - rate)
+
+    zp = 1.0
+    powers = [1.0 for _ in bases]
+    y_powers = [1.0 for _ in bases]
+
+    for m in range(1, SERIES_MAX_TERMS + 1):
+        zp = zp * z
+        denom = 1.0
+        e = 0.0
+        for i, b in enumerate(bases):
+            powers[i] = p = powers[i] * b
+            y_powers[i] = y = y_powers[i] * ys[i]
+            denom = denom * (1.0 - p)
+            e = y + (1.0 - y) * e
+        try:
+            term = zp * e / (m * denom)
+        except ZeroDivisionError:  # the denominator underflowed to 0
+            term = math.inf
+        acc = acc - term
+        bound = abs(term) * tail_factor
+        if not bound > rel_tol * abs(acc):  # an inf or nan sum stops here too
+            return acc
+    raise NonConvergent(
+        f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
+        f"within {SERIES_MAX_TERMS} terms")
+
+
 def log_multibase_product(z: float, bases: Sequence[float]) -> float:
     """ln (z; a_1,...,a_N)_inf via the logarithmic series.
 
@@ -66,11 +133,21 @@ def log_multibase_product(z: float, bases: Sequence[float]) -> float:
     its geometric sums collapse to 1), which lets callers pass dual-nome
     powers that underflowed to zero.
 
-    Stopping rule: the geometric tail bound |term_m| * |z| / (1 - |z|)
-    (valid because successive terms shrink at least by |z|) must drop below
-    REL_TOL times the accumulated sum.  The sum's scale is set by its first
-    term and never cancels away, so the relative test needs no absolute
-    floor beyond the z = 0 short-circuit.  A sum past the float range raises
+    For |z| <= _PEEL_RATE, or where the box below would hold more than
+    _PEEL_BOX factors (bases near 1), the plain series of the module
+    docstring runs, term m being z^m / (m prod_i (1 - a_i^m)).  Otherwise the box n_i < k_i of lattice factors, k_i the least with
+    |z| a_i^{k_i} <= _PEEL_RATE, is taken one factor at a time as
+    log1p(-z w), and the rest of the lattice by a series whose terms shrink
+    at the rate r = |z| max_i a_i^{k_i} <= _PEEL_RATE instead of |z|
+    (see _peeled_log_series).
+
+    Stopping rule: the geometric tail bound |term_m| * N r / (1 - r) (with
+    N = 1 and r = |z| for the plain series, whose successive terms shrink
+    at least by |z|) must drop below REL_TOL times the accumulated sum.
+    The sum's scale is set by its first term, or the box, and never cancels
+    away, so the relative test needs no absolute floor beyond the z = 0
+    short-circuit.  Past SERIES_MAX_TERMS series terms (the box factors do
+    not count) it raises NonConvergent; a sum past the float range raises
     Overflow (bases so close to 1 that the denominators underflow).
     """
     _check_product(z, bases)
@@ -79,32 +156,34 @@ def log_multibase_product(z: float, bases: Sequence[float]) -> float:
     if z == 0.0:
         return 0.0
 
-    rel_tol = REL_TOL
     az = abs(z)
-    tail_factor = az / (1.0 - az)
+    acc = _peeled_log_series(z, bases) if az > _PEEL_RATE else None
+    if acc is None:
+        rel_tol = REL_TOL
+        tail_factor = az / (1.0 - az)
 
-    acc = 0.0
-    zp = 1.0
-    powers = [1.0 for _ in bases]
+        acc = 0.0
+        zp = 1.0
+        powers = [1.0 for _ in bases]
 
-    for m in range(1, SERIES_MAX_TERMS + 1):
-        zp = zp * z
-        denom = 1.0
-        for i, b in enumerate(bases):
-            powers[i] = powers[i] * b
-            denom = denom * (1.0 - powers[i])
-        try:
-            term = zp / (m * denom)
-        except ZeroDivisionError:  # the denominator underflowed to 0
-            term = math.inf
-        acc = acc - term
-        bound = abs(term) * tail_factor
-        if not bound > rel_tol * abs(acc):  # an inf or nan sum stops here too
-            break
-    else:
-        raise NonConvergent(
-            f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
-            f"within {SERIES_MAX_TERMS} terms")
+        for m in range(1, SERIES_MAX_TERMS + 1):
+            zp = zp * z
+            denom = 1.0
+            for i, b in enumerate(bases):
+                powers[i] = powers[i] * b
+                denom = denom * (1.0 - powers[i])
+            try:
+                term = zp / (m * denom)
+            except ZeroDivisionError:  # the denominator underflowed to 0
+                term = math.inf
+            acc = acc - term
+            bound = abs(term) * tail_factor
+            if not bound > rel_tol * abs(acc):  # an inf or nan sum stops here too
+                break
+        else:
+            raise NonConvergent(
+                f"log series for (z={z}; {tuple(bases)}) did not reach "
+                f"rel_tol={rel_tol} within {SERIES_MAX_TERMS} terms")
     if not math.isfinite(acc):
         raise Overflow(f"log series for (z={z}; {tuple(bases)}) leaves the float range")
     return float(acc)

@@ -1,5 +1,5 @@
 """Fidelity routes, the g factor, and the log-space identities."""
-import itertools
+import hashlib
 import math
 import sys
 
@@ -83,6 +83,17 @@ class TestRouteAgreement:
             spread = abs(math.expm1(max(logs) - min(logs)))
             assert spread < 1e-10, x
 
+    def test_routes_finish_under_a_small_term_cap(self, monkeypatch):
+        # at x = 0.9 the plain log series needed up to 110 terms; peeled, each
+        # takes about 10 (the box factors do not count against the cap), so
+        # a cap of 40 is a deterministic work bound
+        p = ModelPoint.from_x(0.9)
+        modular, ln_g = fidelity_modular(p).ln_f, ln_g_series(p)
+        monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 40)
+        for route in (fidelity_simplified, fidelity_raw):
+            assert abs(math.expm1(route(p).ln_f - modular)) < 1e-10, route
+        assert abs(math.expm1(g_product(p) - ln_g)) < 1e-10
+
     def test_raw_respects_term_cap(self, monkeypatch):
         monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 5)
         with pytest.raises(NonConvergent):
@@ -129,6 +140,33 @@ class TestPathSelector:
         above = fidelity(ModelPoint.from_x(PATH_SWITCH_X + 1e-9))
         assert below.path is not above.path
         assert abs(below.ln_f - above.ln_f) < 1e-7
+
+
+def _log_grid(lo, hi, n):
+    return [math.exp(math.log(lo) + (math.log(hi) - math.log(lo)) * i / (n - 1))
+            for i in range(n)]
+
+
+class TestFrozenBits:
+    """Where no log series peels (every |z| <= qseries._PEEL_RATE) and ln g
+    comes from its expansion, the results are pinned bit for bit."""
+
+    def test_correlation_length(self):
+        # its nomes never exceed e^{-sqrt(2) pi} ~ 0.0118
+        values = [log_correlation_length(ModelPoint.from_eps(eps)).hex()
+                  for eps in _log_grid(1.2e-16, EPS_X_UNDERFLOW, 200)]
+        assert hashlib.sha256("\n".join(values).encode()).hexdigest() == (
+            "afcb2d1c23e6eca69474815a73f2c796a1141db6e946697e010d608fb6fcf31d")
+
+    def test_fidelity_above_the_cross_check_window(self):
+        # eps = 0.105 is x = 0.90032: modular route only, dual nome < e^{-93}
+        values = []
+        for eps in _log_grid(1.2e-16, 0.105, 200):
+            got = fidelity(ModelPoint.from_eps(eps))
+            values.append(f"{got.ln_f.hex()} {got.est_rel_error.hex()} "
+                          f"{got.path.value}")
+        assert hashlib.sha256("\n".join(values).encode()).hexdigest() == (
+            "d379f26b597eb3a1920ae7760027fb4cb32c901c7cce39531b4b24bf0eab4f6a")
 
 
 class TestShape:
@@ -192,23 +230,6 @@ class TestGFactor:
             ln_g = ln_g_series(ModelPoint.from_x(x))
             assert QUARTER_LN2 < ln_g < math.log(2.0), x
 
-
-
-def _doubling_ln_g_sum(eps, rel_tol=1e-12):
-    """The ln g series under its former stopping rule: stop where a term
-    drops below rel_tol ln g, then sum on to twice that index."""
-    q = math.exp(-2.0 * eps)
-    qa, acc, sign, stop_n = 1.0, 0.0, 1.0, None
-    for n in itertools.count(1):
-        qa = qa * q
-        acc = acc + sign * qa * (2.0 + qa) / ((1.0 + qa) * (1.0 + qa) * n)
-        sign = -sign
-        ln_g = math.log(2.0) - acc
-        if stop_n is None:
-            if qa * (2.0 + qa) / ((1.0 + qa) * (1.0 + qa) * n) <= rel_tol * ln_g:
-                stop_n = n
-        elif n >= 2 * stop_n:
-            return ln_g
 
 
 def _mp_ln_g(eps):
@@ -291,11 +312,16 @@ class TestLnGRegimes:
         got = ln_g_series(ModelPoint.from_eps(2e-5))
         assert got == pytest.approx(_mp_ln_g(2e-5), rel=1e-12, abs=0)
 
-    def test_sum_matches_the_doubling_rule(self):
-        # eps > 372 includes q = e^{-2 eps} underflowing to 0
-        for eps in np.geomspace(0.12, 745.0, 2000):
+    def test_sum_is_within_8_ulp_of_ln2_of_mpmath(self):
+        # 200 eps over the whole range the sum serves; eps > 372 includes
+        # q = e^{-2 eps} underflowing to 0.  Its terms are of the size of
+        # ln 2, and one rounding each of the first few, amplified by their
+        # factors k + 1, already costs several ulp of ln g near eps = 0.125,
+        # where ln g is 0.21; so the budget is 8 ulp of ln 2 (8.9e-16)
+        budget = 8 * math.ulp(math.log(2.0))
+        for eps in np.geomspace(math.nextafter(LN_G_SWITCH_EPS, 1.0), 745.0, 200):
             eps = float(eps)
-            assert _ln_g_sum(eps) == _doubling_ln_g_sum(eps), eps
+            assert abs(_ln_g_sum(eps) - _mp_ln_g(eps)) <= budget, eps
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(eps=EPS_SWEEP)

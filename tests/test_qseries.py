@@ -1,6 +1,7 @@
 """Multi-base product evaluation: both strategies, the target, identities."""
 import math
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -112,6 +113,81 @@ class TestLogSeries:
         monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 3)
         with pytest.raises(NonConvergent):
             log_multibase_product(0.9, (0.5,))
+
+
+def _mp_log_series(z, bases):
+    """40-digit ln (z; bases)_inf by the plain log series, summed until its
+    geometric tail bound drops below 1e-36 of the sum."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        z = mpmath.mpf(z)
+        bases = [mpmath.mpf(b) for b in bases]
+        powers = [mpmath.mpf(1)] * len(bases)
+        tail_factor = abs(z) / (1 - abs(z))
+        acc, zp, m = mpmath.mpf(0), mpmath.mpf(1), 0
+        while True:
+            m += 1
+            zp *= z
+            denom = mpmath.mpf(1)
+            for i, b in enumerate(bases):
+                powers[i] *= b
+                denom *= 1 - powers[i]
+            term = zp / (m * denom)
+            acc -= term
+            if abs(term) * tail_factor < mpmath.mpf(10) ** -36 * abs(acc):
+                return acc
+
+
+#: (z, bases, lattice factors the peeled series takes one by one)
+PEEL_BOXES = [
+    (qseries._PEEL_RATE, (0.5,), 0),                        # at the threshold
+    (math.nextafter(qseries._PEEL_RATE, 1.0), (0.5,), 1),   # just above it
+    (0.95, (0.944,), 36),             # 0.944^36 0.95 <= 0.12 < 0.944^35 0.95
+    (-0.9, (0.7, 0.7), 36),           # 6 x 6
+    (0.9, (0.72, 0.72), 0),           # 7 x 7 would pass _PEEL_BOX
+    (0.5, (1.0 - 2.0 ** -53,), 0),    # a base near 1
+]
+
+
+class TestPeeledSeries:
+    @pytest.mark.parametrize("z, bases, factors", PEEL_BOXES)
+    def test_box_size(self, monkeypatch, z, bases, factors):
+        assert qseries._PEEL_BOX == 36
+        calls = []
+
+        def log1p(v):
+            calls.append(v)
+            return math.log1p(v)
+
+        counting = SimpleNamespace(**{name: getattr(math, name)
+                                      for name in dir(math)
+                                      if not name.startswith("_")})
+        counting.log1p = log1p
+        monkeypatch.setattr(qseries, "math", counting)
+        log_multibase_product(z, bases)
+        assert len(calls) == factors
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        z=st.floats(min_value=-0.95, max_value=0.95).filter(lambda v: abs(v) > 1e-12),
+        bases=st.lists(st.floats(min_value=0.0, max_value=0.9, exclude_min=True),
+                       min_size=1, max_size=2),
+    )
+    @example(z=qseries._PEEL_RATE, bases=[0.5])
+    @example(z=math.nextafter(qseries._PEEL_RATE, 1.0), bases=[0.5])
+    @example(z=-math.nextafter(qseries._PEEL_RATE, 1.0), bases=[0.5, 0.5])
+    @example(z=0.95, bases=[0.944])
+    @example(z=-0.9, bases=[0.7, 0.7])
+    @example(z=0.9, bases=[0.72, 0.72])
+    @example(z=0.95, bases=[0.9, 0.9])
+    def test_meets_the_target_across_the_peel(self, z, bases):
+        # the tail bound must stay honest on both sides of the threshold and
+        # of the box bound, at the default target and at a far tighter one
+        ref = _mp_log_series(z, bases)
+        for rel_tol in (REL_TOL, 1e-14):
+            with mock.patch.object(qseries, "REL_TOL", rel_tol):
+                got = log_multibase_product(z, bases)
+            assert abs(got - ref) <= rel_tol * abs(ref), rel_tol
 
 
 class TestDirectProduct:
