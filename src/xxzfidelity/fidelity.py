@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 from . import qseries
 from .elliptic import ModelPoint, modulus_k, modulus_kprime
 from .errors import _HUGE, _brief, InvalidSpec
-from .qseries import (log_multibase_product, minus_one_peel_residual,
-                      verify_qcalc_identities)
+from .qseries import log_multibase_product, minus_one_peel_residual
 
 #: nome above which the path selector switches from Simplified to Modular
 PATH_SWITCH_X = 0.7
@@ -319,11 +318,15 @@ def identity_report() -> list[tuple[str, float]]:
     short-theta modular identity (including the self-dual point), the
     spread of the three fidelity routes, k^2 + k'^2 = 1, the nome duality
     k'(x) = k(x~), and ln g by series against product.
+
+    The two qcalc rows are the maxima of verify_qcalc_identities over their
+    grid, whose 60 products per strategy hold 42 distinct ones: each is
+    evaluated once per strategy within the call (qseries._qcalc_residuals).
     """
     x_grid = (0.1, 0.3, 0.5, 0.7, 0.9)
-    qcalc = [verify_qcalc_identities(x, z, b, c)
-             for x in (0.1, 0.5, 0.9) for z in (0.6, -0.6)
-             for b, c in ((1, 2), (2, 3))]
+    qcalc = qseries._qcalc_residuals(
+        [(x, z, b, c) for x in (0.1, 0.5, 0.9) for z in (0.6, -0.6)
+         for b, c in ((1, 2), (2, 3))])
 
     def route_spread(x):
         p = ModelPoint.from_x(x)

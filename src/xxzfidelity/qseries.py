@@ -209,15 +209,21 @@ def _runs(w, counts, ends, table, lo, hi):
     return np.repeat(w[first:stop], lengths) * table[offset]
 
 
+def _omitted_log_bound(z, omitted, cutoff):
+    """Bound on |sum ln(1 - z w)| over pruned lattice points of total weight
+    omitted, each w <= cutoff: |ln(1 - z w)| <= |z| w / (1 - |z| cutoff)."""
+    return abs(z) * omitted / (1.0 - abs(z) * cutoff)
+
+
 def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
     """One truncated sweep of the factor lattice at a fixed weight cutoff.
 
-    Returns (log_acc, omitted_mass, zero_factor, count).  The lattice is
-    built one direction at a time: every retained prefix of weight w keeps
-    the K points n >= 0 of direction i with w * a_i^n > cutoff, and the
-    first pruned one, w * a_i^K, stands for the whole pruned subtree of
-    weight w a_i^K / (1 - a_i) * prod_{j>i} 1/(1 - a_j), so omitted_mass is
-    the exact total weight of all pruned lattice points.
+    Returns (log_acc, omitted_mass, count).  The lattice is built one
+    direction at a time: every retained prefix of weight w keeps the K
+    points n >= 0 of direction i with w * a_i^n > cutoff, and the first
+    pruned one, w * a_i^K, stands for the whole pruned subtree of weight
+    w a_i^K / (1 - a_i) * prod_{j>i} 1/(1 - a_j), so omitted_mass is the
+    exact total weight of all pruned lattice points.
 
     K is estimated as floor(ln(cutoff/w) / ln a_i) + 1, then moved by one
     where the comparison w * a_i^n > cutoff on the power table says so.
@@ -225,15 +231,20 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
     per prefix, before anything sized by K (the power table included) is
     allocated, and on the exact total.  Raising at an inner direction
     agrees with capping the last one, because every retained prefix keeps
-    at least its n = 0 point in the next direction.  The last direction is
-    expanded and summed in slabs of _SLAB points, so memory stays bounded
-    by the inner directions, and each slab ends in one pairwise np.sum of
-    log1p(-z w).
+    at least its n = 0 point in the next direction.
+
+    omitted_mass and count are complete before the last direction is
+    expanded, so a pass whose _omitted_log_bound exceeds REL_TOL (read at
+    call time) returns there with log_acc None and sums nothing.
+    Otherwise the last direction is expanded and summed in slabs of _SLAB
+    points, so memory stays bounded by the inner directions, and each slab
+    ends in one pairwise np.sum of log1p(-z w).  z must not be 1: every
+    weight but the origin's is below 1, so only z = 1 makes a factor
+    1 - z w zero.
     """
     import numpy as np  # loaded only where the direct product runs
     w = np.ones(1)
     omitted = 0.0
-    log_acc = 0.0
     last = len(bases) - 1
     for i, b in enumerate(bases):
         est = np.floor(np.log(cutoff / w) / math.log(b)) + 1.0
@@ -255,13 +266,13 @@ def _direct_pass(z, bases, suffix_mass, cutoff, max_terms):
         ends = np.cumsum(counts)
         if i < last:
             w = _runs(w, counts, ends, table, 0, count)
-            continue
-        for lo in range(0, count, _SLAB):
-            zw = z * _runs(w, counts, ends, table, lo, min(lo + _SLAB, count))
-            if (zw == 1.0).any():
-                return log_acc, omitted, True, count
-            log_acc += float(np.sum(np.log1p(-zw)))
-    return log_acc, omitted, False, count
+    if not _omitted_log_bound(z, omitted, cutoff) <= REL_TOL:
+        return None, omitted, count
+    log_acc = 0.0
+    for lo in range(0, count, _SLAB):
+        zw = z * _runs(w, counts, ends, table, lo, min(lo + _SLAB, count))
+        log_acc += float(np.sum(np.log1p(-zw)))
+    return log_acc, omitted, count
 
 
 def qproduct_direct(z: float, bases: Sequence[float]) -> float:
@@ -276,11 +287,14 @@ def qproduct_direct(z: float, bases: Sequence[float]) -> float:
         |z| * (omitted weight) / (1 - |z| cutoff)
 
     drops below REL_TOL (each omitted factor satisfies
-    |ln(1 - z w)| <= |z| w / (1 - |z| cutoff) since w <= cutoff).
-    Accumulation happens on ln(1 - z w) so tiny products cannot underflow
-    prematurely.  z = +-1 is legal here: a factor that is exactly zero
-    short-circuits the whole product to 0.  A product beyond the double
-    range raises Overflow.
+    |ln(1 - z w)| <= |z| w / (1 - |z| cutoff) since w <= cutoff).  A pass
+    knows its omitted weight before it expands the last direction, so one
+    whose bound fails only plans the next cutoff, and the lattice is summed
+    once, at the certified cutoff (see _direct_pass).  Accumulation happens
+    on ln(1 - z w) so tiny products cannot underflow prematurely.  z = +-1
+    is legal here: at z = 1 the n = 0 factor is exactly zero, and the
+    product returns 0.0 before any lattice work; no other factor can be
+    zero.  A product beyond the double range raises Overflow.
 
     The certificate covers truncation only, not the rounding of the sum of
     up to DIRECT_MAX_TERMS logarithms.  Summed pairwise, that rounding stays below
@@ -292,6 +306,8 @@ def qproduct_direct(z: float, bases: Sequence[float]) -> float:
         raise InvalidSpec(f"the direct product needs every base > 0, got {bases!r}")
     if z == 0.0:
         return 1.0
+    if z == 1.0:
+        return 0.0
     rel_tol = REL_TOL
     n_dim = len(bases)
 
@@ -302,13 +318,11 @@ def qproduct_direct(z: float, bases: Sequence[float]) -> float:
 
     cutoff = rel_tol / 10.0
     for _attempt in range(6):
-        log_acc, omitted, zero_factor, _count = _direct_pass(
+        log_acc, omitted, _count = _direct_pass(
             z, bases, suffix_mass, cutoff, DIRECT_MAX_TERMS)
-        if zero_factor:
-            return 0.0
-        est = abs(z) * omitted / (1.0 - abs(z) * cutoff)
-        if est <= rel_tol:
+        if log_acc is not None:
             return _exp(log_acc, f"({z}; {bases})_inf")
+        est = _omitted_log_bound(z, omitted, cutoff)
         cutoff *= max(min(rel_tol / (2.0 * est), 0.5), 1e-6)
     raise NonConvergent(
         f"direct product ({z}; {bases})_inf could not certify rel_tol={rel_tol}")
@@ -325,8 +339,16 @@ def verify_qcalc_identities(x: float, z: float, b: int,
 
     Each of the five distinct products is evaluated once with the direct
     and once with the log-series strategy; each residual is
-    |LHS - RHS| / |RHS|, the worse of the two strategies.
+    |LHS - RHS| / |RHS|, the worse of the two strategies.  A grid of
+    points shares its products through _qcalc_residuals, with the same
+    results.
     """
+    return _qcalc_residuals([(x, z, b, c)])[0]
+
+
+def _qcalc_products(x, z, b, c):
+    """The products (z', bases) of verify_qcalc_identities at one point,
+    in the order even, odd, whole, negated, squared; () where z = 0."""
     if not (0.0 < x < 1.0):
         raise InvalidSpec(f"x must lie in (0,1), got {_brief(x)}")
     # range first: it rejects nan and inf, and keeps huge ints from repr()
@@ -337,22 +359,40 @@ def verify_qcalc_identities(x: float, z: float, b: int,
     if not (abs(z) < 1.0):
         raise InvalidSpec(f"identity check requires |z| < 1, got {_brief(z)}")
     if z == 0.0:
-        return (0.0, 0.0)
-
+        return ()
     xb, xc = x ** b, x ** c
     x2b, x2c = x ** (2 * b), x ** (2 * c)
-    products = ((z, (x2b, xc)), (z * xb, (x2b, xc)), (z, (xb, xc)),
-                (-z, (xb, xc)), (z * z, (x2b, x2c)))
+    return ((z, (x2b, xc)), (z * xb, (x2b, xc)), (z, (xb, xc)),
+            (-z, (xb, xc)), (z * z, (x2b, x2c)))
 
-    def residuals(even, odd, whole, negated, squared):
+
+def _qcalc_residuals(points):
+    """verify_qcalc_identities at each (x, z, b, c) of points, every
+    distinct product of them all evaluated once per strategy: at one
+    (x, b, c) the pair +-z shares (z; x^b, x^c), (-z; x^b, x^c) and
+    (z^2; x^{2b}, x^{2c}).  Nothing is kept past the call.
+    """
+    grid = [_qcalc_products(*point) for point in points]
+    distinct = dict.fromkeys(spec for products in grid for spec in products)
+    direct = {spec: qproduct_direct(*spec) for spec in distinct}
+    series = {spec: _exp(log_multibase_product(*spec),
+                         f"({spec[0]}; {spec[1]})_inf")
+              for spec in distinct}
+
+    def residuals(values, products):
+        even, odd, whole, negated, squared = (values[spec] for spec in products)
         return (abs((even * odd - whole) / whole),
                 abs((whole * negated - squared) / squared))
 
-    d1, d2 = residuals(*[qproduct_direct(zz, bases) for zz, bases in products])
-    s1, s2 = residuals(*[_exp(log_multibase_product(zz, bases),
-                              f"({zz}; {bases})_inf")
-                         for zz, bases in products])
-    return (max(d1, s1), max(d2, s2))
+    out = []
+    for products in grid:
+        if not products:
+            out.append((0.0, 0.0))
+            continue
+        d1, d2 = residuals(direct, products)
+        s1, s2 = residuals(series, products)
+        out.append((max(d1, s1), max(d2, s2)))
+    return out
 
 
 def minus_one_peel_residual(a: float) -> float:

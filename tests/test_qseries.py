@@ -1,5 +1,6 @@
 """Multi-base product evaluation: both strategies, the target, identities."""
 import math
+import sys
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -7,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from xxzfidelity import (InvalidSpec, NonConvergent, Overflow,
+from xxzfidelity import (InvalidSpec, NonConvergent, Overflow, identity_report,
                          log_multibase_product, qproduct_direct)
 from xxzfidelity import qseries
 from xxzfidelity.qseries import (REL_TOL, minus_one_peel_residual,
@@ -198,6 +199,20 @@ class TestDirectProduct:
         # z = 1: the n = 0 factor is exactly (1 - 1) = 0
         assert qproduct_direct(1.0, (0.5,)) == 0.0
 
+    @pytest.mark.parametrize("bases", [(0.999999,), (0.5, 0.999999)])
+    def test_unit_z_needs_no_lattice(self, monkeypatch, bases):
+        # tens of millions of points above the cutoff: the zero factor
+        # decides before any of them is counted
+        assert qproduct_direct(1.0, bases) == 0.0
+
+        def no_pass(*args):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(qseries, "_direct_pass", no_pass)
+        assert qproduct_direct(1.0, bases) == 0.0
+        with pytest.raises(InvalidSpec):
+            qproduct_direct(1.0, bases + (0.0,))
+
     def test_minus_one_leading_factor(self):
         # (-1; a)_inf = 2 (-a; a)_inf: the n = 0 factor is exactly 2
         a = 0.3
@@ -285,30 +300,70 @@ class TestDirectPass:
     # exact sum, which the pass meets to 4.7e-16
     @example(z=0.0, bases=[0.716796875, 0.716796875, 0.05], rel_tol=1e-13,
              slab=1)
+    @example(z=1.0, bases=[0.5, 0.3], rel_tol=1e-12, slab=7)
     def test_matches_the_loop(self, z, bases, rel_tol, slab):
         # slabs of 1 and 7 points cut the last direction's runs everywhere
-        args = (z, bases, _suffix_mass(bases), rel_tol / 10.0, 20_000)
-        expected = _pass_or_none(_loop_direct_pass, *args)
+        cutoff = rel_tol / 10.0
+        args = (z, bases, _suffix_mass(bases), cutoff)
+        expected = _pass_or_none(_loop_direct_pass, *args, 20_000)
+        if expected is not None:
+            # z = 1 is the only zero factor, and qproduct_direct returns
+            # before any pass there
+            assert expected[2] == (z == 1.0)
+        if z == 1.0:
+            assert qproduct_direct(z, bases) == 0.0
+            return
         with mock.patch.object(qseries, "_SLAB", slab):
-            got = _pass_or_none(qseries._direct_pass, *args)
-        assert (got is None) == (expected is None)
+            # an infinite target always sums; rel_tol sums only a pass whose
+            # omitted mass is certified
+            with mock.patch.object(qseries, "REL_TOL", math.inf):
+                summed = _pass_or_none(qseries._direct_pass, *args, 20_000)
+            with mock.patch.object(qseries, "REL_TOL", rel_tol):
+                planned = _pass_or_none(qseries._direct_pass, *args, 20_000)
+        assert (summed is None) == (expected is None)
+        assert (planned is None) == (expected is None)
         if expected is None:
             return
-        log_acc, omitted, zero_factor, count = got
+        log_acc, omitted, count = summed
         assert count == expected[3]
-        assert zero_factor == expected[2]
         assert omitted == pytest.approx(expected[1], rel=1e-14, abs=0)
-        if not zero_factor:
-            assert log_acc == pytest.approx(expected[0], rel=0.0, abs=1e-11)
+        assert log_acc == pytest.approx(expected[0], rel=0.0, abs=1e-11)
+        assert planned[1:] == (omitted, count)
+        certified = abs(z) * omitted / (1.0 - abs(z) * cutoff) <= rel_tol
+        assert planned[0] == (log_acc if certified else None)
+
+    def test_uncertified_pass_returns_unsummed(self, monkeypatch):
+        # at the first cutoff (0.6; 0.25, 0.25) keeps 253 points and misses
+        # its target; the pass returns before any logarithm is taken
+        np = pytest.importorskip("numpy")
+        z, bases = 0.6, (0.25, 0.25)
+        args = (z, bases, _suffix_mass(bases), REL_TOL / 10.0)
+        expected = _loop_direct_pass(*args, 10 ** 9)
+        summed = []
+        log1p = np.log1p
+        monkeypatch.setattr(np, "log1p",
+                            lambda v: summed.append(np.size(v)) or log1p(v))
+        log_acc, omitted, count = qseries._direct_pass(*args, 10 ** 9)
+        assert (log_acc, count, summed) == (None, 253, [])
+        assert count == expected[3]
+        assert omitted == pytest.approx(expected[1], rel=1e-14, abs=0)
+        assert abs(z) * omitted / (1.0 - abs(z) * args[3]) > REL_TOL
+        # at a target it meets, the same pass sums its lattice once
+        monkeypatch.setattr(qseries, "REL_TOL", math.inf)
+        assert qseries._direct_pass(*args, 10 ** 9)[2] == 253
+        assert summed == [253]
 
     @pytest.mark.parametrize("bases", [(0.7,), (0.3, 0.6), (0.5, 0.2, 0.4)])
     def test_max_terms_boundary(self, bases):
         args = (0.5, bases, _suffix_mass(bases), 1e-10)
-        count = qseries._direct_pass(*args, 10 ** 9)[3]
+        count = qseries._direct_pass(*args, 10 ** 9)[2]
         assert count == _loop_direct_pass(*args, 10 ** 9)[3]
-        assert qseries._direct_pass(*args, count)[3] == count
-        with pytest.raises(NonConvergent):
-            qseries._direct_pass(*args, count - 1)
+        # the cap holds whether or not the pass goes on to sum
+        for rel_tol in (math.inf, 0.0):
+            with mock.patch.object(qseries, "REL_TOL", rel_tol):
+                assert qseries._direct_pass(*args, count)[2] == count
+                with pytest.raises(NonConvergent):
+                    qseries._direct_pass(*args, count - 1)
 
     @pytest.mark.parametrize("bases", [(1.0 - 1e-12,), (0.5, 1.0 - 1e-12)])
     def test_cap_checked_before_allocating(self, bases):
@@ -420,6 +475,75 @@ class TestQCalcIdentities:
                             counted("series", qseries.log_multibase_product))
         verify_qcalc_identities(0.5, 0.3, 2, 3)
         assert calls == {"direct": 5, "series": 5}
+
+
+class TestIdentityReportProducts:
+    def test_each_distinct_product_evaluated_once(self, monkeypatch):
+        # 12 points of 5 products; at each (x, b, c) the pair z = +-0.6
+        # shares (z; x^b, x^c), (-z; x^b, x^c) and (z^2; x^2b, x^2c)
+        fidelity_module = sys.modules["xxzfidelity.fidelity"]
+        calls = {"direct": 0, "series": 0}
+        in_peel = []
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += not in_peel
+                return fn(*args)
+            return wrapper
+
+        def peel(a):
+            in_peel.append(a)
+            try:
+                return minus_one_peel_residual(a)
+            finally:
+                in_peel.pop()
+
+        monkeypatch.setattr(qseries, "qproduct_direct",
+                            counted("direct", qseries.qproduct_direct))
+        monkeypatch.setattr(qseries, "log_multibase_product",
+                            counted("series", qseries.log_multibase_product))
+        monkeypatch.setattr(fidelity_module, "minus_one_peel_residual", peel)
+        identity_report()
+        assert calls == {"direct": 42, "series": 42}
+
+    def test_each_direct_product_sums_one_lattice(self, monkeypatch):
+        # a pass whose cutoff fails is planned, not summed: only the
+        # certified lattice reaches log1p, once
+        np = pytest.importorskip("numpy")
+        summed, lattices, report = [], [], []
+        log1p, direct_pass = np.log1p, qseries._direct_pass
+        direct = qseries.qproduct_direct
+
+        def counting_pass(*args):
+            result = direct_pass(*args)
+            lattices.append(result[-1])
+            return result
+
+        def per_call(z, bases):
+            summed.clear()
+            lattices.clear()
+            value = direct(z, bases)
+            report.append(((z, bases), sum(summed), lattices[-1]))
+            return value
+
+        monkeypatch.setattr(np, "log1p",
+                            lambda v: summed.append(np.size(v)) or log1p(v))
+        monkeypatch.setattr(qseries, "_direct_pass", counting_pass)
+        monkeypatch.setattr(qseries, "qproduct_direct", per_call)
+        identity_report()
+        for spec, points, lattice in report:
+            assert points == lattice, spec
+        assert ((0.6, (0.25, 0.25)), 276, 276) in report
+        assert len(report) == 47  # 42 qcalc products and 5 minus-one peels
+
+    def test_shared_products_change_no_row(self):
+        # the grid of identity_report's qcalc rows
+        qcalc = [verify_qcalc_identities(x, z, b, c)
+                 for x in (0.1, 0.5, 0.9) for z in (0.6, -0.6)
+                 for b, c in ((1, 2), (2, 3))]
+        rows = dict(identity_report())
+        assert rows["qcalc_r1"] == max(r1 for r1, _ in qcalc)
+        assert rows["qcalc_r2"] == max(r2 for _, r2 in qcalc)
 
 
 class TestMinusOnePeel:

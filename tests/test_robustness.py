@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xxzfidelity import (InvalidSpec, ModelPoint, SpinChainSpec,
                          XXZFidelityError, qseries,
@@ -77,6 +77,8 @@ def test_log_multibase_product(z, bases):
 
 @SWEEP
 @given(z=SIGNED_UNIT | HUGE_INT, bases=BASES)
+# the zero factor at z = 1 decides before a lattice past the cap is built
+@example(z=1.0, bases=[0.999999])
 def test_qproduct_direct(z, bases):
     _finite_or_documented(lambda: qproduct_direct(z, bases))
 
