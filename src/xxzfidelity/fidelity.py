@@ -102,7 +102,7 @@ def fidelity_raw(p: ModelPoint) -> FidelityResult:
     """f by the unsimplified seven-product form (direct-evaluation regime).
 
     Intended for x <= 0.9; closer to 1 the constituent series need ever
-    more terms, and below eps ~ 7.0e-6 (x ~ 0.999993) they raise
+    more terms, and below eps ~ 2.15e-6 (x ~ 0.9999979) they raise
     NonConvergent against SERIES_MAX_TERMS.  fidelity() never calls it.
     """
     x = p.x
@@ -127,8 +127,8 @@ def fidelity_raw(p: ModelPoint) -> FidelityResult:
 def fidelity_simplified(p: ModelPoint) -> FidelityResult:
     """f = (x^2;x^4) (-x^4;x^4,x^4)^2 / (-x^2;x^4,x^4)^2.
 
-    Its log series need more than SERIES_MAX_TERMS terms below eps ~ 7.0e-6
-    (x ~ 0.999993), where it raises NonConvergent; fidelity() sends only
+    Its log series need more than SERIES_MAX_TERMS terms below eps ~ 2.15e-6
+    (x ~ 0.9999979), where it raises NonConvergent; fidelity() sends only
     x <= 0.9 here.
     """
     x = p.x

@@ -19,10 +19,11 @@ the one condition its own maths needs:
       ln (z; a_1,...,a_N)_inf = -sum_{m>=1} z^m / (m prod_i (1 - a_i^m)),
 
   valid for |z| < 1 (expand ln(1 - z w) per factor and sum the geometric
-  series over each index).  Its terms shrink by |z|, so where |z| exceeds
-  _PEEL_RATE it first takes a small box of the largest factors one by one
-  and sums the rest of the lattice by the same series with terms that
-  shrink at least by _PEEL_RATE.  It returns the log of the product.
+  series over each index).  It takes a box of the largest factors one by
+  one (the origin alone or, where |z| exceeds _PEEL_RATE, up to _PEEL_BOX
+  factors, so that the rest shrinks at least by _PEEL_RATE a term) and sums
+  the rest of the lattice by the same series, each term weighted by the
+  share of the lattice outside the box.  It returns the log of the product.
 
 Their agreement is the workhorse cross-check for every identity used
 downstream.
@@ -43,9 +44,9 @@ DIRECT_MAX_TERMS = 10_000_000
 SERIES_MAX_TERMS = 1_000_000
 #: points of the last direction expanded at once by the direct product
 _SLAB = 1 << 18
-#: where |z| > _PEEL_RATE the log series takes the box of lattice factors
-#: n_i < k_i one by one, k_i the least with |z| a_i^{k_i} <= _PEEL_RATE, if
-#: it holds at most _PEEL_BOX of them, and sums the rest at that rate
+#: the log series takes the box n_i < k_i of lattice factors one by one:
+#: where |z| > _PEEL_RATE, k_i the least with |z| a_i^{k_i} <= _PEEL_RATE if
+#: that box holds at most _PEEL_BOX factors, and the origin alone otherwise
 _PEEL_RATE = 0.12
 _PEEL_BOX = 36
 
@@ -66,42 +67,73 @@ def _check_product(z, bases) -> None:
             raise InvalidSpec(f"every base must lie in [0,1), got {_brief(b)}")
 
 
-def _peeled_log_series(z, bases):
-    """ln (z; a_1,...,a_N)_inf with the box n_i < k_i of factors taken one by
-    one, k_i the least with |z| a_i^{k_i} <= _PEEL_RATE; None where the box
-    would hold more than _PEEL_BOX factors.
-
-    The rest of the lattice has weight sum^m  E_m / prod_i (1 - a_i^m), with
-    E_m = 1 - prod_i (1 - y_i^m) and y_i = a_i^{k_i}, so its log is the
-    series -sum_m z^m E_m / (m prod_i (1 - a_i^m)).  E_m is built as
-    E <- y_i^m + (1 - y_i^m) E from positive terms, so nothing cancels.
-    Since max_i y_i^m <= E_m <= sum_i y_i^m and the denominators grow with
-    m, every later term j is at most N r^{j-m} times term m, with
-    r = |z| max_i y_i, which gives the tail bound N r / (1 - r).
-    """
-    ln_gap = math.log(_PEEL_RATE / abs(z))
-    size = 1
+def _peel_box(az, bases):
+    """Weights of the box's factors, origin first, and y_i = a_i^{k_i} for
+    |z| = az > _PEEL_RATE.  Its own function: up to Python 3.11 its
+    comprehension would make the series' loop variable b a cell."""
+    ln_gap = math.log(_PEEL_RATE / az)
     weights = [1.0]
     ys = []
     for b in bases:
         k = math.ceil(ln_gap / math.log(b)) if b > 0.0 else 1
-        size *= k
-        if size > _PEEL_BOX:
-            return None
+        if len(weights) * k > _PEEL_BOX:
+            return [1.0], bases
         if k > 1:
             weights = [w * b ** j for w in weights for j in range(k)]
         ys.append(b ** k)
-    acc = 0.0
-    for w in weights:
-        acc = acc + math.log1p(-z * w)
+    return weights, ys
+
+
+def log_multibase_product(z: float, bases: Sequence[float]) -> float:
+    """ln (z; a_1,...,a_N)_inf via the logarithmic series.
+
+    On top of the shared domain the series requires |z| < 1 strictly.  A
+    base equal to 0.0 is legal (it contributes a single lattice slice, and
+    its geometric sums collapse to 1), which lets callers pass dual-nome
+    powers that underflowed to zero.
+
+    The box n_i < k_i of lattice factors, every k_i >= 1, is taken one
+    factor at a time as log1p(-z w): the origin alone (k_i = 1), or where
+    |z| > _PEEL_RATE a box of at most _PEEL_BOX factors (see _PEEL_RATE;
+    bases near 1 keep the origin).  The rest of the lattice has weight
+    sum^m  E_m / prod_i (1 - a_i^m), with E_m = 1 - prod_i (1 - y_i^m) and
+    y_i = a_i^{k_i}, so its log is the series
+    -sum_m z^m E_m / (m prod_i (1 - a_i^m)).  E_m is built as
+    E <- y_i^m + (1 - y_i^m) E from positive terms, so nothing cancels.
+
+    Stopping rule: since max_i y_i^m <= E_m <= sum_i y_i^m for any k_i >= 1
+    and the denominators grow with m, every later term j is at most
+    N r^{j-m} times term m, with r = |z| max_i y_i, so the tail bound
+    |term_m| * N r / (1 - r) must drop below REL_TOL times the accumulated
+    sum.  The sum's scale is set by the box, which holds the largest
+    factor and never cancels away, so the relative test needs no absolute
+    floor beyond the z = 0 short-circuit.  Past SERIES_MAX_TERMS series
+    terms (the box factors do not count) it raises NonConvergent; a sum
+    past the float range raises Overflow (bases so close to 1 that the
+    denominators underflow).
+    """
+    _check_product(z, bases)
+    az = abs(z)
+    if not az < 1.0:
+        raise InvalidSpec(f"log series requires |z| < 1, got z={z!r}")
+    if z == 0.0:
+        return 0.0
+
+    n = len(bases)
+    acc = math.log1p(-z)  # the origin, box[0]
+    ys = bases
+    if az > _PEEL_RATE:
+        box, ys = _peel_box(az, bases)
+        for w in box[1:]:
+            acc = acc + math.log1p(-z * w)
 
     rel_tol = REL_TOL
-    rate = abs(z) * max(ys)
-    tail_factor = len(bases) * rate / (1.0 - rate)
+    rate = az * max(ys)
+    tail_factor = n * rate / (1.0 - rate)
 
     zp = 1.0
-    powers = [1.0 for _ in bases]
-    y_powers = [1.0 for _ in bases]
+    powers = [1.0] * n
+    y_powers = [1.0] * n
 
     for m in range(1, SERIES_MAX_TERMS + 1):
         zp = zp * z
@@ -119,71 +151,11 @@ def _peeled_log_series(z, bases):
         acc = acc - term
         bound = abs(term) * tail_factor
         if not bound > rel_tol * abs(acc):  # an inf or nan sum stops here too
-            return acc
-    raise NonConvergent(
-        f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
-        f"within {SERIES_MAX_TERMS} terms")
-
-
-def log_multibase_product(z: float, bases: Sequence[float]) -> float:
-    """ln (z; a_1,...,a_N)_inf via the logarithmic series.
-
-    On top of the shared domain the series requires |z| < 1 strictly.  A
-    base equal to 0.0 is legal (it contributes a single lattice slice, and
-    its geometric sums collapse to 1), which lets callers pass dual-nome
-    powers that underflowed to zero.
-
-    For |z| <= _PEEL_RATE, or where the box below would hold more than
-    _PEEL_BOX factors (bases near 1), the plain series of the module
-    docstring runs, term m being z^m / (m prod_i (1 - a_i^m)).  Otherwise the box n_i < k_i of lattice factors, k_i the least with
-    |z| a_i^{k_i} <= _PEEL_RATE, is taken one factor at a time as
-    log1p(-z w), and the rest of the lattice by a series whose terms shrink
-    at the rate r = |z| max_i a_i^{k_i} <= _PEEL_RATE instead of |z|
-    (see _peeled_log_series).
-
-    Stopping rule: the geometric tail bound |term_m| * N r / (1 - r) (with
-    N = 1 and r = |z| for the plain series, whose successive terms shrink
-    at least by |z|) must drop below REL_TOL times the accumulated sum.
-    The sum's scale is set by its first term, or the box, and never cancels
-    away, so the relative test needs no absolute floor beyond the z = 0
-    short-circuit.  Past SERIES_MAX_TERMS series terms (the box factors do
-    not count) it raises NonConvergent; a sum past the float range raises
-    Overflow (bases so close to 1 that the denominators underflow).
-    """
-    _check_product(z, bases)
-    if not abs(z) < 1.0:
-        raise InvalidSpec(f"log series requires |z| < 1, got z={z!r}")
-    if z == 0.0:
-        return 0.0
-
-    az = abs(z)
-    acc = _peeled_log_series(z, bases) if az > _PEEL_RATE else None
-    if acc is None:
-        rel_tol = REL_TOL
-        tail_factor = az / (1.0 - az)
-
-        acc = 0.0
-        zp = 1.0
-        powers = [1.0 for _ in bases]
-
-        for m in range(1, SERIES_MAX_TERMS + 1):
-            zp = zp * z
-            denom = 1.0
-            for i, b in enumerate(bases):
-                powers[i] = powers[i] * b
-                denom = denom * (1.0 - powers[i])
-            try:
-                term = zp / (m * denom)
-            except ZeroDivisionError:  # the denominator underflowed to 0
-                term = math.inf
-            acc = acc - term
-            bound = abs(term) * tail_factor
-            if not bound > rel_tol * abs(acc):  # an inf or nan sum stops here too
-                break
-        else:
-            raise NonConvergent(
-                f"log series for (z={z}; {tuple(bases)}) did not reach "
-                f"rel_tol={rel_tol} within {SERIES_MAX_TERMS} terms")
+            break
+    else:
+        raise NonConvergent(
+            f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
+            f"within {SERIES_MAX_TERMS} terms")
     if not math.isfinite(acc):
         raise Overflow(f"log series for (z={z}; {tuple(bases)}) leaves the float range")
     return float(acc)

@@ -76,19 +76,20 @@ class AsymptoticFit:
 def fit_asymptote(samples: Sequence[tuple[float, float]]) -> AsymptoticFit:
     """Deterministic least-squares fit in the basis {1/eps, 1, eps}.
 
-    Requires at least three finite samples at distinct eps with eps and
-    1/eps finite and positive, and a design matrix of full rank in floating
-    point, which eps = (1e-16, 1, 745) lacks (rank 2); InvalidSpec
+    Requires at least three (eps, y) pairs, finite, at distinct eps with
+    eps and 1/eps finite and positive, and a design matrix of full rank in
+    floating point, which eps = (1e-16, 1, 745) lacks (rank 2); InvalidSpec
     otherwise.  Overflow when the fit leaves the float range.
     """
-    pairs = [(e, y) for e, y in samples]
+    pairs = [tuple(sample) for sample in samples]
     if len(pairs) < 3:
         raise InvalidSpec(f"need at least 3 samples, got {len(pairs)}")
     # compared before float(), so an integer of any size is refused; a
     # subnormal eps would put 1/eps past the float range, where lstsq hangs
-    if not all(1.0 / _HUGE < e <= _HUGE and abs(y) <= _HUGE for e, y in pairs):
-        raise InvalidSpec("every sample needs a finite y, and eps and 1/eps "
-                          "finite and positive")
+    if not all(len(pair) == 2 and 1.0 / _HUGE < pair[0] <= _HUGE
+               and abs(pair[1]) <= _HUGE for pair in pairs):
+        raise InvalidSpec("every sample must be an (eps, y) pair with a "
+                          "finite y, and eps and 1/eps finite and positive")
     import numpy as np  # loaded only where a fit runs
     eps = np.array([float(e) for e, _ in pairs])
     y = np.array([float(v) for _, v in pairs])

@@ -15,6 +15,8 @@ from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                              run)
 from xxzfidelity.scaling import MAX_GRID_COUNT
 
+from xi_one import xi_one_x
+
 
 def _invoke(capsys, argv):
     code = main(argv)
@@ -63,7 +65,7 @@ class TestEval:
         assert row["ln_xi"] > 4000.0
 
     def test_ratio_inf_where_xi_is_one(self, capsys):
-        x = 0.033990268760497155  # ln xi rounds to zero here
+        x = xi_one_x()  # ln xi rounds to zero here
         code, out, _ = _invoke(capsys, ["eval", "--x", repr(x)])
         assert code == EXIT_OK
         row = json.loads(out)

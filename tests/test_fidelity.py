@@ -84,12 +84,12 @@ class TestRouteAgreement:
             assert spread < 1e-10, x
 
     def test_routes_finish_under_a_small_term_cap(self, monkeypatch):
-        # at x = 0.9 the plain log series needed up to 110 terms; peeled, each
-        # takes about 10 (the box factors do not count against the cap), so
-        # a cap of 40 is a deterministic work bound
+        # at x = 0.9 the origin alone would leave up to 38 series terms;
+        # with the box each takes about 10 (the box factors do not count
+        # against the cap), so a cap of 20 is a deterministic work bound
         p = ModelPoint.from_x(0.9)
         modular, ln_g = fidelity_modular(p).ln_f, ln_g_series(p)
-        monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 40)
+        monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 20)
         for route in (fidelity_simplified, fidelity_raw):
             assert abs(math.expm1(route(p).ln_f - modular)) < 1e-10, route
         assert abs(math.expm1(g_product(p) - ln_g)) < 1e-10
@@ -99,8 +99,17 @@ class TestRouteAgreement:
         with pytest.raises(NonConvergent):
             fidelity_raw(ModelPoint.from_x(0.5))
 
+    @pytest.mark.parametrize("route", [fidelity_simplified, fidelity_raw])
+    def test_slow_routes_converge_above_their_floor(self, route):
+        # their NonConvergent floor lies near eps = 2.15e-6 (x ~ 0.9999979)
+        p = ModelPoint.from_eps(3e-6)
+        got = route(p)
+        assert math.isfinite(got.ln_f) and math.isfinite(got.est_rel_error)
+        # ln f is about -2e5 there; est_rel_error bounds its absolute error
+        assert abs(got.ln_f - fidelity(p).ln_f) <= got.est_rel_error
+
     def test_simplified_route_stops_where_the_selector_goes_on(self):
-        # below eps ~ 7.0e-6 its log series needs more than SERIES_MAX_TERMS
+        # below eps ~ 2.15e-6 its log series needs more than SERIES_MAX_TERMS
         p = ModelPoint.from_eps(1e-6)
         with pytest.raises(NonConvergent):
             fidelity_simplified(p)
@@ -148,15 +157,16 @@ def _log_grid(lo, hi, n):
 
 
 class TestFrozenBits:
-    """Where no log series peels (every |z| <= qseries._PEEL_RATE) and ln g
-    comes from its expansion, the results are pinned bit for bit."""
+    """Where every log series' box is the origin alone (every |z| <=
+    qseries._PEEL_RATE) and ln g comes from its expansion, the results are
+    pinned bit for bit; TestAccuracyAgainstMpmath checks the ln xi ones."""
 
     def test_correlation_length(self):
         # its nomes never exceed e^{-sqrt(2) pi} ~ 0.0118
         values = [log_correlation_length(ModelPoint.from_eps(eps)).hex()
                   for eps in _log_grid(1.2e-16, EPS_X_UNDERFLOW, 200)]
         assert hashlib.sha256("\n".join(values).encode()).hexdigest() == (
-            "afcb2d1c23e6eca69474815a73f2c796a1141db6e946697e010d608fb6fcf31d")
+            "6b386925846f329ac8fede588d281eda6c0ba5dde22c365b47bb79ebc0bbfa7d")
 
     def test_fidelity_above_the_cross_check_window(self):
         # eps = 0.105 is x = 0.90032: modular route only, dual nome < e^{-93}
@@ -167,6 +177,57 @@ class TestFrozenBits:
                           f"{got.path.value}")
         assert hashlib.sha256("\n".join(values).encode()).hexdigest() == (
             "d379f26b597eb3a1920ae7760027fb4cb32c901c7cce39531b4b24bf0eab4f6a")
+
+
+def _mp_ln_f(eps):
+    """40-digit ln f by the modular formula, ln g from _mp_ln_g."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eps)
+        ln_xt = -mpmath.pi ** 2 / e
+        xt = mpmath.exp(ln_xt)
+        return float(-e / 4 + ln_xt / 16 + mpmath.log(mpmath.qp(-xt, xt))
+                     - mpmath.log(mpmath.qp(mpmath.sqrt(xt), xt))
+                     + _mp_ln_g(eps))
+
+
+def _mp_ln_xi(eps):
+    """40-digit ln xi = -ln atanh(k(x~)) from mpmath's modulus of a nome."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        xt = mpmath.exp(-mpmath.pi ** 2 / mpmath.mpf(eps))
+        return float(-mpmath.log(mpmath.atanh(mpmath.kfrom(q=xt))))
+
+
+class TestAccuracyAgainstMpmath:
+    """Where every product of the simplified route and of xi has |z| <=
+    qseries._PEEL_RATE, each log series takes the origin factor one by one
+    and sums the rest, which keeps ln f and ln xi within 2e-14 of mpmath."""
+
+    #: 40 evenly spaced x over [0.01, 0.34]; each eps is -ln x to 40 digits
+    GRID = [0.01 + 0.33 * i / 39 for i in range(40)]
+
+    def _eps(self, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            return -mpmath.log(mpmath.mpf(x))
+
+    def test_simplified_ln_f(self):
+        # the simplified route's largest |z| is x^2, xi's nomes are smaller
+        assert max(self.GRID) ** 2 <= qseries._PEEL_RATE
+        errors = []
+        for x in self.GRID:
+            ref = _mp_ln_f(self._eps(x))
+            got = fidelity_simplified(ModelPoint.from_x(x)).ln_f
+            errors.append(abs(got - ref) / abs(ref))
+        assert float(np.median(errors)) <= 2e-14
+
+    def test_ln_xi(self):
+        for x in self.GRID:
+            ref = _mp_ln_xi(self._eps(x))
+            if abs(ref) > 1e-3:
+                got = log_correlation_length(ModelPoint.from_x(x))
+                assert abs(got - ref) <= 2e-14 * abs(ref), x
 
 
 class TestShape:
@@ -336,14 +397,7 @@ class TestLnGRegimes:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(eps=st.floats(math.log(1.2e-16), math.log(0.5)).map(math.exp))
     def test_error_estimate_stays_honest(self, eps):
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            e = mpmath.mpf(eps)
-            ln_xt = -mpmath.pi ** 2 / e
-            xt = mpmath.exp(ln_xt)
-            ref = float(-e / 4 + ln_xt / 16 + mpmath.log(mpmath.qp(-xt, xt))
-                        - mpmath.log(mpmath.qp(mpmath.sqrt(xt), xt))
-                        + _mp_ln_g(eps))
+        ref = _mp_ln_f(eps)
         got = fidelity(ModelPoint.from_eps(eps))
         assert abs(got.ln_f - ref) <= got.est_rel_error
 

@@ -1,4 +1,5 @@
 """Multi-base product evaluation: both strategies, the target, identities."""
+import hashlib
 import math
 import sys
 import tracemalloc
@@ -139,18 +140,49 @@ def _mp_log_series(z, bases):
                 return acc
 
 
-#: (z, bases, lattice factors the peeled series takes one by one)
+#: (z, bases, lattice factors the series takes one by one); the box is
+#: never empty: at least the origin is taken
 PEEL_BOXES = [
-    (qseries._PEEL_RATE, (0.5,), 0),                        # at the threshold
+    (qseries._PEEL_RATE, (0.5,), 1),                        # at the threshold
     (math.nextafter(qseries._PEEL_RATE, 1.0), (0.5,), 1),   # just above it
     (0.95, (0.944,), 36),             # 0.944^36 0.95 <= 0.12 < 0.944^35 0.95
     (-0.9, (0.7, 0.7), 36),           # 6 x 6
-    (0.9, (0.72, 0.72), 0),           # 7 x 7 would pass _PEEL_BOX
-    (0.5, (1.0 - 2.0 ** -53,), 0),    # a base near 1
+    (0.9, (0.72, 0.72), 1),           # 7 x 7 would pass _PEEL_BOX
+    (0.5, (1.0 - 2.0 ** -53,), 1),    # a base near 1
 ]
 
 
+def _box_size(z, bases):
+    """Factors in the box n_i < k_i, k_i the least with |z| a_i^{k_i} <=
+    qseries._PEEL_RATE (k_i = 1 for a base of 0.0)."""
+    size = 1
+    for b in bases:
+        size *= (math.ceil(math.log(qseries._PEEL_RATE / abs(z)) / math.log(b))
+                 if b > 0.0 else 1)
+    return size
+
+
+#: (z, bases) above the peel threshold whose box holds at most _PEEL_BOX
+#: factors, from a fixed grid: 312 of its 320 calls
+KEPT_BITS = [(z, bases)
+             for z in (s * v for v in (0.121, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.95)
+                       for s in (1.0, -1.0))
+             for bases in ([(a,) for a in (0.0, 0.1, 0.4, 0.7, 0.85, 0.944)]
+                           + [(a, b) for a in (0.0, 0.2, 0.5, 0.7)
+                              for b in (0.3, 0.6, 0.8)]
+                           + [(0.3, 0.4, 0.5), (0.1, 0.2, 0.3, 0.4)])
+             if _box_size(z, bases) <= qseries._PEEL_BOX]
+
+
 class TestPeeledSeries:
+    def test_kept_bits(self):
+        # a call that peels keeps its box and the order of every sum, so
+        # its bits are frozen
+        assert len(KEPT_BITS) == 312
+        values = [log_multibase_product(z, bases).hex() for z, bases in KEPT_BITS]
+        assert hashlib.sha256("\n".join(values).encode()).hexdigest() == (
+            "32232ded767f95a677f8784682afd35b342c6d0c2e0ff289a71404966ceaf24d")
+
     @pytest.mark.parametrize("z, bases, factors", PEEL_BOXES)
     def test_box_size(self, monkeypatch, z, bases, factors):
         assert qseries._PEEL_BOX == 36
@@ -175,12 +207,17 @@ class TestPeeledSeries:
                        min_size=1, max_size=2),
     )
     @example(z=qseries._PEEL_RATE, bases=[0.5])
+    @example(z=0.5, bases=[0.0])
+    @example(z=-0.3, bases=[0.0, 0.6])
+    @example(z=0.1, bases=[0.5, 0.9])
+    @example(z=-1e-3, bases=[0.3, 0.85])
     @example(z=math.nextafter(qseries._PEEL_RATE, 1.0), bases=[0.5])
     @example(z=-math.nextafter(qseries._PEEL_RATE, 1.0), bases=[0.5, 0.5])
     @example(z=0.95, bases=[0.944])
     @example(z=-0.9, bases=[0.7, 0.7])
     @example(z=0.9, bases=[0.72, 0.72])
     @example(z=0.95, bases=[0.9, 0.9])
+    @example(z=0.9453125, bases=[0.75, 0.75])  # 8 x 8: the origin alone
     def test_meets_the_target_across_the_peel(self, z, bases):
         # the tail bound must stay honest on both sides of the threshold and
         # of the box bound, at the default target and at a far tighter one

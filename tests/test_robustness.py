@@ -120,6 +120,8 @@ def test_log_spaced(lo, hi, count):
 @SWEEP
 @given(samples=st.lists(st.tuples(EPS | ANY | HUGE_INT, ANY | HUGE_INT),
                         max_size=5))
+@example(samples=[(1e-3,), (2e-3,), (3e-3,)])
+@example(samples=[(1e-3, 1.0, 0.0), (2e-3, 2.0, 0.0), (3e-3, 3.0, 0.0)])
 def test_fit_asymptote(samples):
     def coefficients():
         fit = fit_asymptote(samples)

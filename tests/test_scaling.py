@@ -12,9 +12,9 @@ from xxzfidelity import (AsymptoticFit, InvalidSpec, ModelPoint, PointResult,
 from xxzfidelity.scaling import (MAX_GRID_COUNT, collect_ln_xi,
                                  collect_minus_ln_f, log_spaced)
 
+from xi_one import xi_one_x
+
 TARGET_RATIO = 1 / 8  # c/8 with central charge c = 1
-#: the x at which ln xi rounds to zero (xi = 1)
-XI_ONE_X = 0.033990268760497155
 
 
 class TestReferenceFormulas:
@@ -71,6 +71,16 @@ class TestFitAsymptote:
                 fit_asymptote([(0.1, 1.0), (0.2, 1.0), (bad, 2.0)])
             with pytest.raises(InvalidSpec):
                 fit_asymptote([(0.1, 1.0), (0.2, bad), (0.3, 2.0)])
+
+    def test_samples_must_be_pairs(self):
+        # a sample of any other length is refused by the one sample check;
+        # a non-numeric entry stays a TypeError
+        for bad in ([(1e-3,), (2e-3,), (3e-3,)],
+                    [(1e-3, 1.0), (2e-3, 2.0), (3e-3, 3.0, 4.0)]):
+            with pytest.raises(InvalidSpec, match=r"\(eps, y\) pair"):
+                fit_asymptote(bad)
+        with pytest.raises(TypeError):
+            fit_asymptote([("a", 1.0), (2e-3, 2.0), (3e-3, 3.0)])
 
     def test_singular_when_underdetermined(self):
         # distinct positive eps, but 1/eps swamps the other columns: rank 2
@@ -193,7 +203,7 @@ class TestConjectureRatio:
 
     def test_ratio_is_inf_where_xi_is_one(self):
         # ln xi rounds to zero at this x, so the ratio has no finite value
-        point = evaluate_point(ModelPoint.from_x(XI_ONE_X))
+        point = evaluate_point(ModelPoint.from_x(xi_one_x()))
         assert point.ln_xi == 0.0
         assert point.xi == 1.0
         assert point.ratio == math.inf
