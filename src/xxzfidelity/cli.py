@@ -117,7 +117,8 @@ def _grid(config: RunConfig) -> list[float]:
     if count == 1:
         return [lo]
     step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    # lo + i*step rounds and can pass hi, so it is clamped and hi ends the grid
+    return [min(lo + i * step, hi) for i in range(count - 1)] + [hi]
 
 
 def _run_eval(config: RunConfig):

@@ -15,7 +15,9 @@ package's central numerical certificate:
       ln g = sum_{N>=1} (-1)^{N+1} / (N (1 + x^{2N})^2),
 
   which stays convergent as x -> 1 where ln g -> (ln 2)/4; ln_g_series
-  sums it at a cost independent of eps.
+  takes it from an order-30 expansion up to eps = LN_G_SWITCH_EPS and from
+  26 fixed Cohen-Rodriguez Villegas-Zagier weights above, with no stopping
+  rule on either side.
 
 Everything is assembled in log space and exponentiated once at the end:
 x~^{1/16} alone underflows for eps < 0.03, and f itself leaves the double
@@ -40,8 +42,8 @@ PATH_SWITCH_X = 0.7
 #: window where fidelity() cross-checks the two applicable routes
 CROSS_CHECK_WINDOW = (0.6, 0.9)
 #: ln g from its order-30 expansion up to here, where its bound B_15 eps^31
-#: is at most 10 eps_mach (ln 2)/4, far below qseries.REL_TOL; the series
-#: above
+#: is at most 10 eps_mach (ln 2)/4, far below qseries.REL_TOL; the CVZ sum
+#: of _ln_g_sum above, whose length this sets
 LN_G_SWITCH_EPS = 0.125
 #: the self-dual nome x = e^{-pi} (eps = pi), fixed point of x -> x~
 _SELF_DUAL_X = math.exp(-math.pi)
@@ -68,11 +70,11 @@ class Path(enum.Enum):
 class FidelityResult:
     """Log-value of f, the route used, and an error estimate.
 
-    est_rel_error accumulates the relative-error target qseries.REL_TOL of
-    every constituent product (scaled by the magnitude of its log
-    contribution), so it is a bound-flavored estimate of the relative error
-    of f.  The property f = e^{ln_f} underflows to 0.0 for ln_f < -745;
-    ln_f is the authoritative field.
+    est_rel_error charges qseries.REL_TOL plus one machine epsilon on the
+    magnitude of every log term the route sums (each product, and on the
+    modular route also -eps/4, ln x~/16 and ln g), so it is a bound-flavored
+    estimate of the relative error of f.  The property f = e^{ln_f}
+    underflows to 0.0 for ln_f < -745; ln_f is the authoritative field.
     """
 
     ln_f: float
@@ -166,51 +168,49 @@ def _ln_g_expansion(eps: float) -> float:
     return _QUARTER_LN2 + 0.25 * eps + acc
 
 
+def _cvz_weights(n: int) -> list:
+    """The n weights w_k, sum_{k<n} w_k a_k ~ sum_{k>=0} (-1)^k a_k, of Cohen,
+    Rodriguez Villegas & Zagier's Algorithm 1 (Experimental Math. 9 (2000)
+    3), as exact integer pairs (c_k, d), w_k = c_k / d: c_k = (-1)^k
+    sum_{j>k} m_j, m_j the sizes of the coefficients of T_n(1 - 2t), and
+    d = sum_j m_j = T_n(3).
+    They miss the sum by at most 2 TV / (3 + sqrt 8)^n if a_k are the
+    moments of a signed measure on [0, 1] of total variation TV."""
+    m = [1]
+    for k in range(n):
+        m.append(m[-1] * 2 * (n * n - k * k) // ((2 * k + 1) * (k + 1)))
+    return [((-1) ** k * sum(m[k + 1:]), sum(m)) for k in range(n)]
+
+
+#: w_k / (k + 1), each rounded once (int / int), for the least n whose bound
+#: at LN_G_SWITCH_EPS (see _ln_g_sum) is at most 2^-60, a 32nd of an ulp of
+#: ln g > (ln 2)/4: n = 26
+_LN_G_WEIGHTS = tuple(c / (d * (k + 1)) for k, (c, d) in enumerate(
+    _cvz_weights(next(
+        n for n in itertools.count(1)
+        if 2.0 * (1.0 / (1.0 - math.exp(-2.0 * LN_G_SWITCH_EPS)) ** 2 - 1.0)
+        <= 2.0 ** -60 * (3.0 + math.sqrt(8.0)) ** n))))
+
+
 def _ln_g_sum(eps: float) -> float:
-    """ln g = ln 2 + sum_{k>=1} (-1)^k (k+1) ln(1 + q^k), q = x^2, summed in
-    two parts.
+    """ln g = ln 2 - sum_{N>=1} (-1)^{N+1} u_N / N, u_N = y (2 + y) / (1 + y)^2
+    at y = q^N, q = x^2, summed with the fixed _LN_G_WEIGHTS.
 
-    The rearrangement comes from expanding (1 + q^N)^{-2} in the defining
-    series and summing over N first.  Its first K terms are summed directly;
-    the rest are the alternating series
-
-        - sum_{N>=1} (-1)^{N+1} R_K(q^N) / N,
-        R_K(y) = -sum_{k>K} (-1)^k (k+1) y^k
-               = (-1)^K y^{K+1} (K + 2 + (K + 1) y) / (1 + y)^2,
-
-    with K + 1 the least power with q^{K+1} <= qseries._PEEL_RATE, so its
-    terms fall at least at that rate.  K = 0 (eps >= 1.06) is the plain series
-    ln 2 - sum (-1)^{N+1} u_N / N, u_N = 1 - (1 + q^N)^{-2} = R_0(q^N).
-    |R_K(q^N)| / N decreases strictly in N, so the alternating tail is
-    bounded by the next term; the sum stops at the first term that no
-    longer moves it in floating point, so its length depends on eps alone:
-    at most 8 direct terms and 17 series terms, just above LN_G_SWITCH_EPS
-    = 0.125, below which ln_g_series never calls it.
+    u_N / N = sum_{j>=1} (-1)^{j+1} (j + 1) int_0^{q^j} t^{N-1} dt are the
+    moments of a signed measure of total variation at most 1/(1 - q)^2 - 1,
+    so n weights miss the sum by at most 2 (1/(1 - q)^2 - 1) / (3 + sqrt 8)^n:
+    4.8e-19 at LN_G_SWITCH_EPS, less above.  The bound is sharp: in 50-digit
+    arithmetic (n = 4..20) the error reached 0.07 of it at eps = 0.3 and
+    0.999 at eps = 5, where the measure sits at t ~ 0.  Rounding leaves at
+    most 2.5 ulp of ln 2 against 40-digit mpmath over 600 eps.
     """
     q = math.exp(-2.0 * eps)
-    peel = max(0, math.ceil(math.log(qseries._PEEL_RATE) / (-2.0 * eps)) - 1)
-    direct = 0.0
-    qk = 1.0
-    for k in range(1, peel + 1):
-        qk = qk * q
-        t = (k + 1) * math.log1p(qk)
-        direct = direct - t if k % 2 else direct + t
-    q_rest = qk * q
-    c2 = peel + 2.0
-    c1 = peel + 1.0
     y = 1.0
-    y_rest = 1.0
     acc = 0.0
-    sign = 1.0
-    for n in itertools.count(1):
+    for w in _LN_G_WEIGHTS:
         y = y * q
-        y_rest = y_rest * q_rest
-        t = y_rest * (c2 + c1 * y) / ((1.0 + y) * (1.0 + y) * n)
-        moved = acc + sign * t
-        if moved == acc:
-            return (math.log(2.0) + direct) - (-acc if peel % 2 else acc)
-        acc = moved
-        sign = -sign
+        acc = acc + w * (y * (2.0 + y) / ((1.0 + y) * (1.0 + y)))
+    return math.log(2.0) - acc
 
 
 def ln_g_series(p: ModelPoint) -> float:
@@ -218,10 +218,9 @@ def ln_g_series(p: ModelPoint) -> float:
 
     ln g runs from ln 2 (x -> 0) down to (ln 2)/4 (x -> 1), the approach to
     the limit being O(eps).  For eps <= LN_G_SWITCH_EPS it comes from the
-    small-eps expansion, else from the rearranged series of _ln_g_sum
-    summed to double precision (at most 25 terms); neither costs more as
-    eps -> 0, and neither reads qseries.REL_TOL: both are within ~1e-14 of
-    ln g at every eps.
+    small-eps expansion, else from the fixed 26-term CVZ sum of _ln_g_sum;
+    each has a fixed cost, neither reads qseries.REL_TOL, and both are
+    within ~1e-14 of ln g (the sum within 3 ulp of ln 2).
     """
     if p.eps <= LN_G_SWITCH_EPS:
         return float(_ln_g_expansion(p.eps))

@@ -11,8 +11,8 @@ import pytest
 from xxzfidelity import (InvalidSpec, ModelPoint, evaluate_point, fidelity,
                          identity_report, log_correlation_length, qseries)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                             POINT_COLUMNS, RunConfig, build_parser, main,
-                             run)
+                             POINT_COLUMNS, RunConfig, _grid, build_parser,
+                             main, run)
 from xxzfidelity.scaling import MAX_GRID_COUNT
 
 from xi_one import xi_one_x
@@ -112,6 +112,30 @@ class TestScan:
         assert [r["x"] for r in rows] == [0.2, 0.4, 0.6000000000000001, 0.8]
         assert all(list(r.keys()) == list(POINT_COLUMNS) for r in rows)
         assert rows[0]["f"] == fidelity(ModelPoint.from_x(0.2)).f
+
+    def test_linear_grid_ends_at_its_max(self, capsys):
+        # lo + i*step rounds: these two once stepped past their own --max
+        x_max, eps_max = "0.9999999999999999", "745.1332191019411"
+        for argv, var in ((["--min", "0.1", "--max", x_max, "--count", "28"],
+                           "x"),
+                          (["--var", "eps", "--min", "0.001", "--max", eps_max,
+                            "--count", "6"], "eps")):
+            code, out, err = _invoke(capsys, ["scan"] + argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            last = argv[argv.index("--max") + 1]
+            assert json.loads(out)[-1][var] == float(last)
+        # before, 1,543 of these x grids missed their end and 84 of the eps
+        # grids passed it
+        x_los = (0.013, 0.05, 0.1, 0.2, 0.3, 0.33, 0.5, 0.7)
+        for var, los, hi in (("x", x_los, float(x_max)),
+                             ("eps", (0.001, 0.5, 1.0), float(eps_max))):
+            for lo in los:
+                for count in range(2, 400):
+                    grid = _grid(RunConfig(command="scan", grid_var=var,
+                                           grid_min=lo, grid_max=hi,
+                                           count=count))
+                    assert len(grid) == count and grid[-1] == hi, (lo, count)
+                    assert all(lo <= v <= hi for v in grid), (lo, count)
 
     def test_log_spaced_eps_grid(self, capsys):
         code, out, _ = _invoke(

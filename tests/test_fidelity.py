@@ -2,6 +2,7 @@
 import hashlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from xxzfidelity import (FidelityResult, InvalidSpec, ModelPoint,
 from xxzfidelity import qseries
 from xxzfidelity.fidelity import (CROSS_CHECK_WINDOW, LN_G_SWITCH_EPS,
                                   PATH_SWITCH_X, _LN_G_EVEN, _LN_G_REMAINDER,
-                                  _QUARTER_LN2, _ln_g_expansion, _ln_g_sum,
+                                  _LN_G_WEIGHTS, _QUARTER_LN2, _cvz_weights,
+                                  _ln_g_expansion, _ln_g_sum,
                                   g_product, short_theta_identity_residual)
 
 # 50-digit reference values (independent high-precision evaluation)
@@ -373,16 +375,60 @@ class TestLnGRegimes:
         got = ln_g_series(ModelPoint.from_eps(2e-5))
         assert got == pytest.approx(_mp_ln_g(2e-5), rel=1e-12, abs=0)
 
-    def test_sum_is_within_8_ulp_of_ln2_of_mpmath(self):
+    def test_sum_is_within_3_ulp_of_ln2_of_mpmath(self):
         # 200 eps over the whole range the sum serves; eps > 372 includes
-        # q = e^{-2 eps} underflowing to 0.  Its terms are of the size of
-        # ln 2, and one rounding each of the first few, amplified by their
-        # factors k + 1, already costs several ulp of ln g near eps = 0.125,
-        # where ln g is 0.21; so the budget is 8 ulp of ln 2 (8.9e-16)
-        budget = 8 * math.ulp(math.log(2.0))
+        # q = e^{-2 eps} underflowing to 0.  Its truncation error is below
+        # 2^-60, so this is rounding alone: of terms that sum to up to 0.5
+        # and a final ln 2 - acc, so the budget is 3 ulp of ln 2 (3.3e-16)
+        budget = 3 * math.ulp(math.log(2.0))
         for eps in np.geomspace(math.nextafter(LN_G_SWITCH_EPS, 1.0), 745.0, 200):
             eps = float(eps)
             assert abs(_ln_g_sum(eps) - _mp_ln_g(eps)) <= budget, eps
+
+    def test_cvz_bound_holds_and_sets_the_weight_count(self):
+        mpmath = pytest.importorskip("mpmath")
+
+        def algorithm_1(n):  # CVZ's weights as published, in mpmath
+            d = (3 + mpmath.sqrt(8)) ** n
+            d = (d + 1 / d) / 2
+            b, c, weights = -1, -d, []
+            for k in range(n):
+                c = b - c
+                weights.append(c / d)
+                b = (k + n) * (k - n) * b / ((k + mpmath.mpf(0.5)) * (k + 1))
+            return weights
+
+        def bound(q, n):  # 2 TV / (3 + sqrt 8)^n, TV = 1/(1 - q)^2 - 1
+            return 2 * q * (2 - q) / ((1 - q) ** 2 * (3 + mpmath.sqrt(8)) ** n)
+
+        with mpmath.workdps(60):
+            # the package's exact weights are the published ones
+            weights = {}
+            for n in (4, 8, 12, 16, 20, len(_LN_G_WEIGHTS)):
+                weights[n] = [mpmath.mpf(c) / d for c, d in _cvz_weights(n)]
+                assert max(abs(a - b) for a, b in zip(
+                    weights[n], algorithm_1(n))) <= mpmath.mpf(10) ** -50
+            for eps in np.geomspace(LN_G_SWITCH_EPS, 745.0, 12):
+                q = mpmath.exp(-2 * mpmath.mpf(float(eps)))
+                # terms a_k = u_{k+1}/(k+1) until q^K is 1e-70 of the first
+                K = 21 + int(161 / (2 * float(eps)))
+                a = [q ** N * (2 + q ** N) / ((1 + q ** N) ** 2 * N)
+                     for N in range(1, K + 1)]
+                for n in (4, 8, 12, 16, 20):
+                    w = weights[n]
+                    # sum_{k<n} w_k a_k - sum_k (-1)^k a_k, term by term
+                    err = mpmath.fsum(
+                        (w[k] if k < n else 0) * a[k] - (-1) ** k * a[k]
+                        for k in range(K))
+                    assert abs(err) <= bound(q, n), (float(eps), n)
+            q_switch = mpmath.exp(-2 * mpmath.mpf(LN_G_SWITCH_EPS))
+            n = len(_LN_G_WEIGHTS)
+            assert bound(q_switch, n) <= mpmath.mpf(2) ** -60
+            assert bound(q_switch, n - 1) > mpmath.mpf(2) ** -60
+        # each float weight is the exact w_k / (k + 1) correctly rounded
+        pairs = _cvz_weights(n)
+        assert _LN_G_WEIGHTS == tuple(float(Fraction(c, d * (k + 1)))
+                                      for k, (c, d) in enumerate(pairs))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(eps=EPS_SWEEP)
