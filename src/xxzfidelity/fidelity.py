@@ -30,7 +30,7 @@ import enum
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import qseries
 from .elliptic import ModelPoint, modulus_k, modulus_kprime
@@ -304,8 +304,8 @@ def fidelity(p: ModelPoint) -> FidelityResult:
     if lo <= p.x <= hi:
         other = (fidelity_simplified if use_modular else fidelity_modular)(p)
         discrepancy = abs(math.expm1(primary.ln_f - other.ln_f))
-        return replace(primary,
-                       est_rel_error=max(primary.est_rel_error, discrepancy))
+        return FidelityResult(primary.ln_f, primary.path,
+                              max(primary.est_rel_error, discrepancy))
     return primary
 
 

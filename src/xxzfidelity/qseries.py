@@ -23,7 +23,9 @@ the one condition its own maths needs:
   one (the origin alone or, where |z| exceeds _PEEL_RATE, up to _PEEL_BOX
   factors, so that the rest shrinks at least by _PEEL_RATE a term) and sums
   the rest of the lattice by the same series, each term weighted by the
-  share of the lattice outside the box.  It returns the log of the product.
+  share of the lattice outside the box.  Its term loop is written for one
+  base, for two (the arities f uses) and, over lists, for more; it returns
+  the log of the product.
 
 Their agreement is the workhorse cross-check for every identity used
 downstream.
@@ -111,6 +113,12 @@ def log_multibase_product(z: float, bases: Sequence[float]) -> float:
     terms (the box factors do not count) it raises NonConvergent; a sum
     past the float range raises Overflow (bases so close to 1 that the
     denominators underflow).
+
+    The term loop keeps each power in a local for one base and for two,
+    and in lists for more, with the same float operations in the same
+    order (1.0 * (1 - a^m) and y + (1 - y) * 0.0 are exact), so the bits
+    do not depend on the loop.  Only the list loop guards a zero
+    denominator: one or two factors 1 - a^m >= 2^-53 make at least 2^-106.
     """
     _check_product(z, bases)
     az = abs(z)
@@ -130,29 +138,59 @@ def log_multibase_product(z: float, bases: Sequence[float]) -> float:
     rel_tol = REL_TOL
     rate = az * max(ys)
     tail_factor = n * rate / (1.0 - rate)
-
+    terms = range(1, SERIES_MAX_TERMS + 1)
     zp = 1.0
-    powers = [1.0] * n
-    y_powers = [1.0] * n
 
-    for m in range(1, SERIES_MAX_TERMS + 1):
-        zp = zp * z
-        denom = 1.0
-        e = 0.0
-        for i, b in enumerate(bases):
-            powers[i] = p = powers[i] * b
-            y_powers[i] = y = y_powers[i] * ys[i]
-            denom = denom * (1.0 - p)
-            e = y + (1.0 - y) * e
-        try:
-            term = zp * e / (m * denom)
-        except ZeroDivisionError:  # the denominator underflowed to 0
-            term = math.inf
-        acc = acc - term
-        bound = abs(term) * tail_factor
-        if not bound > rel_tol * abs(acc):  # an inf or nan sum stops here too
-            break
+    if n == 1:
+        (a,), (y_step,) = bases, ys
+        p = y = 1.0
+        for m in terms:
+            zp = zp * z
+            p = p * a
+            y = y * y_step
+            term = zp * y / (m * (1.0 - p))
+            acc = acc - term
+            if not abs(term) * tail_factor > rel_tol * abs(acc):
+                break
+        else:
+            acc = None
+    elif n == 2:
+        (a1, a2), (y1_step, y2_step) = bases, ys
+        p1 = p2 = y1 = y2 = 1.0
+        for m in terms:
+            zp = zp * z
+            p1 = p1 * a1
+            y1 = y1 * y1_step
+            p2 = p2 * a2
+            y2 = y2 * y2_step
+            term = zp * (y2 + (1.0 - y2) * y1) / (m * ((1.0 - p1) * (1.0 - p2)))
+            acc = acc - term
+            if not abs(term) * tail_factor > rel_tol * abs(acc):
+                break
+        else:
+            acc = None
     else:
+        powers = [1.0] * n
+        y_powers = [1.0] * n
+        for m in terms:
+            zp = zp * z
+            denom = 1.0
+            e = 0.0
+            for i, b in enumerate(bases):
+                powers[i] = p = powers[i] * b
+                y_powers[i] = y = y_powers[i] * ys[i]
+                denom = denom * (1.0 - p)
+                e = y + (1.0 - y) * e
+            try:
+                term = zp * e / (m * denom)
+            except ZeroDivisionError:  # the denominator underflowed to 0
+                term = math.inf
+            acc = acc - term
+            if not abs(term) * tail_factor > rel_tol * abs(acc):  # inf, nan stop too
+                break
+        else:
+            acc = None
+    if acc is None:
         raise NonConvergent(
             f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
             f"within {SERIES_MAX_TERMS} terms")

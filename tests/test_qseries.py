@@ -111,10 +111,16 @@ class TestLogSeries:
         got = log_multibase_product(0.25, (0.0,))
         assert got == pytest.approx(math.log1p(-0.25), rel=1e-14, abs=0)
 
-    def test_nonconvergent_when_capped(self, monkeypatch):
+    @pytest.mark.parametrize("bases", [(0.5,), (0.5, 0.5), (0.5, 0.5, 0.5)],
+                             ids=["one", "two", "three"])
+    def test_nonconvergent_when_capped(self, monkeypatch, bases):
+        # each arity's loop reads the cap at call time and raises the same
         monkeypatch.setattr(qseries, "SERIES_MAX_TERMS", 3)
-        with pytest.raises(NonConvergent):
-            log_multibase_product(0.9, (0.5,))
+        message = (f"log series for (z=0.9; {bases}) did not reach "
+                   f"rel_tol={REL_TOL} within 3 terms")
+        with pytest.raises(NonConvergent) as raised:
+            log_multibase_product(0.9, list(bases))
+        assert str(raised.value) == message
 
 
 def _mp_log_series(z, bases):
@@ -226,6 +232,104 @@ class TestPeeledSeries:
             with mock.patch.object(qseries, "REL_TOL", rel_tol):
                 got = log_multibase_product(z, bases)
             assert abs(got - ref) <= rel_tol * abs(ref), rel_tol
+
+
+def _list_loop_log_series(z, bases):
+    """Reference: log_multibase_product with one term loop for every number
+    of bases, each base's powers kept in lists and walked by index; the
+    loop of every arity must return its bits and raise where it raises."""
+    az = abs(z)
+    if z == 0.0:
+        return 0.0
+
+    n = len(bases)
+    acc = math.log1p(-z)  # the origin, box[0]
+    ys = bases
+    if az > qseries._PEEL_RATE:
+        box, ys = qseries._peel_box(az, bases)
+        for w in box[1:]:
+            acc = acc + math.log1p(-z * w)
+
+    rel_tol = qseries.REL_TOL
+    rate = az * max(ys)
+    tail_factor = n * rate / (1.0 - rate)
+
+    zp = 1.0
+    powers = [1.0] * n
+    y_powers = [1.0] * n
+
+    for m in range(1, qseries.SERIES_MAX_TERMS + 1):
+        zp = zp * z
+        denom = 1.0
+        e = 0.0
+        for i, b in enumerate(bases):
+            powers[i] = p = powers[i] * b
+            y_powers[i] = y = y_powers[i] * ys[i]
+            denom = denom * (1.0 - p)
+            e = y + (1.0 - y) * e
+        try:
+            term = zp * e / (m * denom)
+        except ZeroDivisionError:  # the denominator underflowed to 0
+            term = math.inf
+        acc = acc - term
+        bound = abs(term) * tail_factor
+        if not bound > rel_tol * abs(acc):  # an inf or nan sum stops here too
+            break
+    else:
+        raise NonConvergent(
+            f"log series for (z={z}; {tuple(bases)}) did not reach rel_tol={rel_tol} "
+            f"within {qseries.SERIES_MAX_TERMS} terms")
+    if not math.isfinite(acc):
+        raise Overflow(f"log series for (z={z}; {tuple(bases)}) leaves the float range")
+    return float(acc)
+
+
+def _outcome(series, z, bases):
+    """The bits a series returns, or the exception it raises."""
+    try:
+        return series(z, bases).hex()
+    except (NonConvergent, Overflow) as exc:
+        return type(exc), str(exc)
+
+
+#: bases in [0, 1): 0.0, near 1, and in between
+ANY_BASE = st.one_of(st.just(0.0),
+                     st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                     st.floats(min_value=0.999, max_value=1.0, exclude_max=True))
+
+
+class TestArityLoops:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        z=st.one_of(
+            st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+            st.builds(lambda sign, v: sign * v, st.sampled_from((1.0, -1.0)),
+                      st.floats(min_value=qseries._PEEL_RATE, max_value=0.95,
+                                exclude_min=True))),
+        bases=st.lists(ANY_BASE, min_size=1, max_size=3),
+    )
+    @example(z=0.95, bases=[0.944])                    # a 36-factor box
+    @example(z=-0.9, bases=[0.7, 0.7])                 # 6 x 6
+    @example(z=0.9, bases=[0.3, 0.4, 0.5])             # three bases, peeled
+    @example(z=-0.5, bases=[0.0])
+    @example(z=0.3, bases=[0.0, 0.6])
+    @example(z=-0.7, bases=[0.6, 0.0, 0.2])
+    @example(z=0.5, bases=[1.0 - 2.0 ** -53])
+    @example(z=-0.5, bases=[1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53])
+    @example(z=0.999, bases=[0.9999, 0.5])
+    @example(z=-1e-300, bases=[0.25, 0.75])
+    @example(z=0.05, bases=[0.05, 0.2])    # bits that hang on the order of
+    @example(z=0.5, bases=[0.65, 0.35])    # the two bases' E update
+    def test_bits_match_the_list_loop(self, z, bases):
+        # the one- and two-base loops do the list loop's float operations in
+        # its order, so each result keeps its bits, at the default target and
+        # a tighter one; the cap keeps a slow series short, and past it both
+        # raise the same NonConvergent
+        for rel_tol in (REL_TOL, 1e-15):
+            with mock.patch.object(qseries, "REL_TOL", rel_tol), \
+                    mock.patch.object(qseries, "SERIES_MAX_TERMS", 20_000):
+                assert (_outcome(log_multibase_product, z, bases)
+                        == _outcome(_list_loop_log_series, z, bases)), rel_tol
 
 
 class TestDirectProduct:
