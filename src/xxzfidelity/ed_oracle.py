@@ -70,6 +70,13 @@ solves the half chains, takes a dense ``scipy.linalg.eigh`` of the lowest
 level; the largest half, the Néel sector of 12 sites at L = MAX_LENGTH,
 has 924 states.
 
+A chain is checked once, by SpinChainSpec, which bipartite_fidelity_finite
+and convergence_study build before any work.  The stages below it,
+sector_basis, build_hamiltonian, ground_state and split_product_state,
+take only what the package builds and validate nothing but sector_basis's
+63-site limit of int64 masks; they are internal, and keep public names
+only because the benchmark's tracer wraps them by name.
+
 numpy and scipy are imported only inside the functions that build or solve
 a chain, on their first call, so importing the package, evaluating points
 and specifying a chain load neither, and no command but ``ed`` loads scipy;
@@ -94,8 +101,10 @@ if TYPE_CHECKING:
 #: the longest chain built: its even block has 1,354,126 states, and that
 #: of L = 26 has 5,204,396
 MAX_LENGTH = 24
-#: ground_state refuses an operator of this dimension or more, one above
-#: the largest half chain: the Néel sector of MAX_LENGTH / 2 sites
+#: one above the largest half chain, the Néel sector of MAX_LENGTH / 2
+#: sites, so every ground_state solve lies below it.  Nothing here reads
+#: it: the benchmark's tracer tags a ground_state call at or above it as
+#: iterative, and tests/test_imports.py keeps it for that tracer
 DENSE_DIM_LIMIT = math.comb(MAX_LENGTH // 2, (MAX_LENGTH // 2 + 1) // 2) + 1
 #: error estimate at which _ground_weight stops: f_L's rounding floor.
 #: Dense eigh's f_L at L = 12 and 14 (x = 1e-100 to 0.9999) is itself off
@@ -110,14 +119,20 @@ _WEIGHT_STEPS = 300
 @dataclass(frozen=True)
 class SpinChainSpec:
     """Full-chain description: length and nome; the Néel fields are always
-    on.  L is checked before x, by _check_length, and neither check loads
-    numpy."""
+    on.  The one check of a chain: InvalidSpec unless L is an even integer
+    >= 4, SizeLimit before any allocation if L > MAX_LENGTH, then
+    InvalidSpec for an x that ModelPoint refuses or whose H overflows.  L
+    is checked before x, and neither check loads numpy."""
 
     L: int
     x: float
 
     def __post_init__(self):
-        _check_length(self.L)
+        L = self.L
+        if not isinstance(L, numbers.Integral) or L < 4 or L % 2 != 0:
+            raise InvalidSpec(f"L must be an even integer >= 4, got {_brief(L)}")
+        if L > MAX_LENGTH:
+            raise SizeLimit(f"L={_brief(L)} is longer than MAX_LENGTH = {MAX_LENGTH}")
         # delta checks x through ModelPoint; every diagonal entry of H is
         # bounded by (L + 1) |Delta| / 2
         if not (self.L + 1) * 0.5 * abs(self.delta) <= _HUGE:
@@ -127,24 +142,6 @@ class SpinChainSpec:
     @property
     def delta(self) -> float:
         return ModelPoint.from_x(self.x).delta
-
-
-def _check_length(L) -> None:
-    """The one rule on a chain length, shared by the spec and the product
-    state: InvalidSpec unless L is an even integer >= 4, and SizeLimit
-    before any allocation if L > MAX_LENGTH."""
-    if not isinstance(L, numbers.Integral) or L < 4 or L % 2 != 0:
-        raise InvalidSpec(f"L must be an even integer >= 4, got {_brief(L)}")
-    if L > MAX_LENGTH:
-        raise SizeLimit(f"L={_brief(L)} is longer than MAX_LENGTH = {MAX_LENGTH}")
-
-
-@dataclass(frozen=True, eq=False)
-class GroundState:
-    """Lowest eigenpair of a symmetric operator, as ground_state returns it."""
-
-    energy: float
-    amplitudes: np.ndarray
 
 
 def sector_basis(n_sites: int, n_up: int) -> np.ndarray:
@@ -415,44 +412,18 @@ def build_hamiltonian(spec: SpinChainSpec):
     return _hamiltonian(pattern, spec.delta)
 
 
-def ground_state(H) -> GroundState:
-    """Lowest eigenpair of a real symmetric operator; deterministic.
+def ground_state(H) -> np.ndarray:
+    """Lowest eigenvector of a half chain's H, as _half_ground builds it.
 
-    A dense ``scipy.linalg.eigh`` of the lowest level only.  H, dense or
-    sparse, must be a non-empty square matrix of finite real numbers that
-    is symmetric to rounding, max|H - H^T| <= 4 eps max|H| with eps the
-    float epsilon: the even blocks of build_hamiltonian miss symmetry by at
-    most about 0.14 eps max|H|, and the half-chain sectors are exactly
-    symmetric.  Anything else, complex entries included, is InvalidSpec.
-    A dimension of DENSE_DIM_LIMIT or more is SizeLimit, raised before a
-    sparse H is densified.  The returned vector is normalized, with its
-    largest entry positive.
+    H is a real, exactly symmetric CSR matrix below DENSE_DIM_LIMIT
+    states, the Néel sector of a half chain; it is not validated.  A dense
+    ``scipy.linalg.eigh`` of the lowest level only, Overflow if the pair
+    it returns leaves the float range.  The returned vector is
+    normalized, with its largest entry positive.
     """
     import numpy as np  # loaded only where a ground state is solved
-    import scipy.sparse as sp
-    dense = not sp.issparse(H)
-    if dense:
-        H = entries = _floats(H, "H")
-    else:
-        H = H.tocsr()
-        entries = _floats(H.data, "H")
-    if (H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] == 0
-            or not np.isfinite(entries).all()):
-        raise InvalidSpec(
-            f"H must be a non-empty, square, finite matrix, got shape {H.shape}")
-    if H.shape[0] >= DENSE_DIM_LIMIT:
-        raise SizeLimit(f"H has dimension {H.shape[0]}; the dense solve takes "
-                        f"less than DENSE_DIM_LIMIT = {DENSE_DIM_LIMIT}")
-    if not dense:
-        H = sp.csr_matrix((entries, H.indices, H.indptr),
-                          shape=H.shape).toarray()
-    with np.errstate(over="ignore"):  # an infinite difference is asymmetric
-        asymmetry = np.abs(H - H.T).max()
-    if asymmetry > 4.0 * np.finfo(float).eps * np.abs(H).max():
-        raise InvalidSpec(
-            f"H must be symmetric, but max|H - H^T| = {asymmetry:.3g}")
-    import scipy.linalg as sla  # loaded only where a dense solve runs
-    w, v = sla.eigh(H, subset_by_index=[0, 0])
+    import scipy.linalg as sla
+    w, v = sla.eigh(H.toarray(), subset_by_index=[0, 0])
     energy, vec = w[0], v[:, 0]
     if not (np.isfinite(energy) and np.isfinite(vec).all()):
         raise Overflow(f"the lowest eigenpair of H leaves the float range: {energy}")
@@ -460,7 +431,7 @@ def ground_state(H) -> GroundState:
     pivot = int(np.argmax(np.abs(vec)))
     if vec[pivot] < 0.0:
         vec = -vec
-    return GroundState(energy=float(energy), amplitudes=vec)
+    return vec
 
 
 def _ground_weight(H, start):
@@ -543,19 +514,6 @@ def _ground_weight(H, start):
         f"and the error estimate {estimate:.3g}")
 
 
-def _floats(values, name: str) -> np.ndarray:
-    """values as a float array; InvalidSpec unless they are real numbers
-    that convert to floats (no complex, text or out-of-range integers)."""
-    import numpy as np  # loaded only where a ground state is solved
-    try:
-        values = np.asarray(values)
-        if values.dtype.kind != "c":
-            return values.astype(float, copy=False)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidSpec(f"{name} must hold real numbers that convert to floats")
-
-
 @functools.lru_cache(maxsize=None)
 def _half_pattern(n_sites: int) -> _Pattern:
     """The _Pattern of the left half-chain in its Néel sector, built once
@@ -564,8 +522,9 @@ def _half_pattern(n_sites: int) -> _Pattern:
     return _pattern(_sector(n_sites, (n_sites + 1) // 2), bonds, [(1, 1)])
 
 
-def _half_ground(n_sites: int, delta: float) -> GroundState:
-    """Ground state of the left half-chain, solved in its Néel sector.
+def _half_ground(n_sites: int, delta: float) -> np.ndarray:
+    """Ground-state amplitudes of the left half-chain, solved in its Néel
+    sector.
 
     The half keeps the virtual-site-0 field on its first site, which pins
     that site up, so its ground state lies in the sector of the Néel state
@@ -576,34 +535,24 @@ def _half_ground(n_sites: int, delta: float) -> GroundState:
     return ground_state(_hamiltonian(_half_pattern(n_sites), delta))
 
 
-def split_product_state(L: int, left: GroundState) -> np.ndarray:
+def split_product_state(L: int, left: np.ndarray) -> np.ndarray:
     """left x mirror(left) in the even-block coordinates of build_hamiltonian.
 
-    left is a Néel-sector state of the L/2-site left half, as _half_ground
-    returns it; its mirror, the right half, has on mask h the amplitude
-    left[_image(h)].  A left mask i next to a mirrored left mask j is a
-    zero-sector mask, whose block state r gets sqrt(2 / n_r) left[i]
-    left[j]; its image, the pair (j, i), writes the same bits to the same
-    r, so the product is R-even by construction and the even block loses
-    none of it.  Other block states stay 0.  The positions r and the
-    factors sqrt(2 / n_r) are read from the full chain's _even_block, so a
-    call at a length already built makes no mask table.  Raises
-    InvalidSpec unless L is an even integer >= 4 and left's amplitudes are
-    finite real numbers that span the Néel sector, both checked before any
-    block is built.
+    L is a length that SpinChainSpec has admitted, and left the Néel-sector
+    amplitudes of the L/2-site left half, as _half_ground returns them;
+    neither is validated.  The mirror of left, the right half, has on mask
+    h the amplitude left[_image(h)].  A left mask i next to a mirrored left
+    mask j is a zero-sector mask, whose block state r gets sqrt(2 / n_r)
+    left[i] left[j]; its image, the pair (j, i), writes the same bits to
+    the same r, so the product is R-even by construction and the even
+    block loses none of it.  Other block states stay 0.  The positions r
+    and the factors sqrt(2 / n_r) are read from the full chain's
+    _even_block, so a call at a length already built makes no mask table.
     """
     import numpy as np  # loaded only where a finite chain is built
-    _check_length(L)
-    half = L // 2
-    n_left = math.comb(half, (half + 1) // 2)
-    amplitudes = _floats(left.amplitudes, "amplitudes")
-    if amplitudes.shape != (n_left,) or not np.isfinite(amplitudes).all():
-        raise InvalidSpec(
-            f"the Néel sector of a {half}-site half needs {n_left} finite "
-            f"amplitudes, got shape {amplitudes.shape}")
     pattern, gather, factor = _even_block(L)
     product = np.zeros(len(pattern.indptr) - 1)
-    product[gather] = np.multiply.outer(amplitudes, amplitudes) * factor
+    product[gather] = np.multiply.outer(left, left) * factor
     return product
 
 

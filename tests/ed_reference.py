@@ -9,8 +9,14 @@ _hamiltonian), so they give the bits the package would give:
   is the product of the two half-chain ground states;
 * sector_matrix, H on any block of any bonds and fields.
 
+The package solves only the half chains it builds (ground_state), so the
+tests solve every other matrix with lowest_pair, a plain dense eigh.
+
 Not a test module: pytest collects nothing here.
 """
+import numpy as np
+import scipy.linalg as sla
+
 from xxzfidelity.ed_oracle import _even_states, _hamiltonian, _pattern
 
 
@@ -32,3 +38,14 @@ def sector_matrix(block, bonds, fields, delta):
     return _hamiltonian(_pattern(block, bonds,
                                  [(site, sign[h]) for site, h in fields]),
                         delta)
+
+
+def lowest_pair(H):
+    """The lowest eigenvalue of a sparse symmetric H and its unit vector,
+    largest entry positive, from a plain scipy.linalg.eigh of the dense
+    matrix."""
+    w, v = sla.eigh(H.toarray())
+    vec = v[:, 0]
+    if vec[np.argmax(np.abs(vec))] < 0.0:
+        vec = -vec
+    return float(w[0]), vec

@@ -9,18 +9,19 @@ import math
 import numpy as np
 import scipy.linalg
 
-from xxzfidelity import (ModelPoint, SpinChainSpec, convergence_study,
+from xxzfidelity import (ModelPoint, SpinChainSpec,
+                         bipartite_fidelity_finite, convergence_study,
                          evaluate_point, fidelity, fidelity_modular,
                          fidelity_raw, fidelity_simplified, fit_asymptote,
                          ln_g_series, minus_ln_f_reference)
 from xxzfidelity.ed_oracle import (_half_ground, build_hamiltonian,
-                                   ground_state, split_product_state)
+                                   split_product_state)
 from xxzfidelity.elliptic import modulus_k, modulus_kprime
 from xxzfidelity.fidelity import short_theta_identity_residual
 from xxzfidelity.qseries import minus_one_peel_residual, verify_qcalc_identities
 from xxzfidelity.scaling import collect_ln_xi, collect_minus_ln_f, log_spaced
 
-from ed_reference import split_hamiltonian
+from ed_reference import lowest_pair, split_hamiltonian
 
 QUARTER_LN2 = 0.25 * math.log(2.0)
 SELF_DUAL_X = math.exp(-math.pi)
@@ -145,27 +146,29 @@ def test_07_finite_chain_convergence():
     # split factorization at L=8: the tensor product of half-chain ground
     # states is the split-chain ground state
     spec = SpinChainSpec(8, 0.2)
-    split_gs = ground_state(split_hamiltonian(spec))
-    left = _half_ground(4, spec.delta)
-    product = split_product_state(8, left)
-    full = ground_state(build_hamiltonian(SpinChainSpec(8, 0.2)))
-    via_diag = float(np.dot(full.amplitudes, split_gs.amplitudes)) ** 2
-    via_product = float(np.dot(full.amplitudes, product)) ** 2
+    split_gs = lowest_pair(split_hamiltonian(spec))[1]
+    product = split_product_state(8, _half_ground(4, spec.delta))
+    full = lowest_pair(build_hamiltonian(spec))[1]
+    via_diag = float(np.dot(full, split_gs)) ** 2
+    via_product = float(np.dot(full, product)) ** 2
     split_gap = abs(via_diag - via_product)
 
-    # eigensolver parity at L=12: the Lanczos route against a full eigh
-    h12 = build_hamiltonian(SpinChainSpec(12, 0.2))
-    e_dense = scipy.linalg.eigh(h12.toarray(), eigvals_only=True)[0]
-    e_iter = ground_state(h12).energy
-    parity_gap = abs(e_dense - e_iter)
+    # solver parity at L=12: the package's Lanczos weight against the
+    # ground state of a dense eigh, in the unit product state q
+    spec = SpinChainSpec(12, 0.2)
+    q = split_product_state(12, _half_ground(6, spec.delta))
+    _, v = scipy.linalg.eigh(build_hamiltonian(spec).toarray(),
+                             subset_by_index=[0, 0])
+    f_dense = float(v[:, 0] @ q) ** 2 / float(q @ q)
+    parity_gap = abs(bipartite_fidelity_finite(12, 0.2) - f_dense)
 
     ok = (decreasing and rel_16 <= 0.02 and split_gap < 1e-10
-          and parity_gap < 1e-10)
+          and parity_gap <= 1e-14)
     _report(7, ok,
             f"|f_L - f| at L=8/12/16: {errors[0]:.3e} > {errors[1]:.3e} > "
             f"{errors[2]:.3e}, L=16 off by {rel_16 * 100:.2f}% (<= 2%); "
-            f"split-factorization gap {split_gap:.1e}, "
-            f"solver parity gap {parity_gap:.1e} (both < 1e-10)")
+            f"split-factorization gap {split_gap:.1e} (< 1e-10), "
+            f"Lanczos weight against dense eigh {parity_gap:.1e} (<= 1e-14)")
 
 
 def test_08_trivial_limits():

@@ -157,3 +157,20 @@ def test_benchmark_names_stay_exported():
     assert hasattr(importlib.import_module("xxzfidelity.ed_oracle"),
                    "DENSE_DIM_LIMIT")
     assert hasattr(importlib.import_module("xxzfidelity.cli"), "POINT_COLUMNS")
+
+
+def test_ed_spans_stay_on_the_f_L_path(monkeypatch):
+    # the ED stages keep public names only for the tracer's spans, so each
+    # must still be called when f_L is computed from a cold cache, or its
+    # span reads zero
+    from xxzfidelity import ed_oracle
+    called = []
+    for name in _BENCHMARK_FUNCTIONS["ed_oracle"]:
+        def counting(*args, _name=name, _fn=getattr(ed_oracle, name)):
+            called.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(ed_oracle, name, counting)
+    ed_oracle._even_block.cache_clear()
+    ed_oracle._half_pattern.cache_clear()
+    ed_oracle.bipartite_fidelity_finite(8, 0.3)
+    assert set(called) == set(_BENCHMARK_FUNCTIONS["ed_oracle"])

@@ -14,9 +14,7 @@ defaults would.
 """
 import math
 
-import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from xxzfidelity import (InvalidSpec, ModelPoint, SpinChainSpec,
@@ -25,7 +23,6 @@ from xxzfidelity import (InvalidSpec, ModelPoint, SpinChainSpec,
                          fidelity_raw, fidelity_simplified, fit_asymptote,
                          ln_xi_reference, log_multibase_product,
                          minus_ln_f_reference, qproduct_direct)
-from xxzfidelity.ed_oracle import ground_state
 from xxzfidelity.elliptic import modulus_k, modulus_kprime
 from xxzfidelity.fidelity import g_product, short_theta_identity_residual
 from xxzfidelity.qseries import minus_one_peel_residual, verify_qcalc_identities
@@ -180,25 +177,3 @@ def test_bipartite_fidelity_finite(L, x):
     except InvalidSpec:
         return
     assert 0.0 <= f_L <= 1.0, f_L
-
-
-@SWEEP
-@given(data=st.data(), n=st.integers(1, 6), sparse=st.booleans(),
-       symmetric=st.booleans())
-def test_ground_state(data, n, sparse, symmetric):
-    # an asymmetric draw is a full matrix, refused unless it is symmetric
-    size = n * (n + 1) // 2 if symmetric else n * n
-    entries = data.draw(st.lists(st.floats(-1e3, 1e3) | ANY,
-                                 min_size=size, max_size=size))
-    if symmetric:
-        H = np.zeros((n, n))
-        H[np.triu_indices(n)] = entries
-        H = H + np.triu(H, 1).T
-    else:
-        H = np.array(entries).reshape(n, n)
-    try:
-        gs = ground_state(sp.csr_matrix(H) if sparse else H)
-    except XXZFidelityError:
-        return
-    assert math.isfinite(gs.energy) and np.isfinite(gs.amplitudes).all()
-    assert abs(np.linalg.norm(gs.amplitudes) - 1.0) < 1e-12
