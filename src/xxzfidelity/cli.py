@@ -6,7 +6,10 @@ expansions), ``identities`` (all residual suites), ``ed`` (finite-chain
 convergence study).  Reports are JSON (default) or CSV, written to stdout
 or ``--output``; floats use the shortest round-trip representation, so
 identical configurations yield byte-identical reports; for ``ed`` only at
-a fixed BLAS thread count, which moves the last bits of f_L.
+a fixed BLAS thread count, which moves the last bits of f_L.  A JSON report
+is byte-identical to ``json.dumps(rows, indent=2)`` but is rendered row by
+row by json's C encoder, which ``indent`` would bypass.  ``main`` may be
+called any number of times in one process and builds its parser once.
 
 Point rows always carry the same columns:
 x, eps, delta, xi, ln_xi, f, ln_f, ratio, path, est_rel_error
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -87,13 +91,15 @@ class RunConfig:
         if self.command in ("scan", "fit"):
             if self.grid_min is None or self.grid_max is None:
                 raise InvalidSpec(f"{self.command} needs grid bounds")
+            point = (ModelPoint.from_x if self.grid_var == "x"
+                     else ModelPoint.from_eps)
+            # each bound by its own rule first: NaN fails every comparison,
+            # so the order test would blame the order for it
+            point(self.grid_min)
+            point(self.grid_max)
             if not (self.grid_min <= self.grid_max):
                 raise InvalidSpec("grid min must be <= max")
             _check_grid_count(self.count)
-            point = (ModelPoint.from_x if self.grid_var == "x"
-                     else ModelPoint.from_eps)
-            point(self.grid_min)
-            point(self.grid_max)
         if self.command == "ed" and self.x is None:
             raise InvalidSpec("ed needs --x")
 
@@ -179,15 +185,26 @@ def _render_csv(rows, columns) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
+    writer.writerows([row[c] for c in columns] for row in rows)
     return buf.getvalue()
+
+
+_encode_object = json.JSONEncoder(separators=(",\n  ", ": ")).encode
+_encode_row = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
 
 def _render(rows, columns, fmt: str) -> str:
     if fmt == "csv":
         return _render_csv(rows if isinstance(rows, list) else [rows], columns)
-    return json.dumps(rows, indent=2) + "\n"
+    # json.dumps(rows, indent=2), byte for byte: indent would bypass json's C
+    # encoder, and these separators lay out the items of a flat, non-empty
+    # object as indent=2 does at depth 1 (eval's object) or 2 (a row)
+    if isinstance(rows, dict):
+        return "{\n  " + _encode_object(rows)[1:-1] + "\n}\n"
+    if not rows:
+        return "[]\n"
+    body = "\n  },\n  {\n    ".join(_encode_row(row)[1:-1] for row in rows)
+    return "[\n  {\n    " + body + "\n  }\n]\n"
 
 
 def run(config: RunConfig) -> int:
@@ -284,9 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process, on main's first call: parsing leaves
+    no state in it, and building it costs more than fit's library work."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        config = RunConfig(**vars(build_parser().parse_args(argv)))
+        config = RunConfig(**vars(_parser().parse_args(argv)))
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     except InvalidSpec as exc:

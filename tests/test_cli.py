@@ -8,11 +8,12 @@ import math
 
 import pytest
 
-from xxzfidelity import (InvalidSpec, ModelPoint, evaluate_point, fidelity,
-                         identity_report, log_correlation_length, qseries)
+from xxzfidelity import (InvalidSpec, ModelPoint, cli, evaluate_point,
+                         fidelity, identity_report, log_correlation_length,
+                         qseries)
 from xxzfidelity.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                             POINT_COLUMNS, RunConfig, _grid, build_parser,
-                             main, run)
+                             POINT_COLUMNS, RunConfig, _grid, _render,
+                             build_parser, main, run)
 from xxzfidelity.scaling import MAX_GRID_COUNT
 
 from xi_one import xi_one_x
@@ -188,6 +189,21 @@ class TestScan:
             assert out == ""
             assert json.loads(err)["error"] == "InvalidSpec"
 
+    def test_nan_bound_is_refused_by_its_own_rule(self, capsys):
+        # NaN fails every comparison, so the order test would blame the
+        # order for it; each bound is checked by ModelPoint's rule first
+        for argv, message in (
+                (["scan", "--min", "nan", "--max", "0.2"],
+                 "x must lie in (0,1), got nan"),
+                (["scan", "--min", "0.1", "--max", "nan"],
+                 "x must lie in (0,1), got nan"),
+                (["fit", "--eps-min", "nan", "--eps-max", "1e-2"],
+                 "eps must be positive and finite, got nan")):
+            code, out, err = _invoke(capsys, argv)
+            assert (code, out) == (EXIT_VALIDATION, ""), argv
+            assert json.loads(err) == {"error": "InvalidSpec",
+                                       "message": message}, argv
+
 
 class TestFit:
     def test_extracts_reference_coefficients(self, capsys):
@@ -305,6 +321,50 @@ class TestEd:
         assert json.loads(captured.err)["error"] == "InvalidSpec"
 
 
+def _reference_render(rows, columns, fmt: str) -> str:
+    """A report as json.dumps(indent=2) and one csv writerow a row give it."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows if isinstance(rows, list) else [rows]:
+        writer.writerow([row[c] for c in columns])
+    return buf.getvalue()
+
+
+class TestRender:
+    def test_every_report_matches_the_reference_renderer(self, capsys):
+        reports = [
+            cli._run_eval(RunConfig(command="eval", x=0.3)),
+            cli._run_scan(RunConfig(command="scan", grid_var="eps",
+                                    grid_min=1e-10, grid_max=1.0, count=3,
+                                    spacing="log")),
+            cli._run_fit(RunConfig(command="fit", grid_min=1e-3,
+                                   grid_max=1e-2)),
+            cli._run_identities(RunConfig(command="identities")),
+            cli._run_ed(RunConfig(command="ed", x=0.3, Ls=(4, 6))),
+        ]
+        # the cases the encoders spell out themselves
+        special = [{"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0,
+                    "n": 2 ** 70 + 1, "s": 'Ærø "ξ" ✓'},
+                   {"a": 5e-324, "b": 0.1, "c": -1.7976931348623157e308,
+                    "d": 0.0, "n": -(2 ** 70), "s": ""}]
+        reports += [(special, tuple(special[0])),
+                    (special[0], tuple(special[0]))]
+        assert math.isinf(reports[1][0][0]["xi"])
+        assert isinstance(reports[2][0][0]["sample_count"], int)
+        assert isinstance(reports[4][0][0]["L"], int)
+        for rows, columns in reports:
+            for fmt in ("json", "csv"):
+                assert (_render(rows, columns, fmt)
+                        == _reference_render(rows, columns, fmt)), (fmt, rows)
+        for fmt in ("json", "csv"):
+            assert run(RunConfig(command="ed", x=0.3, Ls=(), fmt=fmt)) == EXIT_OK
+            assert capsys.readouterr().out == _reference_render(
+                [], cli._ED_COLUMNS, fmt)
+
+
 class TestOutputFile:
     def test_writes_file_instead_of_stdout(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -366,6 +426,37 @@ class TestParser:
             code, out, err = _invoke(capsys, argv)
             assert code == EXIT_OK
             assert out.startswith("usage: xxzfid") and err == ""
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # main builds its parser once and reuses it, so no call may leave
+        # anything in it that changes a later call: run each command twice,
+        # in two orders, and compare every run with the command's first
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._parser.cache_clear()
+        commands = (["eval", "--y", "1"],
+                    ["--help"],
+                    ["scan", "--var", "eps", "--min", "1e-3", "--max", "1.0",
+                     "--count", "3", "--spacing", "log"],
+                    ["scan", "--min", "0.2", "--max", "0.8", "--count", "3"],
+                    ["fit", "--eps-min", "1e-3", "--eps-max", "1e-2"],
+                    ["ed", "--x", "0.3", "--Ls", "8"])
+        try:
+            first = {}
+            for argv in commands:
+                first[tuple(argv)] = _invoke(capsys, argv)
+            for argv in reversed(commands):
+                assert _invoke(capsys, argv) == first[tuple(argv)], argv
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert [code for code, _, _ in first.values()] == [
+            EXIT_VALIDATION, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
 
     def test_defaults_are_those_of_run_config(self, capsys):
         # the parser sets no defaults of its own, so a flag left out means

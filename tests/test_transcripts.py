@@ -1,13 +1,15 @@
 """Frozen CLI transcripts: the SHA-256 of what each command of COMMANDS
-prints, pinned in transcripts.json beside this file.
+prints, and the exit code and stderr JSON of each command of REFUSED,
+pinned in transcripts.json beside this file.
 
-Every command runs through cli.main in this process, except ``ed``: f_L
-depends in its last bits on the OpenBLAS thread count, so ``ed`` runs in a
-fresh interpreter at one thread, as perfbench/run.py runs it.  A change
-that moves any digit of any output fails here.
+Every command runs through cli.main in this process, except an ``ed`` of
+COMMANDS: f_L depends in its last bits on the OpenBLAS thread count, so it
+runs in a fresh interpreter at one thread, as perfbench/run.py runs it.  A
+change that moves any digit of any output, or any word of an error
+report, fails here.
 
-After a change that moves digits on purpose, rewrite the pins and print
-the commands whose output moved:
+After a change that moves digits or messages on purpose, rewrite the pins
+and print the commands whose output moved:
 
     PYTHONPATH=src python tests/test_transcripts.py --repin
 """
@@ -44,6 +46,16 @@ COMMANDS = (
     "ed --x 0.3 --Ls 8,12,16",
 )
 
+#: refused before any output: each pin is [exit code, stderr JSON]
+REFUSED = (
+    "eval --x 1.5",
+    "scan --min 0.1",
+    "scan --min nan --max 0.2",
+    "fit --eps-min 1e-3 --eps-max 1e-2 --count 2",
+    "eval --y 1",
+    "ed --x 0.3 --Ls 26",
+)
+
 
 def transcript(command: str) -> str:
     """What command prints to stdout, asserting that it exits with 0."""
@@ -69,17 +81,34 @@ def digest(command: str) -> str:
     return hashlib.sha256(transcript(command).encode("utf-8")).hexdigest()
 
 
+def refusal(command: str) -> list:
+    """[exit code, stderr JSON] of command, asserting that it fails with
+    one line on stderr and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command.split())
+    assert code != 0 and out.getvalue() == "", command
+    assert err.getvalue().count("\n") == 1, command
+    return [code, json.loads(err.getvalue())]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_output_is_pinned(command):
     assert digest(command) == json.loads(PINS.read_text())[command]
+
+
+@pytest.mark.parametrize("command", REFUSED)
+def test_refusal_is_pinned(command):
+    assert refusal(command) == json.loads(PINS.read_text())[command]
 
 
 def repin() -> None:
     """Rewrite the pins; print each command whose output moved."""
     old = json.loads(PINS.read_text()) if PINS.exists() else {}
     new = {command: digest(command) for command in COMMANDS}
+    new.update((command, refusal(command)) for command in REFUSED)
     PINS.write_text(json.dumps(new, indent=2) + "\n")
-    for command in COMMANDS:
+    for command in new:
         if old.get(command) != new[command]:
             print(command)
 
