@@ -26,15 +26,20 @@ from dataclasses import dataclass
 from .errors import _HUGE, _brief, InvalidSpec
 from .qseries import log_multibase_product
 
+_PI_SQ = math.pi ** 2
+_LN4 = math.log(4.0)
+_LN_KP_LINEAR = 0.5 * math.log(3.0 * sys.float_info.epsilon)  # ln sqrt(3 eps_mach)
+
 
 @dataclass(frozen=True)
 class ModelPoint:
     """One anisotropy point: the nome x in (0,1) and eps = -ln x.
 
-    Both are stored, since neither is recovered exactly from the other;
-    ``from_x`` / ``from_eps`` derive one from the other, and
-    ``__post_init__`` rejects a hand-built pair that disagrees.  Delta and
-    the dual nome are computed on access.
+    Both are stored, since neither is recovered exactly from the other.
+    Each point is checked once: ``__post_init__`` checks a hand-built pair
+    and rejects one that disagrees; ``from_x`` / ``from_eps`` check their
+    argument and skip it, as it cannot fail on the pair they derive.  Delta
+    and the dual nome are computed on access.
     """
 
     x: float
@@ -60,7 +65,7 @@ class ModelPoint:
         if not (0.0 < x < 1.0):
             raise InvalidSpec(f"x must lie in (0,1), got {_brief(x)}")
         x = float(x)
-        return cls(x, -math.log(x))
+        return cls._built(x, -math.log(x))
 
     @classmethod
     def from_eps(cls, eps: float) -> "ModelPoint":
@@ -70,7 +75,15 @@ class ModelPoint:
         x = math.exp(-eps)
         if not (0.0 < x < 1.0):
             raise InvalidSpec(f"eps={eps!r} leaves the representable x range (0,1)")
-        return cls(x, eps)
+        return cls._built(x, eps)
+
+    @classmethod
+    def _built(cls, x: float, eps: float) -> "ModelPoint":
+        """(x, eps) without ``__post_init__``, for a pair from_x or
+        from_eps derived."""
+        p = object.__new__(cls)
+        p.__dict__["x"], p.__dict__["eps"] = x, eps
+        return p
 
     @property
     def delta(self) -> float:
@@ -81,19 +94,19 @@ class ModelPoint:
     def x_dual(self) -> float:
         """x~ = e^{-pi^2/eps}; rounds to 0.0 for eps < pi^2/745, where
         log-space consumers should use ``ln_x_dual``."""
-        return math.exp(-math.pi ** 2 / self.eps)
+        return math.exp(-_PI_SQ / self.eps)
 
     @property
     def ln_x_dual(self) -> float:
         """ln x~ = -pi^2/eps, exact in log space even when x_dual underflows."""
-        return -math.pi ** 2 / self.eps
+        return -_PI_SQ / self.eps
 
 
 def _log_modulus_k(ln_z: float):
     """ln k at nome z given ln z; tolerates z underflowed to 0.0."""
     z = math.exp(ln_z)
     z2 = z * z
-    return (math.log(4.0) + 0.5 * ln_z
+    return (_LN4 + 0.5 * ln_z
             + 4.0 * log_multibase_product(-z2, (z2,))
             - 4.0 * log_multibase_product(-z, (z2,)))
 
@@ -137,10 +150,10 @@ def log_correlation_length(p: ModelPoint) -> float:
     At the crossover x^2 = x~ both forms evaluate the same product.
     """
     # in the smaller nome k <= sqrt(2) - 1, so |ln k| >= 0.88 and nothing cancels
-    if 2.0 * p.eps * p.eps > math.pi ** 2:
+    if 2.0 * p.eps * p.eps > _PI_SQ:
         return -math.log(-0.5 * _log_modulus_k(-2.0 * p.eps))
     ln_kp = _log_modulus_k(p.ln_x_dual)
-    if ln_kp <= 0.5 * math.log(3.0 * sys.float_info.epsilon):
+    if ln_kp <= _LN_KP_LINEAR:
         return -float(ln_kp)
     return -math.log(math.atanh(math.exp(ln_kp)))
 

@@ -48,7 +48,9 @@ LN_G_SWITCH_EPS = 0.125
 #: the self-dual nome x = e^{-pi} (eps = pi), fixed point of x -> x~
 _SELF_DUAL_X = math.exp(-math.pi)
 
-_QUARTER_LN2 = 0.25 * math.log(2.0)
+_LN2 = math.log(2.0)
+_QUARTER_LN2 = 0.25 * _LN2
+_EPS_MACH = sys.float_info.epsilon
 # c_2, c_4, ..., c_30 and B_15 (rounded up) of _ln_g_expansion
 _LN_G_EVEN = (0.0625, 0.020833333333333332, 0.02361111111111111,
               0.05228174603174603, 0.18889770723104057, 1.0083776922665812,
@@ -56,6 +58,7 @@ _LN_G_EVEN = (0.0625, 0.020833333333333332, 0.02361111111111111,
               14114.944262769695, 266622.9318069865, 6021721.8303798335,
               160234561.46245712, 4961214936.313177, 176835016896.58295)
 _LN_G_REMAINDER = 3.8e12
+_LN_G_HORNER = _LN_G_EVEN[::-1]  # c_30 first, as Horner's rule takes them
 
 
 class Path(enum.Enum):
@@ -70,11 +73,12 @@ class Path(enum.Enum):
 class FidelityResult:
     """Log-value of f, the route used, and an error estimate.
 
-    est_rel_error charges qseries.REL_TOL plus one machine epsilon on the
-    magnitude of every log term the route sums (each product, and on the
-    modular route also -eps/4, ln x~/16 and ln g), so it is a bound-flavored
-    estimate of the relative error of f.  The property f = e^{ln_f}
-    underflows to 0.0 for ln_f < -745; ln_f is the authoritative field.
+    est_rel_error charges qseries.REL_TOL, as read when the route ran, plus
+    one machine epsilon on the magnitude of every log term the route sums
+    (each product, and on the modular route also -eps/4, ln x~/16 and
+    ln g), so it is a bound-flavored estimate of the relative error of f.
+    The property f = e^{ln_f} underflows to 0.0 for ln_f < -745; ln_f is
+    the authoritative field.
     """
 
     ln_f: float
@@ -89,15 +93,14 @@ class FidelityResult:
 def _combine(parts, path) -> FidelityResult:
     """Sum coef*log-term contributions into the FidelityResult of a route;
     est_rel_error is the estimate at the target qseries.REL_TOL the series
-    met, read at call time."""
+    met, read at call time; machine epsilon is a module constant."""
     ln_f = 0.0
     magnitude = 0.0
     for coef, term in parts:
         ln_f = ln_f + coef * term
         magnitude += abs(coef) * abs(term)
-    est = (magnitude * (qseries.REL_TOL + sys.float_info.epsilon)
-           + sys.float_info.epsilon)
-    return FidelityResult(ln_f=float(ln_f), path=path, est_rel_error=float(est))
+    est = magnitude * (qseries.REL_TOL + _EPS_MACH) + _EPS_MACH
+    return FidelityResult(float(ln_f), path, float(est))
 
 
 def fidelity_raw(p: ModelPoint) -> FidelityResult:
@@ -163,7 +166,7 @@ def _ln_g_expansion(eps: float) -> float:
     """
     e2 = eps * eps
     acc = 0.0
-    for c in reversed(_LN_G_EVEN):
+    for c in _LN_G_HORNER:
         acc = (acc + c) * e2
     return _QUARTER_LN2 + 0.25 * eps + acc
 
@@ -210,7 +213,7 @@ def _ln_g_sum(eps: float) -> float:
     for w in _LN_G_WEIGHTS:
         y = y * q
         acc = acc + w * (y * (2.0 + y) / ((1.0 + y) * (1.0 + y)))
-    return math.log(2.0) - acc
+    return _LN2 - acc
 
 
 def ln_g_series(p: ModelPoint) -> float:
@@ -220,7 +223,8 @@ def ln_g_series(p: ModelPoint) -> float:
     the limit being O(eps).  For eps <= LN_G_SWITCH_EPS it comes from the
     small-eps expansion, else from the fixed 26-term CVZ sum of _ln_g_sum;
     each has a fixed cost, neither reads qseries.REL_TOL, and both are
-    within ~1e-14 of ln g (the sum within 3 ulp of ln 2).
+    within ~1e-14 of ln g (the sum within 3 ulp of ln 2).  p is not checked
+    again; LN_G_SWITCH_EPS is read at call time.
     """
     if p.eps <= LN_G_SWITCH_EPS:
         return float(_ln_g_expansion(p.eps))
@@ -236,7 +240,7 @@ def g_product(p: ModelPoint) -> float:
     x = p.x
     x2 = x * x
     x4 = x2 * x2
-    return float(math.log(2.0) + log_multibase_product(-x4, (x4,))
+    return float(_LN2 + log_multibase_product(-x4, (x4,))
                  + 2.0 * log_multibase_product(-x4, (x4, x4))
                  - 2.0 * log_multibase_product(-x2, (x4, x4)))
 
@@ -286,7 +290,7 @@ def short_theta_identity_residual(b: float, p: ModelPoint) -> float:
         raise InvalidSpec(f"x~^(4/b) rounds to 1 for b={b!r}, eps={eps!r}")
 
     lhs = b / 48.0 * eps + log_multibase_product(xb_half, (xb,))
-    rhs = (0.5 * math.log(2.0) + p.ln_x_dual / (6.0 * b)
+    rhs = (0.5 * _LN2 + p.ln_x_dual / (6.0 * b)
            + log_multibase_product(-xt4b, (xt4b,)))
     return abs(math.expm1(lhs - rhs))
 

@@ -1,9 +1,11 @@
 """Model points, elliptic moduli, nome duality, correlation length."""
 import math
+from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from xxzfidelity import (InvalidSpec, ModelPoint, evaluate_point,
+from xxzfidelity import (InvalidSpec, ModelPoint, elliptic, evaluate_point,
                          log_correlation_length, qseries)
 from xxzfidelity.elliptic import modulus_k, modulus_kprime
 
@@ -101,6 +103,92 @@ class TestModelPoint:
         # no ModelPoint exists at x~ = 0.0
         with pytest.raises(InvalidSpec):
             ModelPoint.from_x(p.x_dual)
+
+
+class _CountingMath:
+    """Stands in for elliptic's ``math`` and counts each function's calls."""
+
+    def __init__(self):
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        value = getattr(math, name)
+        if not callable(value):
+            return value
+
+        def counted(*args):
+            self.calls[name] += 1
+            return value(*args)
+        return counted
+
+
+class TestOneCheckPerPoint:
+    """from_x and from_eps check their argument and build the point without
+    __post_init__, whose checks cannot fail on the pairs they build; a
+    hand-built ModelPoint(x, eps) runs every check."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(5e-324)
+    @example(2.2250738585072014e-308)
+    @example(1.0 - 2.0 ** -53)
+    def test_from_x_builds_a_pair_the_check_accepts(self, x):
+        p = ModelPoint.from_x(x)
+        assert ModelPoint(p.x, p.eps) == p
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.floats(1.1e-16, 745.13))
+    @example(1.1e-16)
+    @example(745.13)
+    def test_from_eps_builds_a_pair_the_check_accepts(self, eps):
+        p = ModelPoint.from_eps(eps)
+        assert ModelPoint(p.x, p.eps) == p
+
+    def test_every_binade(self):
+        # x at a few mantissas in each binade of (0,1), subnormals included,
+        # and eps log-spaced over the whole representable range
+        for e in range(-1074, 0):
+            for m in (1.0, 1.25, 1.5, 1.9999999999999998):
+                x = math.ldexp(m, e)
+                if 0.0 < x < 1.0:
+                    p = ModelPoint.from_x(x)
+                    assert ModelPoint(p.x, p.eps) == p
+        ln_lo, ln_hi = math.log(1.1e-16), math.log(EPS_X_UNDERFLOW)
+        for i in range(4001):
+            p = ModelPoint.from_eps(math.exp(ln_lo + (ln_hi - ln_lo) * i / 4000))
+            assert ModelPoint(p.x, p.eps) == p
+
+    def test_a_point_is_checked_once(self, monkeypatch):
+        checked = []
+        check = ModelPoint.__post_init__
+
+        def counted_check(point):
+            checked.append((point.x, point.eps))
+            check(point)
+
+        monkeypatch.setattr(ModelPoint, "__post_init__", counted_check)
+        fake_math = _CountingMath()
+        monkeypatch.setattr(elliptic, "math", fake_math)
+        p = ModelPoint.from_x(0.3)
+        assert (checked, fake_math.calls) == ([], Counter(log=1))
+        q = ModelPoint.from_eps(0.2)
+        assert (checked, fake_math.calls) == ([], Counter(log=1, exp=1))
+        fake_math.calls.clear()
+        assert ModelPoint(p.x, p.eps) == p and ModelPoint(q.x, q.eps) == q
+        assert checked == [(p.x, p.eps), (q.x, q.eps)]
+        assert fake_math.calls == Counter(log=2, ulp=2)
+
+    @pytest.mark.parametrize("x, eps, message", [
+        (0.0, 1.0, "x must lie in (0,1), got 0.0"),
+        (1, 1.0, "x must lie in (0,1), got 1"),
+        (0.5, 0.0, "eps must be positive and finite, got 0.0"),
+        (0.5, math.inf, "eps must be positive and finite, got inf"),
+        (0.5, 0.8, "inconsistent point: eps=0.8 but -ln x=0.6931471805599453"),
+    ])
+    def test_hand_built_point_runs_every_check(self, x, eps, message):
+        with pytest.raises(InvalidSpec) as info:
+            ModelPoint(x, eps)
+        assert str(info.value) == message
 
 
 class TestModuli:

@@ -158,10 +158,22 @@ def _log_grid(lo, hi, n):
             for i in range(n)]
 
 
+def _point_bits(points) -> str:
+    """sha256 of the .hex() of ln f, est_rel_error, path and ln xi at each point."""
+    values = []
+    for p in points:
+        got = fidelity(p)
+        values.append(f"{got.ln_f.hex()} {got.est_rel_error.hex()} "
+                      f"{got.path.value} {log_correlation_length(p).hex()}")
+    return hashlib.sha256("\n".join(values).encode()).hexdigest()
+
+
 class TestFrozenBits:
     """Where every log series' box is the origin alone (every |z| <=
     qseries._PEEL_RATE) and ln g comes from its expansion, the results are
-    pinned bit for bit; TestAccuracyAgainstMpmath checks the ln xi ones."""
+    pinned bit for bit; TestAccuracyAgainstMpmath checks the ln xi ones.
+    The benchmark's two point ranges are pinned too: ln f, its estimate,
+    its route and ln xi."""
 
     def test_correlation_length(self):
         # its nomes never exceed e^{-sqrt(2) pi} ~ 0.0118
@@ -179,6 +191,22 @@ class TestFrozenBits:
                           f"{got.path.value}")
         assert hashlib.sha256("\n".join(values).encode()).hexdigest() == (
             "d379f26b597eb3a1920ae7760027fb4cb32c901c7cce39531b4b24bf0eab4f6a")
+
+    def test_critical_eps_range(self):
+        # eps log-spaced over [3e-5, 0.5]: the expansion and the CVZ sum of
+        # ln g (LN_G_SWITCH_EPS), and both routes inside the cross-check
+        # window (x in [0.6, 0.9] is eps in [0.105, 0.511])
+        grid = _log_grid(3e-5, 0.5, 400)
+        assert min(grid) <= LN_G_SWITCH_EPS < max(grid)
+        assert _point_bits(ModelPoint.from_eps(eps) for eps in grid) == (
+            "c748865ca9f0c4a6fdbe6548139633ab767d8577f6c76349028d3d6c18133772")
+
+    def test_massive_x_range(self):
+        # x evenly spaced over [0.05, 0.6): the simplified route alone, and
+        # both forms of xi (the direct one below x ~ 0.1085)
+        grid = [0.05 + 0.55 * i / 400 for i in range(400)]
+        assert _point_bits(ModelPoint.from_x(x) for x in grid) == (
+            "6308bd9052ec113473878edcffe02f0961a64c2131de8c5d38212b3172d33747")
 
 
 def _mp_ln_f(eps):
@@ -512,6 +540,7 @@ class TestResultTypes:
         assert type(log_multibase_product(z, (a, a))) is float
         assert log_multibase_product(z, (a, a)) == log_multibase_product(
             float(z), (float(a), float(a)))
+        assert type(ln_g_series(q)) is float
         got = fidelity(q)
         assert all(type(v) is float for v in (got.f, got.ln_f, got.est_rel_error))
         assert got == fidelity(p)
